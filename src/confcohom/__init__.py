@@ -34,6 +34,7 @@ from .combinat import (
     partitions,
     representative,
     set_partitions,
+    stable_block_counts,
     stable_partitions,
     stirling_first_signed,
     stirling_first_unsigned,
@@ -137,6 +138,7 @@ __all__ = [
     "representative",
     "set_partitions",
     "stability_report",
+    "stable_block_counts",
     "stable_partitions",
     "stirling_first_signed",
     "stirling_first_unsigned",

@@ -38,6 +38,7 @@ from .combinat import (
     euler_phi,
     mobius,
     representative,
+    stable_block_counts,
     stable_partitions,
 )
 from .confspace import SpaceSpec, require
@@ -89,7 +90,7 @@ def _check_cycle_cap(m: int) -> None:
 
 
 def _check_enumeration_cap(m: int, blocks: int) -> None:
-    # Full block enumeration grows like Bell numbers; the blocks == m case
+    # The enumeration oracles grow like Bell numbers; the blocks == m case
     # needs no enumeration and is allowed up to the cycle-type cap.
     if blocks == m:
         _check_cycle_cap(m)
@@ -209,6 +210,8 @@ def exactly_trace(
     The stratum splits into configuration-space copies indexed by set
     partitions; the trace concentrates on the alpha-stable ones, each
     contributing the configuration trace of the induced block permutation.
+    The stable partitions are enumerated one by one, so this is the
+    point-level oracle for :func:`exactly_series`, which counts them.
     """
     require(space, "i_acyclic")
     if alpha.m != m:
@@ -256,9 +259,17 @@ def exactly_series(space: SpaceSpec, distinct: int, m: int) -> TraceSeries:
 def induce_blocks(series: TraceSeries, m: int) -> TraceSeries:
     """Induce a class function from ``series.m`` block labels up to m letters.
 
-    For each cycle type, sums the series over the block permutations
-    induced on alpha-stable set partitions into ``series.m`` blocks.  This
-    geometric form of induction is equivalent to the group-theoretic
+    The value at a permutation alpha of type ct sums the series over the
+    block permutations that alpha induces on its stable set partitions
+    into l = ``series.m`` blocks.  Those partitions are counted, not
+    listed:
+
+        Ind(series)[ct] = sum over beta of N(ct, beta) * series[beta],
+
+    where N(ct, beta) = ``stable_block_counts(ct, l)[beta]`` groups alpha's
+    cycles into orbits of blocks (the cycle index of the species
+    composition F o E_+, Bergeron-Labelle-Leroux 1998).  This geometric
+    form of induction is equivalent to the group-theoretic
     induced-character formula for the block stabilizers, and much cheaper.
     Acting with ``series.m == m`` is the identity.
     """
@@ -267,57 +278,45 @@ def induce_blocks(series: TraceSeries, m: int) -> TraceSeries:
         raise ValueError("cannot induce downward")
     if blocks < 1:
         raise ValueError("induction needs at least one block")
-    _check_enumeration_cap(m, blocks)
+    _check_cycle_cap(m)
+    if blocks == m:
+        return series
     values = {}
     for ct in all_cycle_types(m):
-        alpha = representative(ct)
         total = LaurentPoly.zero()
-        for _p, beta in stable_partitions(alpha, blocks):
-            total = total + series.values[beta.cycle_type()]
+        for beta, count in stable_block_counts(ct, blocks).items():
+            total = total + count * series.values[beta]
         values[ct] = total
     return TraceSeries(m, values)
-
-
-def _descending_chains(m: int, low: int) -> list[list[int]]:
-    """All strictly decreasing integer chains m = c_0 > ... > c_t = low."""
-    if low > m:
-        return []
-    if low == m:
-        return [[m]]
-    chains = []
-    middles = list(range(low + 1, m))
-    for mask in range(1 << len(middles)):
-        mid = [middles[i] for i in range(len(middles)) if mask >> i & 1]
-        chains.append([m] + sorted(mid, reverse=True) + [low])
-    return chains
 
 
 def induce_alternating(series: TraceSeries, m: int) -> TraceSeries:
     """Signed sum of iterated inductions over all descending chains to m.
 
-    A chain with t steps carries the sign (-1)^(m - series.m) * (-1)^t, so
-    the operator is the identity when series.m == m and inverts
-    :func:`induce_blocks` inside alternating-sum identities.  The result
-    is a virtual character: integer combinations, possibly negative.
+    A chain m = c_0 > c_1 > ... > c_t = l = ``series.m`` carries the sign
+    (-1)^(m - l) * (-1)^t, so the operator is the identity when l == m and
+    inverts :func:`induce_blocks` inside alternating-sum identities.  The
+    result is a virtual character: integer combinations, possibly negative.
+
+    The 2^(m-l-1) chains are not walked one by one.  Grouping them by
+    their last step gives the recurrence
+
+        G(l) = series,   G(k) = sum over l <= j < k of (-1)^(k-j+1) Ind_k G(j),
+
+    with G(m) the result: O((m - l)^2) inductions in place of 2^(m-l).
     """
     low = series.m
     if low > m:
         raise ValueError("cannot induce downward")
-    if m - low > limits.chain_span_max():
-        raise CostCapExceeded(
-            f"chain enumeration spans at most {limits.chain_span_max()} levels"
-        )
-    zero = {ct: LaurentPoly.zero() for ct in all_cycle_types(m)}
-    total = TraceSeries(m, zero)
-    base_sign = -1 if (m - low) % 2 else 1
-    for chain in _descending_chains(m, low):
-        t = len(chain) - 1
-        current = series
-        for target in reversed(chain[:-1]):
-            current = induce_blocks(current, target)
-        sign = base_sign * (-1 if t % 2 else 1)
-        total = total + current.scale(sign)
-    return total
+    _check_cycle_cap(m)
+    levels = [series]
+    for k in range(low + 1, m + 1):
+        total = TraceSeries(k, {ct: LaurentPoly.zero() for ct in all_cycle_types(k)})
+        for j, lower in enumerate(levels, start=low):
+            sign = 1 if (k - j) % 2 else -1
+            total = total + induce_blocks(lower, k).scale(sign)
+        levels.append(total)
+    return levels[-1]
 
 
 def reconstruct_config_series(space: SpaceSpec, m: int) -> TraceSeries:

@@ -246,6 +246,24 @@ def _check(name: str, passed: bool) -> dict:
     return {"name": name, "passed": bool(passed)}
 
 
+def _oracle_triangle(space: SpaceSpec, m: int, series: charseries.TraceSeries) -> bool:
+    """Compare the counting routes at m points with the enumeration oracle.
+
+    The chain reconstruction must rebuild ``series``, the configuration
+    character; every stratum series, counted by grouping cycles, must equal
+    the trace summed over the enumerated stable set partitions.
+    """
+    if charseries.reconstruct_config_series(space, m) != series:
+        return False
+    for distinct in range(1, m + 1):
+        counted = series if distinct == m else charseries.exactly_series(space, distinct, m)
+        for ctype in all_cycle_types(m):
+            alpha = representative(ctype)
+            if charseries.exactly_trace(space, distinct, m, alpha) != counted[ctype]:
+                return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -338,15 +356,7 @@ def cmd_character(args) -> dict:
     if args.all:
         series = charseries.config_series(space, m)
         if m <= 6:
-            reconstructed = charseries.reconstruct_config_series(space, m)
-            triangle = reconstructed == series
-            for ctype in all_cycle_types(m):
-                alpha = representative(ctype)
-                triangle = triangle and (
-                    charseries.exactly_trace(space, m, m, alpha)
-                    == series.values[ctype]
-                )
-            checks.append(_check("oracle-triangle", triangle))
+            checks.append(_check("oracle-triangle", _oracle_triangle(space, m, series)))
         result = {
             "kind": "series",
             "entries": {
@@ -503,16 +513,11 @@ def _selftest_checks() -> list[tuple[str, bool]]:
     run("universal-polynomial-evaluation", universal_evaluation)
 
     def oracle_triangle() -> bool:
-        for space in (c, cstar):
-            for m in range(1, 5):
-                series = charseries.config_series(space, m)
-                if charseries.reconstruct_config_series(space, m) != series:
-                    return False
-                for ctype in all_cycle_types(m):
-                    alpha = representative(ctype)
-                    if charseries.exactly_trace(space, m, m, alpha) != series.values[ctype]:
-                        return False
-        return True
+        return all(
+            _oracle_triangle(space, m, charseries.config_series(space, m))
+            for space in (c, cstar)
+            for m in range(1, 5)
+        )
 
     run("oracle-triangle", oracle_triangle)
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
-from .errors import CostCapExceeded
+from .errors import ConsistencyError, CostCapExceeded
 from . import limits
 
 
@@ -140,36 +141,51 @@ def all_cycle_types(m: int) -> tuple[CycleType, ...]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+# Column j holds S(j + t, j) for t = 0, 1, ...; entries above the diagonal
+# are zero and never stored.  Filled by stirling_second on demand.
+_STIRLING2_COLUMNS: list[list[int]] = []
+
+
 def stirling_second(i: int, j: int) -> int:
     """Number of partitions of an i-set into j nonempty blocks.
 
-    Computed by the additive recurrence and cross-checked against the
-    inclusion-exclusion surjection count; both routes must agree exactly.
+    Read from a cached table that is filled iteratively by the additive
+    recurrence S(i, j) = S(i-1, j-1) + j S(i-1, j); every entry is
+    cross-checked against the inclusion-exclusion surjection count when it
+    is filled, and both routes must agree exactly.  Answering (i, j) fills
+    the (j+1) x (i-j+1) rectangle of entries it depends on.
     """
     if i < 0 or j < 0:
         raise ValueError("Stirling indices must be nonnegative")
-    if i == 0 and j == 0:
-        value = 1
-    elif i == 0 or j == 0:
-        value = 0
-    elif j > i:
-        value = 0
-    else:
-        value = stirling_second(i - 1, j - 1) + j * stirling_second(i - 1, j)
-    explicit = _stirling_second_explicit(i, j)
-    if value != explicit:
-        raise AssertionError(
-            f"Stirling recurrence {value} != explicit formula {explicit} at ({i},{j})"
-        )
-    return value
+    if j > i:
+        return 0
+    depth = i - j + 1
+    columns = _STIRLING2_COLUMNS
+    for c in range(j + 1):
+        if c == len(columns):
+            columns.append([])
+        column = columns[c]
+        for t in range(len(column), depth):
+            if c == 0:
+                value = 1 if t == 0 else 0
+            else:
+                value = columns[c - 1][t] + (c * column[t - 1] if t else 0)
+            explicit = _stirling_second_explicit(c + t, c)
+            if value != explicit:
+                raise ConsistencyError(
+                    f"Stirling recurrence {value} != explicit formula {explicit} "
+                    f"at ({c + t},{c})"
+                )
+            column.append(value)
+    return columns[j][i - j]
 
 
 def _stirling_second_explicit(i: int, j: int) -> int:
     # (1/j!) sum_k (-1)^(j-k) C(j,k) k^i, with 0^0 = 1.
     total = sum((-1) ** (j - k) * math.comb(j, k) * k**i for k in range(j + 1))
     q, r = divmod(total, math.factorial(j))
-    assert r == 0
+    if r:
+        raise ConsistencyError(f"surjection count at ({i},{j}) is not divisible by {j}!")
     return q
 
 
@@ -343,7 +359,81 @@ def representative(ctype: CycleType) -> Permutation:
 
 
 # ---------------------------------------------------------------------------
-# set partitions
+# stable set partitions, counted by grouping cycles
+# ---------------------------------------------------------------------------
+
+
+def stable_block_counts(ctype: CycleType, blocks: int) -> dict[CycleType, int]:
+    """Count the alpha-stable set partitions by the type of the block action.
+
+    For a permutation alpha of type ``ctype``, maps each cycle type beta on
+    ``blocks`` letters to the number of alpha-stable partitions of the m
+    points into ``blocks`` blocks on which alpha permutes the blocks with
+    type beta.  Types that do not occur are left out.
+
+    The blocks of one beta-cycle of length d cover a set of alpha-cycles
+    whose lengths are all multiples of d, and k such cycles form one d-orbit
+    of blocks in d^(k-1) ways: the first cycle fixes the block labels, each
+    further cycle enters at one of d rotations.  Grouping alpha's cycles,
+    not its points, is the cycle-index count of the species composition
+    F o E_+ (Bergeron-Labelle-Leroux, *Combinatorial Species and Tree-like
+    Structures*, 1998).  :func:`stable_partitions` enumerates the same
+    partitions point by point and serves as the oracle.
+    """
+    if blocks < 0:
+        raise ValueError("block count must be nonnegative")
+    return {
+        CycleType.from_parts(parts, blocks): count
+        for parts, count in _orbit_groupings(_trim(ctype.mult), blocks)
+    }
+
+
+def _trim(mult) -> tuple[int, ...]:
+    """Drop trailing zeros, so the last entry is the longest cycle length."""
+    end = len(mult)
+    while end and not mult[end - 1]:
+        end -= 1
+    return tuple(mult[:end])
+
+
+@lru_cache(maxsize=None)
+def _orbit_groupings(
+    mult: tuple[int, ...], blocks: int
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(block orbit lengths, count) pairs for the cycles left in ``mult``.
+
+    One cycle of the longest length c opens an orbit of d | c blocks; it
+    takes j_e further cycles of each length e divisible by d, in
+    C(x_c - 1, j_c) prod_{e != c} C(x_e, j_e) d^(sum j) ways, and the rest
+    is grouped recursively into the remaining blocks.
+    """
+    points = sum(e * x for e, x in enumerate(mult, start=1))
+    if blocks > points:
+        return ()
+    if not mult:
+        return (((), 1),)
+    c = len(mult)
+    counts: dict[tuple[int, ...], int] = {}
+    for d in divisors(c):
+        if d > blocks:
+            break
+        lengths = range(d, c + 1, d)
+        available = [mult[e - 1] - (e == c) for e in lengths]
+        for picks in product(*(range(a + 1) for a in available)):
+            weight = d ** sum(picks)
+            rest = list(mult)
+            rest[c - 1] -= 1
+            for e, a, j in zip(lengths, available, picks):
+                weight *= math.comb(a, j)
+                rest[e - 1] -= j
+            for parts, count in _orbit_groupings(_trim(rest), blocks - d):
+                key = tuple(sorted(parts + (d,), reverse=True))
+                counts[key] = counts.get(key, 0) + weight * count
+    return tuple(counts.items())
+
+
+# ---------------------------------------------------------------------------
+# set partitions (enumeration oracle)
 # ---------------------------------------------------------------------------
 
 

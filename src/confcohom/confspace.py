@@ -179,7 +179,8 @@ def universal_poly(distinct: int, m: int, closed: bool) -> BiPoly:
             result = result + sign * stirling_second(m, distinct - a) * (
                 rising(distinct - a) * BiPoly.term(1, 0, a)
             )
-    assert result.is_homogeneous(distinct)
+    if not result.is_homogeneous(distinct):
+        raise ConsistencyError(f"universal polynomial is not homogeneous of degree {distinct}")
     return result
 
 

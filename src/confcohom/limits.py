@@ -1,10 +1,13 @@
 """Enumeration caps.
 
-Cycle-type-indexed computations scale with the number of partitions of m,
-set-partition enumerations with the Bell numbers, and signed iterated
-inductions with 2^(m-l).  The caps below keep all engines inside an
-interactive budget; CONFCOHOM_MAX_M raises them uniformly, but never above
-ABSOLUTE_MAX_M.
+Cycle-type-indexed computations scale with the number of partitions of m;
+this includes block induction and its signed iterates, which count stable
+set partitions by grouping cycles.  Only the enumeration oracles
+(``set_partitions``, ``stable_partitions`` and the ``exactly_trace`` /
+``at_most_trace`` traces built on them) list set partitions, which grow
+like the Bell numbers; the set-partition caps guard those alone.  The caps
+keep all engines inside an interactive budget; CONFCOHOM_MAX_M raises them
+uniformly, but never above ABSOLUTE_MAX_M.
 """
 
 import os
@@ -13,7 +16,6 @@ ABSOLUTE_MAX_M = 14
 
 DEFAULT_CYCLE_TYPE_MAX_M = 12
 DEFAULT_SET_PARTITION_MAX_M = 10
-DEFAULT_CHAIN_SPAN_MAX = 12
 
 DEFAULT_CLOSURE_CAP = 3_628_800  # 10!
 
@@ -39,11 +41,6 @@ def cycle_type_max_m() -> int:
 def set_partition_max_m() -> int:
     override = _env_override()
     return override if override is not None else DEFAULT_SET_PARTITION_MAX_M
-
-
-def chain_span_max() -> int:
-    override = _env_override()
-    return override if override is not None else DEFAULT_CHAIN_SPAN_MAX
 
 
 def set_partition_hard_cap() -> int:

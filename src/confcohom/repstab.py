@@ -78,7 +78,8 @@ def irrep_dimension(shape: tuple[int, ...]) -> int:
         for j in range(part):
             hooks *= (part - j) + (conjugate[j] - i) - 1
     dim, rem = divmod(factorial(m), hooks)
-    assert rem == 0
+    if rem:
+        raise ConsistencyError(f"hook product of {shape} does not divide {m}!")
     return dim
 
 

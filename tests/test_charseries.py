@@ -217,6 +217,40 @@ class TestInduction:
         expected = direct.scale(-1) + composite
         assert induce_alternating(f, 3) == expected
 
+    @pytest.mark.parametrize(
+        "space", [BUILTIN_SPACES["c"], BUILTIN_SPACES["c_minus_1"]], ids=lambda s: s.name
+    )
+    def test_counted_strata_match_enumeration(self, space):
+        # exactly_series counts stable partitions by grouping cycles;
+        # exactly_trace enumerates them point by point
+        for m in range(2, 8):
+            for distinct in range(1, m):
+                series = exactly_series(space, distinct, m)
+                for ct in all_cycle_types(m):
+                    alpha = representative(ct)
+                    assert series[ct] == exactly_trace(space, distinct, m, alpha), (
+                        distinct,
+                        m,
+                        ct,
+                    )
+
+    def test_recurrence_matches_chain_sum(self, plane):
+        # the explicit signed sum over all descending chains
+        # m = c_0 > ... > c_t = low, one induce_blocks per step
+        for m in range(2, 8):
+            for low in range(1, m):
+                f = power_series(plane, low)
+                total = TraceSeries(m, {ct: LaurentPoly.zero() for ct in all_cycle_types(m)})
+                middles = range(low + 1, m)
+                for size in range(len(middles) + 1):
+                    for mid in itertools.combinations(middles, size):
+                        current = f
+                        for target in mid + (m,):
+                            current = induce_blocks(current, target)
+                        sign = (-1) ** (m - low + size + 1)
+                        total = total + current.scale(sign)
+                assert induce_alternating(f, m) == total, (low, m)
+
     def test_reconstruction_values_plane(self, plane):
         series = reconstruct_config_series(plane, 3)
         assert series[CycleType.identity(3)] == T**6 - 3 * T**5 + 2 * T**4

@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from confcohom import (
+    ConsistencyError,
     CostCapExceeded,
     CycleType,
     Permutation,
@@ -17,6 +19,7 @@ from confcohom import (
     partitions,
     representative,
     set_partitions,
+    stable_block_counts,
     stable_partitions,
     stirling_first_signed,
     stirling_first_unsigned,
@@ -101,6 +104,22 @@ class TestStirling:
         if j > i:
             assert stirling_second(i, j) == 0
             assert stirling_first_signed(i, j) == 0
+
+    def test_deep_row_without_recursion(self):
+        # a row far past the interpreter's recursion limit
+        n = 1500
+        assert stirling_second(n, 3) == (3**n - 3 * 2**n + 3) // 6
+        assert stirling_second(n, 2) == 2 ** (n - 1) - 1
+
+    def test_cross_check_failure_raises(self, monkeypatch):
+        # every entry filled into the table is compared with the
+        # inclusion-exclusion count; a disagreement is a ConsistencyError
+        from confcohom import combinat
+
+        monkeypatch.setattr(combinat, "_STIRLING2_COLUMNS", [])
+        monkeypatch.setattr(combinat, "_stirling_second_explicit", lambda i, j: -1)
+        with pytest.raises(ConsistencyError):
+            stirling_second(4, 2)
 
 
 class TestNumberTheory:
@@ -201,6 +220,44 @@ class TestStablePartitions:
                 expected = len(stable_partitions(base, blocks))
                 assert (blocks, expected) in counts
                 assert len({c for b, c in counts if b == blocks}) == 1
+
+
+class TestStableBlockCounts:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_enumeration(self, m):
+        # the cycle-grouping count against the point-level enumeration,
+        # grouped by the type of the induced block permutation
+        for ct in all_cycle_types(m):
+            alpha = representative(ct)
+            for blocks in range(1, m + 1):
+                enumerated = Counter(
+                    beta.cycle_type() for _p, beta in stable_partitions(alpha, blocks)
+                )
+                assert stable_block_counts(ct, blocks) == dict(enumerated), (ct, blocks)
+
+    def test_identity_is_stirling(self):
+        for m in range(1, 13):
+            for blocks in range(1, m + 1):
+                assert stable_block_counts(CycleType.identity(m), blocks) == {
+                    CycleType.identity(blocks): stirling_second(m, blocks)
+                }
+
+    def test_full_cycle(self):
+        # an m-cycle is stable on one partition per divisor d of m: the
+        # residues mod d, permuted as a d-cycle
+        for m in range(1, 13):
+            full = CycleType.from_parts((m,))
+            for blocks in range(1, m + 1):
+                expected = {CycleType.from_parts((blocks,)): 1} if m % blocks == 0 else {}
+                assert stable_block_counts(full, blocks) == expected
+
+    def test_edge_block_counts(self):
+        ct = CycleType.from_parts((2, 1))
+        assert stable_block_counts(ct, 0) == {}
+        assert stable_block_counts(ct, 4) == {}
+        assert stable_block_counts(CycleType.identity(0), 0) == {CycleType.identity(0): 1}
+        with pytest.raises(ValueError):
+            stable_block_counts(ct, -1)
 
 
 class TestGroupClosure:

@@ -177,6 +177,14 @@ class TestUniversalPolynomials:
                 for closed in (False, True):
                     assert universal_poly(distinct, m, closed).is_homogeneous(distinct)
 
+    def test_deep_closed_polynomial(self):
+        # S(m,3) P(P+T)(P+2T) - S(m,2) P(P+T) T + S(m,1) P T^2 at m = 1500,
+        # a size the Stirling table must reach without recursion
+        m = 1500
+        s3, s2 = (3**m - 3 * 2**m + 3) // 6, 2 ** (m - 1) - 1
+        q = universal_poly(3, m, True)
+        assert dict(q.items()) == {(3, 0): s3, (2, 1): 3 * s3 - s2, (1, 2): 2 * s3 - s2 + 1}
+
     @pytest.mark.parametrize("space", FIXTURES, ids=lambda s: s.name)
     def test_evaluation_matches_direct(self, space):
         for m in range(1, 9):
