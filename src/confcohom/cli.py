@@ -14,7 +14,7 @@ import sys
 from math import comb
 from pathlib import Path
 
-from . import charseries, confspace, repstab
+from . import charseries, confspace, limits, repstab
 from .combinat import (
     CycleType,
     Permutation,
@@ -77,7 +77,9 @@ def space_from_document(data) -> SpaceSpec:
     if missing:
         raise InputParseError(f"space file is missing keys: {sorted(missing)}")
     coeffs = data["poincare_c"]
-    if not isinstance(coeffs, list) or not all(isinstance(c, int) for c in coeffs):
+    if not isinstance(coeffs, list) or not all(
+        isinstance(c, int) and not isinstance(c, bool) for c in coeffs
+    ):
         raise InputParseError("poincare_c must be a list of integers")
     if not isinstance(data["dim"], int) or isinstance(data["dim"], bool):
         raise InputParseError("dim must be an integer")
@@ -167,6 +169,12 @@ def parse_range(text: str) -> tuple[int, int]:
     if lo > hi:
         raise InputParseError(f"empty range {text!r}")
     return lo, hi
+
+
+def require_arg(ok: bool, message: str) -> None:
+    """Reject an argument outside the domain of the engine it feeds."""
+    if not ok:
+        raise InputParseError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +282,13 @@ def cmd_poincare(args) -> dict:
     m = args.m
     target = args.target
     checks = []
-    if target in ("delta", "delta_le") and args.l is None:
-        raise InputParseError(f"target {target!r} requires --l")
+    if target in ("delta", "delta_le"):
+        require_arg(args.l is not None, f"target {target!r} requires --l")
+        require_arg(1 <= args.l <= m, f"target {target!r} needs 1 <= --l <= --m")
+    elif target == "fm":
+        require_arg(m >= 0, "--m must be nonnegative")
+    else:
+        require_arg(m >= 1, f"target {target!r} needs --m >= 1")
     if target == "fm":
         poly = confspace.poincare_config(space, m)
         if m >= 1:
@@ -352,6 +365,7 @@ def _symmetric_group_generators(m: int) -> list[Permutation]:
 def cmd_character(args) -> dict:
     space = load_space(args.space)
     m = args.m
+    require_arg(m >= 0, "--m must be nonnegative")
     checks = []
     if args.all:
         series = charseries.config_series(space, m)
@@ -387,6 +401,7 @@ def cmd_character(args) -> dict:
 
 def cmd_universal(args) -> dict:
     closed = bool(args.closed)
+    require_arg(1 <= args.l <= args.m, "universal needs 1 <= --l <= --m")
     q = confspace.universal_poly(args.l, args.m, closed)
     checks = []
     reference = BUILTIN_SPACES["c"]
@@ -436,6 +451,11 @@ def cmd_quotient(args) -> dict:
 def cmd_stability(args) -> dict:
     space = load_space(args.space)
     m_range = parse_range(args.range)
+    require_arg(args.i >= 0 and args.a >= 0, "--i and --a must be nonnegative")
+    require_arg(
+        max(m_range[0], args.a + 1, 1) <= m_range[1],
+        f"range {args.range!r} has no m with m >= 1 and m > --a",
+    )
     report = repstab.stability_report(space, args.i, args.a, m_range)
     rows = {}
     for core in report.table.cores():
@@ -690,6 +710,7 @@ def main(argv: list[str] | None = None) -> int:
         # keep exit code 2 reserved for hypothesis violations
         return EXIT_OK if exc.code in (0, None) else EXIT_PARSE
     try:
+        limits.cycle_type_max_m()  # a malformed CONFCOHOM_MAX_M fails every command
         document = args.fn(args)
     except HypothesisViolation as exc:
         _emit_error("hypothesis-violation", exc, flag=exc.flag)

@@ -7,10 +7,13 @@ set partitions by grouping cycles.  Only the enumeration oracles
 ``at_most_trace`` traces built on them) list set partitions, which grow
 like the Bell numbers; the set-partition caps guard those alone.  The caps
 keep all engines inside an interactive budget; CONFCOHOM_MAX_M raises them
-uniformly, but never above ABSOLUTE_MAX_M.
+uniformly, but never above ABSOLUTE_MAX_M.  An empty value counts as unset;
+any other value that is not a nonnegative integer raises InputParseError.
 """
 
 import os
+
+from .errors import InputParseError
 
 ABSOLUTE_MAX_M = 14
 
@@ -24,12 +27,14 @@ _ENV_VAR = "CONFCOHOM_MAX_M"
 
 def _env_override() -> int | None:
     raw = os.environ.get(_ENV_VAR)
-    if raw is None:
+    if not raw:
         return None
     try:
         value = int(raw)
     except ValueError:
-        return None
+        raise InputParseError(f"{_ENV_VAR}={raw!r} is not an integer") from None
+    if value < 0:
+        raise InputParseError(f"{_ENV_VAR}={raw!r} is negative")
     return min(value, ABSOLUTE_MAX_M)
 
 

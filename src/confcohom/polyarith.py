@@ -10,6 +10,13 @@ stands for an unspecified compactly-supported Poincaré polynomial.
 Everything here is exact: there are no floats and no divisions except
 :meth:`LaurentPoly.divexact`, which checks divisibility coefficient by
 coefficient and refuses to round.
+
+Two multiplication routes exist on purpose.  ``LaurentPoly.__mul__`` is the
+sparse schoolbook product; :func:`falling_product`, the package's deepest
+product (thousands of factors for configuration spaces), runs a dense
+coefficient-row kernel instead, O(n^2) big-integer steps with no per-term
+dict work.  Checks that multiply step by step therefore compare two
+different routes.
 """
 
 from __future__ import annotations
@@ -241,13 +248,61 @@ def falling_product(f: LaurentPoly, g: LaurentPoly, n: int) -> LaurentPoly:
     g = -T it is the rising product that builds configuration-space
     Poincaré polynomials, and with g = d*T^d it clears the denominators of
     the cyclic trace formulas.  n = 0 gives the empty product 1.
+
+    The running product is a dense coefficient list with a lowest
+    exponent, and each factor f - g*i is a short dense row, so the whole
+    product costs O(n^2) big-integer multiply-adds (for factors with a
+    bounded number of terms) and no per-term dict work.  A Kronecker-packed
+    product tree was measured 2-4x slower: CPython multiplies big integers
+    by Karatsuba with no FFT, so packing saves nothing.
     """
     if n < 0:
         raise ValueError("falling product length must be nonnegative")
-    result = LaurentPoly.one()
+    if n == 0:
+        return LaurentPoly.one()
+    exps = f._c.keys() | g._c.keys()
+    if not exps:
+        return LaurentPoly.zero()
+    lo = min(exps)
+    width = max(exps) - lo + 1
+    f_row = [f._c.get(lo + k, 0) for k in range(width)]
+    g_row = [g._c.get(lo + k, 0) for k in range(width)]
+    coeffs = [1]
+    low = 0
     for i in range(n):
-        result = result * (f - g * i)
-    return result
+        row = [a - b * i for a, b in zip(f_row, g_row)]
+        start = 0
+        while start < width and not row[start]:
+            start += 1
+        if start == width:
+            return LaurentPoly.zero()
+        stop = width
+        while not row[stop - 1]:
+            stop -= 1
+        low += lo + start
+        coeffs = _mul_row(coeffs, row[start:stop])
+    return LaurentPoly({e: v for e, v in enumerate(coeffs, low)})
+
+
+def _mul_row(coeffs: list[int], row: list[int]) -> list[int]:
+    """Dense product of a coefficient list with a short row.
+
+    A top coefficient of 1 (monic factors such as aT + T^2 + iT) is added
+    rather than multiplied: a big-integer product by 1 still allocates and
+    walks every digit.
+    """
+    if len(row) == 2:
+        r0, r1 = row
+        shifted = zip(coeffs + [0], [0] + coeffs)
+        if r1 == 1:
+            return [r0 * x + y for x, y in shifted]
+        return [r0 * x + r1 * y for x, y in shifted]
+    size = len(coeffs)
+    out = [0] * (size + len(row) - 1)
+    for j, r in enumerate(row):
+        if r:
+            out[j : j + size] = [o + r * x for o, x in zip(out[j : j + size], coeffs)]
+    return out
 
 
 class BiPoly:

@@ -237,6 +237,44 @@ class TestExitCodes:
         code, _out, _err = run(capsys, "poincare", "--space", "c", "--target", "fm")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("poincare", "--space", "c", "--target", "delta", "--l", "5", "--m", "2"),
+            ("poincare", "--space", "c", "--target", "fm", "--m", "-1"),
+            ("stability", "--space", "c", "--i", "1", "--range", "0..0"),
+            ("poincare", "--space", "c", "--target", "delta", "--l", "0", "--m", "2"),
+            ("poincare", "--space", "c", "--target", "cf", "--m", "0"),
+            ("stability", "--space", "c", "--i", "-1", "--range", "1..3"),
+            ("stability", "--space", "c", "--i", "1", "--a", "3", "--range", "1..3"),
+            ("universal", "--l", "3", "--m", "2"),
+            ("character", "--space", "c", "--m", "-1", "--all"),
+        ],
+    )
+    def test_out_of_domain_arguments_are_3(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"]["category"] == "input-parse-error"
+
+    def test_boolean_betti_numbers_are_3(self, capsys, tmp_path):
+        space_file = tmp_path / "bools.json"
+        space_file.write_text(
+            json.dumps(
+                {
+                    "name": "bools",
+                    "poincare_c": [False, False, True],
+                    "dim": 2,
+                    "i_acyclic": True,
+                }
+            )
+        )
+        code, _out, err = run(
+            capsys, "poincare", "--space", str(space_file), "--target", "fm", "--m", "2"
+        )
+        assert code == 3
+        assert "input-parse-error" in err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
@@ -357,3 +395,39 @@ class TestCapOverride:
             capsys, "poincare", "--space", "c", "--target", "cf", "--m", "15"
         )
         assert code == 5
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "-3"])
+    def test_malformed_env_var_is_rejected(self, monkeypatch, value):
+        from confcohom import limits
+
+        monkeypatch.setenv("CONFCOHOM_MAX_M", value)
+        with pytest.raises(InputParseError):
+            limits.cycle_type_max_m()
+        with pytest.raises(InputParseError):
+            limits.set_partition_max_m()
+
+    @pytest.mark.parametrize("value", ["abc", "-3"])
+    @pytest.mark.parametrize("target", ["cf", "fm"])
+    def test_malformed_env_var_is_3(self, capsys, monkeypatch, value, target):
+        monkeypatch.setenv("CONFCOHOM_MAX_M", value)
+        code, out, err = run(
+            capsys, "poincare", "--space", "c", "--target", target, "--m", "3"
+        )
+        assert code == 3
+        assert out == ""
+        assert "CONFCOHOM_MAX_M" in json.loads(err)["error"]["message"]
+
+    def test_empty_env_var_counts_as_unset(self, monkeypatch):
+        from confcohom import limits
+
+        monkeypatch.setenv("CONFCOHOM_MAX_M", "")
+        assert limits.cycle_type_max_m() == limits.DEFAULT_CYCLE_TYPE_MAX_M
+        assert limits.set_partition_max_m() == limits.DEFAULT_SET_PARTITION_MAX_M
+
+    def test_env_var_zero_is_a_valid_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("CONFCOHOM_MAX_M", "0")
+        code, _out, err = run(
+            capsys, "poincare", "--space", "c", "--target", "cf", "--m", "3"
+        )
+        assert code == 5
+        assert "cost-cap-exceeded" in err

@@ -18,6 +18,28 @@ laurents = st.dictionaries(
 ).map(LaurentPoly)
 
 
+small_laurents = st.dictionaries(
+    st.integers(min_value=-3, max_value=4),
+    st.integers(min_value=-6, max_value=6),
+    max_size=4,
+).map(LaurentPoly)
+
+
+def reference_falling_product(f, g, n):
+    """Schoolbook product of the factors f - g*i on exponent dicts."""
+    product = {0: 1}
+    for i in range(n):
+        factor = dict(f.items())
+        for e, v in g.items():
+            factor[e] = factor.get(e, 0) - i * v
+        step = {}
+        for e1, v1 in product.items():
+            for e2, v2 in factor.items():
+                step[e1 + e2] = step.get(e1 + e2, 0) + v1 * v2
+        product = step
+    return LaurentPoly(product)
+
+
 class TestRingOps:
     def test_monomial_product(self):
         assert T**2 * T == T**3
@@ -96,6 +118,62 @@ class TestFallingProduct:
     @settings(max_examples=40)
     def test_recurrence(self, f, g, n):
         assert falling_product(f, g, n + 1) == falling_product(f, g, n) * (f - g * n)
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError):
+            falling_product(T, ONE, -1)
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_matches_sparse_reference(self, data):
+        n = data.draw(st.integers(0, 12), label="n")
+        g = data.draw(
+            st.one_of(
+                st.integers(-4, 4).map(LaurentPoly.const),
+                st.builds(LaurentPoly.term, st.integers(-4, 4), st.integers(-3, 4)),
+                small_laurents,
+            ),
+            label="g",
+        )
+        f = data.draw(small_laurents, label="f")
+        if n and data.draw(st.booleans(), label="vanishing"):
+            # f - g*j = 0 for some j < n, plus possibly more factors after it
+            f = g * data.draw(st.integers(0, n - 1), label="j")
+        product = falling_product(f, g, n)
+        assert product == reference_falling_product(f, g, n)
+        assert all(type(e) is int and type(v) is int and v for e, v in product.items())
+
+    @pytest.mark.parametrize(
+        "f, g",
+        [
+            (3 * T**2, ONE),  # one-term rows, general loop
+            (2 * T + T**2, -T),  # two terms, monic
+            (2 * T + 3 * T**2, -T),  # two terms, not monic
+            (ONE + 2 * T - 3 * T**2, T),  # three terms, general loop
+            (LaurentPoly.term(1, -2) + T + T**3, 2 * T**2),  # gapped rows
+        ],
+    )
+    def test_every_row_shape_matches_reference(self, f, g):
+        for n in range(7):
+            assert falling_product(f, g, n) == reference_falling_product(f, g, n)
+
+    def test_vanishing_factor_gives_zero(self):
+        assert falling_product(LaurentPoly.term(3, -1), LaurentPoly.term(1, -1), 5).is_zero()
+        assert falling_product(LaurentPoly.zero(), LaurentPoly.zero(), 1).is_zero()
+        assert falling_product(LaurentPoly.zero(), LaurentPoly.zero(), 0) == ONE
+
+    def test_deep_punctured_plane_product(self):
+        # prod_{i<m} (aT + T^2 + iT): the configuration product of the plane
+        # with a punctures, deep enough to need big-integer coefficients
+        a, m = 3, 1500
+        product = falling_product(a * T + T**2, -T, m)
+        rising = 1
+        for i in range(m):
+            rising *= a + i
+        assert product.eval_at_int(1) == rising * (a + m) // a
+        assert product.max_exp == 2 * m and product.coeff(2 * m) == 1
+        assert product.min_exp == m and product.coeff(m) == rising
+        assert len(product.support()) == m + 1
 
 
 class TestDual:
