@@ -9,20 +9,10 @@ m = 6 and verifies the substitution property on two spaces.
 from confcohom import BUILTIN_SPACES, poincare_at_most, universal_poly
 
 
-def show(q):
-    terms = []
-    for (i, j), v in q.items():
-        mono = f"{v}" if v != 1 or (i == 0 and j == 0) else ""
-        mono += f" P^{i}" if i else ""
-        mono += f" T^{j}" if j else ""
-        terms.append(mono.strip())
-    return " + ".join(terms)
-
-
 print("Universal polynomials for 6-tuples, closed strata:")
 for distinct in range(1, 7):
     q = universal_poly(distinct, 6, closed=True)
-    print(f"  at most {distinct} distinct: {show(q)}")
+    print(f"  at most {distinct} distinct: {q}")
 
 # The rows are homogeneous of total degree l, the top row collapses to P^6
 # (at most six distinct values among six entries is no constraint at all),

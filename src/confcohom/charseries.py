@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iter_product
 from math import factorial, gcd
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import limits
 from .combinat import (
@@ -348,30 +348,52 @@ def reconstruct_config_series(space: SpaceSpec, m: int) -> TraceSeries:
 # ---------------------------------------------------------------------------
 
 
+def cyclic_counts(m: int) -> dict[CycleType, int]:
+    """Class counts of the rotation group of order m: phi(d) elements of type d^(m/d)."""
+    return {CycleType.from_parts([d] * (m // d), m): euler_phi(d) for d in divisors(m)}
+
+
+def symmetric_counts(m: int) -> dict[CycleType, int]:
+    """Class counts of the full symmetric group on m letters: the class sizes."""
+    return {ct: ct.class_size() for ct in all_cycle_types(m)}
+
+
+def _average(
+    trace: Callable[[CycleType], LaurentPoly], counts: Mapping[CycleType, int], order: int
+) -> LaurentPoly:
+    """Average ``trace`` over a group with the given class counts, read at -T.
+
+    Sums count * trace(ctype), divides exactly by the order and undoes the
+    -T convention.  An inexact division or a negative output coefficient
+    raises ConsistencyError: the traces and the group did not pair up.
+    """
+    total = LaurentPoly.zero()
+    for ctype, count in counts.items():
+        total = total + count * trace(ctype)
+    result = total.divexact(order).negate_var()
+    if not result.has_nonnegative_coeffs():
+        raise ConsistencyError("group average produced negative Betti numbers")
+    return result
+
+
 def quotient_poincare(
     series: TraceSeries, counts: Mapping[CycleType, int], order: int
 ) -> LaurentPoly:
     """Poincaré polynomial of the quotient by a subgroup with given class counts.
 
     Averages the trace series over the subgroup (grouped by cycle type),
-    divides exactly by the order, and undoes the -T convention.  Exact
-    divisibility and nonnegative output coefficients are both asserted:
-    a failure means the series/subgroup pairing was invalid.
+    divides exactly by the order, and undoes the -T convention; an inexact
+    division or a negative Betti number means the series/subgroup pairing
+    was invalid and raises ConsistencyError.
     """
     if order < 1:
         raise ValueError("group order must be positive")
     if sum(counts.values()) != order:
         raise ValueError("class counts must sum to the group order")
-    total = LaurentPoly.zero()
-    for ctype, count in counts.items():
+    for ctype in counts:
         if ctype not in series.values:
             raise ValueError(f"class {ctype} does not act on {series.m} letters")
-        total = total + count * series.values[ctype]
-    averaged = total.divexact(order)
-    result = averaged.negate_var()
-    if not result.has_nonnegative_coeffs():
-        raise ConsistencyError("quotient average produced negative Betti numbers")
-    return result
+    return _average(series.__getitem__, counts, order)
 
 
 def poincare_cyclic_config(space: SpaceSpec, m: int) -> LaurentPoly:
@@ -386,14 +408,7 @@ def poincare_cyclic_config(space: SpaceSpec, m: int) -> LaurentPoly:
     if m < 1:
         raise ValueError("m must be positive")
     _check_cycle_cap(m)
-    total = LaurentPoly.zero()
-    for d in divisors(m):
-        ctype = CycleType.from_parts([d] * (m // d), m)
-        total = total + euler_phi(d) * config_trace(space, ctype)
-    result = total.divexact(m).negate_var()
-    if not result.has_nonnegative_coeffs():
-        raise ConsistencyError("cyclic quotient produced negative Betti numbers")
-    return result
+    return _average(lambda ct: config_trace(space, ct), cyclic_counts(m), m)
 
 
 def poincare_unordered_config(space: SpaceSpec, m: int) -> LaurentPoly:
@@ -406,13 +421,7 @@ def poincare_unordered_config(space: SpaceSpec, m: int) -> LaurentPoly:
     if m < 1:
         raise ValueError("m must be positive")
     _check_cycle_cap(m)
-    total = LaurentPoly.zero()
-    for ctype in all_cycle_types(m):
-        total = total + ctype.class_size() * config_trace(space, ctype)
-    result = total.divexact(factorial(m)).negate_var()
-    if not result.has_nonnegative_coeffs():
-        raise ConsistencyError("unordered quotient produced negative Betti numbers")
-    return result
+    return _average(lambda ct: config_trace(space, ct), symmetric_counts(m), factorial(m))
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +440,7 @@ def poincare_symmetric_product(space: SpaceSpec, m: int) -> LaurentPoly:
     if m < 1:
         raise ValueError("m must be positive")
     _check_cycle_cap(m)
-    total = LaurentPoly.zero()
-    for ctype in all_cycle_types(m):
-        total = total + ctype.class_size() * power_trace(space, ctype)
-    result = total.divexact(factorial(m)).negate_var()
+    result = _average(lambda ct: power_trace(space, ct), symmetric_counts(m), factorial(m))
     oracle = _symmetric_product_generating_function(space.pc, m)
     if result != oracle:
         raise ConsistencyError(
@@ -448,16 +454,12 @@ def poincare_cyclic_product(space: SpaceSpec, m: int) -> LaurentPoly:
     """Poincaré polynomial of the m-th cyclic product of X.
 
     Divisor average of cartesian-power traces; cross-checked against the
-    generic subgroup-averaging route over the rotation group.
+    class counts of the rotation group's m powers, taken one by one.
     """
     if m < 1:
         raise ValueError("m must be positive")
     _check_cycle_cap(m)
-    total = LaurentPoly.zero()
-    for d in divisors(m):
-        ctype = CycleType.from_parts([d] * (m // d), m)
-        total = total + euler_phi(d) * power_trace(space, ctype)
-    result = total.divexact(m).negate_var()
+    result = _average(lambda ct: power_trace(space, ct), cyclic_counts(m), m)
     counts: dict[CycleType, int] = {}
     for k in range(m):
         ctype = _rotation_power_type(m, k)

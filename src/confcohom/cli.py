@@ -182,37 +182,6 @@ def require_arg(ok: bool, message: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _poly_plain(poly: LaurentPoly) -> str:
-    return str(poly)
-
-def _poly_latex(poly: LaurentPoly) -> str:
-    if poly.is_zero():
-        return "0"
-    parts = []
-    for e, v in poly.items():
-        coeff = "" if abs(v) == 1 and e != 0 else str(abs(v))
-        if e == 0:
-            body = coeff
-        elif e == 1:
-            body = f"{coeff}T"
-        else:
-            body = f"{coeff}T^{{{e}}}"
-        sign = "-" if v < 0 else ("+" if parts else "")
-        parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
-    return " ".join(parts)
-
-
-def _bipoly_plain(q: BiPoly) -> str:
-    parts = []
-    for (i, j), v in q.items():
-        mono = (str(abs(v)) if abs(v) != 1 or (i == 0 and j == 0) else "")
-        mono += f" P^{i}" if i > 1 else (" P" if i == 1 else "")
-        mono += f" T^{j}" if j > 1 else (" T" if j == 1 else "")
-        sign = "-" if v < 0 else ("+" if parts else "")
-        parts.append((f"{sign} {mono.strip()}" if parts else f"{sign}{mono.strip()}"))
-    return " ".join(parts) if parts else "0"
-
-
 def render(document: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(document, sort_keys=True, indent=2) + "\n"
@@ -232,15 +201,16 @@ def render(document: dict, fmt: str) -> str:
 
 
 def _render_result_lines(result, fmt: str) -> list[str]:
-    to_text = _poly_latex if fmt == "latex" else _poly_plain
+    def to_text(exp_map) -> str:
+        return LaurentPoly.from_exp_map(exp_map).format(latex=fmt == "latex")
+
     if isinstance(result, dict) and result.get("kind") == "polynomial":
-        return ["  " + to_text(LaurentPoly.from_exp_map(result["coefficients"]))]
+        return ["  " + to_text(result["coefficients"])]
     if isinstance(result, dict) and result.get("kind") == "bivariate":
-        q = BiPoly.from_exp_map(result["coefficients"])
-        return ["  " + _bipoly_plain(q)]
+        return ["  " + str(BiPoly.from_exp_map(result["coefficients"]))]
     if isinstance(result, dict) and result.get("kind") == "series":
         return [
-            f"  {ctype}: " + to_text(LaurentPoly.from_exp_map(entry))
+            f"  {ctype}: " + to_text(entry)
             for ctype, entry in sorted(result["entries"].items())
         ]
     return ["  " + json.dumps(result, sort_keys=True)]
@@ -252,6 +222,16 @@ def _poly_result(poly: LaurentPoly) -> dict:
 
 def _check(name: str, passed: bool) -> dict:
     return {"name": name, "passed": bool(passed)}
+
+
+def _closure_average(
+    series: charseries.TraceSeries, gens: list[Permutation]
+) -> LaurentPoly:
+    """Average ``series`` over the group that ``gens`` close to, with class
+    counts taken element by element: the independent route that checks the
+    closed-form quotients."""
+    order, counts = group_closure(gens, series.m)
+    return charseries.quotient_poincare(series, counts, order)
 
 
 def _oracle_triangle(space: SpaceSpec, m: int, series: charseries.TraceSeries) -> bool:
@@ -318,28 +298,27 @@ def cmd_poincare(args) -> dict:
     elif target == "cf":
         poly = charseries.poincare_cyclic_config(space, m)
         if m <= 8:
-            order, counts = group_closure(
-                [representative(CycleType.from_parts([m], m))], m
-            )
-            oracle = charseries.quotient_poincare(
-                charseries.config_series(space, m), counts, order
+            oracle = _closure_average(
+                charseries.config_series(space, m), _rotation_generators(m)
             )
             checks.append(_check("subgroup-averaging", oracle == poly))
     elif target == "bf":
         poly = charseries.poincare_unordered_config(space, m)
         if m <= 6:
-            gens = _symmetric_group_generators(m)
-            order, counts = group_closure(gens, m)
-            oracle = charseries.quotient_poincare(
-                charseries.config_series(space, m), counts, order
+            oracle = _closure_average(
+                charseries.config_series(space, m), _symmetric_group_generators(m)
             )
             checks.append(_check("subgroup-averaging", oracle == poly))
     elif target == "sym":
         poly = charseries.poincare_symmetric_product(space, m)
-        checks.append(_check("generating-function", True))
+        oracle = charseries._symmetric_product_generating_function(space.pc, m)
+        checks.append(_check("generating-function", oracle == poly))
     elif target == "cyc":
         poly = charseries.poincare_cyclic_product(space, m)
-        checks.append(_check("subgroup-averaging", True))
+        oracle = _closure_average(
+            charseries.power_series(space, m), _rotation_generators(m)
+        )
+        checks.append(_check("subgroup-averaging", oracle == poly))
     else:
         raise InputParseError(f"unknown poincare target {target!r}")
     inputs = {"space": space.name, "m": m, "target": target}
@@ -351,6 +330,10 @@ def cmd_poincare(args) -> dict:
         "result": _poly_result(poly),
         "checks": checks,
     }
+
+
+def _rotation_generators(m: int) -> list[Permutation]:
+    return [representative(CycleType.from_parts([m], m))]
 
 
 def _symmetric_group_generators(m: int) -> list[Permutation]:
@@ -387,11 +370,10 @@ def cmd_character(args) -> dict:
         ctype = parse_cycle_type(args.cycle_type, m)
         poly = charseries.config_trace(space, ctype)
         if ctype == CycleType.identity(m):
-            expected = charseries.config_trace(space, ctype).negate_var()
             checks.append(
                 _check(
                     "identity-entry-is-poincare",
-                    expected == confspace.poincare_config(space, m),
+                    poly.negate_var() == confspace.poincare_config(space, m),
                 )
             )
         result = _poly_result(poly)
@@ -555,23 +537,15 @@ def _selftest_checks() -> list[tuple[str, bool]]:
     run("assembly-identity", assembly)
 
     def averaging() -> bool:
-        for m in range(1, 6):
-            closed_form = charseries.poincare_cyclic_config(c, m)
-            order, counts = group_closure(
-                [representative(CycleType.from_parts([m], m))], m
-            )
-            if closed_form != charseries.quotient_poincare(
-                charseries.config_series(c, m), counts, order
-            ):
-                return False
-        for m in range(1, 5):
-            closed_form = charseries.poincare_unordered_config(c, m)
-            order, counts = group_closure(_symmetric_group_generators(m), m)
-            if closed_form != charseries.quotient_poincare(
-                charseries.config_series(c, m), counts, order
-            ):
-                return False
-        return True
+        routes = [
+            (charseries.poincare_cyclic_config, _rotation_generators, range(1, 6)),
+            (charseries.poincare_unordered_config, _symmetric_group_generators, range(1, 5)),
+        ]
+        return all(
+            closed_form(c, m) == _closure_average(charseries.config_series(c, m), gens(m))
+            for closed_form, gens, ms in routes
+            for m in ms
+        )
 
     run("quotient-averaging", averaging)
 

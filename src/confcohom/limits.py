@@ -6,9 +6,11 @@ set partitions by grouping cycles.  Only the enumeration oracles
 (``set_partitions``, ``stable_partitions`` and the ``exactly_trace`` /
 ``at_most_trace`` traces built on them) list set partitions, which grow
 like the Bell numbers; the set-partition caps guard those alone.  The caps
-keep all engines inside an interactive budget; CONFCOHOM_MAX_M raises them
-uniformly, but never above ABSOLUTE_MAX_M.  An empty value counts as unset;
-any other value that is not a nonnegative integer raises InputParseError.
+keep all engines inside an interactive budget.  CONFCOHOM_MAX_M sets the
+cycle-type and set-partition caps to its value, up or down, but never above
+ABSOLUTE_MAX_M; the set-partition hard cap only moves up.  An empty value
+counts as unset; any other value that is not a nonnegative integer raises
+InputParseError.
 """
 
 import os
@@ -38,19 +40,19 @@ def _env_override() -> int | None:
     return min(value, ABSOLUTE_MAX_M)
 
 
-def cycle_type_max_m() -> int:
+def _cap(default: int) -> int:
     override = _env_override()
-    return override if override is not None else DEFAULT_CYCLE_TYPE_MAX_M
+    return default if override is None else override
+
+
+def cycle_type_max_m() -> int:
+    return _cap(DEFAULT_CYCLE_TYPE_MAX_M)
 
 
 def set_partition_max_m() -> int:
-    override = _env_override()
-    return override if override is not None else DEFAULT_SET_PARTITION_MAX_M
+    return _cap(DEFAULT_SET_PARTITION_MAX_M)
 
 
 def set_partition_hard_cap() -> int:
     """Absolute bound on full set-partition enumeration (Bell growth)."""
-    override = _env_override()
-    if override is None:
-        return 12
-    return max(12, override)
+    return max(12, _cap(12))

@@ -215,18 +215,31 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
     def __str__(self) -> str:
-        if not self._c:
-            return "0"
-        parts = []
-        for e, v in sorted(self._c.items()):
-            if e == 0:
-                body = str(abs(v))
-            else:
-                coeff = "" if abs(v) == 1 else str(abs(v))
-                body = f"{coeff}T" if e == 1 else f"{coeff}T^{e}"
-            sign = "-" if v < 0 else ("+" if parts else "")
-            parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
-        return " ".join(parts)
+        return self.format()
+
+    def format(self, latex: bool = False) -> str:
+        """Ascending terms such as ``1 - 3T + T^2``; LaTeX braces exponents."""
+        power = "T^{{{}}}" if latex else "T^{}"
+        return format_terms(
+            (v, "" if e == 0 else "T" if e == 1 else power.format(e))
+            for e, v in self.items()
+        )
+
+
+def format_terms(terms: Iterable[tuple[int, str]], gap: str = "") -> str:
+    """Join nonzero (coefficient, monomial) pairs into signed text.
+
+    An empty monomial stands for 1, a unit coefficient in front of a
+    monomial is dropped, and ``gap`` separates any other coefficient from
+    its monomial.  No terms at all print as ``0``.
+    """
+    parts = []
+    for v, mono in terms:
+        coeff = "" if abs(v) == 1 and mono else str(abs(v))
+        body = f"{coeff}{gap}{mono}" if coeff and mono else coeff + mono
+        sign = "-" if v < 0 else ("+" if parts else "")
+        parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
+    return " ".join(parts) if parts else "0"
 
 
 def _coerce(value: "LaurentPoly | int") -> LaurentPoly:
@@ -400,20 +413,15 @@ class BiPoly:
         return hash(frozenset(self._c.items()))
 
     def __repr__(self) -> str:
-        if not self._c:
-            return "BiPoly(0)"
-        parts = []
-        for (i, j), v in sorted(self._c.items()):
-            factors = [f"P^{i}" if i > 1 else "P" if i == 1 else ""]
-            factors.append(f"T^{j}" if j > 1 else "T" if j == 1 else "")
-            body = " ".join(f for f in factors if f)
-            if v == 1 and body:
-                parts.append(body)
-            elif body:
-                parts.append(f"{v} {body}")
-            else:
-                parts.append(str(v))
-        return "BiPoly(" + " + ".join(parts) + ")"
+        return f"BiPoly({self})"
+
+    def __str__(self) -> str:
+        """Terms ordered by (P, T) exponents, such as ``36 P T^2 + 25 P^3``."""
+        terms = []
+        for (i, j), v in self.items():
+            powers = (("P", i), ("T", j))
+            terms.append((v, " ".join(x if e == 1 else f"{x}^{e}" for x, e in powers if e)))
+        return format_terms(terms, gap=" ")
 
 
 #: The variable P (an unevaluated Poincaré polynomial) and T inside BiPoly.

@@ -21,6 +21,7 @@ from functools import lru_cache
 from math import factorial
 from . import limits
 from .charseries import TraceSeries, config_series, exactly_series
+from .charseries import quotient_poincare, symmetric_counts
 from .combinat import CycleType, all_cycle_types, partitions
 from .confspace import SpaceSpec, require
 from .errors import ConsistencyError, CostCapExceeded, HypothesisViolation
@@ -355,8 +356,6 @@ def unordered_betti_constancy(
     (dimension >= 3) or the values must vanish outright (dimension 2).
     The hypothesis requires the top compact Betti number to be at most 1.
     """
-    from .charseries import quotient_poincare
-
     require(space, "i_acyclic")
     if space.top_betti() > 1:
         raise HypothesisViolation(
@@ -370,8 +369,7 @@ def unordered_betti_constancy(
     values: dict[int, int] = {}
     for m in ms:
         bm = borel_moore_series(config_series(space, m), space.dim)
-        counts = {ct: ct.class_size() for ct in all_cycle_types(m)}
-        poincare_bm = quotient_poincare(bm, counts, factorial(m))
+        poincare_bm = quotient_poincare(bm, symmetric_counts(m), factorial(m))
         values[m] = poincare_bm.coeff(degree)
 
     top = space.top_betti()

@@ -39,7 +39,12 @@ from confcohom import (
     stirling_second,
     tensor_trace_oracle,
 )
-from confcohom.charseries import TraceSeries, _symmetric_product_generating_function
+from confcohom.charseries import (
+    TraceSeries,
+    _symmetric_product_generating_function,
+    cyclic_counts,
+    symmetric_counts,
+)
 from confcohom.polyarith import ONE, T
 from conftest import puncture
 
@@ -348,6 +353,16 @@ class TestQuotients:
         series = config_series(plane, 3)
         counts = {ct: ct.class_size() for ct in all_cycle_types(3)}
         assert quotient_poincare(series, counts, 6) == T**6 + T**5
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_cyclic_counts_match_closure(self, m):
+        rotation = representative(CycleType.from_parts((m,)))
+        assert group_closure([rotation], m) == (m, cyclic_counts(m))
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_symmetric_counts_match_closure(self, m):
+        gens = [representative(ct) for ct in all_cycle_types(m)]
+        assert group_closure(gens, m) == (math.factorial(m), symmetric_counts(m))
 
     def test_counts_must_match_order(self, plane):
         series = config_series(plane, 2)

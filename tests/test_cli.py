@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from confcohom import LaurentPoly
+from confcohom import CycleType, LaurentPoly, charseries, cli
 from confcohom.cli import (
     main,
     parse_cycle_type,
@@ -11,6 +11,7 @@ from confcohom.cli import (
     space_from_document,
 )
 from confcohom.errors import InputParseError
+from confcohom.polyarith import ONE
 
 
 def run(capsys, *argv):
@@ -373,6 +374,111 @@ class TestDeterminismAndRoundTrip:
         assert "T^{4}" in out
 
 
+class TestGoldenRender:
+    """Exact human-readable stdout, pinned term by term."""
+
+    @pytest.mark.parametrize(
+        "fmt, line",
+        [
+            ("plain", "1 + T + 2T^2 + 2T^3 + 3T^4"),
+            ("latex", "1 + T + 2T^{2} + 2T^{3} + 3T^{4}"),
+        ],
+    )
+    def test_polynomial(self, capsys, tmp_path, fmt, line):
+        space_file = tmp_path / "golden.json"
+        space_file.write_text(
+            json.dumps(
+                {"name": "golden", "poincare_c": [1, 1, 2], "dim": 2, "i_acyclic": False}
+            )
+        )
+        code, out, _ = run(
+            capsys, "poincare", "--space", str(space_file), "--target", "sym",
+            "--m", "2", "--format", fmt,
+        )
+        assert code == 0
+        assert out == (
+            "command: poincare\n  m: 2\n  space: golden\n  target: sym\n"
+            f"result:\n  {line}\nchecks:\n  [pass] generating-function\n"
+        )
+
+    @pytest.mark.parametrize(
+        "fmt, lines",
+        [
+            ("plain", ["T^4 - 2T^5 + T^6", "-6T^3 + 11T^4 - 6T^5 + T^6", "-T^4 + T^6"]),
+            (
+                "latex",
+                ["T^{4} - 2T^{5} + T^{6}", "-6T^{3} + 11T^{4} - 6T^{5} + T^{6}", "-T^{4} + T^{6}"],
+            ),
+        ],
+    )
+    def test_series_with_negative_entries(self, capsys, fmt, lines):
+        code, out, _ = run(
+            capsys, "character", "--space", "cstar", "--m", "3", "--all", "--format", fmt
+        )
+        assert code == 0
+        assert out == (
+            "command: character\n  cycle_type: all\n  m: 3\n  space: cstar\n"
+            f"result:\n  1^1,2^1: {lines[0]}\n  1^3: {lines[1]}\n  3^1: {lines[2]}\n"
+            "checks:\n  [pass] oracle-triangle\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["plain", "latex"])
+    @pytest.mark.parametrize(
+        "l, line", [("3", "36 P T^2 + 60 P^2 T + 25 P^3"), ("1", "P")]
+    )
+    def test_bivariate(self, capsys, fmt, l, line):
+        code, out, _ = run(
+            capsys, "universal", "--l", l, "--m", "5", "--closed", "--format", fmt
+        )
+        assert code == 0
+        assert out == (
+            f"command: universal\n  closed: True\n  l: {l}\n  m: 5\n"
+            f"result:\n  {line}\nchecks:\n  [pass] evaluates-on-reference-space\n"
+        )
+
+
+class TestProductChecks:
+    """The sym/cyc checks compare two routes: corrupting either one shows."""
+
+    ARGS = {
+        "sym": ("poincare", "--space", "cstar", "--target", "sym", "--m", "4"),
+        "cyc": ("poincare", "--space", "cstar", "--target", "cyc", "--m", "4"),
+    }
+
+    @pytest.mark.parametrize(
+        "target, route, name",
+        [
+            ("sym", "poincare_symmetric_product", "generating-function"),
+            ("cyc", "poincare_cyclic_product", "subgroup-averaging"),
+        ],
+    )
+    def test_corrupted_closed_form_fails_check(self, capsys, monkeypatch, target, route, name):
+        doc = run_json(capsys, *self.ARGS[target])
+        assert doc["checks"] == [{"name": name, "passed": True}]
+        original = getattr(charseries, route)
+        monkeypatch.setattr(charseries, route, lambda space, m: original(space, m) + 1)
+        doc = run_json(capsys, *self.ARGS[target])
+        assert doc["checks"] == [{"name": name, "passed": False}]
+
+    def test_corrupted_generating_function_changes_outcome(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            charseries, "_symmetric_product_generating_function", lambda pc, m: ONE
+        )
+        code, out, err = run(capsys, *self.ARGS["sym"])
+        assert code == 4
+        assert out == ""
+        assert "generating function" in err
+
+    def test_corrupted_closure_changes_outcome(self, capsys, monkeypatch):
+        # the whole cyclic group replaced by its identity element
+        def trivial_closure(gens, m):
+            return 1, {CycleType.identity(m): 1}
+
+        monkeypatch.setattr(cli, "group_closure", trivial_closure)
+        doc = run_json(capsys, *self.ARGS["cyc"])
+        assert doc["checks"] == [{"name": "subgroup-averaging", "passed": False}]
+
+
 class TestSelftest:
     def test_selftest_passes(self, capsys):
         doc = run_json(capsys, "selftest")
@@ -423,6 +529,15 @@ class TestCapOverride:
         monkeypatch.setenv("CONFCOHOM_MAX_M", "")
         assert limits.cycle_type_max_m() == limits.DEFAULT_CYCLE_TYPE_MAX_M
         assert limits.set_partition_max_m() == limits.DEFAULT_SET_PARTITION_MAX_M
+
+    @pytest.mark.parametrize("value, cap, hard", [("5", 5, 12), ("14", 14, 14), ("99", 14, 14)])
+    def test_env_var_sets_caps_up_or_down(self, monkeypatch, value, cap, hard):
+        from confcohom import limits
+
+        monkeypatch.setenv("CONFCOHOM_MAX_M", value)
+        assert limits.cycle_type_max_m() == cap
+        assert limits.set_partition_max_m() == cap
+        assert limits.set_partition_hard_cap() == hard
 
     def test_env_var_zero_is_a_valid_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("CONFCOHOM_MAX_M", "0")

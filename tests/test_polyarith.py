@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confcohom import BiPoly, ConsistencyError, LaurentPoly, falling_product
-from confcohom.polyarith import ONE, T
+from confcohom.polyarith import ONE, P_VAR, T, T_VAR, format_terms
 
 
 def lp(pairs):
@@ -224,6 +224,28 @@ class TestBiPoly:
         q = BiPoly({(2, 0): 31, (1, 1): 30})
         assert q.is_homogeneous(2)
         assert not q.is_homogeneous(3)
+
+
+class TestFormat:
+    def test_format_terms_rules(self):
+        assert format_terms([]) == "0"
+        assert format_terms([(1, "")]) == "1"
+        assert format_terms([(-1, "")]) == "-1"
+        assert format_terms([(-1, "x"), (1, ""), (-3, "y")]) == "-x + 1 - 3y"
+        assert format_terms([(2, "x"), (-1, "y")], gap=" ") == "2 x - y"
+
+    def test_laurent_plain_and_latex(self):
+        f = LaurentPoly({-2: 1, 0: -1, 1: 1, 3: -4})
+        assert str(f) == "T^-2 - 1 + T - 4T^3"
+        assert f.format(latex=True) == "T^{-2} - 1 + T - 4T^{3}"
+        assert repr(-T) == "LaurentPoly(-T)"
+        assert str(LaurentPoly.zero()) == LaurentPoly.zero().format(latex=True) == "0"
+
+    def test_bipoly(self):
+        q = BiPoly({(0, 0): -1, (0, 1): 5, (1, 0): 1, (1, 2): -3, (2, 1): 1})
+        assert str(q) == "-1 + 5 T + P - 3 P T^2 + P^2 T"
+        assert repr(P_VAR * T_VAR) == "BiPoly(P T)"
+        assert repr(BiPoly.zero()) == "BiPoly(0)"
 
 
 class TestRoundTrip:
