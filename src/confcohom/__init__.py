@@ -39,6 +39,7 @@ from .combinat import (
     stirling_first_signed,
     stirling_first_unsigned,
     stirling_second,
+    subgroup_class_counts,
 )
 from .confspace import (
     BUILTIN_SPACES,
@@ -143,6 +144,7 @@ __all__ = [
     "stirling_first_signed",
     "stirling_first_unsigned",
     "stirling_second",
+    "subgroup_class_counts",
     "symmetric_group_character",
     "tensor_trace_oracle",
     "universal_poly",

@@ -24,10 +24,9 @@ stays in the cleared form; rational numbers never appear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
 from itertools import product as iter_product
 from math import factorial, gcd
-from typing import Callable, Mapping
 
 from . import limits
 from .combinat import (
@@ -40,23 +39,23 @@ from .combinat import (
     representative,
     stable_block_counts,
     stable_partitions,
+    symmetric_counts,
 )
 from .confspace import SpaceSpec, require
 from .errors import ConsistencyError, CostCapExceeded
 from .polyarith import LaurentPoly, falling_product
+from .record import FrozenRecord
 
 
-@dataclass(frozen=True, eq=False)
-class TraceSeries:
+class TraceSeries(FrozenRecord):
     """A graded character presented as one Laurent polynomial per cycle type."""
 
-    m: int
-    values: Mapping[CycleType, LaurentPoly]
+    __slots__ = ("m", "values")
 
-    def __post_init__(self):
-        expected = all_cycle_types(self.m)
-        if set(self.values) != set(expected):
+    def __init__(self, m: int, values: Mapping[CycleType, LaurentPoly]):
+        if set(values) != set(all_cycle_types(m)):
             raise ValueError("series must be defined on every cycle type")
+        self._init(m, values)
 
     def __getitem__(self, ctype: CycleType) -> LaurentPoly:
         return self.values[ctype]
@@ -123,6 +122,7 @@ def power_trace(space: SpaceSpec, ctype: CycleType) -> LaurentPoly:
 
 
 def power_series(space: SpaceSpec, m: int) -> TraceSeries:
+    _check_cycle_cap(m)  # before listing the cycle types, which grow like p(m)
     return TraceSeries(m, {ct: power_trace(space, ct) for ct in all_cycle_types(m)})
 
 
@@ -194,6 +194,8 @@ def config_trace(space: SpaceSpec, ctype: CycleType) -> LaurentPoly:
 
 
 def config_series(space: SpaceSpec, m: int) -> TraceSeries:
+    require(space, "i_acyclic")
+    _check_cycle_cap(m)  # before listing the cycle types, which grow like p(m)
     return TraceSeries(m, {ct: config_trace(space, ct) for ct in all_cycle_types(m)})
 
 
@@ -351,11 +353,6 @@ def reconstruct_config_series(space: SpaceSpec, m: int) -> TraceSeries:
 def cyclic_counts(m: int) -> dict[CycleType, int]:
     """Class counts of the rotation group of order m: phi(d) elements of type d^(m/d)."""
     return {CycleType.from_parts([d] * (m // d), m): euler_phi(d) for d in divisors(m)}
-
-
-def symmetric_counts(m: int) -> dict[CycleType, int]:
-    """Class counts of the full symmetric group on m letters: the class sizes."""
-    return {ct: ct.class_size() for ct in all_cycle_types(m)}
 
 
 def _average(

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os.path
 import sys
 from math import comb
-from pathlib import Path
 
 from . import charseries, confspace, limits, repstab
 from .combinat import (
@@ -23,6 +23,7 @@ from .combinat import (
     representative,
     stirling_first_signed,
     stirling_second,
+    subgroup_class_counts,
 )
 from .confspace import BUILTIN_SPACES, SpaceSpec
 from .errors import (
@@ -53,16 +54,20 @@ def load_space(spec: str) -> SpaceSpec:
     """Resolve ``spec`` as a built-in space name or a JSON file path."""
     if spec in BUILTIN_SPACES:
         return BUILTIN_SPACES[spec]
-    path = Path(spec)
-    if not path.exists():
+    if not os.path.exists(spec):
         raise InputParseError(
             f"unknown space {spec!r}: not a built-in "
             f"({', '.join(sorted(BUILTIN_SPACES))}) and no such file"
         )
     try:
-        data = json.loads(path.read_text())
+        with open(spec, encoding="utf-8") as handle:
+            data = json.load(handle)
     except json.JSONDecodeError as exc:
-        raise InputParseError(f"invalid JSON in {path}: {exc}") from exc
+        raise InputParseError(f"invalid JSON in {os.path.normpath(spec)}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputParseError(
+            f"cannot read space file {os.path.normpath(spec)}: {exc}"
+        ) from exc
     return space_from_document(data)
 
 
@@ -139,7 +144,9 @@ def parse_generators(text: str, m: int) -> list[Permutation]:
         inner = chunk
         while "(" in inner:
             start = inner.index("(")
-            end = inner.index(")", start)
+            end = inner.find(")", start)
+            if end < 0:
+                raise InputParseError(f"unbalanced parentheses in {chunk!r}")
             depth_content.append(inner[start + 1 : end])
             inner = inner[end + 1 :]
         if not depth_content:
@@ -201,13 +208,15 @@ def render(document: dict, fmt: str) -> str:
 
 
 def _render_result_lines(result, fmt: str) -> list[str]:
+    latex = fmt == "latex"
+
     def to_text(exp_map) -> str:
-        return LaurentPoly.from_exp_map(exp_map).format(latex=fmt == "latex")
+        return LaurentPoly.from_exp_map(exp_map).format(latex=latex)
 
     if isinstance(result, dict) and result.get("kind") == "polynomial":
         return ["  " + to_text(result["coefficients"])]
     if isinstance(result, dict) and result.get("kind") == "bivariate":
-        return ["  " + str(BiPoly.from_exp_map(result["coefficients"]))]
+        return ["  " + BiPoly.from_exp_map(result["coefficients"]).format(latex=latex)]
     if isinstance(result, dict) and result.get("kind") == "series":
         return [
             f"  {ctype}: " + to_text(entry)
@@ -405,8 +414,9 @@ def cmd_universal(args) -> dict:
 def cmd_quotient(args) -> dict:
     space = load_space(args.space)
     m = args.m
+    require_arg(m >= 0, "--m must be nonnegative")
     gens = parse_generators(args.generators, m) if args.generators else []
-    order, counts = group_closure(gens, m)
+    order, counts = subgroup_class_counts(gens, m)
     series = charseries.config_series(space, m)
     poly = charseries.quotient_poincare(series, counts, order)
     checks = [

@@ -13,12 +13,12 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
 from .errors import ConsistencyError, CostCapExceeded
 from . import limits
+from .record import FrozenRecord
 
 
 # ---------------------------------------------------------------------------
@@ -55,22 +55,31 @@ def partitions(m: int, length: int | None = None) -> tuple[tuple[int, ...], ...]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CycleType:
+class CycleType(FrozenRecord):
     """Cycle type of a permutation of m letters, as multiplicities.
 
     ``mult[d-1]`` is the number of cycles of length d; the weighted sum
     over d of d * mult[d-1] equals m.
     """
 
-    m: int
-    mult: tuple[int, ...]
+    __slots__ = ("m", "mult")
 
-    def __post_init__(self):
-        if len(self.mult) != self.m:
+    def __init__(self, m: int, mult: tuple[int, ...]):
+        if len(mult) != m:
             raise ValueError("multiplicity vector must have length m")
-        if sum(d * x for d, x in enumerate(self.mult, start=1)) != self.m:
-            raise ValueError(f"multiplicities {self.mult} do not sum to {self.m}")
+        if sum(d * x for d, x in enumerate(mult, start=1)) != m:
+            raise ValueError(f"multiplicities {mult} do not sum to {m}")
+        self._init(m, mult)
+
+    # Cycle types key every trace series and count table, so equality and
+    # hash are spelled out: the generic record versions are 1.5-2x slower.
+    def __eq__(self, other):
+        if other.__class__ is not CycleType:
+            return NotImplemented
+        return self.m == other.m and self.mult == other.mult
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.mult))
 
     @staticmethod
     def from_parts(parts: tuple[int, ...] | list[int], m: int | None = None) -> "CycleType":
@@ -268,15 +277,15 @@ def divisors(n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(FrozenRecord):
     """Permutation of {0, ..., m-1} stored by its image tuple."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"not a bijection: {self.images}")
+    def __init__(self, images: tuple[int, ...]):
+        if sorted(images) != list(range(len(images))):
+            raise ValueError(f"not a bijection: {images}")
+        self._init(images)
 
     @property
     def m(self) -> int:
@@ -437,23 +446,22 @@ def _orbit_groupings(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class SetPartition(FrozenRecord):
     """Partition of {0, ..., m-1} into disjoint nonempty blocks.
 
     Blocks are sorted tuples, listed in increasing order of least element;
     that order is the canonical block numbering used everywhere below.
     """
 
-    m: int
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("m", "blocks")
 
-    def __post_init__(self):
-        flat = sorted(x for b in self.blocks for x in b)
-        if flat != list(range(self.m)):
+    def __init__(self, m: int, blocks: tuple[tuple[int, ...], ...]):
+        flat = sorted(x for b in blocks for x in b)
+        if flat != list(range(m)):
             raise ValueError("blocks must partition the ground set")
-        if list(self.blocks) != sorted((tuple(sorted(b)) for b in self.blocks), key=min):
+        if list(blocks) != sorted((tuple(sorted(b)) for b in blocks), key=min):
             raise ValueError("blocks must be sorted canonically")
+        self._init(m, blocks)
 
     @staticmethod
     def from_blocks(m: int, blocks) -> "SetPartition":
@@ -547,8 +555,20 @@ def stable_partitions(
 
 
 # ---------------------------------------------------------------------------
-# subgroup closure
+# subgroups: element-by-element closure and stabilizer chains
 # ---------------------------------------------------------------------------
+
+
+def _checked_generators(generators, m: int) -> tuple[Permutation, ...]:
+    gens = tuple(g if isinstance(g, Permutation) else Permutation(tuple(g)) for g in generators)
+    for g in gens:
+        if g.m != m:
+            raise ValueError(f"generator acts on {g.m} letters, expected {m}")
+    return gens
+
+
+def _over_cap(cap: int) -> CostCapExceeded:
+    return CostCapExceeded(f"subgroup closure exceeded the cap of {cap} elements")
 
 
 def group_closure(
@@ -560,11 +580,9 @@ def group_closure(
 
     Returns (order, counts).  The empty generator set yields the trivial
     group.  Breadth-first multiplication; aborts past ``cap`` elements.
+    This is the element-by-element oracle for :func:`subgroup_class_counts`.
     """
-    gens = tuple(g if isinstance(g, Permutation) else Permutation(tuple(g)) for g in generators)
-    for g in gens:
-        if g.m != m:
-            raise ValueError(f"generator acts on {g.m} letters, expected {m}")
+    gens = _checked_generators(generators, m)
     identity = Permutation.identity(m)
     seen = {identity.images}
     frontier = [identity]
@@ -575,9 +593,7 @@ def group_closure(
                 prod = g * h
                 if prod.images not in seen:
                     if len(seen) >= cap:
-                        raise CostCapExceeded(
-                            f"subgroup closure exceeded the cap of {cap} elements"
-                        )
+                        raise _over_cap(cap)
                     seen.add(prod.images)
                     nxt.append(prod)
         frontier = nxt
@@ -586,3 +602,123 @@ def group_closure(
         ct = Permutation(images).cycle_type()
         counts[ct] = counts.get(ct, 0) + 1
     return len(seen), counts
+
+
+def symmetric_counts(m: int) -> dict[CycleType, int]:
+    """Class counts of the full symmetric group on m letters: the class sizes."""
+    return {ct: ct.class_size() for ct in all_cycle_types(m)}
+
+
+def subgroup_class_counts(
+    generators: list[Permutation] | tuple[Permutation, ...],
+    m: int,
+    cap: int = limits.DEFAULT_CLOSURE_CAP,
+) -> tuple[int, dict[CycleType, int]]:
+    """Order and cycle-type counts of the group the generators generate.
+
+    Returns (order, counts) like :func:`group_closure`, but from a
+    stabilizer chain built by deterministic Schreier-Sims (Sims 1970;
+    Seress, *Permutation Group Algorithms*, 2003).  The order is the
+    product of the chain's orbit lengths, and a group of more than ``cap``
+    elements is refused from it before any element is listed.  A group of
+    order m! is the symmetric group, whose counts are the class sizes; any
+    other group is listed by :func:`group_closure`.
+    """
+    gens = _checked_generators(generators, m)
+    transversals = _stabilizer_chain([g.images for g in gens], m, cap)
+    order = math.prod(len(t) for t in transversals)
+    if order == math.factorial(m):
+        return order, symmetric_counts(m)
+    return group_closure(gens, m, cap)
+
+
+def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """p after q, on image tuples."""
+    return tuple(map(p.__getitem__, q))
+
+
+def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
+
+
+def _stabilizer_chain(
+    gens: list[tuple[int, ...]], m: int, cap: int
+) -> list[dict[int, tuple[int, ...]]]:
+    """Transversals of a stabilizer chain of the group generated by ``gens``.
+
+    Level l holds, for each point p in the orbit of base point b_l under
+    the stabilizer of b_0..b_(l-1), an element mapping b_l to p.  Schreier
+    generators are sifted from the top level down; one that does not sift
+    to the identity becomes a strong generator of the levels it passed and
+    checking resumes there (the SCHREIERSIMS procedure of Holt, Eick and
+    O'Brien, *Handbook of Computational Group Theory*, 2005).  Orbits only
+    grow, so the product of their lengths is checked against ``cap`` after
+    every change.
+    """
+    identity = tuple(range(m))
+    base: list[int] = []
+    strong: list[list[tuple[int, ...]]] = []
+    transversals: list[dict[int, tuple[int, ...]]] = []
+    inverses: list[dict[int, tuple[int, ...]]] = []
+
+    def sift(g, level):
+        for l in range(level, len(base)):
+            u_inv = inverses[l].get(g[base[l]])
+            if u_inv is None:
+                return g, l
+            g = _compose(u_inv, g)
+        return g, len(base)
+
+    def rebuild(l):
+        orbit = {base[l]: identity}
+        queue = [base[l]]
+        for p in queue:
+            u = orbit[p]
+            for s in strong[l]:
+                q = s[p]
+                if q not in orbit:
+                    orbit[q] = _compose(s, u)
+                    queue.append(q)
+        transversals[l] = orbit
+        inverses[l] = {p: _inverse(u) for p, u in orbit.items()}
+        if math.prod(len(t) for t in transversals) > cap:
+            raise _over_cap(cap)
+
+    def add(h, low, high):
+        """Make h a strong generator of levels low..high."""
+        if high == len(base):
+            base.append(next(x for x in range(m) if h[x] != x))
+            strong.append([])
+            transversals.append({})
+            inverses.append({})
+        for l in range(low, high + 1):
+            strong[l].append(h)
+            rebuild(l)
+
+    def add_unsifted_schreier_generator(i):
+        """Add the first Schreier generator of level i that does not sift to
+        the identity; return the last level it joined, or None."""
+        for u in transversals[i].values():
+            for s in strong[i]:
+                su = _compose(s, u)
+                q = su[base[i]]
+                if su == transversals[i][q]:
+                    continue
+                h, j = sift(_compose(inverses[i][q], su), i + 1)
+                if h != identity:
+                    add(h, i + 1, j)
+                    return j
+        return None
+
+    for g in gens:
+        h, j = sift(g, 0)
+        if h != identity:
+            add(h, 0, j)
+    i = len(base) - 1
+    while i >= 0:
+        j = add_unsifted_schreier_generator(i)
+        i = i - 1 if j is None else j
+    return transversals

@@ -16,15 +16,13 @@ without it rather than silently emitting invalid numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .combinat import stirling_second
 from .errors import ConsistencyError, HypothesisViolation, InputParseError
 from .polyarith import BiPoly, LaurentPoly, T, falling_product
+from .record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class SpaceSpec:
+class SpaceSpec(FrozenRecord):
     """User-supplied description of a space X.
 
     ``pc`` is the compactly-supported Poincaré polynomial of X; ``dim`` its
@@ -33,27 +31,29 @@ class SpaceSpec:
     topological manifold where relevant), connectedness.
     """
 
-    name: str
-    pc: LaurentPoly
-    dim: int
-    i_acyclic: bool
-    orientable: bool = True
-    connected: bool = True
+    __slots__ = ("name", "pc", "dim", "i_acyclic", "orientable", "connected")
 
-    def __post_init__(self):
-        if self.dim < 0:
+    def __init__(
+        self,
+        name: str,
+        pc: LaurentPoly,
+        dim: int,
+        i_acyclic: bool,
+        orientable: bool = True,
+        connected: bool = True,
+    ):
+        if dim < 0:
             raise InputParseError("dimension must be nonnegative")
-        if not self.pc.has_nonnegative_coeffs():
+        if not pc.has_nonnegative_coeffs():
             raise InputParseError("Betti numbers must be nonnegative")
-        if not self.pc.is_zero():
-            if self.pc.min_exp < 0 or self.pc.max_exp > self.dim:
-                raise InputParseError(
-                    f"exponents of {self.pc} must lie in [0, {self.dim}]"
-                )
-        if self.i_acyclic and self.pc.coeff(0) != 0:
+        if not pc.is_zero():
+            if pc.min_exp < 0 or pc.max_exp > dim:
+                raise InputParseError(f"exponents of {pc} must lie in [0, {dim}]")
+        if i_acyclic and pc.coeff(0) != 0:
             raise InputParseError(
                 "an interior-acyclic space has no degree-0 compact cohomology"
             )
+        self._init(name, pc, dim, i_acyclic, orientable, connected)
 
     def euler_char(self) -> int:
         """Compactly-supported Euler characteristic: pc evaluated at -1."""

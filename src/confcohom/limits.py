@@ -10,7 +10,10 @@ keep all engines inside an interactive budget.  CONFCOHOM_MAX_M sets the
 cycle-type and set-partition caps to its value, up or down, but never above
 ABSOLUTE_MAX_M; the set-partition hard cap only moves up.  An empty value
 counts as unset; any other value that is not a nonnegative integer raises
-InputParseError.
+InputParseError.  DEFAULT_CLOSURE_CAP bounds the order of a subgroup given
+by generators; ``subgroup_class_counts`` checks it against the order of a
+stabilizer chain before any element is listed, and never lists the
+symmetric group at all.
 """
 
 import os

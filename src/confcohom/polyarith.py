@@ -21,7 +21,7 @@ different routes.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from .errors import ConsistencyError
 
@@ -416,11 +416,23 @@ class BiPoly:
         return f"BiPoly({self})"
 
     def __str__(self) -> str:
-        """Terms ordered by (P, T) exponents, such as ``36 P T^2 + 25 P^3``."""
+        return self.format()
+
+    def format(self, latex: bool = False) -> str:
+        """Terms ordered by (P, T) exponents, such as ``36 P T^2 + 25 P^3``.
+
+        LaTeX braces exponents of more than one character (``P^{10}``) and
+        leaves single digits bare, so ``P^2 T`` reads the same in both.
+        """
+
+        def power(x: str, e: int) -> str:
+            if e == 1:
+                return x
+            return f"{x}^{{{e}}}" if latex and len(str(e)) > 1 else f"{x}^{e}"
+
         terms = []
         for (i, j), v in self.items():
-            powers = (("P", i), ("T", j))
-            terms.append((v, " ".join(x if e == 1 else f"{x}^{e}" for x, e in powers if e)))
+            terms.append((v, " ".join(power(x, e) for x, e in (("P", i), ("T", j)) if e)))
         return format_terms(terms, gap=" ")
 
 

@@ -1,0 +1,57 @@
+"""Plain value classes with dataclass-style equality, hash and repr.
+
+A record's fields are its ``__slots__``, in order.  Two records are equal
+when they have the same class and equal fields; the repr lists the fields
+as keywords, ``CycleType(m=2, mult=(0, 1))``.  A :class:`Record` is mutable
+and unhashable; a :class:`FrozenRecord` is set once, by :meth:`_init`, then
+refuses assignment with AttributeError and hashes its fields.  These stand
+in for ``dataclasses``, whose import (with ``inspect``) and class
+processing cost more than the rest of the package at start-up.
+"""
+
+from operator import attrgetter
+
+
+class Record:
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if not cls.__slots__:
+            return
+        getter = attrgetter(*cls.__slots__)
+        if len(cls.__slots__) == 1:
+            cls._fields_of = staticmethod(lambda record: (getter(record),))
+        else:
+            cls._fields_of = staticmethod(getter)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields_of(self) == other._fields_of(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields_of(self))
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __hash__(self) -> int:
+        return hash(self._fields_of(self))
+
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields_of(self)

@@ -16,7 +16,6 @@ multiplicity tables meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
 from . import limits
@@ -26,6 +25,7 @@ from .combinat import CycleType, all_cycle_types, partitions
 from .confspace import SpaceSpec, require
 from .errors import ConsistencyError, CostCapExceeded, HypothesisViolation
 from .polyarith import LaurentPoly
+from .record import Record
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +171,20 @@ def borel_moore_series(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MultiplicityTable:
+class MultiplicityTable(Record):
     """Multiplicities c(core)_m of one cohomological degree across a range of m."""
 
-    degree: int
-    m_values: tuple[int, ...]
-    rows: dict[tuple[int, ...], dict[int, int]] = field(default_factory=dict)
+    __slots__ = ("degree", "m_values", "rows")
+
+    def __init__(
+        self,
+        degree: int,
+        m_values: tuple[int, ...],
+        rows: dict[tuple[int, ...], dict[int, int]] | None = None,
+    ):
+        self.degree = degree
+        self.m_values = m_values
+        self.rows = {} if rows is None else rows
 
     def value(self, core: tuple[int, ...], m: int) -> int:
         return self.rows.get(core, {}).get(m, 0)
@@ -186,19 +193,37 @@ class MultiplicityTable:
         return tuple(sorted(self.rows, key=lambda c: (sum(c), c)))
 
 
-@dataclass
-class StabilityReport:
-    space: str
-    degree: int
-    defect: int
-    table: MultiplicityTable
-    betti: dict[int, int]
-    monotone_from: int
-    stable_from: int
-    monotone_ok: bool
-    constant_ok: bool
-    poly_degree: int | None
-    poly_window_ok: bool
+class StabilityReport(Record):
+    __slots__ = (
+        "space", "degree", "defect", "table", "betti", "monotone_from",
+        "stable_from", "monotone_ok", "constant_ok", "poly_degree", "poly_window_ok",
+    )
+
+    def __init__(
+        self,
+        space: str,
+        degree: int,
+        defect: int,
+        table: MultiplicityTable,
+        betti: dict[int, int],
+        monotone_from: int,
+        stable_from: int,
+        monotone_ok: bool,
+        constant_ok: bool,
+        poly_degree: int | None,
+        poly_window_ok: bool,
+    ):
+        self.space = space
+        self.degree = degree
+        self.defect = defect
+        self.table = table
+        self.betti = betti
+        self.monotone_from = monotone_from
+        self.stable_from = stable_from
+        self.monotone_ok = monotone_ok
+        self.constant_ok = constant_ok
+        self.poly_degree = poly_degree
+        self.poly_window_ok = poly_window_ok
 
     def verdicts(self) -> list[tuple[str, bool]]:
         named = [
@@ -325,16 +350,31 @@ def stability_report(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ConstancyReport:
-    space: str
-    degree: int
-    values: dict[int, int]
-    constant_from: int
-    constant_ok: bool
-    constant_value: int | None
-    expect_zero: bool
-    observed_from: int | None = None
+class ConstancyReport(Record):
+    __slots__ = (
+        "space", "degree", "values", "constant_from", "constant_ok",
+        "constant_value", "expect_zero", "observed_from",
+    )
+
+    def __init__(
+        self,
+        space: str,
+        degree: int,
+        values: dict[int, int],
+        constant_from: int,
+        constant_ok: bool,
+        constant_value: int | None,
+        expect_zero: bool,
+        observed_from: int | None = None,
+    ):
+        self.space = space
+        self.degree = degree
+        self.values = values
+        self.constant_from = constant_from
+        self.constant_ok = constant_ok
+        self.constant_value = constant_value
+        self.expect_zero = expect_zero
+        self.observed_from = observed_from
 
     def verdicts(self) -> list[tuple[str, bool]]:
         name = f"constant-from-{self.constant_from}"

@@ -1,8 +1,16 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from confcohom import CycleType, LaurentPoly, charseries, cli
+from confcohom import CycleType, LaurentPoly, charseries, cli, combinat
 from confcohom.cli import (
     main,
     parse_cycle_type,
@@ -50,6 +58,11 @@ class TestParsers:
     def test_generators_comma_style(self):
         (g,) = parse_generators("(1,2)(3,4)", 4)
         assert g.cycle_type().parts == (2, 2)
+
+    @pytest.mark.parametrize("text", [")(", "(1 2))(", "(1 2)(3"])
+    def test_generators_misordered_parentheses(self, text):
+        with pytest.raises(InputParseError):
+            parse_generators(text, 4)
 
     def test_range(self):
         assert parse_range("2..10") == (2, 10)
@@ -148,6 +161,18 @@ class TestCommands:
         )
         assert doc["inputs"]["order"] == 3
         assert doc["result"]["coefficients"] == {"5": 1, "6": 1}
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_quotient_by_symmetric_group_is_unordered(self, capsys, m):
+        gens = f"(1 2);({' '.join(map(str, range(1, m + 1)))})" if m > 1 else ""
+        quotient = run_json(
+            capsys, "quotient", "--space", "cstar", "--m", str(m), "--generators", gens
+        )
+        unordered = run_json(
+            capsys, "poincare", "--space", "cstar", "--target", "bf", "--m", str(m)
+        )
+        assert quotient["inputs"]["order"] == math.factorial(m)
+        assert quotient["result"] == unordered["result"]
 
     def test_stability(self, capsys):
         doc = run_json(
@@ -250,6 +275,8 @@ class TestExitCodes:
             ("stability", "--space", "c", "--i", "1", "--a", "3", "--range", "1..3"),
             ("universal", "--l", "3", "--m", "2"),
             ("character", "--space", "c", "--m", "-1", "--all"),
+            ("quotient", "--space", "c", "--m", "-1"),
+            ("quotient", "--space", "c", "--m", "4", "--generators", ")("),
         ],
     )
     def test_out_of_domain_arguments_are_3(self, capsys, argv):
@@ -275,6 +302,61 @@ class TestExitCodes:
         )
         assert code == 3
         assert "input-parse-error" in err
+
+    @pytest.mark.parametrize(
+        "spec, shown", [("./bad.json", "bad.json"), ("sub//./bad.json", "sub/bad.json")]
+    )
+    def test_invalid_json_names_the_normalised_path(
+        self, capsys, tmp_path, monkeypatch, spec, shown
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        for name in ("bad.json", "sub/bad.json"):
+            (tmp_path / name).write_text("{not json")
+        code, out, err = run(capsys, "poincare", "--space", spec, "--target", "fm", "--m", "2")
+        assert code == 3
+        assert out == ""
+        message = json.loads(err)["error"]["message"]
+        assert message.startswith(f"invalid JSON in {shown}: ")
+
+    def test_unreadable_space_file_is_3(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "poincare", "--space", str(tmp_path), "--target", "fm", "--m", "2"
+        )
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"]["category"] == "input-parse-error"
+
+    def test_over_cap_quotient_is_refused_from_its_order(self, capsys, monkeypatch):
+        def listed(*_args):
+            raise AssertionError("an element was listed")
+
+        monkeypatch.setattr(combinat, "group_closure", listed)
+        monkeypatch.setattr(combinat, "symmetric_counts", listed)
+        gens = f"(1 2);({' '.join(map(str, range(1, 12)))})"
+        code, out, err = run(
+            capsys, "quotient", "--space", "c", "--m", "11", "--generators", gens
+        )
+        assert code == 5
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "category": "cost-cap-exceeded",
+            "message": "subgroup closure exceeded the cap of 3628800 elements",
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("quotient", "--space", "c", "--m", "100"),
+            ("character", "--space", "c", "--m", "100", "--all"),
+        ],
+    )
+    def test_series_past_the_cap_is_refused_before_listing_cycle_types(self, capsys, argv):
+        # p(100) is about 1.9e8 cycle types; the cap must fire before they are listed
+        code, out, err = run(capsys, *argv)
+        assert code == 5
+        assert out == ""
+        assert "cycle-type computations are capped" in json.loads(err)["error"]["message"]
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -437,6 +519,24 @@ class TestGoldenRender:
         )
 
 
+    @pytest.mark.parametrize(
+        "fmt, first, last",
+        [
+            ("plain", "39916800 P T^10 + ", " + 1925 P^10 T + 66 P^11"),
+            ("latex", "39916800 P T^{10} + ", " + 1925 P^{10} T + 66 P^{11}"),
+        ],
+    )
+    def test_bivariate_two_digit_exponents(self, capsys, fmt, first, last):
+        code, out, _ = run(
+            capsys, "universal", "--l", "11", "--m", "12", "--closed", "--format", fmt
+        )
+        assert code == 0
+        line = out.splitlines()[5]
+        assert line.startswith("  " + first)
+        assert line.endswith(last)
+        assert " + 120543840 P^2 T^9 + " in line
+
+
 class TestProductChecks:
     """The sym/cyc checks compare two routes: corrupting either one shows."""
 
@@ -546,3 +646,111 @@ class TestCapOverride:
         )
         assert code == 5
         assert "cost-cap-exceeded" in err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the exit-code contract
+# ---------------------------------------------------------------------------
+
+_small = st.integers(-2, 6)
+_formats = st.sampled_from(["json", "plain", "latex"])
+_spaces = st.sampled_from(["c", "cstar", "r3", "c_minus_1", "klein_pointed", "nosuch", "FILE"])
+_generators = st.one_of(
+    st.text(alphabet="()0123456789 ,;-", max_size=16),
+    st.lists(
+        st.lists(st.integers(0, 7), min_size=1, max_size=4).map(
+            lambda c: "(" + " ".join(map(str, c)) + ")"
+        ),
+        max_size=3,
+    ).map(";".join),
+)
+_betti = st.one_of(st.integers(-1, 3), st.booleans(), st.floats(0, 2), st.text(max_size=2))
+_documents = st.one_of(
+    st.fixed_dictionaries(
+        {"name": st.one_of(st.text(max_size=4), st.integers())},
+        optional={
+            "poincare_c": st.one_of(st.lists(_betti, max_size=5), st.integers()),
+            "dim": st.one_of(st.integers(-1, 4), st.text(max_size=2)),
+            "i_acyclic": st.one_of(st.booleans(), st.integers(0, 1)),
+            "orientable": st.booleans(),
+            "connected": st.one_of(st.booleans(), st.none()),
+            "extra": st.integers(),
+        },
+    ),
+    st.lists(st.integers(), max_size=3),
+    st.integers(),
+)
+
+
+@st.composite
+def _argv(draw):
+    space = ["--space", draw(_spaces)]
+    command = draw(
+        st.sampled_from(["quotient", "poincare", "character", "universal", "stability", "raw"])
+    )
+    if command == "quotient":
+        argv = ["quotient", *space, "--m", str(draw(_small)), "--generators", draw(_generators)]
+    elif command == "poincare":
+        targets = ["fm", "delta", "delta_le", "ordinary", "cf", "bf", "sym", "cyc"]
+        target = draw(st.sampled_from(targets))
+        argv = ["poincare", *space, "--target", target, "--m", str(draw(_small))]
+        if draw(st.booleans()):
+            argv += ["--l", str(draw(_small))]
+    elif command == "character":
+        argv = ["character", *space, "--m", str(draw(st.integers(-1, 5)))]
+        if draw(st.booleans()):
+            argv.append("--all")
+        else:
+            argv += ["--cycle-type", draw(st.text(alphabet="0123456789^,", max_size=8))]
+    elif command == "universal":
+        argv = ["universal", "--l", str(draw(_small)), "--m", str(draw(_small))]
+        if draw(st.booleans()):
+            argv.append("--closed")
+    elif command == "stability":
+        lo, hi = draw(_small), draw(_small)
+        argv = ["stability", *space, "--i", str(draw(st.integers(-1, 3))),
+                "--a", str(draw(st.integers(-1, 2))), "--range", f"{lo}..{hi}"]
+    else:
+        vocabulary = st.sampled_from(
+            ["poincare", "quotient", "--space", "c", "--m", "3", "--target", "fm", "--all", "--l"]
+        )
+        argv = draw(st.lists(st.one_of(vocabulary, st.text(max_size=4)), max_size=8))
+    if draw(st.booleans()):
+        argv += ["--format", draw(_formats)]
+    return argv
+
+
+class TestFuzzExitCodes:
+    """Every argv and space document ends in a documented exit code."""
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(argv=_argv(), document=_documents)
+    def test_exit_code_contract(self, tmp_path, argv, document):
+        space_file = tmp_path / "space.json"
+        space_file.write_text(json.dumps(document))
+        argv = [str(space_file) if a == "FILE" else a for a in argv]
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+
+def test_cli_import_skips_heavy_modules():
+    # dataclasses (with inspect), typing and pathlib cost more at start-up
+    # than the package itself; none of them may come back on the import path
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    probe = (
+        "import confcohom.cli, sys; "
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'typing', 'pathlib') "
+        "if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "[]"

@@ -24,7 +24,9 @@ from confcohom import (
     stirling_first_signed,
     stirling_first_unsigned,
     stirling_second,
+    subgroup_class_counts,
 )
+from confcohom import combinat
 
 
 class TestPartitions:
@@ -291,6 +293,128 @@ class TestGroupClosure:
         ]
         with pytest.raises(CostCapExceeded):
             group_closure(gens, 5, cap=10)
+
+
+def _cycles(m: int, *cycles) -> Permutation:
+    return Permutation.from_cycles(m, [list(c) for c in cycles], one_based=True)
+
+
+def _symmetric(m: int) -> list[Permutation]:
+    return [_cycles(m, (1, 2)), _cycles(m, range(1, m + 1))] if m > 1 else []
+
+
+def _alternating(m: int) -> list[Permutation]:
+    # (1 2 3) with an m-cycle (m odd) or an (m-1)-cycle fixing 1 (m even)
+    if m < 3:
+        return []
+    long = range(1, m + 1) if m % 2 else range(2, m + 1)
+    return [_cycles(m, (1, 2, 3)), _cycles(m, long)]
+
+
+def _chain_order(gens: list[Permutation], m: int) -> int:
+    chain = combinat._stabilizer_chain([g.images for g in gens], m, math.factorial(m))
+    return math.prod(len(level) for level in chain)
+
+
+def _named_groups(m: int) -> dict[str, list[Permutation]]:
+    return {
+        "trivial": [],
+        "cyclic": [_cycles(m, range(1, m + 1))] if m else [],
+        "symmetric": _symmetric(m),
+        "alternating": _alternating(m),
+    }
+
+
+@st.composite
+def generator_sets(draw):
+    """Up to three permutations of m <= 7 points, each moving a drawn subset."""
+    m = draw(st.integers(0, 7))
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        support = sorted(draw(st.sets(st.integers(0, m - 1))) if m else ())
+        images = list(range(m))
+        for point, image in zip(support, draw(st.permutations(support))):
+            images[point] = image
+        gens.append(Permutation(tuple(images)))
+    return m, gens
+
+
+class TestSubgroupClassCounts:
+    """The stabilizer-chain route against the element-by-element closure."""
+
+    @pytest.mark.parametrize("m", range(8))
+    @pytest.mark.parametrize("group", ["trivial", "cyclic", "symmetric", "alternating"])
+    def test_named_groups_match_closure(self, m, group):
+        gens = _named_groups(m)[group]
+        expected = group_closure(gens, m)
+        assert _chain_order(gens, m) == expected[0]
+        assert subgroup_class_counts(gens, m) == expected
+
+    @given(generator_sets())
+    def test_random_generators_match_closure(self, data):
+        m, gens = data
+        expected = group_closure(gens, m)
+        assert _chain_order(gens, m) == expected[0]
+        assert subgroup_class_counts(gens, m) == expected
+
+    @pytest.mark.parametrize(
+        "m, cycles, order",
+        [
+            (6, [[(1, 2), (3, 4)], [(1, 3)]], 8),  # dihedral on 4 of 6 points
+            (5, [[(1, 2)], [(3, 4, 5)]], 6),  # S_2 x C_3
+            (6, [[(1, 2, 3)], [(1, 2)], [(4, 5, 6)], [(4, 5)]], 36),  # S_3 x S_3
+            (8, [[(1, 2, 3, 4, 5, 6, 7, 8)], [(1, 8), (2, 7), (3, 6), (4, 5)]], 16),
+            (7, [[(1, 2, 3, 4, 5, 6, 7)], [(2, 3, 5), (4, 7, 6)]], 21),  # Frobenius F_21
+            (8, [[(1, 2, 3, 4)], [(5, 6, 7, 8)], [(1, 5), (2, 6), (3, 7), (4, 8)]], 32),
+            (7, [[(1, 2)], [(2, 3)], [(3, 4)], [(4, 5)], [(5, 6)]], 720),  # S_6 fixing 7
+        ],
+    )
+    def test_chain_order_of_listed_groups(self, m, cycles, order):
+        gens = [_cycles(m, *g) for g in cycles]
+        assert _chain_order(gens, m) == order
+        assert subgroup_class_counts(gens, m) == group_closure(gens, m)
+
+    def test_cap_refuses_from_the_order(self, monkeypatch):
+        def listed(*_args):
+            raise AssertionError("an element was listed")
+
+        with pytest.raises(CostCapExceeded) as closure:
+            group_closure(_symmetric(5), 5, cap=10)
+        monkeypatch.setattr(combinat, "group_closure", listed)
+        monkeypatch.setattr(combinat, "symmetric_counts", listed)
+        with pytest.raises(CostCapExceeded) as refused:
+            subgroup_class_counts(_symmetric(5), 5, cap=10)
+        assert str(refused.value) == str(closure.value)
+        # one element over the cap is enough
+        with pytest.raises(CostCapExceeded):
+            subgroup_class_counts(_symmetric(5), 5, cap=119)
+        with pytest.raises(CostCapExceeded):
+            subgroup_class_counts([_cycles(6, (1, 2, 3))], 6, cap=2)
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_symmetric_groups_are_never_listed(self, monkeypatch, m):
+        def listed(*_args):
+            raise AssertionError("an element was listed")
+
+        monkeypatch.setattr(combinat, "group_closure", listed)
+        order, counts = subgroup_class_counts(_symmetric(m), m)
+        assert order == sum(counts.values()) == math.factorial(m)
+
+    def test_order_at_the_cap_is_allowed(self):
+        assert subgroup_class_counts(_symmetric(5), 5, cap=120)[0] == 120
+        assert subgroup_class_counts([_cycles(6, (1, 2, 3))], 6, cap=3)[0] == 3
+
+    def test_large_degree_over_cap_is_refused_quickly(self):
+        # S_40 would never be listed; the chain stops once its orbits pass 10!
+        with pytest.raises(CostCapExceeded):
+            subgroup_class_counts(_symmetric(40), 40)
+
+    def test_generator_size_mismatch(self):
+        with pytest.raises(ValueError):
+            subgroup_class_counts([Permutation.identity(3)], 4)
+
+    def test_accepts_image_tuples(self):
+        assert subgroup_class_counts([(1, 2, 0)], 3) == group_closure([(1, 2, 0)], 3)
 
 
 class TestPermutation:

@@ -247,6 +247,13 @@ class TestFormat:
         assert repr(P_VAR * T_VAR) == "BiPoly(P T)"
         assert repr(BiPoly.zero()) == "BiPoly(0)"
 
+    def test_bipoly_latex_braces_multi_character_exponents(self):
+        q = BiPoly({(1, 10): 3, (2, 9): -1, (10, 1): 1, (11, 0): 2, (1, -1): 1})
+        assert q.format(latex=True) == "P T^{-1} + 3 P T^{10} - P^2 T^9 + P^{10} T + 2 P^{11}"
+        assert q.format() == str(q) == "P T^-1 + 3 P T^10 - P^2 T^9 + P^10 T + 2 P^11"
+        single = BiPoly({(0, 0): -1, (1, 2): -3, (9, 1): 1})
+        assert single.format(latex=True) == str(single) == "-1 - 3 P T^2 + P^9 T"
+
 
 class TestRoundTrip:
     @given(laurents)
