@@ -233,31 +233,89 @@ def _check(name: str, passed: bool) -> dict:
     return {"name": name, "passed": bool(passed)}
 
 
-def _closure_average(
-    series: charseries.TraceSeries, gens: list[Permutation]
-) -> LaurentPoly:
-    """Average ``series`` over the group that ``gens`` close to, with class
-    counts taken element by element: the independent route that checks the
-    closed-form quotients."""
-    order, counts = group_closure(gens, series.m)
-    return charseries.quotient_poincare(series, counts, order)
-
-
 def _oracle_triangle(space: SpaceSpec, m: int, series: charseries.TraceSeries) -> bool:
     """Compare the counting routes at m points with the enumeration oracle.
 
     The chain reconstruction must rebuild ``series``, the configuration
-    character; every stratum series, counted by grouping cycles, must equal
-    the trace summed over the enumerated stable set partitions.
+    character; every stratum series below it, counted by grouping cycles,
+    must equal the trace summed over the enumerated stable set partitions.
     """
     if charseries.reconstruct_config_series(space, m) != series:
         return False
-    for distinct in range(1, m + 1):
-        counted = series if distinct == m else charseries.exactly_series(space, distinct, m)
+    for distinct in range(1, m):
+        counted = charseries.exactly_series(space, distinct, m)
         for ctype in all_cycle_types(m):
             alpha = representative(ctype)
             if charseries.exactly_trace(space, distinct, m, alpha) != counted[ctype]:
                 return False
+    return True
+
+
+# poincare target -> engine(space, m, l); only the strata read ``l``
+_POINCARE_ENGINES = {
+    "fm": lambda space, m, l: confspace.poincare_config(space, m),
+    "delta": lambda space, m, l: confspace.poincare_exactly(space, l, m),
+    "delta_le": lambda space, m, l: confspace.poincare_at_most(space, l, m),
+    "ordinary": lambda space, m, l: confspace.poincare_config_ordinary(space, m),
+    "cf": lambda space, m, l: charseries.poincare_cyclic_config(space, m),
+    "bf": lambda space, m, l: charseries.poincare_unordered_config(space, m),
+    "sym": lambda space, m, l: charseries.poincare_symmetric_product(space, m),
+    "cyc": lambda space, m, l: charseries.poincare_cyclic_product(space, m),
+}
+
+
+def _universal_evaluation(name: str, q: BiPoly, space: SpaceSpec, poly: LaurentPoly) -> dict:
+    """Q(P := pc, T) against the stratum polynomial computed directly."""
+    return _check(name, q.eval_P(space.pc) == poly)
+
+
+def _poincare_checks(
+    space: SpaceSpec, target: str, m: int, l: int | None, poly: LaurentPoly
+) -> list[dict]:
+    """Compare the ``poincare`` answer ``poly`` with an independent route."""
+    if target == "fm":
+        checks = []
+        if m >= 1:
+            step = space.pc + LaurentPoly.term(m - 1, 1)
+            recurrence = confspace.poincare_config(space, m - 1) * step == poly
+            checks.append(_check("product-recurrence", recurrence))
+        euler = poly.eval_at_int(-1) == confspace.euler_char_config(space, m)
+        return checks + [_check("euler-characteristic", euler)]
+    if target in ("delta", "delta_le"):
+        q = confspace.universal_poly(l, m, target == "delta_le")
+        return [_universal_evaluation("universal-polynomial-evaluation", q, space, poly)]
+    if target == "ordinary":
+        compact = confspace.poincare_config(space, m)
+        return [_check("duality-involution", poly.dual(m * space.dim) == compact)]
+    if target == "sym":
+        oracle = charseries._symmetric_product_generating_function(space.pc, m)
+        return [_check("generating-function", oracle == poly)]
+    # The quotients average a trace series over a group whose class counts
+    # are listed element by element, independently of the closed forms.
+    # target -> (trace series, generators, largest m the group is listed at)
+    rotation = [Permutation.from_cycles(m, [list(range(1, m + 1))], one_based=True)]
+    swap = [Permutation.from_cycles(m, [[1, 2]], one_based=True)] if m > 1 else []
+    averaged = {
+        "cf": (charseries.config_series, rotation, 8),
+        "bf": (charseries.config_series, swap + rotation, 6),
+        "cyc": (charseries.power_series, rotation, m),
+    }
+    series, gens, top = averaged[target]
+    if m > top:
+        return []
+    order, counts = group_closure(gens, m)
+    oracle = charseries.quotient_poincare(series(space, m), counts, order)
+    return [_check("subgroup-averaging", oracle == poly)]
+
+
+def _all_poincare_checks_pass(cases) -> bool:
+    """Run the ``poincare`` checks over (space, target, m, l) cases; a case
+    with no check fails."""
+    for space, target, m, l in cases:
+        poly = _POINCARE_ENGINES[target](space, m, l)
+        checks = _poincare_checks(space, target, m, l, poly)
+        if not checks or not all(check["passed"] for check in checks):
+            return False
     return True
 
 
@@ -268,90 +326,24 @@ def _oracle_triangle(space: SpaceSpec, m: int, series: charseries.TraceSeries) -
 
 def cmd_poincare(args) -> dict:
     space = load_space(args.space)
-    m = args.m
-    target = args.target
-    checks = []
+    m, l, target = args.m, args.l, args.target
     if target in ("delta", "delta_le"):
-        require_arg(args.l is not None, f"target {target!r} requires --l")
-        require_arg(1 <= args.l <= m, f"target {target!r} needs 1 <= --l <= --m")
+        require_arg(l is not None, f"target {target!r} requires --l")
+        require_arg(1 <= l <= m, f"target {target!r} needs 1 <= --l <= --m")
     elif target == "fm":
         require_arg(m >= 0, "--m must be nonnegative")
     else:
         require_arg(m >= 1, f"target {target!r} needs --m >= 1")
-    if target == "fm":
-        poly = confspace.poincare_config(space, m)
-        if m >= 1:
-            prev = confspace.poincare_config(space, m - 1)
-            step = space.pc + LaurentPoly.term(m - 1, 1)
-            checks.append(_check("product-recurrence", prev * step == poly))
-        checks.append(
-            _check(
-                "euler-characteristic",
-                poly.eval_at_int(-1) == confspace.euler_char_config(space, m),
-            )
-        )
-    elif target in ("delta", "delta_le"):
-        closed = target == "delta_le"
-        fn = confspace.poincare_at_most if closed else confspace.poincare_exactly
-        poly = fn(space, args.l, m)
-        universal = confspace.universal_poly(args.l, m, closed)
-        checks.append(
-            _check("universal-polynomial-evaluation", universal.eval_P(space.pc) == poly)
-        )
-    elif target == "ordinary":
-        poly = confspace.poincare_config_ordinary(space, m)
-        compact = confspace.poincare_config(space, m)
-        checks.append(
-            _check("duality-involution", poly.dual(m * space.dim) == compact)
-        )
-    elif target == "cf":
-        poly = charseries.poincare_cyclic_config(space, m)
-        if m <= 8:
-            oracle = _closure_average(
-                charseries.config_series(space, m), _rotation_generators(m)
-            )
-            checks.append(_check("subgroup-averaging", oracle == poly))
-    elif target == "bf":
-        poly = charseries.poincare_unordered_config(space, m)
-        if m <= 6:
-            oracle = _closure_average(
-                charseries.config_series(space, m), _symmetric_group_generators(m)
-            )
-            checks.append(_check("subgroup-averaging", oracle == poly))
-    elif target == "sym":
-        poly = charseries.poincare_symmetric_product(space, m)
-        oracle = charseries._symmetric_product_generating_function(space.pc, m)
-        checks.append(_check("generating-function", oracle == poly))
-    elif target == "cyc":
-        poly = charseries.poincare_cyclic_product(space, m)
-        oracle = _closure_average(
-            charseries.power_series(space, m), _rotation_generators(m)
-        )
-        checks.append(_check("subgroup-averaging", oracle == poly))
-    else:
-        raise InputParseError(f"unknown poincare target {target!r}")
+    poly = _POINCARE_ENGINES[target](space, m, l)
     inputs = {"space": space.name, "m": m, "target": target}
-    if args.l is not None:
-        inputs["l"] = args.l
+    if l is not None:
+        inputs["l"] = l
     return {
         "command": "poincare",
         "inputs": inputs,
         "result": _poly_result(poly),
-        "checks": checks,
+        "checks": _poincare_checks(space, target, m, l, poly),
     }
-
-
-def _rotation_generators(m: int) -> list[Permutation]:
-    return [representative(CycleType.from_parts([m], m))]
-
-
-def _symmetric_group_generators(m: int) -> list[Permutation]:
-    if m < 2:
-        return []
-    gens = [Permutation.from_cycles(m, [[1, 2]], one_based=True)]
-    if m > 2:
-        gens.append(Permutation.from_cycles(m, [list(range(1, m + 1))], one_based=True))
-    return gens
 
 
 def cmd_character(args) -> dict:
@@ -379,12 +371,8 @@ def cmd_character(args) -> dict:
         ctype = parse_cycle_type(args.cycle_type, m)
         poly = charseries.config_trace(space, ctype)
         if ctype == CycleType.identity(m):
-            checks.append(
-                _check(
-                    "identity-entry-is-poincare",
-                    poly.negate_var() == confspace.poincare_config(space, m),
-                )
-            )
+            same = poly.negate_var() == confspace.poincare_config(space, m)
+            checks.append(_check("identity-entry-is-poincare", same))
         result = _poly_result(poly)
         inputs = {"space": space.name, "m": m, "cycle_type": str(ctype)}
     return {"command": "character", "inputs": inputs, "result": result, "checks": checks}
@@ -394,20 +382,15 @@ def cmd_universal(args) -> dict:
     closed = bool(args.closed)
     require_arg(1 <= args.l <= args.m, "universal needs 1 <= --l <= --m")
     q = confspace.universal_poly(args.l, args.m, closed)
-    checks = []
     reference = BUILTIN_SPACES["c"]
-    fn = confspace.poincare_at_most if closed else confspace.poincare_exactly
-    checks.append(
-        _check(
-            "evaluates-on-reference-space",
-            q.eval_P(reference.pc) == fn(reference, args.l, args.m),
-        )
-    )
+    direct = _POINCARE_ENGINES["delta_le" if closed else "delta"](reference, args.m, args.l)
     return {
         "command": "universal",
         "inputs": {"l": args.l, "m": args.m, "closed": closed},
         "result": {"kind": "bivariate", "coefficients": q.to_exp_map()},
-        "checks": checks,
+        "checks": [
+            _universal_evaluation("evaluates-on-reference-space", q, reference, direct)
+        ],
     }
 
 
@@ -416,16 +399,19 @@ def cmd_quotient(args) -> dict:
     m = args.m
     require_arg(m >= 0, "--m must be nonnegative")
     gens = parse_generators(args.generators, m) if args.generators else []
-    order, counts = subgroup_class_counts(gens, m)
+    # the hypothesis and the cycle-type cap come before the group is built
     series = charseries.config_series(space, m)
+    order, counts = subgroup_class_counts(gens, m)
+    counted = sum(counts.values())
+    if counted != order:
+        raise ConsistencyError(f"class counts sum to {counted}, not to the group order {order}")
     poly = charseries.quotient_poincare(series, counts, order)
+    # the action on configurations is free, so the quotient's Euler
+    # characteristic is the configuration space's divided by the order
+    euler = poly.eval_at_int(-1) * order == confspace.euler_char_config(space, m)
     checks = [
-        _check("class-counts-sum-to-order", sum(counts.values()) == order),
-        _check(
-            "euler-characteristic-average",
-            poly.eval_at_int(-1) * order
-            == sum(n * series.values[ct].eval_at_int(1) for ct, n in counts.items()),
-        ),
+        _check("class-counts-sum-to-order", counted == order),
+        _check("euler-characteristic-average", euler),
     ]
     return {
         "command": "quotient",
@@ -507,22 +493,14 @@ def _selftest_checks() -> list[tuple[str, bool]]:
 
     run("stirling-matrices-inverse", stirling_inverse)
 
-    def universal_evaluation() -> bool:
-        for space in (c, cstar, c1):
-            for m in range(1, 6):
-                for l in range(1, m + 1):
-                    for closed in (False, True):
-                        q = confspace.universal_poly(l, m, closed)
-                        fn = (
-                            confspace.poincare_at_most
-                            if closed
-                            else confspace.poincare_exactly
-                        )
-                        if q.eval_P(space.pc) != fn(space, l, m):
-                            return False
-        return True
-
-    run("universal-polynomial-evaluation", universal_evaluation)
+    strata = (
+        (space, target, m, l)
+        for space in (c, cstar, c1)
+        for m in range(1, 6)
+        for l in range(1, m + 1)
+        for target in ("delta", "delta_le")
+    )
+    run("universal-polynomial-evaluation", lambda: _all_poincare_checks_pass(strata))
 
     def oracle_triangle() -> bool:
         return all(
@@ -546,35 +524,18 @@ def _selftest_checks() -> list[tuple[str, bool]]:
 
     run("assembly-identity", assembly)
 
-    def averaging() -> bool:
-        routes = [
-            (charseries.poincare_cyclic_config, _rotation_generators, range(1, 6)),
-            (charseries.poincare_unordered_config, _symmetric_group_generators, range(1, 5)),
-        ]
-        return all(
-            closed_form(c, m) == _closure_average(charseries.config_series(c, m), gens(m))
-            for closed_form, gens, ms in routes
-            for m in ms
-        )
-
-    run("quotient-averaging", averaging)
-
-    def symmetric_products() -> bool:
-        for space in (c, cstar, c1):
-            for m in range(1, 6):
-                charseries.poincare_symmetric_product(space, m)
-                charseries.poincare_cyclic_product(space, m)
-        return True
-
-    run("symmetric-product-generating-function", symmetric_products)
-
-    def mod_p() -> bool:
-        for p in (2, 3, 5):
-            for space in (c, cstar, c1):
-                charseries.poincare_cyclic_config(space, p)
-        return True
-
-    run("prime-order-divisibility", mod_p)
+    quotients = [(c, "cf", m, None) for m in range(1, 6)]
+    quotients += [(c, "bf", m, None) for m in range(1, 5)]
+    run("quotient-averaging", lambda: _all_poincare_checks_pass(quotients))
+    products = (
+        (space, target, m, None)
+        for space in (c, cstar, c1)
+        for m in range(1, 6)
+        for target in ("sym", "cyc")
+    )
+    run("symmetric-product-generating-function", lambda: _all_poincare_checks_pass(products))
+    primes = ((space, "cf", p, None) for p in (2, 3, 5) for space in (c, cstar, c1))
+    run("prime-order-divisibility", lambda: _all_poincare_checks_pass(primes))
 
     def braid_betti() -> bool:
         return all(
@@ -641,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--target",
         required=True,
-        choices=("fm", "delta", "delta_le", "ordinary", "cf", "bf", "sym", "cyc"),
+        choices=tuple(_POINCARE_ENGINES),
     )
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--l", type=int)
@@ -696,6 +657,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         limits.cycle_type_max_m()  # a malformed CONFCOHOM_MAX_M fails every command
         document = args.fn(args)
+        text = render(document, args.format)
     except HypothesisViolation as exc:
         _emit_error("hypothesis-violation", exc, flag=exc.flag)
         return EXIT_HYPOTHESIS
@@ -708,13 +670,20 @@ def main(argv: list[str] | None = None) -> int:
     except ConsistencyError as exc:
         _emit_error("consistency-error", exc)
         return EXIT_CONSISTENCY
-    sys.stdout.write(render(document, args.format))
+    except ValueError as exc:  # CPython's int-to-str digit limit (CVE-2020-10735)
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        message = f"the result has integers past the int-to-str limit of {limit} digits"
+        _emit_error("cost-cap-exceeded", message)
+        return EXIT_COST
+    sys.stdout.write(text)
     if document["command"] == "selftest" and document["result"]["failed"]:
         return EXIT_CONSISTENCY
     return EXIT_OK
 
 
-def _emit_error(category: str, exc: Exception, flag: str | None = None) -> None:
+def _emit_error(category: str, exc: Exception | str, flag: str | None = None) -> None:
     payload = {"error": {"category": category, "message": str(exc)}}
     if flag:
         payload["error"]["flag"] = flag

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from confcohom import CycleType, LaurentPoly, charseries, cli, combinat
+from confcohom import CycleType, LaurentPoly, charseries, cli, combinat, confspace
 from confcohom.cli import (
     main,
     parse_cycle_type,
@@ -345,6 +346,42 @@ class TestExitCodes:
         }
 
     @pytest.mark.parametrize(
+        "space, m, code, message",
+        [
+            ("c", 13, 5, "cycle-type computations are capped at m = 12"),
+            ("c", 2000, 5, "cycle-type computations are capped at m = 12"),
+            ("klein_pointed", 11, 2, "hypothesis"),
+        ],
+    )
+    def test_quotient_checks_hypothesis_and_cycle_cap_before_the_group(
+        self, capsys, monkeypatch, space, m, code, message
+    ):
+        def built(*_args):
+            raise AssertionError("the group was built")
+
+        monkeypatch.setattr(cli, "subgroup_class_counts", built)
+        gens = f"(1 2);({' '.join(map(str, range(1, m + 1)))})"
+        exit_code, out, err = run(
+            capsys, "quotient", "--space", space, "--m", str(m), "--generators", gens
+        )
+        assert exit_code == code
+        assert out == ""
+        assert message in json.loads(err)["error"]["message"]
+
+    def test_quotient_class_count_mismatch_is_4(self, capsys, monkeypatch):
+        miscounted = _one_element_too_many(cli.subgroup_class_counts)
+        monkeypatch.setattr(cli, "subgroup_class_counts", miscounted)
+        code, out, err = run(
+            capsys, "quotient", "--space", "c", "--m", "4", "--generators", "(1 2 3 4)"
+        )
+        assert code == 4
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "category": "consistency-error",
+            "message": "class counts sum to 5, not to the group order 4",
+        }
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("quotient", "--space", "c", "--m", "100"),
@@ -579,11 +616,155 @@ class TestProductChecks:
         assert doc["checks"] == [{"name": "subgroup-averaging", "passed": False}]
 
 
+@pytest.fixture
+def digit_limit_640():
+    """Lower CPython's int-to-str digit limit to its minimum for one test."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+class TestDigitLimit:
+    """Results past the interpreter's int-to-str limit exit 5 in every format."""
+
+    @pytest.mark.parametrize("fmt", ["json", "plain", "latex"])
+    def test_result_past_the_limit_is_5(self, capsys, digit_limit_640, fmt):
+        # the largest coefficient of the m = 320 polynomial has 664 digits
+        code, out, err = run(
+            capsys, "poincare", "--space", "c", "--target", "fm", "--m", "320", "--format", fmt
+        )
+        assert code == 5
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "category": "cost-cap-exceeded",
+            "message": "the result has integers past the int-to-str limit of 640 digits",
+        }
+
+    @pytest.mark.parametrize("fmt", ["json", "plain", "latex"])
+    def test_result_within_the_limit_answers(self, capsys, digit_limit_640, fmt):
+        # 614 digits at m = 300
+        code, out, err = run(
+            capsys, "poincare", "--space", "c", "--target", "fm", "--m", "300", "--format", fmt
+        )
+        assert code == 0, err
+        assert out
+
+
+def _plus_one(original):
+    return lambda *args: original(*args) + 1
+
+
+def _doubled(original):
+    return lambda *args: original(*args) * 2
+
+
+def _shifted_series(original):
+    return lambda *args: original(*args).map_values(lambda _ct, value: value + 1)
+
+
+def _one_element_too_many(original):
+    def miscounted(gens, m):
+        order, counts = original(gens, m)
+        identity = CycleType.identity(m)
+        return order, {**counts, identity: counts[identity] + 1}
+
+    return miscounted
+
+
+class TestCorruptedRoutes:
+    """Corrupting the engine of a route turns each of its checks to FAIL, or
+    ends the command with exit 4: no check compares a route with itself."""
+
+    @pytest.mark.parametrize(
+        "module, engine, corrupt, command",
+        [
+            (confspace, "poincare_config", _plus_one, "poincare --space cstar --target fm --m 4"),
+            (confspace, "poincare_exactly", _plus_one,
+             "poincare --space cstar --target delta --l 2 --m 4"),
+            (confspace, "poincare_at_most", _plus_one,
+             "poincare --space cstar --target delta_le --l 2 --m 4"),
+            (confspace, "poincare_config_ordinary", _plus_one,
+             "poincare --space c --target ordinary --m 4"),
+            (charseries, "poincare_cyclic_config", _plus_one,
+             "poincare --space cstar --target cf --m 4"),
+            (charseries, "poincare_unordered_config", _plus_one,
+             "poincare --space cstar --target bf --m 4"),
+            (charseries, "poincare_symmetric_product", _plus_one,
+             "poincare --space cstar --target sym --m 4"),
+            (charseries, "poincare_cyclic_product", _plus_one,
+             "poincare --space cstar --target cyc --m 4"),
+            (confspace, "universal_poly", _doubled, "universal --l 2 --m 4"),
+            (confspace, "universal_poly", _doubled,
+             "poincare --space cstar --target delta_le --l 2 --m 4"),
+            (charseries, "config_trace", _plus_one,
+             "character --space cstar --m 4 --cycle-type 1^4"),
+            (charseries, "config_trace", _plus_one, "character --space cstar --m 4 --all"),
+            (charseries, "config_series", _shifted_series, "character --space cstar --m 4 --all"),
+            (cli, "subgroup_class_counts", _one_element_too_many,
+             "quotient --space cstar --m 4 --generators '(1 2 3 4)'"),
+        ],
+    )
+    def test_every_check_fails_or_exit_4(self, capsys, monkeypatch, module, engine, corrupt,
+                                         command):
+        argv = shlex.split(command)
+        clean = run_json(capsys, *argv)
+        assert clean["checks"] and all(check["passed"] for check in clean["checks"])
+        monkeypatch.setattr(module, engine, corrupt(getattr(module, engine)))
+        code, out, err = run(capsys, *argv)
+        assert "Traceback" not in err
+        if code == 4:
+            assert out == ""
+            assert json.loads(err)["error"]["category"] == "consistency-error"
+        else:
+            assert code == 0, err
+            assert not any(check["passed"] for check in json.loads(out)["checks"])
+
+    def test_quotient_euler_check_reads_no_series(self, capsys, monkeypatch):
+        # a free action divides the Euler characteristic by the group order
+        monkeypatch.setattr(charseries, "config_series", _shifted_series(charseries.config_series))
+        doc = run_json(
+            capsys, "quotient", "--space", "cstar", "--m", "4", "--generators", "(1 2 3 4)"
+        )
+        assert doc["checks"] == [
+            {"name": "class-counts-sum-to-order", "passed": True},
+            {"name": "euler-characteristic-average", "passed": False},
+        ]
+
+
 class TestSelftest:
     def test_selftest_passes(self, capsys):
         doc = run_json(capsys, "selftest")
         assert doc["result"]["failed"] == 0
         assert all(c["passed"] for c in doc["checks"])
+
+    @pytest.mark.parametrize(
+        "module, engine, corrupt, names",
+        [
+            (confspace, "universal_poly", _doubled, {"universal-polynomial-evaluation"}),
+            (charseries, "poincare_cyclic_config", _plus_one,
+             {"quotient-averaging", "prime-order-divisibility"}),
+            (charseries, "poincare_cyclic_product", _plus_one,
+             {"symmetric-product-generating-function"}),
+        ],
+    )
+    def test_corrupted_route_fails_its_entries(
+        self, capsys, monkeypatch, module, engine, corrupt, names
+    ):
+        monkeypatch.setattr(module, engine, corrupt(getattr(module, engine)))
+        code, out, _err = run(capsys, "selftest")
+        assert code == 4
+        assert {c["name"] for c in json.loads(out)["checks"] if not c["passed"]} == names
+
+    def test_a_case_without_checks_fails(self):
+        # past m = 8 the cyclic quotient lists no group, so it checks nothing
+        c = cli.BUILTIN_SPACES["c"]
+        assert cli._all_poincare_checks_pass([(c, "cf", 8, None)])
+        assert not cli._all_poincare_checks_pass([(c, "cf", 9, None)])
 
 
 class TestCapOverride:
@@ -682,6 +863,9 @@ _documents = st.one_of(
 )
 
 
+_max_m = st.sampled_from([None, "", "0", "3", "14", "99", "abc", "-1", "1.5"])
+
+
 @st.composite
 def _argv(draw):
     space = ["--space", draw(_spaces)]
@@ -728,15 +912,23 @@ class TestFuzzExitCodes:
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
     )
-    @given(argv=_argv(), document=_documents)
-    def test_exit_code_contract(self, tmp_path, argv, document):
+    @given(argv=_argv(), document=_documents, max_m=_max_m)
+    def test_exit_code_contract(self, tmp_path, argv, document, max_m):
         space_file = tmp_path / "space.json"
         space_file.write_text(json.dumps(document))
         argv = [str(space_file) if a == "FILE" else a for a in argv]
         out, err = StringIO(), StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
+        saved = os.environ.pop("CONFCOHOM_MAX_M", None)
+        if max_m is not None:
+            os.environ["CONFCOHOM_MAX_M"] = max_m
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.environ.pop("CONFCOHOM_MAX_M", None)
+            if saved is not None:
+                os.environ["CONFCOHOM_MAX_M"] = saved
+        assert code in (0, 2, 3, 4, 5), (argv, max_m, err.getvalue())
         assert "Traceback" not in err.getvalue()
 
 

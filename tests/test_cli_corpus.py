@@ -1,0 +1,567 @@
+"""Byte-identity corpus for the command-line interface.
+
+Each entry is a command line; it runs in-process through ``cli.main`` in a
+directory that holds the space files ``plane.json`` and ``bad.json``, and
+the sha256 of its exit code, stdout and stderr must match the recorded
+digest.  Commands are run in every format unless they pass ``--format``
+themselves; a leading ``NAME=value`` word sets an environment variable for
+that command only.  Output that no Python version changes is recorded, so
+argparse usage errors and ``--help`` stay out.
+
+A change that alters output on purpose re-records the digests and says so:
+
+    PYTHONPATH=src python tests/test_cli_corpus.py > digests.txt
+
+prints a fresh ``DIGESTS`` block to paste over the one below.
+"""
+
+import hashlib
+import json
+import os
+import shlex
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+
+import pytest
+
+from confcohom.cli import main
+
+FORMATS = ("json", "plain", "latex")
+
+COMMANDS = [
+    # poincare: every target, with and without a checks section
+    "poincare --space c --target fm --m 0",
+    "poincare --space c --target fm --m 4",
+    "poincare --space cstar --target fm --m 5",
+    "poincare --space plane.json --target fm --m 3",
+    "poincare --space c --target delta --l 2 --m 5",
+    "poincare --space cstar --target delta_le --l 3 --m 6",
+    "poincare --space c_minus_1 --target delta --l 4 --m 4",
+    "poincare --space c --target ordinary --m 5",
+    "poincare --space r3 --target ordinary --m 4",
+    "poincare --space c --target cf --m 6",
+    "poincare --space cstar --target cf --m 5",
+    "poincare --space c --target cf --m 10",
+    "poincare --space c --target bf --m 4",
+    "poincare --space cstar --target bf --m 3",
+    "poincare --space c --target bf --m 7",
+    "poincare --space cstar --target sym --m 4",
+    "poincare --space r3 --target sym --m 3",
+    "poincare --space c_minus_1 --target sym --m 5",
+    "poincare --space cstar --target cyc --m 4",
+    "poincare --space r3 --target cyc --m 6",
+    "poincare --space c --target fm --m 1500 --format json",
+    # character
+    "character --space c --m 4 --cycle-type 1^4",
+    "character --space c --m 6 --cycle-type 3^2",
+    "character --space cstar --m 5 --cycle-type 2^2,1",
+    "character --space cstar --m 4 --all",
+    "character --space c_minus_1 --m 5 --all",
+    "character --space c --m 0 --all",
+    "character --space c --m 7 --all",
+    # universal
+    "universal --l 3 --m 6 --closed",
+    "universal --l 2 --m 5",
+    "universal --l 1 --m 1",
+    "universal --l 11 --m 12 --closed",
+    # quotient
+    "quotient --space c --m 3 --generators '(1 2 3)'",
+    "quotient --space cstar --m 6 --generators '(1 2);(1 2 3 4 5 6)'",
+    "quotient --space c --m 6 --generators '(1 2 3)(4 5 6)'",
+    "quotient --space r3 --m 5",
+    "quotient --space c_minus_1 --m 5 --generators '(1 2)(3 4);(1 3 5)'",
+    "quotient --space c --m 8 --generators '(1 2);(1 2 3 4 5 6 7 8)'",
+    "quotient --space plane.json --m 0",
+    # stability
+    "stability --space c --i 1 --a 0 --range 1..8",
+    "stability --space r3 --i 2 --a 0 --range 1..6",
+    "stability --space cstar --i 1 --a 1 --range 2..7",
+    "selftest",
+    # refusals: hypothesis (2), parse (3), cost cap (5)
+    "poincare --space klein_pointed --target fm --m 3",
+    "poincare --space klein_pointed --target delta --l 2 --m 3",
+    "character --space klein_pointed --m 4 --all",
+    "quotient --space klein_pointed --m 2",
+    "stability --space klein_pointed --i 1 --range 1..4",
+    "poincare --space no_such_space --target fm --m 3",
+    "poincare --space bad.json --target fm --m 2",
+    "poincare --space c --target delta --m 3",
+    "poincare --space c --target delta --l 5 --m 2",
+    "poincare --space c --target fm --m -1",
+    "poincare --space c --target cf --m 0",
+    "universal --l 3 --m 2",
+    "character --space c --m 3 --cycle-type 2^2",
+    "quotient --space c --m 4 --generators '(1 5)'",
+    "quotient --space c --m 4 --generators ')('",
+    "stability --space c --i 1 --a 3 --range 1..3",
+    "CONFCOHOM_MAX_M=abc poincare --space c --target fm --m 3",
+    "character --space c --m 13 --all",
+    "character --space c --m 14 --cycle-type 14",
+    "poincare --space c --target bf --m 200",
+    "quotient --space c --m 11 --generators '(1 2);(1 2 3 4 5 6 7 8 9 10 11)'",
+    "CONFCOHOM_MAX_M=0 poincare --space c --target cf --m 3",
+    "CONFCOHOM_MAX_M=13 poincare --space c --target cf --m 13 --format json",
+]
+
+SPACE_FILES = {
+    "plane.json": json.dumps(
+        {"name": "my-plane", "poincare_c": [0, 0, 1], "dim": 2, "i_acyclic": True}
+    ),
+    "bad.json": "{not json",
+}
+
+
+def corpus() -> list[str]:
+    commands = []
+    for command in COMMANDS:
+        if "--format" in command:
+            commands.append(command)
+        else:
+            commands += [f"{command} --format {fmt}" for fmt in FORMATS]
+    return commands
+
+
+def digest(command: str) -> str:
+    """sha256 of exit code, stdout and stderr of one command line."""
+    words = shlex.split(command)
+    env = {}
+    while words and "=" in words[0]:
+        name, value = words.pop(0).split("=", 1)
+        env[name] = value
+    saved = {name: os.environ.get(name) for name in env}
+    os.environ.update(env)
+    out, err = StringIO(), StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(words)
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+    payload = f"{code}\n{out.getvalue()}\0{err.getvalue()}"
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def write_space_files(directory: str) -> None:
+    for name, text in SPACE_FILES.items():
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
+            handle.write(text)
+
+
+DIGESTS = {
+    "poincare --space c --target fm --m 0 --format json":
+        "7cec3bba31397b993b829c1c3fcb61ab24c5f70c32e40146c30ff75c48736dae",
+    "poincare --space c --target fm --m 0 --format plain":
+        "c83e41485cbd996e670a62451ffa9e2329d76d94d5a06a8ffa05bc72f9169c36",
+    "poincare --space c --target fm --m 0 --format latex":
+        "c83e41485cbd996e670a62451ffa9e2329d76d94d5a06a8ffa05bc72f9169c36",
+    "poincare --space c --target fm --m 4 --format json":
+        "e450041331537151323cbb97b216174917467f7b5bbd0fb9c8d7b0845ac4e67a",
+    "poincare --space c --target fm --m 4 --format plain":
+        "90caaa3d77de7d71e84be7f0265e76074fcb61a602cd3df7b5d17d4b2e46dc02",
+    "poincare --space c --target fm --m 4 --format latex":
+        "539450285230c9d8c936be617923be6db6c54f5cf98ab850dd955f213067c69c",
+    "poincare --space cstar --target fm --m 5 --format json":
+        "5882941dfaeb94de74b21530f40125c3a9f9c15975e63c10da3b7335074a0d50",
+    "poincare --space cstar --target fm --m 5 --format plain":
+        "6692192b144337f774ba24d58065f4940e5dee10d7a9aa474baef11815b8fa55",
+    "poincare --space cstar --target fm --m 5 --format latex":
+        "779a2d4a3b14578977ba356689d2f351d5c338cf5b27bb865dd086b6201bdc25",
+    "poincare --space plane.json --target fm --m 3 --format json":
+        "e1c82c67bf3779a7b880364f72f4db9191d530e4ba86faab2265a6bc47e047a1",
+    "poincare --space plane.json --target fm --m 3 --format plain":
+        "fbf2554978b02f18e8599a78645e9524b61e9ee1c8ef314b0e45555d73cd6349",
+    "poincare --space plane.json --target fm --m 3 --format latex":
+        "8f887d59871f7909ec495ffcc262ba55e81e691c3488f185545e7b144fd1775a",
+    "poincare --space c --target delta --l 2 --m 5 --format json":
+        "aa05a8c5bb1aa517bc077f595e1dd73ae4c48498eced109a46834f473c79ba2d",
+    "poincare --space c --target delta --l 2 --m 5 --format plain":
+        "e48de0f35b2e1d07e212a6944feb5593731626df74e1f0b6666d447798c372f7",
+    "poincare --space c --target delta --l 2 --m 5 --format latex":
+        "2bea8edf061d22105a69400f0a89234ff94961dd02333e1b38ea353e5c4c040c",
+    "poincare --space cstar --target delta_le --l 3 --m 6 --format json":
+        "36ad1990d140828f88cf2902ab3c3336e55c60c3c289e23e12e9574d2da07dfd",
+    "poincare --space cstar --target delta_le --l 3 --m 6 --format plain":
+        "51eaf89f7d1b93b8291a8e4091b9dae90d0c88e05e5008c58c9a7c1736eb9725",
+    "poincare --space cstar --target delta_le --l 3 --m 6 --format latex":
+        "c05ac3656a25525864bcdb8ec1264f623e5452fdddc958bfc259905c8feffd93",
+    "poincare --space c_minus_1 --target delta --l 4 --m 4 --format json":
+        "76b979aef702bbd671a2b29f6e7651788ed7651d590004647dfd812d74ef3164",
+    "poincare --space c_minus_1 --target delta --l 4 --m 4 --format plain":
+        "22973114aaf3817c77fbd91762b1934cfe9d4299db4462e7ecb2cc165ac7a27e",
+    "poincare --space c_minus_1 --target delta --l 4 --m 4 --format latex":
+        "a6ed2f8040a94aeb2b81ce0e69e781dbda27f9ce62e789c581e7c6f44f732c20",
+    "poincare --space c --target ordinary --m 5 --format json":
+        "bc52c8f3d23b07ee56afc5bcf773d298dfba971842b1e285a7a6caa166d1b395",
+    "poincare --space c --target ordinary --m 5 --format plain":
+        "8f95a62bbc4b282194116b23d74ef996a4919729138e39417b9f11effa8b0a15",
+    "poincare --space c --target ordinary --m 5 --format latex":
+        "f48fba5f050ecdd0a6bc147cb7ade88281ed6a05ad0e4c9eb9f6862f2b0ed1fb",
+    "poincare --space r3 --target ordinary --m 4 --format json":
+        "1e43f8244febdce05f01f941a91aee7884caa37cd15737780b3a46f6f5ab8dd8",
+    "poincare --space r3 --target ordinary --m 4 --format plain":
+        "c5049b4da4b5a53765a65a39c81b32ba87029b6479864f3295fe7b541303f8dd",
+    "poincare --space r3 --target ordinary --m 4 --format latex":
+        "d2429de7038dfb2861be184971c2afd08ae95f371df9cb928f196c80bc8818c2",
+    "poincare --space c --target cf --m 6 --format json":
+        "c547aceec05e34ea45f96c1c2cf3ddede237815b61e9cf3f0fba729d33f0cd23",
+    "poincare --space c --target cf --m 6 --format plain":
+        "9c0a26120f0fc1507cc2e120eebec5b57cae8e505b451bf31c1e182279ab40ac",
+    "poincare --space c --target cf --m 6 --format latex":
+        "f8d170b85820dceed80c582a2041f07ac40bf3469722833426faef45a7aab8bf",
+    "poincare --space cstar --target cf --m 5 --format json":
+        "ac9bea804ea76d76da6ab0baa6a496bfd8d5bd6112c3adaddd7d65b732e192b6",
+    "poincare --space cstar --target cf --m 5 --format plain":
+        "a5c8f39952cdd0b6ff470fa8df1a2d1524b0873bc3fa708dc32e072526a74d0a",
+    "poincare --space cstar --target cf --m 5 --format latex":
+        "099c6c156408d4ee5f54997b697fbe07dd1df0261d8c8e23dda36c41ffb5185f",
+    "poincare --space c --target cf --m 10 --format json":
+        "ade29ce4b949daa32ff7cffeaac3fb8b9401daa7416a1e404e401fbcf0c27d93",
+    "poincare --space c --target cf --m 10 --format plain":
+        "73fcf82c5f42c02065c483255e6c2b260749bc082f24936b18a31d6da3ffc4e5",
+    "poincare --space c --target cf --m 10 --format latex":
+        "97ae262fe4b021dc5f4d0dd490138797a92662a5448922f575e37ea3c96fb728",
+    "poincare --space c --target bf --m 4 --format json":
+        "19ecfbbf68b10f58086b2ec6215fb1e16990573766ad0e26dd8b8b58390034e5",
+    "poincare --space c --target bf --m 4 --format plain":
+        "80ee8d80fa8995fdca3cbc209ddf09141b808a0f79a572cc31030c37718a2f97",
+    "poincare --space c --target bf --m 4 --format latex":
+        "361d69b9d0eb0de8f4c210ffbc5699f1983f53697bc3670181740da0587df6ad",
+    "poincare --space cstar --target bf --m 3 --format json":
+        "f2333a0eba069e39dc3c13bf082c4a15e6e3801229a9e80066fbecf10e010719",
+    "poincare --space cstar --target bf --m 3 --format plain":
+        "279f2149aaecad67057630faab65d645b2008c19b4b09c68eede978687247a4b",
+    "poincare --space cstar --target bf --m 3 --format latex":
+        "857ac214d6f7cc345cee24bd3433a663c997bc5cd5a3d11d55a2c62a28329714",
+    "poincare --space c --target bf --m 7 --format json":
+        "6753dc30cab18f1da0acca32e6f3159be278eab5808820ff075478d762479802",
+    "poincare --space c --target bf --m 7 --format plain":
+        "a75eabb8073e7bd0caec08a6c515b4edb74b20be184cd1537e4f6d83ed31820a",
+    "poincare --space c --target bf --m 7 --format latex":
+        "27decc097f5319b2a1c039ddc1ae08b3ab4943b507b71fdd106f34557cdca7e6",
+    "poincare --space cstar --target sym --m 4 --format json":
+        "1521a99bd6189c6fcbc3989bf7965e9688f5dd410aecf0e35876957c3d955cbc",
+    "poincare --space cstar --target sym --m 4 --format plain":
+        "79a4fe5994b11055a6d7dda2ff58ca15724515d4b93dab85696d42461a27e366",
+    "poincare --space cstar --target sym --m 4 --format latex":
+        "83adf993f77195c3645f3b88ab903d47c73bfe47014ec5f1ca9091d40aa0c543",
+    "poincare --space r3 --target sym --m 3 --format json":
+        "64d469799c2f01677f3b91c7ddaad2fff8171baadb0713a518aae194465ed368",
+    "poincare --space r3 --target sym --m 3 --format plain":
+        "95ccda1d0a4ed3c08dfdc8184c301f04800a2bbec2fa587dd2532f80b41ebf39",
+    "poincare --space r3 --target sym --m 3 --format latex":
+        "95ccda1d0a4ed3c08dfdc8184c301f04800a2bbec2fa587dd2532f80b41ebf39",
+    "poincare --space c_minus_1 --target sym --m 5 --format json":
+        "2da018166fb02a2b941c36e3e817f761b87f69edd0d9dbd1f297d88ab2054adf",
+    "poincare --space c_minus_1 --target sym --m 5 --format plain":
+        "ca3a99cda99ebf8355e4845caa5dda04e7227b0544c0cc5827c564e533ce1cb1",
+    "poincare --space c_minus_1 --target sym --m 5 --format latex":
+        "1611aece5123aa5bb35333b5155185251aca506cc07069eaed19e5560f7e518f",
+    "poincare --space cstar --target cyc --m 4 --format json":
+        "1146d6b8416de1b1f9251b4ae585714a15f853e80d76bd5047e1cff065c14507",
+    "poincare --space cstar --target cyc --m 4 --format plain":
+        "213f2d0da0196b8409716d71b7de9aa5424efe6f2dd54a1439e780fe958fedcf",
+    "poincare --space cstar --target cyc --m 4 --format latex":
+        "c77ae062e1df4ce6ca337902cfe03c8da0f28fbffbb98264e2497b3556f8c99b",
+    "poincare --space r3 --target cyc --m 6 --format json":
+        "1cb63ecacf59b3e3f295c36dc0ce5c55a84169f419bf7da5598990f4b0c83151",
+    "poincare --space r3 --target cyc --m 6 --format plain":
+        "e5b7400049065d84f5f3035361e9567952a5a4b50b35fe376195da1385efcdf1",
+    "poincare --space r3 --target cyc --m 6 --format latex":
+        "e5b7400049065d84f5f3035361e9567952a5a4b50b35fe376195da1385efcdf1",
+    "poincare --space c --target fm --m 1500 --format json":
+        "684308bfb4ec3445df329a3c6fc3bc9d54a72b617f6bea2932b13685b71b8af5",
+    "character --space c --m 4 --cycle-type 1^4 --format json":
+        "250a2e3820ffbdf4aa66cb1a7dd4b2113bd1e26069ee719ff9862f5342859393",
+    "character --space c --m 4 --cycle-type 1^4 --format plain":
+        "427bbb6a72245044cc04c16daacc291576466b9a606b7a0b6ce06c499b79e931",
+    "character --space c --m 4 --cycle-type 1^4 --format latex":
+        "86bddbd347733976f4a6b94443c8103e1af09d2d011608f68ff8ef5728f5bd9d",
+    "character --space c --m 6 --cycle-type 3^2 --format json":
+        "fe58f81b61f4311abb96572bd9aa917e7dd7466a5094a1e963b926a0653800f7",
+    "character --space c --m 6 --cycle-type 3^2 --format plain":
+        "e4b35296871d2a27842f8fef32f5b40327bce13c63e1af9435ff959cd5593219",
+    "character --space c --m 6 --cycle-type 3^2 --format latex":
+        "4ec8f8451f31cb072de824171148e98490afb3adb7671c4daf014a4842e9cf5c",
+    "character --space cstar --m 5 --cycle-type 2^2,1 --format json":
+        "4695d8aa2a11090a8a43c4b2d7bb8c4fc02d3a0f547cdd1ab60c18f71aef12fa",
+    "character --space cstar --m 5 --cycle-type 2^2,1 --format plain":
+        "9de34dd23ff34baed57f2cf3898dd7afd821cec4dffa08cc6cfef6a980dfb5eb",
+    "character --space cstar --m 5 --cycle-type 2^2,1 --format latex":
+        "4987d1149aea829be18117fe77f001b17da6e28affd6233c9320cd63e86fa9d7",
+    "character --space cstar --m 4 --all --format json":
+        "9df22881cacae471a7d707c59bb19930c303712f597b60d0fa390dcec19ae908",
+    "character --space cstar --m 4 --all --format plain":
+        "f4b575da2dcaeec281ca7d57190716f2eedf7eb0e6a92b2f15c97f7a58d94d5f",
+    "character --space cstar --m 4 --all --format latex":
+        "0ace2c17213edf8e92621a849439ce26e7a633cf139f4d59a942f011686abdc9",
+    "character --space c_minus_1 --m 5 --all --format json":
+        "9f57ff97239ed689372748ceb26a6abd4248ff36250ff201e7044ca6a306138f",
+    "character --space c_minus_1 --m 5 --all --format plain":
+        "ec3b1904262af3eed9f2468e0c9907e72671e4f7f087efc66486416f9d1f8596",
+    "character --space c_minus_1 --m 5 --all --format latex":
+        "5aa9f491ce48b7dac00e341c56cada45b2042a5ab3d20d4e5cdc009bbc5472d1",
+    "character --space c --m 0 --all --format json":
+        "19d5e147ecd7bc9580447da18cbdc4e1bef75b146566c526a37871bbf7cbf9ed",
+    "character --space c --m 0 --all --format plain":
+        "8cc798c0e71b604d6e532e0e31a3e5bbf59b971788e372d3ecab4627766a7120",
+    "character --space c --m 0 --all --format latex":
+        "8cc798c0e71b604d6e532e0e31a3e5bbf59b971788e372d3ecab4627766a7120",
+    "character --space c --m 7 --all --format json":
+        "183d2cfd1b343112c1e722d1dacadc1cf854058c11889d69a06f0ea5056c1df4",
+    "character --space c --m 7 --all --format plain":
+        "e913c60419748a5bac1bc41b58fde9611253a7374885cdf82d4bedc13c018b81",
+    "character --space c --m 7 --all --format latex":
+        "330db2424bab9878c6aa25ccbc28ac95a6f51913496a8e890d1febee1ee348b3",
+    "universal --l 3 --m 6 --closed --format json":
+        "0883f383483e6f6ac3f158d50482b8bd1f7c66b5300aed1c0adc039882c7158a",
+    "universal --l 3 --m 6 --closed --format plain":
+        "22fc03498883a66d47327b718a2415a4cdf77b6c14826255e161417520653142",
+    "universal --l 3 --m 6 --closed --format latex":
+        "22fc03498883a66d47327b718a2415a4cdf77b6c14826255e161417520653142",
+    "universal --l 2 --m 5 --format json":
+        "bbb9f55731499bff5534ad6020a74260fd2f435ce20f8a1aa2dafd0bab48e3d9",
+    "universal --l 2 --m 5 --format plain":
+        "d211f417d46093b323aeceb60fb6749b98606bbae354a7fbda2542060dce3096",
+    "universal --l 2 --m 5 --format latex":
+        "d211f417d46093b323aeceb60fb6749b98606bbae354a7fbda2542060dce3096",
+    "universal --l 1 --m 1 --format json":
+        "608a2e25a4644e35dc4c7424f836d857ce4fc71b5a8d75c256fcadd36ceb6b55",
+    "universal --l 1 --m 1 --format plain":
+        "3c61747bf43591dae6ba494cfe59ec65dad749911a31154b5892fd3a968bef4a",
+    "universal --l 1 --m 1 --format latex":
+        "3c61747bf43591dae6ba494cfe59ec65dad749911a31154b5892fd3a968bef4a",
+    "universal --l 11 --m 12 --closed --format json":
+        "405444e119eaa0c29c59a98969b862ab62d2acbdfb53ebdd8475732c7063c8c0",
+    "universal --l 11 --m 12 --closed --format plain":
+        "960e26eb6720bf1cea25b3d7ab0ac6576a5d6cd1ce046467398881e9143826ac",
+    "universal --l 11 --m 12 --closed --format latex":
+        "f6720c8e60a841211ce0dd69ae0f7aed369fa615d1be329902a6b5a66e32cfa8",
+    "quotient --space c --m 3 --generators '(1 2 3)' --format json":
+        "0c8b077fe0b1dc126b7dea8b3829095eea1e34cc3b223ee0c98a7f90904632ce",
+    "quotient --space c --m 3 --generators '(1 2 3)' --format plain":
+        "26f44b66cca01b26022e0e39b1accdf7d1f3d196b30a7cf9e52ebcae350e750e",
+    "quotient --space c --m 3 --generators '(1 2 3)' --format latex":
+        "d9fe39c081b92d3efe6231dc4e4a0a0c6bebfc8e82f10f667d292a09b1d76e3d",
+    "quotient --space cstar --m 6 --generators '(1 2);(1 2 3 4 5 6)' --format json":
+        "0421aafd3d28f4d74acfc06099945779870b3a2d30ba0a25ff997a1903d937ca",
+    "quotient --space cstar --m 6 --generators '(1 2);(1 2 3 4 5 6)' --format plain":
+        "98b2d35b1ce0deeeb122ad76f322643a97f20c1f7f6836ede4c1ad79d5e2ded4",
+    "quotient --space cstar --m 6 --generators '(1 2);(1 2 3 4 5 6)' --format latex":
+        "09ebf82fac58dcba360001857bab87a34e01d4027c7e9578ad44da58e915bb92",
+    "quotient --space c --m 6 --generators '(1 2 3)(4 5 6)' --format json":
+        "654c07bae46397137c37623d43c7ee09127a3c2efd22e78c339f545c9fc88f4f",
+    "quotient --space c --m 6 --generators '(1 2 3)(4 5 6)' --format plain":
+        "70943433deb1100208170a4c17c6c979338e50e970c5ac32da24d59ed6c39589",
+    "quotient --space c --m 6 --generators '(1 2 3)(4 5 6)' --format latex":
+        "f273cf368d56e8c97c37a2ba5bd7f5833a0806bdb208808f607d139273709f8c",
+    "quotient --space r3 --m 5 --format json":
+        "c97bd0ebad66622b78cd8c054e6860a5e12e8db3935599d00c6acfd7ad166e3d",
+    "quotient --space r3 --m 5 --format plain":
+        "6f0ef02c2993d0662d3e4d495c7b15398f037a7c23bef95241af4e04ec6ab48e",
+    "quotient --space r3 --m 5 --format latex":
+        "2ea95ef00064211423472777ad32d75648b41cee989f82b52fe35e1c73af1c71",
+    "quotient --space c_minus_1 --m 5 --generators '(1 2)(3 4);(1 3 5)' --format json":
+        "0295124237828a5ccb532eb539b3e93ce847e88cd3256065c27dcd498f7860ae",
+    "quotient --space c_minus_1 --m 5 --generators '(1 2)(3 4);(1 3 5)' --format plain":
+        "ec7bf835db363b5f4048e860cea41191766d72d8c8bbcf090dd835a28bad8644",
+    "quotient --space c_minus_1 --m 5 --generators '(1 2)(3 4);(1 3 5)' --format latex":
+        "ce3e25780779ee9d6d6418c7ba6ba3da6c608e4567f25419f7173912135ed4c5",
+    "quotient --space c --m 8 --generators '(1 2);(1 2 3 4 5 6 7 8)' --format json":
+        "a7577c88c6b844445f506fa795b498885931dcff8165e0135a6680641d8b935d",
+    "quotient --space c --m 8 --generators '(1 2);(1 2 3 4 5 6 7 8)' --format plain":
+        "2714bf97015cf2d906c550ccd2f315fffb3a30290b3303ec71f1c12415af7ff8",
+    "quotient --space c --m 8 --generators '(1 2);(1 2 3 4 5 6 7 8)' --format latex":
+        "a31e6ad20d2efd1a15a9762a95e4446eae96dcc2828c04ab3e46d61b7e5cd270",
+    "quotient --space plane.json --m 0 --format json":
+        "16b02bbe7577f1d6485a3f03157209b1f1173257099fb42654e1295cdcefc998",
+    "quotient --space plane.json --m 0 --format plain":
+        "9ce0080a4824f7e4710f77dc99d35ae8b208e85f13803f139aaf9985982ad369",
+    "quotient --space plane.json --m 0 --format latex":
+        "9ce0080a4824f7e4710f77dc99d35ae8b208e85f13803f139aaf9985982ad369",
+    "stability --space c --i 1 --a 0 --range 1..8 --format json":
+        "29e16525426af983834b9872ff24b0337f05117f1d05055b8b7ef5e929f08d4e",
+    "stability --space c --i 1 --a 0 --range 1..8 --format plain":
+        "e48250a7ee02efd04f660c02c5e95487df645e4917c8c44674204c7bddbf21ea",
+    "stability --space c --i 1 --a 0 --range 1..8 --format latex":
+        "e48250a7ee02efd04f660c02c5e95487df645e4917c8c44674204c7bddbf21ea",
+    "stability --space r3 --i 2 --a 0 --range 1..6 --format json":
+        "d42bd9395cda65d19d3bcc8ef08fa52b23460b92d70aec9ef6d220857cd0436f",
+    "stability --space r3 --i 2 --a 0 --range 1..6 --format plain":
+        "2ce1117bfe2df38a0d418717b5b83c2ab5268d3688af4aec90b5ab3dbc899d22",
+    "stability --space r3 --i 2 --a 0 --range 1..6 --format latex":
+        "2ce1117bfe2df38a0d418717b5b83c2ab5268d3688af4aec90b5ab3dbc899d22",
+    "stability --space cstar --i 1 --a 1 --range 2..7 --format json":
+        "34aa0310741f60e94c59960479be22b6f8ab7660f614814fcbfb9e789fa114d9",
+    "stability --space cstar --i 1 --a 1 --range 2..7 --format plain":
+        "3ac1a1f9b7aeb9c73bf6c97d364046544c935d3650d0bc38aa7acf5dc451ed31",
+    "stability --space cstar --i 1 --a 1 --range 2..7 --format latex":
+        "3ac1a1f9b7aeb9c73bf6c97d364046544c935d3650d0bc38aa7acf5dc451ed31",
+    "selftest --format json":
+        "f1dead27686f20c60eca47f6689c90eb546e813bcecf5d0ec1de505f58000c15",
+    "selftest --format plain":
+        "1f6c15144bc739a0f71bbc48d77a6c8527c36fe74ab5fb622ce3b0b640040b64",
+    "selftest --format latex":
+        "1f6c15144bc739a0f71bbc48d77a6c8527c36fe74ab5fb622ce3b0b640040b64",
+    "poincare --space klein_pointed --target fm --m 3 --format json":
+        "54578dbf58ec9eec1e8db94975401e2e5cd176cdaad6c50b9fbba96f43a3f830",
+    "poincare --space klein_pointed --target fm --m 3 --format plain":
+        "54578dbf58ec9eec1e8db94975401e2e5cd176cdaad6c50b9fbba96f43a3f830",
+    "poincare --space klein_pointed --target fm --m 3 --format latex":
+        "54578dbf58ec9eec1e8db94975401e2e5cd176cdaad6c50b9fbba96f43a3f830",
+    "poincare --space klein_pointed --target delta --l 2 --m 3 --format json":
+        "54578dbf58ec9eec1e8db94975401e2e5cd176cdaad6c50b9fbba96f43a3f830",
+    "poincare --space klein_pointed --target delta --l 2 --m 3 --format plain":
+        "54578dbf58ec9eec1e8db94975401e2e5cd176cdaad6c50b9fbba96f43a3f830",
+    "poincare --space klein_pointed --target delta --l 2 --m 3 --format latex":
+        "54578dbf58ec9eec1e8db94975401e2e5cd176cdaad6c50b9fbba96f43a3f830",
+    "character --space klein_pointed --m 4 --all --format json":
+        "54578dbf58ec9eec1e8db94975401e2e5cd176cdaad6c50b9fbba96f43a3f830",
+    "character --space klein_pointed --m 4 --all --format plain":
+        "54578dbf58ec9eec1e8db94975401e2e5cd176cdaad6c50b9fbba96f43a3f830",
+    "character --space klein_pointed --m 4 --all --format latex":
+        "54578dbf58ec9eec1e8db94975401e2e5cd176cdaad6c50b9fbba96f43a3f830",
+    "quotient --space klein_pointed --m 2 --format json":
+        "54578dbf58ec9eec1e8db94975401e2e5cd176cdaad6c50b9fbba96f43a3f830",
+    "quotient --space klein_pointed --m 2 --format plain":
+        "54578dbf58ec9eec1e8db94975401e2e5cd176cdaad6c50b9fbba96f43a3f830",
+    "quotient --space klein_pointed --m 2 --format latex":
+        "54578dbf58ec9eec1e8db94975401e2e5cd176cdaad6c50b9fbba96f43a3f830",
+    "stability --space klein_pointed --i 1 --range 1..4 --format json":
+        "54578dbf58ec9eec1e8db94975401e2e5cd176cdaad6c50b9fbba96f43a3f830",
+    "stability --space klein_pointed --i 1 --range 1..4 --format plain":
+        "54578dbf58ec9eec1e8db94975401e2e5cd176cdaad6c50b9fbba96f43a3f830",
+    "stability --space klein_pointed --i 1 --range 1..4 --format latex":
+        "54578dbf58ec9eec1e8db94975401e2e5cd176cdaad6c50b9fbba96f43a3f830",
+    "poincare --space no_such_space --target fm --m 3 --format json":
+        "4a584948931577ef2ea3d0a650cd025c122c6b02e766724acf90da14fed89493",
+    "poincare --space no_such_space --target fm --m 3 --format plain":
+        "4a584948931577ef2ea3d0a650cd025c122c6b02e766724acf90da14fed89493",
+    "poincare --space no_such_space --target fm --m 3 --format latex":
+        "4a584948931577ef2ea3d0a650cd025c122c6b02e766724acf90da14fed89493",
+    "poincare --space bad.json --target fm --m 2 --format json":
+        "2e5642b828bfd19e4ded879c3f40acb61fb671683f7ab439acc0111a945afdb0",
+    "poincare --space bad.json --target fm --m 2 --format plain":
+        "2e5642b828bfd19e4ded879c3f40acb61fb671683f7ab439acc0111a945afdb0",
+    "poincare --space bad.json --target fm --m 2 --format latex":
+        "2e5642b828bfd19e4ded879c3f40acb61fb671683f7ab439acc0111a945afdb0",
+    "poincare --space c --target delta --m 3 --format json":
+        "556dbc30b9c7a987896203192f83e7a737e78e734c875507d8cdb79924c70b3e",
+    "poincare --space c --target delta --m 3 --format plain":
+        "556dbc30b9c7a987896203192f83e7a737e78e734c875507d8cdb79924c70b3e",
+    "poincare --space c --target delta --m 3 --format latex":
+        "556dbc30b9c7a987896203192f83e7a737e78e734c875507d8cdb79924c70b3e",
+    "poincare --space c --target delta --l 5 --m 2 --format json":
+        "b4b12cc69893e35e466b74a1a1b48d638f14d9f68b1cdee666a9a609534d3bec",
+    "poincare --space c --target delta --l 5 --m 2 --format plain":
+        "b4b12cc69893e35e466b74a1a1b48d638f14d9f68b1cdee666a9a609534d3bec",
+    "poincare --space c --target delta --l 5 --m 2 --format latex":
+        "b4b12cc69893e35e466b74a1a1b48d638f14d9f68b1cdee666a9a609534d3bec",
+    "poincare --space c --target fm --m -1 --format json":
+        "30427e40f7664f32ab58220e544d951830f3287b4b9f17feaf1c7ee5af286b0e",
+    "poincare --space c --target fm --m -1 --format plain":
+        "30427e40f7664f32ab58220e544d951830f3287b4b9f17feaf1c7ee5af286b0e",
+    "poincare --space c --target fm --m -1 --format latex":
+        "30427e40f7664f32ab58220e544d951830f3287b4b9f17feaf1c7ee5af286b0e",
+    "poincare --space c --target cf --m 0 --format json":
+        "00561279d238ac82dc76ea0605b9e2678c546421642759d09f73221e09482bc3",
+    "poincare --space c --target cf --m 0 --format plain":
+        "00561279d238ac82dc76ea0605b9e2678c546421642759d09f73221e09482bc3",
+    "poincare --space c --target cf --m 0 --format latex":
+        "00561279d238ac82dc76ea0605b9e2678c546421642759d09f73221e09482bc3",
+    "universal --l 3 --m 2 --format json":
+        "3dbc638fdeb710974ef5fae3e91da961167bad4d50c09a5628cb4dceebd0f9ed",
+    "universal --l 3 --m 2 --format plain":
+        "3dbc638fdeb710974ef5fae3e91da961167bad4d50c09a5628cb4dceebd0f9ed",
+    "universal --l 3 --m 2 --format latex":
+        "3dbc638fdeb710974ef5fae3e91da961167bad4d50c09a5628cb4dceebd0f9ed",
+    "character --space c --m 3 --cycle-type 2^2 --format json":
+        "8698b2b6c53d9f54817ed325386efeb1b7f0fc3a7ebb4f3c76aca4a196b0753b",
+    "character --space c --m 3 --cycle-type 2^2 --format plain":
+        "8698b2b6c53d9f54817ed325386efeb1b7f0fc3a7ebb4f3c76aca4a196b0753b",
+    "character --space c --m 3 --cycle-type 2^2 --format latex":
+        "8698b2b6c53d9f54817ed325386efeb1b7f0fc3a7ebb4f3c76aca4a196b0753b",
+    "quotient --space c --m 4 --generators '(1 5)' --format json":
+        "a989ef38657777919d456fc1ca40c5906fe2a608f93211719c70e993d6fb8925",
+    "quotient --space c --m 4 --generators '(1 5)' --format plain":
+        "a989ef38657777919d456fc1ca40c5906fe2a608f93211719c70e993d6fb8925",
+    "quotient --space c --m 4 --generators '(1 5)' --format latex":
+        "a989ef38657777919d456fc1ca40c5906fe2a608f93211719c70e993d6fb8925",
+    "quotient --space c --m 4 --generators ')(' --format json":
+        "34931b04dec1a450419c7767e3f7912d58eb2e8e55828a8c9ae76f7bdef86822",
+    "quotient --space c --m 4 --generators ')(' --format plain":
+        "34931b04dec1a450419c7767e3f7912d58eb2e8e55828a8c9ae76f7bdef86822",
+    "quotient --space c --m 4 --generators ')(' --format latex":
+        "34931b04dec1a450419c7767e3f7912d58eb2e8e55828a8c9ae76f7bdef86822",
+    "stability --space c --i 1 --a 3 --range 1..3 --format json":
+        "1e255450aee8ddf048ee31facc728750264b1ca31a699a3d836e32f0600f4c8a",
+    "stability --space c --i 1 --a 3 --range 1..3 --format plain":
+        "1e255450aee8ddf048ee31facc728750264b1ca31a699a3d836e32f0600f4c8a",
+    "stability --space c --i 1 --a 3 --range 1..3 --format latex":
+        "1e255450aee8ddf048ee31facc728750264b1ca31a699a3d836e32f0600f4c8a",
+    "CONFCOHOM_MAX_M=abc poincare --space c --target fm --m 3 --format json":
+        "dd3c5a879cd058c818148cfb30b886219443e8d1a7eb1efa12f047d0a11de0f6",
+    "CONFCOHOM_MAX_M=abc poincare --space c --target fm --m 3 --format plain":
+        "dd3c5a879cd058c818148cfb30b886219443e8d1a7eb1efa12f047d0a11de0f6",
+    "CONFCOHOM_MAX_M=abc poincare --space c --target fm --m 3 --format latex":
+        "dd3c5a879cd058c818148cfb30b886219443e8d1a7eb1efa12f047d0a11de0f6",
+    "character --space c --m 13 --all --format json":
+        "1a16e0e064b2edbece576b7312c9786ed53239a23a21d33315f3680c564dd48f",
+    "character --space c --m 13 --all --format plain":
+        "1a16e0e064b2edbece576b7312c9786ed53239a23a21d33315f3680c564dd48f",
+    "character --space c --m 13 --all --format latex":
+        "1a16e0e064b2edbece576b7312c9786ed53239a23a21d33315f3680c564dd48f",
+    "character --space c --m 14 --cycle-type 14 --format json":
+        "1a16e0e064b2edbece576b7312c9786ed53239a23a21d33315f3680c564dd48f",
+    "character --space c --m 14 --cycle-type 14 --format plain":
+        "1a16e0e064b2edbece576b7312c9786ed53239a23a21d33315f3680c564dd48f",
+    "character --space c --m 14 --cycle-type 14 --format latex":
+        "1a16e0e064b2edbece576b7312c9786ed53239a23a21d33315f3680c564dd48f",
+    "poincare --space c --target bf --m 200 --format json":
+        "1a16e0e064b2edbece576b7312c9786ed53239a23a21d33315f3680c564dd48f",
+    "poincare --space c --target bf --m 200 --format plain":
+        "1a16e0e064b2edbece576b7312c9786ed53239a23a21d33315f3680c564dd48f",
+    "poincare --space c --target bf --m 200 --format latex":
+        "1a16e0e064b2edbece576b7312c9786ed53239a23a21d33315f3680c564dd48f",
+    "quotient --space c --m 11 --generators '(1 2);(1 2 3 4 5 6 7 8 9 10 11)' --format json":
+        "f6f09343b178d00545e9991957c876a06f869c02525e4e640d6ea9c39d594b73",
+    "quotient --space c --m 11 --generators '(1 2);(1 2 3 4 5 6 7 8 9 10 11)' --format plain":
+        "f6f09343b178d00545e9991957c876a06f869c02525e4e640d6ea9c39d594b73",
+    "quotient --space c --m 11 --generators '(1 2);(1 2 3 4 5 6 7 8 9 10 11)' --format latex":
+        "f6f09343b178d00545e9991957c876a06f869c02525e4e640d6ea9c39d594b73",
+    "CONFCOHOM_MAX_M=0 poincare --space c --target cf --m 3 --format json":
+        "40ee621864df949f58911019d734ad7b90589f0ba5fc8e571f6a544e72be7c14",
+    "CONFCOHOM_MAX_M=0 poincare --space c --target cf --m 3 --format plain":
+        "40ee621864df949f58911019d734ad7b90589f0ba5fc8e571f6a544e72be7c14",
+    "CONFCOHOM_MAX_M=0 poincare --space c --target cf --m 3 --format latex":
+        "40ee621864df949f58911019d734ad7b90589f0ba5fc8e571f6a544e72be7c14",
+    "CONFCOHOM_MAX_M=13 poincare --space c --target cf --m 13 --format json":
+        "f0a0a75f05791d824da6ce3aad4090323c52f5ab23da28720ff8722b621b302b",
+}
+
+
+@pytest.mark.parametrize("command", corpus())
+def test_output_is_byte_identical(command, tmp_path, monkeypatch):
+    monkeypatch.delenv("CONFCOHOM_MAX_M", raising=False)
+    write_space_files(str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    assert digest(command) == DIGESTS[command]
+
+
+def test_corpus_and_digests_agree():
+    assert sorted(DIGESTS) == sorted(corpus())
+
+
+if __name__ == "__main__":
+    os.environ.pop("CONFCOHOM_MAX_M", None)
+    with tempfile.TemporaryDirectory() as workdir:
+        write_space_files(workdir)
+        os.chdir(workdir)
+        lines = [
+            f'    {json.dumps(command)}:\n        "{digest(command)}",' for command in corpus()
+        ]
+    sys.stdout.write("DIGESTS = {\n" + "\n".join(lines) + "\n}\n")
