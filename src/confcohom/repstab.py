@@ -3,9 +3,15 @@
 The decomposition pipeline converts a compact-support trace series to its
 Borel-Moore counterpart, extracts one cohomological degree, and expands it
 into irreducible symmetric-group characters computed by the border-strip
-recursion.  Stability is then *observed* on a finite window of m, never
-proven: verdicts state that the data is consistent with the expected
-monotonicity/constancy bounds on the inspected range.
+recursion.  Representation stability (Church-Ellenberg-Farb) puts the
+constituents on padded shapes with small cores, so the expansion visits
+cores by increasing size and stops once their dimensions account for the
+whole Betti number.  The stopping rule checks nothing by itself; the
+result is certified by rebuilding the character from the multiplicities
+on every class, which proves the unvisited shapes absent.  Stability is
+then *observed* on a finite window of m, never proven: verdicts state that
+the data is consistent with the expected monotonicity/constancy bounds on
+the inspected range.
 
 Bookkeeping convention: an irreducible of the symmetric group on m letters
 whose diagram has first row m - |core| is recorded under its ``core``, the
@@ -111,25 +117,52 @@ def unpad_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _fitting_cores(m: int):
+    """Cores of the irreducibles of S_m: by increasing size, each size in
+    :func:`partitions` order, keeping those with c_1 <= m - |core|.  Padded,
+    they are the shapes of m in descending lex order."""
+    for size in range(m + 1):
+        for core in partitions(size):
+            if not core or core[0] <= m - size:
+                yield core
+
+
 def decompose_series(series: TraceSeries, degree: int) -> dict[tuple[int, ...], int]:
     """Multiplicities of the irreducibles in one cohomological degree.
 
-    Extracts the degree-``degree`` character from the alternating-sign
-    series, then pairs it with every irreducible character.  Multiplicities
-    must come out as nonnegative integers; anything else means the series
-    was not the character of an actual module and raises.
+    Extracts the degree-``degree`` character chi from the alternating-sign
+    series and pairs it with the irreducibles lambda[m] core by core, in
+    the order of :func:`_fitting_cores`; classes where chi vanishes are
+    left out of the pairing sums.  Every visited multiplicity must be a
+    nonnegative integer.  The walk stops once sum mult * dim(lambda[m])
+    reaches chi(1), and raises if the sum overshoots, if the cores run out
+    first, or if chi(1) is negative.  The result is then certified: sum
+    mult * chi_lambda must equal chi on every class, so every shape left
+    unvisited has multiplicity 0, whether or not chi was a true character.
     Keys of the result are cores (rows below the first); zero rows are
     omitted.
     """
     m = series.m
     sign = -1 if degree % 2 else 1
-    chi = {ct: sign * series.values[ct].coeff(degree) for ct in all_cycle_types(m)}
+    classes = []
+    weighted = []
+    for ct in all_cycle_types(m):
+        chi = sign * series.values[ct].coeff(degree)
+        classes.append((ct.parts, chi))
+        if chi:
+            weighted.append((ct.parts, ct.class_size() * chi))
+    betti = sign * series.identity_entry().coeff(degree)
+    if betti < 0:
+        raise ConsistencyError(f"negative Betti number {betti} in degree {degree}")
+    order = factorial(m)
     out: dict[tuple[int, ...], int] = {}
-    for shape in partitions(m):
-        total = 0
-        for ct in all_cycle_types(m):
-            total += ct.class_size() * chi[ct] * symmetric_group_character(shape, ct.parts)
-        mult, rem = divmod(total, factorial(m))
+    covered = 0
+    for core in _fitting_cores(m):
+        if covered == betti:
+            break
+        shape = pad_core(core, m)
+        total = sum(w * symmetric_group_character(shape, parts) for parts, w in weighted)
+        mult, rem = divmod(total, order)
         if rem:
             raise ConsistencyError(
                 f"non-integer multiplicity for {shape} in degree {degree}"
@@ -139,7 +172,25 @@ def decompose_series(series: TraceSeries, degree: int) -> dict[tuple[int, ...], 
                 f"negative multiplicity {mult} for {shape} in degree {degree}"
             )
         if mult:
-            out[unpad_shape(shape)] = mult
+            out[core] = mult
+            covered += mult * irrep_dimension(shape)
+            if covered > betti:
+                raise ConsistencyError(
+                    f"dimensions overshoot the Betti number {betti} in degree {degree}"
+                )
+    if covered != betti:
+        raise ConsistencyError(
+            f"cores ran out at dimension {covered} of {betti} in degree {degree}"
+        )
+    for parts, chi in classes:
+        rebuilt = sum(
+            mult * symmetric_group_character(pad_core(core, m), parts)
+            for core, mult in out.items()
+        )
+        if rebuilt != chi:
+            raise ConsistencyError(
+                f"multiplicities in degree {degree} give {rebuilt}, not {chi}, at {parts}"
+            )
     return out
 
 
@@ -292,16 +343,7 @@ def stability_report(
         series = exactly_series(space, distinct, m)
         bm = borel_moore_series(series, space.dim, dual_dim=distinct * space.dim)
         mults = decompose_series(bm, degree)
-        sign = -1 if degree % 2 else 1
-        betti_m = sign * bm.identity_entry().coeff(degree)
-        bookkeeping = sum(
-            mult * irrep_dimension(pad_core(core, m)) for core, mult in mults.items()
-        )
-        if bookkeeping != betti_m:
-            raise ConsistencyError(
-                f"dimension bookkeeping failed at m={m}: {bookkeeping} != {betti_m}"
-            )
-        betti[m] = betti_m
+        betti[m] = (-1 if degree % 2 else 1) * bm.identity_entry().coeff(degree)
         for core, mult in mults.items():
             table.rows.setdefault(core, {})[m] = mult
 

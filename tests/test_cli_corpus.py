@@ -342,47 +342,47 @@ DIGESTS = {
     "universal --l 11 --m 12 --closed --format latex":
         "f6720c8e60a841211ce0dd69ae0f7aed369fa615d1be329902a6b5a66e32cfa8",
     "quotient --space c --m 3 --generators '(1 2 3)' --format json":
-        "0c8b077fe0b1dc126b7dea8b3829095eea1e34cc3b223ee0c98a7f90904632ce",
+        "219a66dffcc850f69cd365e02c7243a8f7275734814ca66f10f1b97d57ac8279",
     "quotient --space c --m 3 --generators '(1 2 3)' --format plain":
-        "26f44b66cca01b26022e0e39b1accdf7d1f3d196b30a7cf9e52ebcae350e750e",
+        "734d5364d890f589f42c1d3c2553648647e9048a16eb6c6daecec43d1a4dfbab",
     "quotient --space c --m 3 --generators '(1 2 3)' --format latex":
-        "d9fe39c081b92d3efe6231dc4e4a0a0c6bebfc8e82f10f667d292a09b1d76e3d",
+        "5c05357fd36c05ad5dd4bb30a4c8a80e255f88f144cdd949de6b55060e640cae",
     "quotient --space cstar --m 6 --generators '(1 2);(1 2 3 4 5 6)' --format json":
-        "0421aafd3d28f4d74acfc06099945779870b3a2d30ba0a25ff997a1903d937ca",
+        "1ff11819f85ea3f2424f7ce7f196d6fcc3e626b85cb6255a0b10aa69b798fbf7",
     "quotient --space cstar --m 6 --generators '(1 2);(1 2 3 4 5 6)' --format plain":
-        "98b2d35b1ce0deeeb122ad76f322643a97f20c1f7f6836ede4c1ad79d5e2ded4",
+        "bbc1055d436bfcfa5c23cc7e5a49077d4acadac222e70f4cb7c660dc4fff3e4f",
     "quotient --space cstar --m 6 --generators '(1 2);(1 2 3 4 5 6)' --format latex":
-        "09ebf82fac58dcba360001857bab87a34e01d4027c7e9578ad44da58e915bb92",
+        "7ab6bfa497e7a6bf3bb432e03836239a9a1d2a08f756906d48d0b8e625cb9c77",
     "quotient --space c --m 6 --generators '(1 2 3)(4 5 6)' --format json":
-        "654c07bae46397137c37623d43c7ee09127a3c2efd22e78c339f545c9fc88f4f",
+        "c3990a09b30bf05358d629236f8d62445f22f5d8748d0c4eaaca6c40a57f0457",
     "quotient --space c --m 6 --generators '(1 2 3)(4 5 6)' --format plain":
-        "70943433deb1100208170a4c17c6c979338e50e970c5ac32da24d59ed6c39589",
+        "af427c6280afab4bfa3b1162ec94401c5f79ae12bb6bdc05978c32afaab26162",
     "quotient --space c --m 6 --generators '(1 2 3)(4 5 6)' --format latex":
-        "f273cf368d56e8c97c37a2ba5bd7f5833a0806bdb208808f607d139273709f8c",
+        "8a60198120a6e0300d49d818843f3cbdb514f5b24aa041ce788bdccf509cc5f6",
     "quotient --space r3 --m 5 --format json":
-        "c97bd0ebad66622b78cd8c054e6860a5e12e8db3935599d00c6acfd7ad166e3d",
+        "a9acf3070515e64b0529fdbae14c7199d84cd1369496c4b9d560e050e9db4591",
     "quotient --space r3 --m 5 --format plain":
-        "6f0ef02c2993d0662d3e4d495c7b15398f037a7c23bef95241af4e04ec6ab48e",
+        "22e2379dd32a59b447df4b792ef92035484e0cb52c7adb5050741af03de67322",
     "quotient --space r3 --m 5 --format latex":
-        "2ea95ef00064211423472777ad32d75648b41cee989f82b52fe35e1c73af1c71",
+        "74c338bd0fcdf665ed5139388d7f0974a966d550ab0d011d38effcff51b88d92",
     "quotient --space c_minus_1 --m 5 --generators '(1 2)(3 4);(1 3 5)' --format json":
-        "0295124237828a5ccb532eb539b3e93ce847e88cd3256065c27dcd498f7860ae",
+        "a06fe7e5d573e7129c2709ba0e80813701463e274c635a1d1d2e54e62366d7cc",
     "quotient --space c_minus_1 --m 5 --generators '(1 2)(3 4);(1 3 5)' --format plain":
-        "ec7bf835db363b5f4048e860cea41191766d72d8c8bbcf090dd835a28bad8644",
+        "71f9ee07f48bbf2ef6d31947be2032023a90609426ae0bb6ba64ba7fe9cd27ee",
     "quotient --space c_minus_1 --m 5 --generators '(1 2)(3 4);(1 3 5)' --format latex":
-        "ce3e25780779ee9d6d6418c7ba6ba3da6c608e4567f25419f7173912135ed4c5",
+        "f4c2671299577db0e39053f0325225627a426d2e240d731c861b0661f1d5f853",
     "quotient --space c --m 8 --generators '(1 2);(1 2 3 4 5 6 7 8)' --format json":
-        "a7577c88c6b844445f506fa795b498885931dcff8165e0135a6680641d8b935d",
+        "a68192efe7b05261e66117cab9ddf6f9315c553e2f9083f104e4dde4c647aee5",
     "quotient --space c --m 8 --generators '(1 2);(1 2 3 4 5 6 7 8)' --format plain":
-        "2714bf97015cf2d906c550ccd2f315fffb3a30290b3303ec71f1c12415af7ff8",
+        "87314d38179f7b9ef47bd4359bd09d83394a15dbc200109b50c4a226e1104cd9",
     "quotient --space c --m 8 --generators '(1 2);(1 2 3 4 5 6 7 8)' --format latex":
-        "a31e6ad20d2efd1a15a9762a95e4446eae96dcc2828c04ab3e46d61b7e5cd270",
+        "93915e5852bac791c7cbe2d38ffdbe9e709d76461f897b1a8d6e6de07840ede6",
     "quotient --space plane.json --m 0 --format json":
-        "16b02bbe7577f1d6485a3f03157209b1f1173257099fb42654e1295cdcefc998",
+        "eb4e73c03baa27b690d4172df62809f70e9925fe1417894e74d3b6ad0f836541",
     "quotient --space plane.json --m 0 --format plain":
-        "9ce0080a4824f7e4710f77dc99d35ae8b208e85f13803f139aaf9985982ad369",
+        "0bc73e2686d7fa2ba9bdbf93b2b24606e0befb42e9f0338a2fae2a3471c647fd",
     "quotient --space plane.json --m 0 --format latex":
-        "9ce0080a4824f7e4710f77dc99d35ae8b208e85f13803f139aaf9985982ad369",
+        "0bc73e2686d7fa2ba9bdbf93b2b24606e0befb42e9f0338a2fae2a3471c647fd",
     "stability --space c --i 1 --a 0 --range 1..8 --format json":
         "29e16525426af983834b9872ff24b0337f05117f1d05055b8b7ef5e929f08d4e",
     "stability --space c --i 1 --a 0 --range 1..8 --format plain":

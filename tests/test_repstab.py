@@ -13,6 +13,7 @@ from confcohom import (
     borel_moore_series,
     config_series,
     decompose_series,
+    exactly_series,
     induce_blocks,
     irrep_dimension,
     pad_core,
@@ -22,6 +23,7 @@ from confcohom import (
     unordered_betti_constancy,
     unpad_shape,
 )
+from confcohom import repstab
 from confcohom.charseries import TraceSeries
 from confcohom.polyarith import ONE, T
 
@@ -174,6 +176,160 @@ class TestDecompose:
                 )
                 expected = entry.coeff(degree) * (-1 if degree % 2 else 1)
                 assert total == expected
+
+
+def full_pairing(series, degree):
+    """The decomposition by pairing with every irreducible of S_m, shapes
+    in descending lex order: the oracle for the core-by-core walk."""
+    m = series.m
+    sign = -1 if degree % 2 else 1
+    weighted = [
+        (ct.parts, ct.class_size() * sign * series[ct].coeff(degree))
+        for ct in all_cycle_types(m)
+    ]
+    out = {}
+    for shape in partitions(m):
+        total = sum(w * symmetric_group_character(shape, parts) for parts, w in weighted)
+        mult, rem = divmod(total, math.factorial(m))
+        assert rem == 0 and mult >= 0, (shape, degree)
+        if mult:
+            out[unpad_shape(shape)] = mult
+    return out
+
+
+def stratum_bm(space, defect, m):
+    """The Borel-Moore series that stability_report decomposes."""
+    distinct = m - defect
+    series = exactly_series(space, distinct, m)
+    return borel_moore_series(series, space.dim, dual_dim=distinct * space.dim)
+
+
+def class_function(m, values):
+    """A degree-0 series from {cycle-type parts: value}; missing classes are 0."""
+    return TraceSeries(
+        m,
+        {
+            ct: LaurentPoly.term(values.get(ct.parts, 0), 0)
+            for ct in all_cycle_types(m)
+        },
+    )
+
+
+def irreducible_sum(m, coefficients):
+    """The class function sum c * chi_shape over {shape: c}."""
+    return class_function(
+        m,
+        {
+            ct.parts: sum(
+                c * symmetric_group_character(shape, ct.parts)
+                for shape, c in coefficients.items()
+            )
+            for ct in all_cycle_types(m)
+        },
+    )
+
+
+def assert_same_decomposition(series, degree):
+    got = decompose_series(series, degree)
+    assert list(got.items()) == list(full_pairing(series, degree).items())
+
+
+class TestDecomposeOracle:
+    @pytest.mark.parametrize("defect", [0, 1, 2])
+    @pytest.mark.parametrize("space", FIXTURES, ids=lambda s: s.name)
+    def test_strata_up_to_ten(self, space, defect):
+        for m in range(defect + 1, 11):
+            series = stratum_bm(space, defect, m)
+            for degree in range(5):
+                assert_same_decomposition(series, degree)
+
+    @pytest.mark.parametrize("m", [13, 14])
+    @pytest.mark.parametrize("space", FIXTURES, ids=lambda s: s.name)
+    def test_strata_at_the_cap_ceiling(self, monkeypatch, space, m):
+        monkeypatch.setenv("CONFCOHOM_MAX_M", "14")
+        for defect in range(3):
+            series = stratum_bm(space, defect, m)
+            for degree in range(5):
+                assert_same_decomposition(series, degree)
+
+    @pytest.mark.parametrize("space", FIXTURES, ids=lambda s: s.name)
+    def test_compact_support_series(self, space):
+        # every degree of the configuration series, m = 0 included
+        for m in range(0, 8):
+            series = config_series(space, m)
+            for degree in range(m * space.dim + 1):
+                assert_same_decomposition(series, degree)
+
+    def test_empty_symmetric_group(self):
+        assert decompose_series(class_function(0, {(): 3}), 0) == {(): 3}
+        assert decompose_series(class_function(0, {}), 0) == {}
+
+    def test_induced_modules(self):
+        # permutation modules on the blocks: large cores, many shapes
+        for m in range(2, 9):
+            for blocks in range(1, m + 1):
+                trivial = TraceSeries(blocks, {ct: ONE for ct in all_cycle_types(blocks)})
+                assert_same_decomposition(induce_blocks(trivial, m), 0)
+
+
+class TestDecomposeCertificate:
+    """Corrupted class functions must raise, whichever check catches them."""
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    @pytest.mark.parametrize("parts", [ct.parts for ct in all_cycle_types(5)])
+    def test_one_class_value_off_by_one(self, plane, parts, delta):
+        degree = 1
+        series = stratum_bm(plane, 0, 5)
+        assert decompose_series(series, degree)  # the true series decomposes
+        ct = CycleType.from_parts(parts, 5)
+        shift = LaurentPoly.term(delta, degree)
+        corrupted = TraceSeries(
+            5, {c: v + shift if c == ct else v for c, v in series.values.items()}
+        )
+        # the first shape's pairing is off by class size / 5!, never an integer
+        with pytest.raises(ConsistencyError, match="non-integer"):
+            decompose_series(corrupted, degree)
+
+    def test_negative_multiplicity_before_the_sum_closes(self):
+        virtual = irreducible_sum(4, {(4,): -1, (3, 1): 1})
+        with pytest.raises(ConsistencyError, match="negative multiplicity -1"):
+            decompose_series(virtual, 0)
+
+    def test_zero_identity_with_nonzero_values_elsewhere(self):
+        with pytest.raises(ConsistencyError, match="give"):
+            decompose_series(class_function(3, {(3,): 3}), 0)
+
+    def test_negative_identity_value(self):
+        minus_trivial = class_function(4, {ct.parts: -1 for ct in all_cycle_types(4)})
+        with pytest.raises(ConsistencyError, match="negative Betti"):
+            decompose_series(minus_trivial, 0)
+
+    def test_virtual_character_closing_at_the_first_core(self):
+        # dimensions 1 + 3 - 3: the trivial shape alone closes the sum, so
+        # only the reconstruction sees the other two constituents
+        virtual = irreducible_sum(4, {(4,): 1, (2, 1, 1): 1, (3, 1): -1})
+        assert decompose_series(irreducible_sum(4, {(4,): 1}), 0) == {(): 1}
+        with pytest.raises(ConsistencyError, match="give"):
+            decompose_series(virtual, 0)
+
+    def test_overshoot(self):
+        # dimensions 3 - 2 = 1, but the first nonzero shape brings 3
+        virtual = irreducible_sum(4, {(3, 1): 1, (1, 1, 1, 1): -2})
+        with pytest.raises(ConsistencyError, match="overshoot"):
+            decompose_series(virtual, 0)
+
+    def test_cores_run_out(self, monkeypatch):
+        monkeypatch.setattr(repstab, "irrep_dimension", lambda shape: 0)
+        with pytest.raises(ConsistencyError, match="ran out"):
+            decompose_series(irreducible_sum(4, {(3, 1): 1}), 0)
+
+
+class TestWorkCount:
+    def test_stability_table_evaluates_few_characters(self, plane):
+        # the full pairing needs 12,648 character evaluations here
+        symmetric_group_character.cache_clear()
+        stability_report(plane, 1, 0, (1, 12))
+        assert symmetric_group_character.cache_info().misses <= 1000
 
 
 class TestPieri:
