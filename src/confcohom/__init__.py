@@ -8,10 +8,10 @@ polynomials of quotients by permutation subgroups, irreducible
 decompositions, and empirical representation-stability diagnostics.
 
 Every closed formula is paired with an independent brute-force or
-series-expansion oracle in the test suite; the library itself also
-cross-checks aggressively (exact divisibility, nonnegative Betti output,
-generating-function agreement) and raises rather than returning data it
-cannot certify.
+series-expansion oracle, run by the CLI's checks or the test suite and
+never inside the route itself; the library checks its own invariants
+(exact divisibility, nonnegative Betti output) and raises rather than
+returning data it cannot certify.
 """
 
 from .errors import (

@@ -15,8 +15,7 @@ Two multiplication routes exist on purpose.  ``LaurentPoly.__mul__`` is the
 sparse schoolbook product; :func:`falling_product`, the package's deepest
 product (thousands of factors for configuration spaces), runs a dense
 coefficient-row kernel instead, O(n^2) big-integer steps with no per-term
-dict work.  Checks that multiply step by step therefore compare two
-different routes.
+dict work.
 """
 
 from __future__ import annotations

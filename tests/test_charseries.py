@@ -486,8 +486,12 @@ class TestProducts:
 
     @given(small_pcs, st.integers(1, 8))
     @settings(max_examples=30, deadline=None)
-    def test_cyclic_internal_check(self, pc, m):
-        poincare_cyclic_product(space_of(pc), m)
+    def test_cyclic_agrees_with_listed_rotations(self, pc, m):
+        space = space_of(pc)
+        rotation = Permutation.from_cycles(m, [list(range(1, m + 1))], one_based=True)
+        order, counts = group_closure([rotation], m)
+        expected = quotient_poincare(power_series(space, m), counts, order)
+        assert poincare_cyclic_product(space, m) == expected
 
 
 class TestRandomizedInvariants:

@@ -601,10 +601,8 @@ class TestProductChecks:
         monkeypatch.setattr(
             charseries, "_symmetric_product_generating_function", lambda pc, m: ONE
         )
-        code, out, err = run(capsys, *self.ARGS["sym"])
-        assert code == 4
-        assert out == ""
-        assert "generating function" in err
+        doc = run_json(capsys, *self.ARGS["sym"])
+        assert doc["checks"] == [{"name": "generating-function", "passed": False}]
 
     def test_corrupted_closure_changes_outcome(self, capsys, monkeypatch):
         # the whole cyclic group replaced by its identity element
@@ -614,6 +612,46 @@ class TestProductChecks:
         monkeypatch.setattr(cli, "group_closure", trivial_closure)
         doc = run_json(capsys, *self.ARGS["cyc"])
         assert doc["checks"] == [{"name": "subgroup-averaging", "passed": False}]
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap ``module.name`` so that each call is counted; returns the tally."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestWorkCounts:
+    """Each route runs once per answer; its check reads other work."""
+
+    @pytest.mark.parametrize("target", ["fm", "ordinary"])
+    def test_one_falling_product(self, capsys, monkeypatch, target):
+        calls = _counting(monkeypatch, confspace, "falling_product")
+        run_json(capsys, "poincare", "--space", "cstar", "--target", target, "--m", "4")
+        assert len(calls) == 1
+
+    def test_one_generating_function(self, capsys, monkeypatch):
+        calls = _counting(monkeypatch, charseries, "_symmetric_product_generating_function")
+        run_json(capsys, *TestProductChecks.ARGS["sym"])
+        assert len(calls) == 1
+
+    def test_cyclic_product_builds_no_series(self, capsys, monkeypatch):
+        calls = _counting(monkeypatch, charseries, "power_series")
+        run_json(capsys, *TestProductChecks.ARGS["cyc"])
+        assert calls == []
+
+    def test_cyclic_quotient_checked_past_m_8(self, capsys):
+        code, out, err = run(
+            capsys, "poincare", "--space", "c", "--target", "cf", "--m", "10", "--format", "plain"
+        )
+        assert code == 0, err
+        assert "  [pass] subgroup-averaging\n" in out
 
 
 @pytest.fixture
@@ -690,6 +728,10 @@ class TestCorruptedRoutes:
              "poincare --space cstar --target delta_le --l 2 --m 4"),
             (confspace, "poincare_config_ordinary", _plus_one,
              "poincare --space c --target ordinary --m 4"),
+            # a check that recomputed the product would agree with the kernel
+            (confspace, "falling_product", _plus_one, "poincare --space cstar --target fm --m 4"),
+            (confspace, "falling_product", _plus_one,
+             "poincare --space cstar --target ordinary --m 4"),
             (charseries, "poincare_cyclic_config", _plus_one,
              "poincare --space cstar --target cf --m 4"),
             (charseries, "poincare_unordered_config", _plus_one,
@@ -758,10 +800,10 @@ class TestSelftest:
         assert {c["name"] for c in json.loads(out)["checks"] if not c["passed"]} == names
 
     def test_a_case_without_checks_fails(self):
-        # past m = 8 the cyclic quotient lists no group, so it checks nothing
+        # past m = 6 the unordered quotient lists no group, so it checks nothing
         c = cli.BUILTIN_SPACES["c"]
-        assert cli._all_poincare_checks_pass([(c, "cf", 8, None)])
-        assert not cli._all_poincare_checks_pass([(c, "cf", 9, None)])
+        assert cli._all_poincare_checks_pass([(c, "bf", 6, None)])
+        assert not cli._all_poincare_checks_pass([(c, "bf", 7, None)])
 
 
 class TestCapOverride:

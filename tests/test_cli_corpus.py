@@ -160,23 +160,23 @@ DIGESTS = {
     "poincare --space c --target fm --m 0 --format latex":
         "c83e41485cbd996e670a62451ffa9e2329d76d94d5a06a8ffa05bc72f9169c36",
     "poincare --space c --target fm --m 4 --format json":
-        "e450041331537151323cbb97b216174917467f7b5bbd0fb9c8d7b0845ac4e67a",
+        "e3cf49102706b396603b9f6a85b629f8937c738690f9422955b7c142b5040152",
     "poincare --space c --target fm --m 4 --format plain":
-        "90caaa3d77de7d71e84be7f0265e76074fcb61a602cd3df7b5d17d4b2e46dc02",
+        "75cc082ea4ada5368367f25e6146ca6d91a80443db662e7f2d80beed393e16b8",
     "poincare --space c --target fm --m 4 --format latex":
-        "539450285230c9d8c936be617923be6db6c54f5cf98ab850dd955f213067c69c",
+        "488f4aebaf75bfe145966b677b4b94e251365f7bb20ca9c15017ca2f248b3451",
     "poincare --space cstar --target fm --m 5 --format json":
-        "5882941dfaeb94de74b21530f40125c3a9f9c15975e63c10da3b7335074a0d50",
+        "a34c5786a7e944d63bab7bcaf41676166df72c519877964b5cba114fc11cebd2",
     "poincare --space cstar --target fm --m 5 --format plain":
-        "6692192b144337f774ba24d58065f4940e5dee10d7a9aa474baef11815b8fa55",
+        "825b45cc6108fc8b1e1f6e5834ae59d12293b02eee4e85df3b1c68b17722b6d4",
     "poincare --space cstar --target fm --m 5 --format latex":
-        "779a2d4a3b14578977ba356689d2f351d5c338cf5b27bb865dd086b6201bdc25",
+        "e11763681b095e21fcaac9c574ed2f4a8b5f4a39aa1b653aee6d93c7ffdfad34",
     "poincare --space plane.json --target fm --m 3 --format json":
-        "e1c82c67bf3779a7b880364f72f4db9191d530e4ba86faab2265a6bc47e047a1",
+        "873044fd7b7013f3e597a149b226691e36da8abf8f22eaef0b851cb40fe440e5",
     "poincare --space plane.json --target fm --m 3 --format plain":
-        "fbf2554978b02f18e8599a78645e9524b61e9ee1c8ef314b0e45555d73cd6349",
+        "cd1f88c79e93ad38d4033010336c150e7a4e97c3fb837df270adcab43a61a4ac",
     "poincare --space plane.json --target fm --m 3 --format latex":
-        "8f887d59871f7909ec495ffcc262ba55e81e691c3488f185545e7b144fd1775a",
+        "1649c1c7dc8e0d14a8c3b299f308555f7e3bb6f4d89c20251ab4169b8f4b2583",
     "poincare --space c --target delta --l 2 --m 5 --format json":
         "aa05a8c5bb1aa517bc077f595e1dd73ae4c48498eced109a46834f473c79ba2d",
     "poincare --space c --target delta --l 2 --m 5 --format plain":
@@ -196,17 +196,17 @@ DIGESTS = {
     "poincare --space c_minus_1 --target delta --l 4 --m 4 --format latex":
         "a6ed2f8040a94aeb2b81ce0e69e781dbda27f9ce62e789c581e7c6f44f732c20",
     "poincare --space c --target ordinary --m 5 --format json":
-        "bc52c8f3d23b07ee56afc5bcf773d298dfba971842b1e285a7a6caa166d1b395",
+        "d4567f3c3a68e1bdb89e05cba21e5b5f501390f10b1a8d9b5df0f2ef24704d93",
     "poincare --space c --target ordinary --m 5 --format plain":
-        "8f95a62bbc4b282194116b23d74ef996a4919729138e39417b9f11effa8b0a15",
+        "3d6f9bb3e2e5a0777ee0617256b254f38c50b1df21871072c12ed95635ff5510",
     "poincare --space c --target ordinary --m 5 --format latex":
-        "f48fba5f050ecdd0a6bc147cb7ade88281ed6a05ad0e4c9eb9f6862f2b0ed1fb",
+        "fca28521578d6253890c8928b17efd4b7cdc02746b3d29d8324e9d069ee585a7",
     "poincare --space r3 --target ordinary --m 4 --format json":
-        "1e43f8244febdce05f01f941a91aee7884caa37cd15737780b3a46f6f5ab8dd8",
+        "40dac597774985bfb4865a24b0224e9b6a975d044715ff12e959f5aa7e8973f4",
     "poincare --space r3 --target ordinary --m 4 --format plain":
-        "c5049b4da4b5a53765a65a39c81b32ba87029b6479864f3295fe7b541303f8dd",
+        "451d04357a897e9f1b72b54a9bb53a02d068c5eebb6ecd004659c823cbfefaa2",
     "poincare --space r3 --target ordinary --m 4 --format latex":
-        "d2429de7038dfb2861be184971c2afd08ae95f371df9cb928f196c80bc8818c2",
+        "e1c8c077a1812403a9b81899f9113aa72d70db41581140eed2260cb266743de3",
     "poincare --space c --target cf --m 6 --format json":
         "c547aceec05e34ea45f96c1c2cf3ddede237815b61e9cf3f0fba729d33f0cd23",
     "poincare --space c --target cf --m 6 --format plain":
@@ -220,11 +220,11 @@ DIGESTS = {
     "poincare --space cstar --target cf --m 5 --format latex":
         "099c6c156408d4ee5f54997b697fbe07dd1df0261d8c8e23dda36c41ffb5185f",
     "poincare --space c --target cf --m 10 --format json":
-        "ade29ce4b949daa32ff7cffeaac3fb8b9401daa7416a1e404e401fbcf0c27d93",
+        "396c5a699a9d15fec5061f57ca479aae13cf9afb8d88e61b9ad15ccbe4e71fe2",
     "poincare --space c --target cf --m 10 --format plain":
-        "73fcf82c5f42c02065c483255e6c2b260749bc082f24936b18a31d6da3ffc4e5",
+        "75ea4ad105c35852d748bab81265a75927e5db56183020187987f55e3798910b",
     "poincare --space c --target cf --m 10 --format latex":
-        "97ae262fe4b021dc5f4d0dd490138797a92662a5448922f575e37ea3c96fb728",
+        "4da659a1a8859f0b7105ea2676ae1fe8735db3b43a6527e5a70f2782be106d7d",
     "poincare --space c --target bf --m 4 --format json":
         "19ecfbbf68b10f58086b2ec6215fb1e16990573766ad0e26dd8b8b58390034e5",
     "poincare --space c --target bf --m 4 --format plain":
@@ -274,7 +274,7 @@ DIGESTS = {
     "poincare --space r3 --target cyc --m 6 --format latex":
         "e5b7400049065d84f5f3035361e9567952a5a4b50b35fe376195da1385efcdf1",
     "poincare --space c --target fm --m 1500 --format json":
-        "684308bfb4ec3445df329a3c6fc3bc9d54a72b617f6bea2932b13685b71b8af5",
+        "b322a0366551afc338941e62f345135f0eb04dfd67b8aa0b6e96204d49e72f4c",
     "character --space c --m 4 --cycle-type 1^4 --format json":
         "250a2e3820ffbdf4aa66cb1a7dd4b2113bd1e26069ee719ff9862f5342859393",
     "character --space c --m 4 --cycle-type 1^4 --format plain":
@@ -540,7 +540,7 @@ DIGESTS = {
     "CONFCOHOM_MAX_M=0 poincare --space c --target cf --m 3 --format latex":
         "40ee621864df949f58911019d734ad7b90589f0ba5fc8e571f6a544e72be7c14",
     "CONFCOHOM_MAX_M=13 poincare --space c --target cf --m 13 --format json":
-        "f0a0a75f05791d824da6ce3aad4090323c52f5ab23da28720ff8722b621b302b",
+        "2c8a0676f9d6362cb9b9fe7a1ab622d4cb8b5f31a10b360b18f70a6a4f8254a9",
 }
 
 
