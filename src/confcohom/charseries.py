@@ -25,6 +25,7 @@ stays in the cleared form; rational numbers never appear.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
+from functools import lru_cache
 from itertools import product as iter_product
 from math import factorial
 
@@ -43,7 +44,7 @@ from .combinat import (
 )
 from .confspace import SpaceSpec, require
 from .errors import ConsistencyError, CostCapExceeded
-from .polyarith import LaurentPoly, falling_product
+from .polyarith import LaurentPoly, _linear_combination, falling_product
 from .record import FrozenRecord
 
 
@@ -273,7 +274,8 @@ def induce_blocks(series: TraceSeries, m: int) -> TraceSeries:
     composition F o E_+, Bergeron-Labelle-Leroux 1998).  This geometric
     form of induction is equivalent to the group-theoretic
     induced-character formula for the block stabilizers, and much cheaper.
-    Acting with ``series.m == m`` is the identity.
+    Each count table is built once per process.  Acting with
+    ``series.m == m`` is the identity.
     """
     blocks = series.m
     if blocks > m:
@@ -283,13 +285,20 @@ def induce_blocks(series: TraceSeries, m: int) -> TraceSeries:
     _check_cycle_cap(m)
     if blocks == m:
         return series
-    values = {}
-    for ct in all_cycle_types(m):
-        total = LaurentPoly.zero()
-        for beta, count in stable_block_counts(ct, blocks).items():
-            total = total + count * series.values[beta]
-        values[ct] = total
-    return TraceSeries(m, values)
+    values = series.values
+    induced = {
+        ct: _linear_combination(
+            (count, values[beta]) for beta, count in _block_counts(ct, blocks)
+        )
+        for ct in all_cycle_types(m)
+    }
+    return TraceSeries(m, induced)
+
+
+@lru_cache(maxsize=None)
+def _block_counts(ctype: CycleType, blocks: int) -> tuple[tuple[CycleType, int], ...]:
+    """The pairs of :func:`stable_block_counts`, built once per process."""
+    return tuple(stable_block_counts(ctype, blocks).items())
 
 
 def induce_alternating(series: TraceSeries, m: int) -> TraceSeries:
@@ -364,9 +373,7 @@ def _average(
     -T convention.  An inexact division or a negative output coefficient
     raises ConsistencyError: the traces and the group did not pair up.
     """
-    total = LaurentPoly.zero()
-    for ctype, count in counts.items():
-        total = total + count * trace(ctype)
+    total = _linear_combination((count, trace(ctype)) for ctype, count in counts.items())
     result = total.divexact(order).negate_var()
     if not result.has_nonnegative_coeffs():
         raise ConsistencyError("group average produced negative Betti numbers")

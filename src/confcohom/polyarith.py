@@ -247,6 +247,15 @@ def _coerce(value: "LaurentPoly | int") -> LaurentPoly:
     return LaurentPoly.const(value)
 
 
+def _linear_combination(terms: Iterable[tuple[int, LaurentPoly]]) -> LaurentPoly:
+    """Sum of count * poly over (count, poly) pairs, in one coefficient dict."""
+    c: dict[int, int] = {}
+    for count, poly in terms:
+        for e, v in poly._c.items():
+            c[e] = c.get(e, 0) + count * v
+    return LaurentPoly(c)
+
+
 #: The variable T itself, convenient for building test values.
 T = LaurentPoly.term(1, 1)
 ONE = LaurentPoly.one()

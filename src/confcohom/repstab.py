@@ -2,11 +2,14 @@
 
 The decomposition pipeline converts a compact-support trace series to its
 Borel-Moore counterpart, extracts one cohomological degree, and expands it
-into irreducible symmetric-group characters computed by the border-strip
-recursion.  Representation stability (Church-Ellenberg-Farb) puts the
-constituents on padded shapes with small cores, so the expansion visits
-cores by increasing size and stops once their dimensions account for the
-whole Betti number.  The stopping rule checks nothing by itself; the
+into irreducible symmetric-group characters.  Those come from the
+Murnaghan-Nakayama rule on a beta-set held as an int bit mask, one bead
+per row of the diagram: removing a border strip of length t moves a bead
+from position b to an empty b - t, and the number of beads strictly
+between fixes the sign.  Representation stability (Church-Ellenberg-Farb)
+puts the constituents on padded shapes with small cores, so the expansion
+visits cores by increasing size and stops once their dimensions account
+for the whole Betti number.  The stopping rule checks nothing by itself; the
 result is certified by rebuilding the character from the multiplicities
 on every class, which proves the unvisited shapes absent.  Stability is
 then *observed* on a finite window of m, never proven: verdicts state that
@@ -24,12 +27,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
-from . import limits
-from .charseries import TraceSeries, config_series, exactly_series
+from .charseries import TraceSeries, _check_cycle_cap, config_series, exactly_series
 from .charseries import quotient_poincare, symmetric_counts
 from .combinat import CycleType, all_cycle_types, partitions
 from .confspace import SpaceSpec, require
-from .errors import ConsistencyError, CostCapExceeded, HypothesisViolation
+from .errors import ConsistencyError, HypothesisViolation
 from .polyarith import LaurentPoly
 from .record import Record
 
@@ -39,43 +41,75 @@ from .record import Record
 # ---------------------------------------------------------------------------
 
 
+def _check_partition(shape: tuple[int, ...], mu: tuple[int, ...] = ()) -> None:
+    """Refuse a ``shape`` that is not a weakly decreasing sequence of positive
+    parts, and cycle lengths ``mu`` below 1."""
+    if any(part < 1 for part in shape) or any(a < b for a, b in zip(shape, shape[1:])):
+        raise ValueError(f"shape {shape} is not a partition")
+    if any(part < 1 for part in mu):
+        raise ValueError(f"cycle lengths {mu} must be positive")
+
+
+def _beads(shape: tuple[int, ...]) -> int:
+    """Beta-set of ``shape`` as a bit mask: bit shape[i] + (k - 1 - i) for
+    each row i of k."""
+    k = len(shape)
+    return sum(1 << (part + k - 1 - i) for i, part in enumerate(shape))
+
+
 @lru_cache(maxsize=None)
 def symmetric_group_character(shape: tuple[int, ...], mu: tuple[int, ...]) -> int:
     """Irreducible character indexed by ``shape`` at the class with parts ``mu``.
 
-    Border-strip recursion over beta-numbers.  ``shape`` must be a
-    decreasing partition and ``mu`` a list of cycle lengths of the same
-    total size.
+    ``shape`` must be a weakly decreasing sequence of positive parts and
+    ``mu`` a list of positive cycle lengths of the same total size;
+    anything else raises ValueError.  The value comes from the
+    Murnaghan-Nakayama rule on the beta-set of ``shape``, held as an int
+    bit mask with one bead per row (see :func:`_character`).
     """
+    _check_partition(shape, mu)
     total = sum(shape)
     if total != sum(mu):
         raise ValueError(f"size mismatch: {shape} vs {mu}")
-    if total > limits.cycle_type_max_m():
-        raise CostCapExceeded("character recursion capped")
-    if not shape:
+    _check_cycle_cap(total)
+    return _character(_beads(shape), mu)
+
+
+@lru_cache(maxsize=None)
+def _character(beads: int, mu: tuple[int, ...]) -> int:
+    """Murnaghan-Nakayama recursion on a bead mask (Macdonald, *Symmetric
+    Functions and Hall Polynomials*, I.7; James-Kerber, *The Representation
+    Theory of the Symmetric Group*, 1981).
+
+    Removing a border strip of length t = mu[0] moves a bead from b to an
+    empty position b - t; the strip's height is the number of beads
+    strictly between, so the sign is the parity of that popcount.  Beads
+    packed at positions 0, 1, ... stand for empty rows and are shifted off,
+    so each shape has one mask.  The caller guarantees a partition whose
+    size is sum(mu).
+    """
+    if not mu:
         return 1
     t = mu[0]
     rest = mu[1:]
-    k = len(shape)
-    beta = [shape[i] + (k - 1 - i) for i in range(k)]
-    beta_set = set(beta)
+    between = (1 << (t - 1)) - 1
+    movable = (beads & ~(beads << t)) >> t << t
     value = 0
-    for i, b in enumerate(beta):
-        if b < t or (b - t) in beta_set:
-            continue
-        height = sum(1 for c in beta if b - t < c < b)
-        new_beta = sorted(beta[:i] + [b - t] + beta[i + 1 :], reverse=True)
-        new_shape = tuple(
-            new_beta[j] - (k - 1 - j) for j in range(k) if new_beta[j] - (k - 1 - j) > 0
-        )
-        sign = -1 if height % 2 else 1
-        value += sign * symmetric_group_character(new_shape, rest)
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        b = low.bit_length() - 1
+        moved = beads ^ low ^ (1 << (b - t))
+        moved >>= (~moved & (moved + 1)).bit_length() - 1
+        term = _character(moved, rest)
+        value += -term if ((beads >> (b - t + 1)) & between).bit_count() & 1 else term
     return value
 
 
 @lru_cache(maxsize=None)
 def irrep_dimension(shape: tuple[int, ...]) -> int:
     """Dimension of the irreducible with the given diagram, by hook lengths."""
+    _check_partition(shape)
     m = sum(shape)
     if not shape:
         return 1
@@ -133,7 +167,9 @@ def decompose_series(series: TraceSeries, degree: int) -> dict[tuple[int, ...], 
     Extracts the degree-``degree`` character chi from the alternating-sign
     series and pairs it with the irreducibles lambda[m] core by core, in
     the order of :func:`_fitting_cores`; classes where chi vanishes are
-    left out of the pairing sums.  Every visited multiplicity must be a
+    left out of the pairing sums.  The cycle-type cap is checked once, on
+    entry, and each visited shape becomes a bead mask once, for the pairing
+    sums and the certificate alike.  Every visited multiplicity must be a
     nonnegative integer.  The walk stops once sum mult * dim(lambda[m])
     reaches chi(1), and raises if the sum overshoots, if the cores run out
     first, or if chi(1) is negative.  The result is then certified: sum
@@ -143,6 +179,7 @@ def decompose_series(series: TraceSeries, degree: int) -> dict[tuple[int, ...], 
     omitted.
     """
     m = series.m
+    _check_cycle_cap(m)
     sign = -1 if degree % 2 else 1
     classes = []
     weighted = []
@@ -156,12 +193,14 @@ def decompose_series(series: TraceSeries, degree: int) -> dict[tuple[int, ...], 
         raise ConsistencyError(f"negative Betti number {betti} in degree {degree}")
     order = factorial(m)
     out: dict[tuple[int, ...], int] = {}
+    found: list[tuple[int, int]] = []  # (bead mask, multiplicity) of each row of out
     covered = 0
     for core in _fitting_cores(m):
         if covered == betti:
             break
         shape = pad_core(core, m)
-        total = sum(w * symmetric_group_character(shape, parts) for parts, w in weighted)
+        beads = _beads(shape)
+        total = sum(w * _character(beads, parts) for parts, w in weighted)
         mult, rem = divmod(total, order)
         if rem:
             raise ConsistencyError(
@@ -173,6 +212,7 @@ def decompose_series(series: TraceSeries, degree: int) -> dict[tuple[int, ...], 
             )
         if mult:
             out[core] = mult
+            found.append((beads, mult))
             covered += mult * irrep_dimension(shape)
             if covered > betti:
                 raise ConsistencyError(
@@ -183,10 +223,7 @@ def decompose_series(series: TraceSeries, degree: int) -> dict[tuple[int, ...], 
             f"cores ran out at dimension {covered} of {betti} in degree {degree}"
         )
     for parts, chi in classes:
-        rebuilt = sum(
-            mult * symmetric_group_character(pad_core(core, m), parts)
-            for core, mult in out.items()
-        )
+        rebuilt = sum(mult * _character(beads, parts) for beads, mult in found)
         if rebuilt != chi:
             raise ConsistencyError(
                 f"multiplicities in degree {degree} give {rebuilt}, not {chi}, at {parts}"

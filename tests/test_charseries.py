@@ -39,6 +39,7 @@ from confcohom import (
     stirling_second,
     tensor_trace_oracle,
 )
+from confcohom import charseries
 from confcohom.charseries import (
     TraceSeries,
     _symmetric_product_generating_function,
@@ -221,6 +222,21 @@ class TestInduction:
         composite = induce_blocks(induce_blocks(f, 2), 3)
         expected = direct.scale(-1) + composite
         assert induce_alternating(f, 3) == expected
+
+    def test_block_counts_built_once_per_pair(self, plane, monkeypatch):
+        # the reconstruction at m = 7 induces over 196 (cycle type, blocks)
+        # pairs; each count table is built once, not once per induction
+        calls = []
+        counts = charseries.stable_block_counts
+
+        def counting(ctype, blocks):
+            calls.append((ctype, blocks))
+            return counts(ctype, blocks)
+
+        monkeypatch.setattr(charseries, "stable_block_counts", counting)
+        charseries._block_counts.cache_clear()
+        reconstruct_config_series(plane, 7)
+        assert 0 < len(calls) == len(set(calls)) <= 196
 
     @pytest.mark.parametrize(
         "space", [BUILTIN_SPACES["c"], BUILTIN_SPACES["c_minus_1"]], ids=lambda s: s.name

@@ -78,6 +78,9 @@ COMMANDS = [
     "stability --space c --i 1 --a 0 --range 1..8",
     "stability --space r3 --i 2 --a 0 --range 1..6",
     "stability --space cstar --i 1 --a 1 --range 2..7",
+    "stability --space r3 --i 2 --a 3 --range 1..8",
+    "stability --space cstar --i 2 --a 2 --range 1..9",
+    "CONFCOHOM_MAX_M=14 stability --space c --i 2 --a 1 --range 1..14 --format json",
     "selftest",
     # refusals: hypothesis (2), parse (3), cost cap (5)
     "poincare --space klein_pointed --target fm --m 3",
@@ -401,6 +404,20 @@ DIGESTS = {
         "3ac1a1f9b7aeb9c73bf6c97d364046544c935d3650d0bc38aa7acf5dc451ed31",
     "stability --space cstar --i 1 --a 1 --range 2..7 --format latex":
         "3ac1a1f9b7aeb9c73bf6c97d364046544c935d3650d0bc38aa7acf5dc451ed31",
+    "stability --space r3 --i 2 --a 3 --range 1..8 --format json":
+        "180f53babf5a0a32003ab273cf048abbba40b303cad3eacf8f737fb4319201f8",
+    "stability --space r3 --i 2 --a 3 --range 1..8 --format plain":
+        "4e80b5938181dee5a86b770c75b3069abbd8ddead8cd4f4921ffeb34f7b0959a",
+    "stability --space r3 --i 2 --a 3 --range 1..8 --format latex":
+        "4e80b5938181dee5a86b770c75b3069abbd8ddead8cd4f4921ffeb34f7b0959a",
+    "stability --space cstar --i 2 --a 2 --range 1..9 --format json":
+        "d2e2431841e43c495f8342e22110d603ffd513eb74c6fcd2282fd1c39da5dca1",
+    "stability --space cstar --i 2 --a 2 --range 1..9 --format plain":
+        "15e806b8b4f19d1954e14aa460e01af27d98e78b376b9593400e5f0a7bd7c141",
+    "stability --space cstar --i 2 --a 2 --range 1..9 --format latex":
+        "15e806b8b4f19d1954e14aa460e01af27d98e78b376b9593400e5f0a7bd7c141",
+    "CONFCOHOM_MAX_M=14 stability --space c --i 2 --a 1 --range 1..14 --format json":
+        "7a67568922c2edd410159806b356a19087d029fae444a63a2981271585e80e8d",
     "selftest --format json":
         "f1dead27686f20c60eca47f6689c90eb546e813bcecf5d0ec1de505f58000c15",
     "selftest --format plain":

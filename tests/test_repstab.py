@@ -1,10 +1,12 @@
 import math
+from functools import lru_cache
 
 import pytest
 
 from confcohom import (
     BUILTIN_SPACES,
     ConsistencyError,
+    CostCapExceeded,
     CycleType,
     HypothesisViolation,
     LaurentPoly,
@@ -53,6 +55,20 @@ class TestCharacters:
         with pytest.raises(ValueError):
             symmetric_group_character((2, 1), (2,))
 
+    @pytest.mark.parametrize(
+        "shape, mu",
+        [((1, 2), (1, 1, 1)), ((2, -1, 2), (1, 1, 1)), ((2, 1), (3, 0))],
+        ids=["increasing", "negative-part", "zero-cycle"],
+    )
+    def test_non_partition_rejected(self, shape, mu):
+        with pytest.raises(ValueError, match="partition|positive"):
+            symmetric_group_character(shape, mu)
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, -1)], ids=["increasing", "negative-part"])
+    def test_non_partition_has_no_dimension(self, shape):
+        with pytest.raises(ValueError, match="not a partition"):
+            irrep_dimension(shape)
+
     @pytest.mark.parametrize("m", range(1, 7))
     def test_orthogonality(self, m):
         shapes = partitions(m)
@@ -98,6 +114,61 @@ class TestCharacters:
                     assert total == math.factorial(m) // mu.class_size()
                 else:
                     assert total == 0
+
+
+@lru_cache(maxsize=None)
+def border_strip_character(shape, mu):
+    """Border-strip recursion on sorted lists of beta-numbers: the oracle for
+    the bead-mask recursion behind symmetric_group_character."""
+    if not shape:
+        return 1
+    t = mu[0]
+    rest = mu[1:]
+    k = len(shape)
+    beta = [shape[i] + (k - 1 - i) for i in range(k)]
+    beta_set = set(beta)
+    value = 0
+    for i, b in enumerate(beta):
+        if b < t or (b - t) in beta_set:
+            continue
+        height = sum(1 for c in beta if b - t < c < b)
+        new_beta = sorted(beta[:i] + [b - t] + beta[i + 1 :], reverse=True)
+        new_shape = tuple(
+            new_beta[j] - (k - 1 - j) for j in range(k) if new_beta[j] - (k - 1 - j) > 0
+        )
+        sign = -1 if height % 2 else 1
+        value += sign * border_strip_character(new_shape, rest)
+    return value
+
+
+class TestCharacterOracle:
+    def test_every_pair_up_to_ten(self):
+        pairs = 0
+        for m in range(11):
+            for shape in partitions(m):
+                for ct in all_cycle_types(m):
+                    expected = border_strip_character(shape, ct.parts)
+                    assert symmetric_group_character(shape, ct.parts) == expected, (
+                        shape,
+                        ct.parts,
+                    )
+                    pairs += 1
+        assert pairs == 3583
+
+    @pytest.mark.parametrize("m", [13, 14])
+    def test_padded_shapes_at_the_ceiling(self, m, monkeypatch):
+        monkeypatch.setenv("CONFCOHOM_MAX_M", "14")
+        for size in range(7):
+            for core in partitions(size):
+                if core and core[0] > m - size:
+                    continue
+                shape = pad_core(core, m)
+                for ct in all_cycle_types(m):
+                    expected = border_strip_character(shape, ct.parts)
+                    assert symmetric_group_character(shape, ct.parts) == expected, (
+                        shape,
+                        ct.parts,
+                    )
 
 
 class TestPadding:
@@ -323,13 +394,20 @@ class TestDecomposeCertificate:
         with pytest.raises(ConsistencyError, match="ran out"):
             decompose_series(irreducible_sum(4, {(3, 1): 1}), 0)
 
+    def test_cap_checked_at_entry(self, monkeypatch):
+        series = irreducible_sum(4, {(4,): 1})
+        monkeypatch.setenv("CONFCOHOM_MAX_M", "3")
+        with pytest.raises(CostCapExceeded):
+            decompose_series(series, 0)
+
 
 class TestWorkCount:
     def test_stability_table_evaluates_few_characters(self, plane):
-        # the full pairing needs 12,648 character evaluations here
-        symmetric_group_character.cache_clear()
+        # the full pairing needs 12,648 character evaluations here;
+        # decompose_series calls the bead-mask recursion directly
+        repstab._character.cache_clear()
         stability_report(plane, 1, 0, (1, 12))
-        assert symmetric_group_character.cache_info().misses <= 1000
+        assert 0 < repstab._character.cache_info().misses <= 1000
 
 
 class TestPieri:
