@@ -20,10 +20,12 @@ from confcohom import (
     config_series,
     poincare_symmetric_product,
     power_trace,
+)
+from confcohom.oracles import (
     reconstruct_config_series,
+    symmetric_product_generating_function,
     tensor_trace_oracle,
 )
-from confcohom.charseries import _symmetric_product_generating_function
 
 # --- 1: tensor-power traces --------------------------------------------------
 checked = 0
@@ -52,5 +54,5 @@ for coeffs in itertools.product(range(2), repeat=4):
     space = SpaceSpec("probe", pc, 4, i_acyclic=False, orientable=False)
     for m in range(1, 7):
         direct = poincare_symmetric_product(space, m)
-        assert direct == _symmetric_product_generating_function(pc, m)
+        assert direct == symmetric_product_generating_function(pc, m)
 print("symmetric products match the generating-function expansion")

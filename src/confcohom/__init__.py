@@ -8,10 +8,10 @@ polynomials of quotients by permutation subgroups, irreducible
 decompositions, and empirical representation-stability diagnostics.
 
 Every closed formula is paired with an independent brute-force or
-series-expansion oracle, run by the CLI's checks or the test suite and
-never inside the route itself; the library checks its own invariants
-(exact divisibility, nonnegative Betti output) and raises rather than
-returning data it cannot certify.
+series-expansion oracle in :mod:`confcohom.oracles`, run by the CLI's
+checks or the test suite and never inside the route itself; the library
+checks its own invariants (exact divisibility, nonnegative Betti output)
+and raises rather than returning data it cannot certify.
 """
 
 from .errors import (
@@ -25,7 +25,6 @@ from .polyarith import BiPoly, LaurentPoly, falling_product
 from .combinat import (
     CycleType,
     Permutation,
-    SetPartition,
     all_cycle_types,
     divisors,
     euler_phi,
@@ -33,9 +32,7 @@ from .combinat import (
     mobius,
     partitions,
     representative,
-    set_partitions,
     stable_block_counts,
-    stable_partitions,
     stirling_first_signed,
     stirling_first_unsigned,
     stirling_second,
@@ -54,12 +51,9 @@ from .confspace import (
 )
 from .charseries import (
     TraceSeries,
-    at_most_trace,
     config_series,
     config_trace,
     exactly_series,
-    exactly_trace,
-    induce_alternating,
     induce_blocks,
     poincare_cyclic_config,
     poincare_cyclic_product,
@@ -68,7 +62,15 @@ from .charseries import (
     power_series,
     power_trace,
     quotient_poincare,
+)
+from .oracles import (
+    SetPartition,
+    at_most_trace,
+    exactly_trace,
+    induce_alternating,
     reconstruct_config_series,
+    set_partitions,
+    stable_partitions,
     tensor_trace_oracle,
 )
 from .repstab import (

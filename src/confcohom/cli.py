@@ -14,7 +14,7 @@ import os.path
 import sys
 from math import comb
 
-from . import charseries, confspace, limits, repstab
+from . import charseries, confspace, limits, oracles, repstab
 from .combinat import (
     CycleType,
     Permutation,
@@ -240,13 +240,13 @@ def _oracle_triangle(space: SpaceSpec, m: int, series: charseries.TraceSeries) -
     character; every stratum series below it, counted by grouping cycles,
     must equal the trace summed over the enumerated stable set partitions.
     """
-    if charseries.reconstruct_config_series(space, m) != series:
+    if oracles.reconstruct_config_series(space, m) != series:
         return False
     for distinct in range(1, m):
         counted = charseries.exactly_series(space, distinct, m)
         for ctype in all_cycle_types(m):
             alpha = representative(ctype)
-            if charseries.exactly_trace(space, distinct, m, alpha) != counted[ctype]:
+            if oracles.exactly_trace(space, distinct, m, alpha) != counted[ctype]:
                 return False
     return True
 
@@ -283,7 +283,7 @@ def _poincare_checks(
         q = confspace.universal_poly(l, m, target == "delta_le")
         return [_universal_evaluation("universal-polynomial-evaluation", q, space, poly)]
     if target == "sym":
-        oracle = charseries._symmetric_product_generating_function(space.pc, m)
+        oracle = oracles.symmetric_product_generating_function(space.pc, m)
         return [_check("generating-function", oracle == poly)]
     # The quotients average traces over a group whose class counts are
     # listed element by element, independently of the closed forms.
@@ -506,7 +506,7 @@ def _selftest_checks() -> list[tuple[str, bool]]:
             for m in range(1, 5):
                 for ctype in all_cycle_types(m):
                     alpha = representative(ctype)
-                    if charseries.at_most_trace(space, m, m, alpha) != charseries.power_trace(
+                    if oracles.at_most_trace(space, m, m, alpha) != charseries.power_trace(
                         space, ctype
                     ):
                         return False

@@ -1,4 +1,6 @@
-"""Partitions, cycle types, set partitions, Stirling numbers, permutations.
+"""Partitions, cycle types, Stirling numbers, permutations and subgroups.
+
+Stable set partitions are counted here, never listed (see :mod:`.oracles`).
 
 Conventions
 -----------
@@ -6,8 +8,7 @@ Conventions
 * A :class:`CycleType` stores the multiplicity vector (x_1, ..., x_m) where
   x_d counts cycles of length d; it doubles as a conjugacy-class label of
   the symmetric group on m letters and as a Young diagram.
-* Permutations act on {0, ..., m-1}; set-partition blocks use the same
-  ground set and are canonically ordered by least element.
+* Permutations act on {0, ..., m-1}.
 """
 
 from __future__ import annotations
@@ -386,7 +387,7 @@ def stable_block_counts(ctype: CycleType, blocks: int) -> dict[CycleType, int]:
     further cycle enters at one of d rotations.  Grouping alpha's cycles,
     not its points, is the cycle-index count of the species composition
     F o E_+ (Bergeron-Labelle-Leroux, *Combinatorial Species and Tree-like
-    Structures*, 1998).  :func:`stable_partitions` enumerates the same
+    Structures*, 1998).  ``oracles.stable_partitions`` enumerates the same
     partitions point by point and serves as the oracle.
     """
     if blocks < 0:
@@ -442,119 +443,6 @@ def _orbit_groupings(
 
 
 # ---------------------------------------------------------------------------
-# set partitions (enumeration oracle)
-# ---------------------------------------------------------------------------
-
-
-class SetPartition(FrozenRecord):
-    """Partition of {0, ..., m-1} into disjoint nonempty blocks.
-
-    Blocks are sorted tuples, listed in increasing order of least element;
-    that order is the canonical block numbering used everywhere below.
-    """
-
-    __slots__ = ("m", "blocks")
-
-    def __init__(self, m: int, blocks: tuple[tuple[int, ...], ...]):
-        flat = sorted(x for b in blocks for x in b)
-        if flat != list(range(m)):
-            raise ValueError("blocks must partition the ground set")
-        if list(blocks) != sorted((tuple(sorted(b)) for b in blocks), key=min):
-            raise ValueError("blocks must be sorted canonically")
-        self._init(m, blocks)
-
-    @staticmethod
-    def from_blocks(m: int, blocks) -> "SetPartition":
-        canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=min))
-        return SetPartition(m, canon)
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
-    def block_index(self) -> dict[int, int]:
-        idx = {}
-        for k, block in enumerate(self.blocks):
-            for x in block:
-                idx[x] = k
-        return idx
-
-    def apply(self, alpha: Permutation) -> "SetPartition":
-        return SetPartition.from_blocks(
-            self.m, [[alpha(x) for x in block] for block in self.blocks]
-        )
-
-    def block_sizes(self) -> CycleType:
-        """The block-size profile as a Young diagram on m boxes."""
-        return CycleType.from_parts(sorted((len(b) for b in self.blocks), reverse=True), self.m)
-
-    def __str__(self) -> str:
-        return "|".join("".join(str(x + 1) for x in block) for block in self.blocks)
-
-
-@lru_cache(maxsize=None)
-def set_partitions(m: int, blocks: int) -> tuple[SetPartition, ...]:
-    """All partitions of {0,...,m-1} into exactly ``blocks`` nonempty blocks.
-
-    Enumerated through restricted-growth strings, so the list is
-    deterministic and each partition arrives in canonical block order.
-    The count is the Stirling number of the second kind.
-    """
-    if m < 1 or blocks < 1:
-        raise ValueError("set_partitions requires m >= 1 and blocks >= 1")
-    if m > limits.set_partition_hard_cap():
-        raise CostCapExceeded(f"set partitions of {m} elements exceed the hard cap")
-    if blocks > m:
-        return ()
-    out = []
-    labels = [0] * m
-
-    def grow(i: int, used: int):
-        if i == m:
-            if used == blocks:
-                grouped: list[list[int]] = [[] for _ in range(used)]
-                for x, lab in enumerate(labels):
-                    grouped[lab].append(x)
-                out.append(SetPartition.from_blocks(m, grouped))
-            return
-        # prune: remaining slots must still allow reaching `blocks` labels
-        if used + (m - i) < blocks:
-            return
-        limit = min(used, blocks - 1)
-        for lab in range(limit + 1):
-            labels[i] = lab
-            grow(i + 1, used + (1 if lab == used else 0))
-
-    grow(0, 0)
-    return tuple(out)
-
-
-def stable_partitions(
-    alpha: Permutation, blocks: int
-) -> list[tuple[SetPartition, Permutation]]:
-    """Set partitions into ``blocks`` blocks preserved by ``alpha``.
-
-    Each stable partition p comes with the permutation induced on its
-    blocks, expressed through the canonical least-element block order.
-    The induced block permutation is only canonical up to that ordering
-    choice; all consumers are class functions, so any consistent order
-    yields the same traces.
-    """
-    m = alpha.m
-    if blocks == m:
-        # Only the partition into singletons; the block action is alpha itself.
-        singletons = SetPartition.from_blocks(m, [[i] for i in range(m)])
-        return [(singletons, alpha)]
-    found = []
-    for p in set_partitions(m, blocks):
-        if p.apply(alpha) == p:
-            idx = p.block_index()
-            beta = Permutation(tuple(idx[alpha(block[0])] for block in p.blocks))
-            found.append((p, beta))
-    return found
-
-
-# ---------------------------------------------------------------------------
 # subgroups: element-by-element closure and stabilizer chains
 # ---------------------------------------------------------------------------
 
@@ -572,17 +460,16 @@ def _over_cap(cap: int) -> CostCapExceeded:
 
 
 def group_closure(
-    generators: list[Permutation] | tuple[Permutation, ...],
-    m: int,
-    cap: int = limits.DEFAULT_CLOSURE_CAP,
+    generators: list[Permutation] | tuple[Permutation, ...], m: int
 ) -> tuple[int, dict[CycleType, int]]:
     """Close a generator set under composition; count elements per cycle type.
 
     Returns (order, counts).  The empty generator set yields the trivial
-    group.  Breadth-first multiplication; aborts past ``cap`` elements.
-    This is the element-by-element oracle for :func:`subgroup_class_counts`.
+    group.  Breadth-first multiplication; aborts past the closure cap in
+    :mod:`.limits`.  The element-by-element oracle for :func:`subgroup_class_counts`.
     """
     gens = _checked_generators(generators, m)
+    cap = limits.DEFAULT_CLOSURE_CAP
     identity = Permutation.identity(m)
     seen = {identity.images}
     frontier = [identity]
@@ -610,26 +497,24 @@ def symmetric_counts(m: int) -> dict[CycleType, int]:
 
 
 def subgroup_class_counts(
-    generators: list[Permutation] | tuple[Permutation, ...],
-    m: int,
-    cap: int = limits.DEFAULT_CLOSURE_CAP,
+    generators: list[Permutation] | tuple[Permutation, ...], m: int
 ) -> tuple[int, dict[CycleType, int]]:
     """Order and cycle-type counts of the group the generators generate.
 
     Returns (order, counts) like :func:`group_closure`, but from a
     stabilizer chain built by deterministic Schreier-Sims (Sims 1970;
     Seress, *Permutation Group Algorithms*, 2003).  The order is the
-    product of the chain's orbit lengths, and a group of more than ``cap``
-    elements is refused from it before any element is listed.  A group of
+    product of the chain's orbit lengths, and a group past the closure cap
+    is refused from it before any element is listed.  A group of
     order m! is the symmetric group, whose counts are the class sizes; any
     other group is listed by :func:`group_closure`.
     """
     gens = _checked_generators(generators, m)
-    transversals = _stabilizer_chain([g.images for g in gens], m, cap)
+    transversals = _stabilizer_chain([g.images for g in gens], m, limits.DEFAULT_CLOSURE_CAP)
     order = math.prod(len(t) for t in transversals)
     if order == math.factorial(m):
         return order, symmetric_counts(m)
-    return group_closure(gens, m, cap)
+    return group_closure(gens, m)
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
-from .charseries import TraceSeries, _check_cycle_cap, config_series, exactly_series
+from . import limits
+from .charseries import TraceSeries, config_series, exactly_series
 from .charseries import quotient_poincare, symmetric_counts
 from .combinat import CycleType, all_cycle_types, partitions
 from .confspace import SpaceSpec, require
@@ -71,7 +72,7 @@ def symmetric_group_character(shape: tuple[int, ...], mu: tuple[int, ...]) -> in
     total = sum(shape)
     if total != sum(mu):
         raise ValueError(f"size mismatch: {shape} vs {mu}")
-    _check_cycle_cap(total)
+    limits.check_cycle_type_m(total)
     return _character(_beads(shape), mu)
 
 
@@ -179,7 +180,7 @@ def decompose_series(series: TraceSeries, degree: int) -> dict[tuple[int, ...], 
     omitted.
     """
     m = series.m
-    _check_cycle_cap(m)
+    limits.check_cycle_type_m(m)
     sign = -1 if degree % 2 else 1
     classes = []
     weighted = []

@@ -33,7 +33,7 @@ from confcohom import (
     tensor_trace_oracle,
     universal_poly,
 )
-from confcohom.charseries import _symmetric_product_generating_function
+from confcohom.oracles import symmetric_product_generating_function
 from confcohom.cli import main
 
 ACYCLIC_FIXTURES = [
@@ -214,7 +214,7 @@ def test_criterion_10_representation_stability():
     _report(10, "representation-stability", t)
 
 
-def test_criterion_11_symmetric_product_generating_function():
+def test_criterion_11symmetric_product_generating_function():
     with _Timer() as t:
         for coeffs in itertools.product(range(2), repeat=4):
             for extra in ((), (2,)):
@@ -227,7 +227,7 @@ def test_criterion_11_symmetric_product_generating_function():
                 )
                 for m in range(1, 9):
                     result = poincare_symmetric_product(space, m)
-                    assert result == _symmetric_product_generating_function(pc, m)
+                    assert result == symmetric_product_generating_function(pc, m)
     _report(11, "symmetric-product-generating-function", t)
 
 

@@ -26,7 +26,7 @@ from confcohom import (
     stirling_second,
     subgroup_class_counts,
 )
-from confcohom import combinat
+from confcohom import combinat, limits
 
 
 class TestPartitions:
@@ -286,13 +286,14 @@ class TestGroupClosure:
         assert order == 6
         assert counts == {ct: ct.class_size() for ct in all_cycle_types(3)}
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         gens = [
             Permutation.from_cycles(5, [[1, 2]], one_based=True),
             Permutation.from_cycles(5, [[1, 2, 3, 4, 5]], one_based=True),
         ]
+        monkeypatch.setattr(limits, "DEFAULT_CLOSURE_CAP", 10)
         with pytest.raises(CostCapExceeded):
-            group_closure(gens, 5, cap=10)
+            group_closure(gens, 5)
 
 
 def _cycles(m: int, *cycles) -> Permutation:
@@ -378,18 +379,21 @@ class TestSubgroupClassCounts:
         def listed(*_args):
             raise AssertionError("an element was listed")
 
+        monkeypatch.setattr(limits, "DEFAULT_CLOSURE_CAP", 10)
         with pytest.raises(CostCapExceeded) as closure:
-            group_closure(_symmetric(5), 5, cap=10)
+            group_closure(_symmetric(5), 5)
         monkeypatch.setattr(combinat, "group_closure", listed)
         monkeypatch.setattr(combinat, "symmetric_counts", listed)
         with pytest.raises(CostCapExceeded) as refused:
-            subgroup_class_counts(_symmetric(5), 5, cap=10)
+            subgroup_class_counts(_symmetric(5), 5)
         assert str(refused.value) == str(closure.value)
         # one element over the cap is enough
+        monkeypatch.setattr(limits, "DEFAULT_CLOSURE_CAP", 119)
         with pytest.raises(CostCapExceeded):
-            subgroup_class_counts(_symmetric(5), 5, cap=119)
+            subgroup_class_counts(_symmetric(5), 5)
+        monkeypatch.setattr(limits, "DEFAULT_CLOSURE_CAP", 2)
         with pytest.raises(CostCapExceeded):
-            subgroup_class_counts([_cycles(6, (1, 2, 3))], 6, cap=2)
+            subgroup_class_counts([_cycles(6, (1, 2, 3))], 6)
 
     @pytest.mark.parametrize("m", range(2, 10))
     def test_symmetric_groups_are_never_listed(self, monkeypatch, m):
@@ -400,9 +404,11 @@ class TestSubgroupClassCounts:
         order, counts = subgroup_class_counts(_symmetric(m), m)
         assert order == sum(counts.values()) == math.factorial(m)
 
-    def test_order_at_the_cap_is_allowed(self):
-        assert subgroup_class_counts(_symmetric(5), 5, cap=120)[0] == 120
-        assert subgroup_class_counts([_cycles(6, (1, 2, 3))], 6, cap=3)[0] == 3
+    def test_order_at_the_cap_is_allowed(self, monkeypatch):
+        monkeypatch.setattr(limits, "DEFAULT_CLOSURE_CAP", 120)
+        assert subgroup_class_counts(_symmetric(5), 5)[0] == 120
+        monkeypatch.setattr(limits, "DEFAULT_CLOSURE_CAP", 3)
+        assert subgroup_class_counts([_cycles(6, (1, 2, 3))], 6)[0] == 3
 
     def test_large_degree_over_cap_is_refused_quickly(self):
         # S_40 would never be listed; the chain stops once its orbits pass 10!
