@@ -14,78 +14,14 @@ checks its own invariants (exact divisibility, nonnegative Betti output)
 and raises rather than returning data it cannot certify.
 """
 
-from .errors import (
-    ConfcohomError,
-    ConsistencyError,
-    CostCapExceeded,
-    HypothesisViolation,
-    InputParseError,
+import importlib
+
+#: The modules whose names make up ``__all__``.  Each imports only from the
+#: ones before it, so the first of them that binds a name is its home.
+_PUBLIC_MODULES = (
+    "errors", "polyarith", "combinat", "confspace", "charseries", "oracles", "repstab"
 )
-from .polyarith import BiPoly, LaurentPoly, falling_product
-from .combinat import (
-    CycleType,
-    Permutation,
-    all_cycle_types,
-    divisors,
-    euler_phi,
-    group_closure,
-    mobius,
-    partitions,
-    representative,
-    stable_block_counts,
-    stirling_first_signed,
-    stirling_first_unsigned,
-    stirling_second,
-    subgroup_class_counts,
-)
-from .confspace import (
-    BUILTIN_SPACES,
-    SpaceSpec,
-    borel_moore_betti_config,
-    euler_char_config,
-    poincare_at_most,
-    poincare_config,
-    poincare_config_ordinary,
-    poincare_exactly,
-    universal_poly,
-)
-from .charseries import (
-    TraceSeries,
-    config_series,
-    config_trace,
-    exactly_series,
-    induce_blocks,
-    poincare_cyclic_config,
-    poincare_cyclic_product,
-    poincare_symmetric_product,
-    poincare_unordered_config,
-    power_series,
-    power_trace,
-    quotient_poincare,
-)
-from .oracles import (
-    SetPartition,
-    at_most_trace,
-    exactly_trace,
-    induce_alternating,
-    reconstruct_config_series,
-    set_partitions,
-    stable_partitions,
-    tensor_trace_oracle,
-)
-from .repstab import (
-    ConstancyReport,
-    MultiplicityTable,
-    StabilityReport,
-    borel_moore_series,
-    decompose_series,
-    irrep_dimension,
-    pad_core,
-    stability_report,
-    symmetric_group_character,
-    unordered_betti_constancy,
-    unpad_shape,
-)
+_SUBMODULES = frozenset(_PUBLIC_MODULES) | {"limits", "record"}
 
 __version__ = "0.1.0"
 
@@ -153,3 +89,27 @@ __all__ = [
     "unordered_betti_constancy",
     "unpad_shape",
 ]
+
+
+def __getattr__(name: str):
+    """Import the public namespace on first use (PEP 562).
+
+    ``import confcohom`` compiles nothing, so a CLI call compiles only the
+    modules its command runs.  The first ``__all__`` name asked for binds
+    them all, which a library session pays once, before its first call.  A
+    submodule name imports that submodule alone: the import system asks for
+    ``confcohom.confspace`` while running ``from . import confspace``.
+    """
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    modules = [importlib.import_module(f"{__name__}.{m}") for m in _PUBLIC_MODULES]
+    namespace = globals()
+    for public in __all__:
+        namespace[public] = next(getattr(m, public) for m in modules if hasattr(m, public))
+    return namespace[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

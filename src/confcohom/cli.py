@@ -4,6 +4,10 @@ Subcommands dispatch to the library engines and emit a deterministic
 result document: identical inputs produce byte-identical output.  Exit
 codes: 0 success, 2 hypothesis violation, 3 input parse error, 4 internal
 consistency failure, 5 cost cap exceeded.
+
+A call is one short process, so each command imports ``charseries``,
+``oracles``, ``repstab`` and ``selftest`` only if it runs them: the closed
+forms compile no trace-series code.
 """
 
 from __future__ import annotations
@@ -12,22 +16,17 @@ import argparse
 import json
 import os.path
 import sys
-from math import comb
-
-from . import charseries, confspace, limits, oracles, repstab
+from . import confspace, limits
 from .combinat import (
     CycleType,
     Permutation,
     all_cycle_types,
     group_closure,
     representative,
-    stirling_first_signed,
-    stirling_second,
     subgroup_class_counts,
 )
 from .confspace import BUILTIN_SPACES, SpaceSpec
 from .errors import (
-    ConfcohomError,
     ConsistencyError,
     CostCapExceeded,
     HypothesisViolation,
@@ -233,13 +232,15 @@ def _check(name: str, passed: bool) -> dict:
     return {"name": name, "passed": bool(passed)}
 
 
-def _oracle_triangle(space: SpaceSpec, m: int, series: charseries.TraceSeries) -> bool:
+def _oracle_triangle(space: SpaceSpec, m: int, series) -> bool:
     """Compare the counting routes at m points with the enumeration oracle.
 
     The chain reconstruction must rebuild ``series``, the configuration
     character; every stratum series below it, counted by grouping cycles,
     must equal the trace summed over the enumerated stable set partitions.
     """
+    from . import charseries, oracles
+
     if oracles.reconstruct_config_series(space, m) != series:
         return False
     for distinct in range(1, m):
@@ -251,16 +252,23 @@ def _oracle_triangle(space: SpaceSpec, m: int, series: charseries.TraceSeries) -
     return True
 
 
+def _charseries():
+    """The trace-series layer, which only the commands that average import."""
+    from . import charseries
+
+    return charseries
+
+
 # poincare target -> engine(space, m, l); only the strata read ``l``
 _POINCARE_ENGINES = {
     "fm": lambda space, m, l: confspace.poincare_config(space, m),
     "delta": lambda space, m, l: confspace.poincare_exactly(space, l, m),
     "delta_le": lambda space, m, l: confspace.poincare_at_most(space, l, m),
     "ordinary": lambda space, m, l: confspace.poincare_config_ordinary(space, m),
-    "cf": lambda space, m, l: charseries.poincare_cyclic_config(space, m),
-    "bf": lambda space, m, l: charseries.poincare_unordered_config(space, m),
-    "sym": lambda space, m, l: charseries.poincare_symmetric_product(space, m),
-    "cyc": lambda space, m, l: charseries.poincare_cyclic_product(space, m),
+    "cf": lambda space, m, l: _charseries().poincare_cyclic_config(space, m),
+    "bf": lambda space, m, l: _charseries().poincare_unordered_config(space, m),
+    "sym": lambda space, m, l: _charseries().poincare_symmetric_product(space, m),
+    "cyc": lambda space, m, l: _charseries().poincare_cyclic_product(space, m),
 }
 
 
@@ -283,6 +291,8 @@ def _poincare_checks(
         q = confspace.universal_poly(l, m, target == "delta_le")
         return [_universal_evaluation("universal-polynomial-evaluation", q, space, poly)]
     if target == "sym":
+        from . import oracles
+
         oracle = oracles.symmetric_product_generating_function(space.pc, m)
         return [_check("generating-function", oracle == poly)]
     # The quotients average traces over a group whose class counts are
@@ -290,6 +300,8 @@ def _poincare_checks(
     # target -> (trace, generators); S_m is listed only up to m = 6
     if target == "bf" and m > 6:
         return []
+    from . import charseries
+
     rotation = [Permutation.from_cycles(m, [list(range(1, m + 1))], one_based=True)]
     swap = [Permutation.from_cycles(m, [[1, 2]], one_based=True)] if m > 1 else []
     trace, gens = {
@@ -344,6 +356,8 @@ def cmd_character(args) -> dict:
     space = load_space(args.space)
     m = args.m
     require_arg(m >= 0, "--m must be nonnegative")
+    from . import charseries
+
     checks = []
     if args.all:
         series = charseries.config_series(space, m)
@@ -393,6 +407,8 @@ def cmd_quotient(args) -> dict:
     m = args.m
     require_arg(m >= 0, "--m must be nonnegative")
     gens = parse_generators(args.generators, m) if args.generators else []
+    from . import charseries
+
     # the hypothesis and the cycle-type cap come before the group is built
     series = charseries.config_series(space, m)
     order, counts = subgroup_class_counts(gens, m)
@@ -424,6 +440,8 @@ def cmd_stability(args) -> dict:
         max(m_range[0], args.a + 1, 1) <= m_range[1],
         f"range {args.range!r} has no m with m >= 1 and m > --a",
     )
+    from . import repstab
+
     report = repstab.stability_report(space, args.i, args.a, m_range)
     rows = {}
     for core in report.table.cores():
@@ -457,104 +475,10 @@ def cmd_stability(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _selftest_checks() -> list[tuple[str, bool]]:
-    c = BUILTIN_SPACES["c"]
-    cstar = BUILTIN_SPACES["cstar"]
-    c1 = BUILTIN_SPACES["c_minus_1"]
-    out: list[tuple[str, bool]] = []
-
-    def run(name, fn):
-        try:
-            out.append((name, bool(fn())))
-        except ConfcohomError:
-            out.append((name, False))
-
-    def stirling_inverse() -> bool:
-        n = 8
-        for i in range(n + 1):
-            for j in range(n + 1):
-                total = sum(
-                    stirling_first_signed(i, k) * stirling_second(k, j)
-                    for k in range(n + 1)
-                )
-                if total != (1 if i == j else 0):
-                    return False
-        return True
-
-    run("stirling-matrices-inverse", stirling_inverse)
-
-    strata = (
-        (space, target, m, l)
-        for space in (c, cstar, c1)
-        for m in range(1, 6)
-        for l in range(1, m + 1)
-        for target in ("delta", "delta_le")
-    )
-    run("universal-polynomial-evaluation", lambda: _all_poincare_checks_pass(strata))
-
-    def oracle_triangle() -> bool:
-        return all(
-            _oracle_triangle(space, m, charseries.config_series(space, m))
-            for space in (c, cstar)
-            for m in range(1, 5)
-        )
-
-    run("oracle-triangle", oracle_triangle)
-
-    def assembly() -> bool:
-        for space in (c, c1):
-            for m in range(1, 5):
-                for ctype in all_cycle_types(m):
-                    alpha = representative(ctype)
-                    if oracles.at_most_trace(space, m, m, alpha) != charseries.power_trace(
-                        space, ctype
-                    ):
-                        return False
-        return True
-
-    run("assembly-identity", assembly)
-
-    quotients = [(c, "cf", m, None) for m in range(1, 6)]
-    quotients += [(c, "bf", m, None) for m in range(1, 5)]
-    run("quotient-averaging", lambda: _all_poincare_checks_pass(quotients))
-    products = (
-        (space, target, m, None)
-        for space in (c, cstar, c1)
-        for m in range(1, 6)
-        for target in ("sym", "cyc")
-    )
-    run("symmetric-product-generating-function", lambda: _all_poincare_checks_pass(products))
-    primes = ((space, "cf", p, None) for p in (2, 3, 5) for space in (c, cstar, c1))
-    run("prime-order-divisibility", lambda: _all_poincare_checks_pass(primes))
-
-    def braid_betti() -> bool:
-        return all(
-            confspace.poincare_config_ordinary(c, m).coeff(1) == comb(m, 2)
-            for m in range(1, 7)
-        )
-
-    run("ordinary-first-betti-reference", braid_betti)
-
-    def refusal() -> bool:
-        try:
-            confspace.poincare_config(BUILTIN_SPACES["klein_pointed"], 2)
-        except HypothesisViolation:
-            return True
-        return False
-
-    run("refuses-non-interior-acyclic", refusal)
-
-    def unordered_plateau() -> bool:
-        report = repstab.unordered_betti_constancy(c, 1, (1, 6))
-        return report.constant_ok and report.constant_value == 1
-
-    run("unordered-betti-plateau", unordered_plateau)
-
-    return out
-
-
 def cmd_selftest(_args) -> dict:
-    results = _selftest_checks()
+    from .selftest import run_checks
+
+    results = run_checks(_all_poincare_checks_pass, _oracle_triangle)
     checks = [_check(name, ok) for name, ok in results]
     failed = sum(1 for _name, ok in results if not ok)
     return {
