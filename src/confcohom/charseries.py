@@ -126,6 +126,16 @@ def _divisor_kernel(space: SpaceSpec, d: int) -> LaurentPoly:
     return total
 
 
+def _cleared_product(ctype: CycleType, factor: Callable[[int, int], LaurentPoly]) -> LaurentPoly:
+    """prod over the cycle lengths d of ``ctype`` of factor(d, x_d), where
+    factor(d, x) = prod_{i < x} (B_d - i * d * T^d): the one trace product."""
+    result = LaurentPoly.one()
+    for d, x in enumerate(ctype.mult, start=1):
+        if x:
+            result = result * factor(d, x)
+    return result
+
+
 def config_trace(space: SpaceSpec, ctype: CycleType) -> LaurentPoly:
     """Graded trace of a type-``ctype`` permutation on H_c of the configuration space.
 
@@ -135,20 +145,28 @@ def config_trace(space: SpaceSpec, ctype: CycleType) -> LaurentPoly:
     """
     require(space, "i_acyclic")
     limits.check_cycle_type_m(ctype.m)
-    result = LaurentPoly.one()
-    for d in range(1, ctype.m + 1):
-        x = ctype.x(d)
-        if x:
-            result = result * falling_product(
-                _divisor_kernel(space, d), LaurentPoly.term(d, d), x
-            )
-    return result
+    return _cleared_product(
+        ctype, lambda d, x: falling_product(_divisor_kernel(space, d), LaurentPoly.term(d, d), x)
+    )
 
 
 def config_series(space: SpaceSpec, m: int) -> TraceSeries:
+    """:func:`config_trace` on every cycle type, from one factor table.
+
+    The table, local to the call, builds each kernel B_d once and each
+    falling factor prod_{i < x} (B_d - i * d * T^d) once per pair (d, x)
+    with d * x <= m: sum_d floor(m/d) falling products for p(m) entries.
+    """
     require(space, "i_acyclic")
     limits.check_cycle_type_m(m)  # before listing the cycle types, which grow like p(m)
-    return TraceSeries(m, {ct: config_trace(space, ct) for ct in all_cycle_types(m)})
+    factors = {}
+    for d in range(1, m + 1):
+        kernel = _divisor_kernel(space, d)
+        for x in range(1, m // d + 1):
+            factors[d, x] = falling_product(kernel, LaurentPoly.term(d, d), x)
+    return TraceSeries(
+        m, {ct: _cleared_product(ct, lambda d, x: factors[d, x]) for ct in all_cycle_types(m)}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +241,12 @@ def _average(
     raises ConsistencyError: the traces and the group did not pair up.
     """
     total = _linear_combination((count, trace(ctype)) for ctype, count in counts.items())
-    result = total.divexact(order).negate_var()
+    return _read_at_minus_t(total.divexact(order))
+
+
+def _read_at_minus_t(average: LaurentPoly) -> LaurentPoly:
+    """Undo the -T convention of a group average; Betti numbers are nonnegative."""
+    result = average.negate_var()
     if not result.has_nonnegative_coeffs():
         raise ConsistencyError("group average produced negative Betti numbers")
     return result
@@ -267,14 +290,37 @@ def poincare_cyclic_config(space: SpaceSpec, m: int) -> LaurentPoly:
 def poincare_unordered_config(space: SpaceSpec, m: int) -> LaurentPoly:
     """Poincaré polynomial of the unordered configuration space.
 
-    Full symmetric-group average: (1/m!) sum over cycle types of
-    class_size * configuration trace, divisibility-checked and negated.
+    The symmetric-group average of :func:`config_trace`, summed over cycle
+    types with weight 1/z_lambda, is by the exponential formula Getzler's
+    product prod_d (1 + (Tu)^d)^(B_d / (d T^d)) at u^m (Getzler, "Resolving
+    mixed Hodge modules on configuration spaces", Duke 1999).  Its
+    logarithmic derivative is Newton's recurrence (Macdonald, *Symmetric
+    Functions*, I.2):
+
+        c_j = sum over d | j of (-1)^(j/d + 1) * B_d * T^(j - d),
+        g_0 = 1,    n * g_n = sum_{j=1..n} c_j * g_(n-j),
+
+    so no cycle type is visited.  Each division by n is exact and checked;
+    the answer is g_m read at -T.  The class-size average over
+    :func:`config_series` is the independent route to the same polynomial.
     """
     require(space, "i_acyclic")
     if m < 1:
         raise ValueError("m must be positive")
     limits.check_cycle_type_m(m)
-    return _average(lambda ct: config_trace(space, ct), symmetric_counts(m), factorial(m))
+    kernels = [_divisor_kernel(space, d) for d in range(1, m + 1)]
+    c = [
+        _linear_combination(
+            ((-1) ** (j // d + 1), kernels[d - 1] * LaurentPoly.term(1, j - d))
+            for d in divisors(j)
+        )
+        for j in range(1, m + 1)
+    ]
+    g = [LaurentPoly.one()]
+    for n in range(1, m + 1):
+        total = _linear_combination((1, c[j - 1] * g[n - j]) for j in range(1, n + 1))
+        g.append(total.divexact(n))
+    return _read_at_minus_t(g[m])
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ import argparse
 import json
 import os.path
 import sys
+from math import factorial
+
 from . import confspace, limits
 from .combinat import (
     CycleType,
@@ -24,6 +26,7 @@ from .combinat import (
     group_closure,
     representative,
     subgroup_class_counts,
+    symmetric_counts,
 )
 from .confspace import BUILTIN_SPACES, SpaceSpec
 from .errors import (
@@ -295,21 +298,19 @@ def _poincare_checks(
 
         oracle = oracles.symmetric_product_generating_function(space.pc, m)
         return [_check("generating-function", oracle == poly)]
-    # The quotients average traces over a group whose class counts are
-    # listed element by element, independently of the closed forms.
-    # target -> (trace, generators); S_m is listed only up to m = 6
-    if target == "bf" and m > 6:
-        return []
     from . import charseries
 
+    if target == "bf":
+        # the route is Newton's recurrence; the class-size average of the
+        # trace series is the independent road to the same polynomial
+        series = charseries.config_series(space, m)
+        oracle = charseries.quotient_poincare(series, symmetric_counts(m), factorial(m))
+        return [_check("subgroup-averaging", oracle == poly)]
+    # The cyclic quotients average traces over the rotation group, listed
+    # element by element, independently of their divisor sums.
     rotation = [Permutation.from_cycles(m, [list(range(1, m + 1))], one_based=True)]
-    swap = [Permutation.from_cycles(m, [[1, 2]], one_based=True)] if m > 1 else []
-    trace, gens = {
-        "cf": (charseries.config_trace, rotation),
-        "bf": (charseries.config_trace, swap + rotation),
-        "cyc": (charseries.power_trace, rotation),
-    }[target]
-    order, counts = group_closure(gens, m)
+    trace = {"cf": charseries.config_trace, "cyc": charseries.power_trace}[target]
+    order, counts = group_closure(rotation, m)
     oracle = charseries._average(lambda ctype: trace(space, ctype), counts, order)
     return [_check("subgroup-averaging", oracle == poly)]
 

@@ -303,11 +303,11 @@ class Permutation(FrozenRecord):
         seen: set[int] = set()
         for cycle in cycles:
             pts = [c - 1 for c in cycle] if one_based else list(cycle)
-            for p in pts:
+            for label, p in zip(cycle, pts):  # messages name the caller's label
                 if not 0 <= p < m:
-                    raise ValueError(f"cycle entry {p} out of range for m={m}")
+                    raise ValueError(f"cycle entry {label} out of range for m={m}")
                 if p in seen:
-                    raise ValueError(f"cycles are not disjoint at {p}")
+                    raise ValueError(f"cycles are not disjoint at {label}")
                 seen.add(p)
             for a, b in zip(pts, pts[1:] + pts[:1]):
                 images[a] = b

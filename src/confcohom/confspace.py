@@ -163,21 +163,19 @@ def universal_poly(distinct: int, m: int, closed: bool) -> BiPoly:
         raise ValueError("universal polynomials require 1 <= distinct <= m")
     P = BiPoly.term(1, 1, 0)
     T2 = BiPoly.term(1, 0, 1)
-
-    def rising(length: int) -> BiPoly:
-        prod = BiPoly.one()
-        for i in range(length):
-            prod = prod * (P + i * T2)
-        return prod
+    # rising[k] = P(P + T)...(P + (k-1)T), each built from the one before
+    rising = [BiPoly.one()]
+    for i in range(distinct):
+        rising.append(rising[i] * (P + i * T2))
 
     if not closed:
-        result = stirling_second(m, distinct) * rising(distinct)
+        result = stirling_second(m, distinct) * rising[distinct]
     else:
         result = BiPoly.zero()
         for a in range(distinct):
             sign = -1 if a % 2 else 1
             result = result + sign * stirling_second(m, distinct - a) * (
-                rising(distinct - a) * BiPoly.term(1, 0, a)
+                rising[distinct - a] * BiPoly.term(1, 0, a)
             )
     if not result.is_homogeneous(distinct):
         raise ConsistencyError(f"universal polynomial is not homogeneous of degree {distinct}")

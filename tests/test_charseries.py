@@ -437,6 +437,17 @@ class TestCyclicAndUnordered:
             averaged = quotient_poincare(config_series(space, m), counts, order)
             assert poincare_unordered_config(space, m) == averaged
 
+    @pytest.mark.parametrize(
+        "name", ["c", "cstar", "c_minus_1", "c_minus_2", "c_minus_3", "r1", "r2", "r3", "r4"]
+    )
+    def test_recurrence_matches_class_size_average(self, name):
+        space = BUILTIN_SPACES[name]
+        for m in range(1, 13):
+            averaged = quotient_poincare(
+                config_series(space, m), symmetric_counts(m), math.factorial(m)
+            )
+            assert poincare_unordered_config(space, m) == averaged
+
     @pytest.mark.parametrize("space", FIXTURES, ids=lambda s: s.name)
     def test_outputs_nonnegative(self, space):
         for m in range(1, 9):

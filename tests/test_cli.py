@@ -20,7 +20,7 @@ from confcohom.cli import (
     space_from_document,
 )
 from confcohom.errors import InputParseError
-from confcohom.polyarith import ONE
+from confcohom.polyarith import ONE, BiPoly
 
 
 def run(capsys, *argv):
@@ -285,6 +285,23 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert json.loads(err)["error"]["category"] == "input-parse-error"
+
+    @pytest.mark.parametrize(
+        "generators, message",
+        [
+            ("(1 1)", "cycles are not disjoint at 1"),
+            ("(1 2)(2 3)", "cycles are not disjoint at 2"),
+            ("(1 2);(3 3)", "cycles are not disjoint at 3"),
+            ("(1 4)", "cycle '1 4' out of range for m = 3"),
+        ],
+    )
+    def test_bad_generators_name_the_label_as_written(self, capsys, generators, message):
+        code, out, err = run(
+            capsys, "quotient", "--space", "c", "--m", "3", "--generators", generators
+        )
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == {"category": "input-parse-error", "message": message}
 
     def test_boolean_betti_numbers_are_3(self, capsys, tmp_path):
         space_file = tmp_path / "bools.json"
@@ -644,9 +661,44 @@ class TestWorkCounts:
         run_json(capsys, *TestProductChecks.ARGS["cyc"])
         assert calls == []
 
+    def test_series_builds_each_factor_once(self, monkeypatch):
+        falling = _counting(monkeypatch, charseries, "falling_product")
+        kernels = _counting(monkeypatch, charseries, "_divisor_kernel")
+        charseries.config_series(cli.BUILTIN_SPACES["c"], 12)
+        assert len(falling) <= 35  # one per (d, x) with d * x <= 12
+        assert len(kernels) <= 12
+
+    def test_unordered_route_visits_no_cycle_type(self, monkeypatch):
+        calls = _counting(monkeypatch, charseries, "config_trace")
+        charseries.poincare_unordered_config(cli.BUILTIN_SPACES["cstar"], 12)
+        assert calls == []
+
+    def test_universal_builds_each_rising_product_once(self, monkeypatch):
+        # a rising factor is P + i*T; the closed case reads 30 products of them
+        factors = []
+        original = BiPoly.__mul__
+
+        def counted(self, other):
+            if isinstance(other, BiPoly) and other.coeff(1, 0) == 1:
+                if all(key in ((1, 0), (0, 1)) for key, _v in other.items()):
+                    factors.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(BiPoly, "__mul__", counted)
+        confspace.universal_poly(30, 60, True)
+        assert len(factors) == 30
+
     def test_cyclic_quotient_checked_past_m_8(self, capsys):
         code, out, err = run(
             capsys, "poincare", "--space", "c", "--target", "cf", "--m", "10", "--format", "plain"
+        )
+        assert code == 0, err
+        assert "  [pass] subgroup-averaging\n" in out
+
+    @pytest.mark.parametrize("m", [7, 12])
+    def test_unordered_quotient_checked_past_m_6(self, capsys, m):
+        code, out, err = run(
+            capsys, "poincare", "--space", "c", "--target", "bf", "--m", str(m), "--format", "plain"
         )
         assert code == 0, err
         assert "  [pass] subgroup-averaging\n" in out
@@ -734,6 +786,9 @@ class TestCorruptedRoutes:
              "poincare --space cstar --target cf --m 4"),
             (charseries, "poincare_unordered_config", _plus_one,
              "poincare --space cstar --target bf --m 4"),
+            # past m = 6 too: the check averages over classes and lists no group
+            (charseries, "poincare_unordered_config", _plus_one,
+             "poincare --space cstar --target bf --m 9"),
             (charseries, "poincare_symmetric_product", _plus_one,
              "poincare --space cstar --target sym --m 4"),
             (charseries, "poincare_cyclic_product", _plus_one,
@@ -797,10 +852,10 @@ class TestSelftest:
         assert code == 4
         assert {c["name"] for c in json.loads(out)["checks"] if not c["passed"]} == names
 
-    def test_a_case_without_checks_fails(self):
-        # past m = 6 the unordered quotient lists no group, so it checks nothing
+    def test_a_case_without_checks_fails(self, monkeypatch):
         c = cli.BUILTIN_SPACES["c"]
-        assert cli._all_poincare_checks_pass([(c, "bf", 6, None)])
+        assert cli._all_poincare_checks_pass([(c, "bf", 7, None)])
+        monkeypatch.setattr(cli, "_poincare_checks", lambda *args: [])
         assert not cli._all_poincare_checks_pass([(c, "bf", 7, None)])
 
 

@@ -31,7 +31,7 @@ from confcohom.cli import main
 FORMATS = ("json", "plain", "latex")
 
 COMMANDS = [
-    # poincare: every target, with and without a checks section
+    # poincare: every target, each with its checks section
     "poincare --space c --target fm --m 0",
     "poincare --space c --target fm --m 4",
     "poincare --space cstar --target fm --m 5",
@@ -241,11 +241,11 @@ DIGESTS = {
     "poincare --space cstar --target bf --m 3 --format latex":
         "857ac214d6f7cc345cee24bd3433a663c997bc5cd5a3d11d55a2c62a28329714",
     "poincare --space c --target bf --m 7 --format json":
-        "6753dc30cab18f1da0acca32e6f3159be278eab5808820ff075478d762479802",
+        "59cdb944e6823fd4f0eb27687f7d3e0903b33d2305b4fb86c3899a5a0e21e297",
     "poincare --space c --target bf --m 7 --format plain":
-        "a75eabb8073e7bd0caec08a6c515b4edb74b20be184cd1537e4f6d83ed31820a",
+        "403c632ab1989e47f78f36d89b5093efbc405f4d7d4a9bf59635dfeb54ad99ac",
     "poincare --space c --target bf --m 7 --format latex":
-        "27decc097f5319b2a1c039ddc1ae08b3ab4943b507b71fdd106f34557cdca7e6",
+        "40c82328404926584f34fc5604eb61aa7532125657915c27ee660cfc85d7e50c",
     "poincare --space cstar --target sym --m 4 --format json":
         "1521a99bd6189c6fcbc3989bf7965e9688f5dd410aecf0e35876957c3d955cbc",
     "poincare --space cstar --target sym --m 4 --format plain":

@@ -446,3 +446,19 @@ class TestPermutation:
     def test_not_bijection(self):
         with pytest.raises(ValueError):
             Permutation((0, 0, 1))
+
+    @pytest.mark.parametrize(
+        "cycles, one_based, message",
+        [
+            ([[1, 1]], True, "cycles are not disjoint at 1"),
+            ([[1, 2], [2, 3]], True, "cycles are not disjoint at 2"),
+            ([[0, 0]], False, "cycles are not disjoint at 0"),
+            ([[1, 4]], True, "cycle entry 4 out of range for m=3"),
+            ([[1, 0]], True, "cycle entry 0 out of range for m=3"),
+            ([[0, 3]], False, "cycle entry 3 out of range for m=3"),
+        ],
+    )
+    def test_errors_name_the_label_as_written(self, cycles, one_based, message):
+        with pytest.raises(ValueError) as info:
+            Permutation.from_cycles(3, cycles, one_based=one_based)
+        assert str(info.value) == message
