@@ -8,8 +8,8 @@ polynomials of quotients by permutation subgroups, irreducible
 decompositions, and empirical representation-stability diagnostics.
 
 Every closed formula is paired with an independent brute-force or
-series-expansion oracle in :mod:`confcohom.oracles`, run by the CLI's
-checks or the test suite and never inside the route itself; the library
+series-expansion oracle in :mod:`confcohom.oracles`, run by
+:mod:`confcohom.checks` or the test suite, never inside the route; the library
 checks its own invariants (exact divisibility, nonnegative Betti output)
 and raises rather than returning data it cannot certify.
 """

@@ -1,9 +1,10 @@
-"""Command-line front end.
+"""Command-line front end: parse the inputs, run a route, render the answer.
 
-Subcommands dispatch to the library engines and emit a deterministic
-result document: identical inputs produce byte-identical output.  Exit
-codes: 0 success, 2 hypothesis violation, 3 input parse error, 4 internal
-consistency failure, 5 cost cap exceeded.
+Each subcommand runs one library route; ``confcohom.checks`` compares the
+answer with an independent route and builds the document's ``checks``
+entries.  The document is deterministic: identical inputs produce
+byte-identical output.  Exit codes: 0 success, 2 hypothesis violation,
+3 input parse error, 4 internal consistency failure, 5 cost cap exceeded.
 
 A call is one short process, so each command imports ``charseries``,
 ``oracles``, ``repstab`` and ``selftest`` only if it runs them: the closed
@@ -15,19 +16,11 @@ from __future__ import annotations
 import argparse
 import json
 import os.path
+import re
 import sys
-from math import factorial
 
-from . import confspace, limits
-from .combinat import (
-    CycleType,
-    Permutation,
-    all_cycle_types,
-    group_closure,
-    representative,
-    subgroup_class_counts,
-    symmetric_counts,
-)
+from . import checks, confspace, limits
+from .combinat import CycleType, Permutation, subgroup_class_counts
 from .confspace import BUILTIN_SPACES, SpaceSpec
 from .errors import (
     ConsistencyError,
@@ -133,30 +126,24 @@ def parse_cycle_type(text: str, m: int) -> CycleType:
 
 
 def parse_generators(text: str, m: int) -> list[Permutation]:
-    """Parse 1-based cycle notation: ``(1 2 3);(4 5)`` or ``(1,2,3)``."""
+    """Parse 1-based cycle notation: ``(1 2 3);(4 5)`` or ``(1,2,3)``; a
+    generator without parentheses is one cycle."""
     gens = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        cycles = []
-        depth_content: list[str] = []
-        if chunk.count("(") != chunk.count(")"):
+        # alternately the text between the cycles and a cycle's body
+        parts = re.split(r"\(([^()]*)\)", chunk)
+        outside = "".join(parts[::2])
+        if "(" in outside or ")" in outside:
             raise InputParseError(f"unbalanced parentheses in {chunk!r}")
-        inner = chunk
-        while "(" in inner:
-            start = inner.index("(")
-            end = inner.find(")", start)
-            if end < 0:
-                raise InputParseError(f"unbalanced parentheses in {chunk!r}")
-            depth_content.append(inner[start + 1 : end])
-            inner = inner[end + 1 :]
-        if not depth_content:
-            depth_content = [chunk]
-        for body in depth_content:
-            pts = [p for p in body.replace(",", " ").split() if p]
+        if len(parts) > 1 and outside.strip():
+            raise InputParseError(f"text outside the cycles in {chunk!r}")
+        cycles = []
+        for body in parts[1::2] or [chunk]:
             try:
-                cycle = [int(p) for p in pts]
+                cycle = [int(p) for p in body.replace(",", " ").split()]
             except ValueError as exc:
                 raise InputParseError(f"bad cycle {body!r}") from exc
             if any(p < 1 or p > m for p in cycle):
@@ -200,10 +187,10 @@ def render(document: dict, fmt: str) -> str:
     result = document.get("result")
     lines.append("result:")
     lines.extend(_render_result_lines(result, fmt))
-    checks = document.get("checks", [])
-    if checks:
+    entries = document.get("checks", [])
+    if entries:
         lines.append("checks:")
-        for check in checks:
+        for check in entries:
             status = "pass" if check["passed"] else "FAIL"
             lines.append(f"  [{status}] {check['name']}")
     return "\n".join(lines) + "\n"
@@ -231,99 +218,10 @@ def _poly_result(poly: LaurentPoly) -> dict:
     return {"kind": "polynomial", "coefficients": poly.to_exp_map()}
 
 
-def _check(name: str, passed: bool) -> dict:
-    return {"name": name, "passed": bool(passed)}
-
-
-def _oracle_triangle(space: SpaceSpec, m: int, series) -> bool:
-    """Compare the counting routes at m points with the enumeration oracle.
-
-    The chain reconstruction must rebuild ``series``, the configuration
-    character; every stratum series below it, counted by grouping cycles,
-    must equal the trace summed over the enumerated stable set partitions.
-    """
-    from . import charseries, oracles
-
-    if oracles.reconstruct_config_series(space, m) != series:
-        return False
-    for distinct in range(1, m):
-        counted = charseries.exactly_series(space, distinct, m)
-        for ctype in all_cycle_types(m):
-            alpha = representative(ctype)
-            if oracles.exactly_trace(space, distinct, m, alpha) != counted[ctype]:
-                return False
-    return True
-
-
-def _charseries():
-    """The trace-series layer, which only the commands that average import."""
-    from . import charseries
-
-    return charseries
-
-
-# poincare target -> engine(space, m, l); only the strata read ``l``
-_POINCARE_ENGINES = {
-    "fm": lambda space, m, l: confspace.poincare_config(space, m),
-    "delta": lambda space, m, l: confspace.poincare_exactly(space, l, m),
-    "delta_le": lambda space, m, l: confspace.poincare_at_most(space, l, m),
-    "ordinary": lambda space, m, l: confspace.poincare_config_ordinary(space, m),
-    "cf": lambda space, m, l: _charseries().poincare_cyclic_config(space, m),
-    "bf": lambda space, m, l: _charseries().poincare_unordered_config(space, m),
-    "sym": lambda space, m, l: _charseries().poincare_symmetric_product(space, m),
-    "cyc": lambda space, m, l: _charseries().poincare_cyclic_product(space, m),
-}
-
-
-def _universal_evaluation(name: str, q: BiPoly, space: SpaceSpec, poly: LaurentPoly) -> dict:
-    """Q(P := pc, T) against the stratum polynomial computed directly."""
-    return _check(name, q.eval_P(space.pc) == poly)
-
-
-def _poincare_checks(
-    space: SpaceSpec, target: str, m: int, l: int | None, poly: LaurentPoly
-) -> list[dict]:
-    """Compare the ``poincare`` answer ``poly`` with an independent route."""
-    if target in ("fm", "ordinary"):
-        # the Euler characteristic is integer arithmetic, no polynomial
-        # product; duality in dimension m*dim multiplies it by (-1)^(m*dim)
-        sign = (-1) ** (m * space.dim) if target == "ordinary" else 1
-        euler = poly.eval_at_int(-1) == sign * confspace.euler_char_config(space, m)
-        return [_check("euler-characteristic", euler)]
-    if target in ("delta", "delta_le"):
-        q = confspace.universal_poly(l, m, target == "delta_le")
-        return [_universal_evaluation("universal-polynomial-evaluation", q, space, poly)]
-    if target == "sym":
-        from . import oracles
-
-        oracle = oracles.symmetric_product_generating_function(space.pc, m)
-        return [_check("generating-function", oracle == poly)]
-    from . import charseries
-
-    if target == "bf":
-        # the route is Newton's recurrence; the class-size average of the
-        # trace series is the independent road to the same polynomial
-        series = charseries.config_series(space, m)
-        oracle = charseries.quotient_poincare(series, symmetric_counts(m), factorial(m))
-        return [_check("subgroup-averaging", oracle == poly)]
-    # The cyclic quotients average traces over the rotation group, listed
-    # element by element, independently of their divisor sums.
-    rotation = [Permutation.from_cycles(m, [list(range(1, m + 1))], one_based=True)]
-    trace = {"cf": charseries.config_trace, "cyc": charseries.power_trace}[target]
-    order, counts = group_closure(rotation, m)
-    oracle = charseries._average(lambda ctype: trace(space, ctype), counts, order)
-    return [_check("subgroup-averaging", oracle == poly)]
-
-
-def _all_poincare_checks_pass(cases) -> bool:
-    """Run the ``poincare`` checks over (space, target, m, l) cases; a case
-    with no check fails."""
-    for space, target, m, l in cases:
-        poly = _POINCARE_ENGINES[target](space, m, l)
-        checks = _poincare_checks(space, target, m, l, poly)
-        if not checks or not all(check["passed"] for check in checks):
-            return False
-    return True
+def _document(command: str, inputs: dict, result, named) -> dict:
+    """The result document of one command; ``named`` are its check pairs."""
+    entries = checks.entries(named)
+    return {"command": command, "inputs": inputs, "result": result, "checks": entries}
 
 
 # ---------------------------------------------------------------------------
@@ -341,16 +239,13 @@ def cmd_poincare(args) -> dict:
         require_arg(m >= 0, "--m must be nonnegative")
     else:
         require_arg(m >= 1, f"target {target!r} needs --m >= 1")
-    poly = _POINCARE_ENGINES[target](space, m, l)
+    poly = checks.ENGINES[target](space, m, l)
     inputs = {"space": space.name, "m": m, "target": target}
     if l is not None:
         inputs["l"] = l
-    return {
-        "command": "poincare",
-        "inputs": inputs,
-        "result": _poly_result(poly),
-        "checks": _poincare_checks(space, target, m, l, poly),
-    }
+    return _document(
+        "poincare", inputs, _poly_result(poly), checks.poincare(space, target, m, l, poly)
+    )
 
 
 def cmd_character(args) -> dict:
@@ -359,11 +254,9 @@ def cmd_character(args) -> dict:
     require_arg(m >= 0, "--m must be nonnegative")
     from . import charseries
 
-    checks = []
     if args.all:
+        require_arg(args.cycle_type is None, "character takes --cycle-type or --all, not both")
         series = charseries.config_series(space, m)
-        if m <= 6:
-            checks.append(_check("oracle-triangle", _oracle_triangle(space, m, series)))
         result = {
             "kind": "series",
             "entries": {
@@ -374,33 +267,27 @@ def cmd_character(args) -> dict:
             },
         }
         inputs = {"space": space.name, "m": m, "cycle_type": "all"}
+        named = checks.character_series(space, m, series)
     else:
-        if not args.cycle_type:
-            raise InputParseError("character requires --cycle-type or --all")
+        require_arg(bool(args.cycle_type), "character requires --cycle-type or --all")
         ctype = parse_cycle_type(args.cycle_type, m)
         poly = charseries.config_trace(space, ctype)
-        if ctype == CycleType.identity(m):
-            same = poly.negate_var() == confspace.poincare_config(space, m)
-            checks.append(_check("identity-entry-is-poincare", same))
         result = _poly_result(poly)
         inputs = {"space": space.name, "m": m, "cycle_type": str(ctype)}
-    return {"command": "character", "inputs": inputs, "result": result, "checks": checks}
+        named = checks.character_trace(space, ctype, poly)
+    return _document("character", inputs, result, named)
 
 
 def cmd_universal(args) -> dict:
     closed = bool(args.closed)
     require_arg(1 <= args.l <= args.m, "universal needs 1 <= --l <= --m")
     q = confspace.universal_poly(args.l, args.m, closed)
-    reference = BUILTIN_SPACES["c"]
-    direct = _POINCARE_ENGINES["delta_le" if closed else "delta"](reference, args.m, args.l)
-    return {
-        "command": "universal",
-        "inputs": {"l": args.l, "m": args.m, "closed": closed},
-        "result": {"kind": "bivariate", "coefficients": q.to_exp_map()},
-        "checks": [
-            _universal_evaluation("evaluates-on-reference-space", q, reference, direct)
-        ],
-    }
+    return _document(
+        "universal",
+        {"l": args.l, "m": args.m, "closed": closed},
+        {"kind": "bivariate", "coefficients": q.to_exp_map()},
+        checks.universal(q, args.l, args.m, closed),
+    )
 
 
 def cmd_quotient(args) -> dict:
@@ -417,20 +304,10 @@ def cmd_quotient(args) -> dict:
     if counted != order:
         raise ConsistencyError(f"class counts sum to {counted}, not to the group order {order}")
     poly = charseries.quotient_poincare(series, counts, order)
-    # the action on configurations is free, so the quotient's Euler
-    # characteristic is the configuration space's divided by the order
-    euler = poly.eval_at_int(-1) * order == confspace.euler_char_config(space, m)
-    return {
-        "command": "quotient",
-        "inputs": {
-            "space": space.name,
-            "m": m,
-            "generators": args.generators or "",
-            "order": order,
-        },
-        "result": _poly_result(poly),
-        "checks": [_check("euler-characteristic-average", euler)],
-    }
+    inputs = {"space": space.name, "m": m, "generators": args.generators or "", "order": order}
+    return _document(
+        "quotient", inputs, _poly_result(poly), checks.quotient(space, m, order, poly)
+    )
 
 
 def cmd_stability(args) -> dict:
@@ -457,18 +334,8 @@ def cmd_stability(args) -> dict:
         "betti": {str(m): v for m, v in sorted(report.betti.items())},
         "poly_degree": report.poly_degree,
     }
-    checks = [_check(name, ok) for name, ok in report.verdicts()]
-    return {
-        "command": "stability",
-        "inputs": {
-            "space": space.name,
-            "i": args.i,
-            "a": args.a,
-            "range": args.range,
-        },
-        "result": result,
-        "checks": checks,
-    }
+    inputs = {"space": space.name, "i": args.i, "a": args.a, "range": args.range}
+    return _document("stability", inputs, result, report.verdicts())
 
 
 # ---------------------------------------------------------------------------
@@ -479,15 +346,11 @@ def cmd_stability(args) -> dict:
 def cmd_selftest(_args) -> dict:
     from .selftest import run_checks
 
-    results = run_checks(_all_poincare_checks_pass, _oracle_triangle)
-    checks = [_check(name, ok) for name, ok in results]
+    results = run_checks()
     failed = sum(1 for _name, ok in results if not ok)
-    return {
-        "command": "selftest",
-        "inputs": {},
-        "result": {"passed": len(results) - failed, "failed": failed},
-        "checks": checks,
-    }
+    return _document(
+        "selftest", {}, {"passed": len(results) - failed, "failed": failed}, results
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--target",
         required=True,
-        choices=tuple(_POINCARE_ENGINES),
+        choices=tuple(checks.ENGINES),
     )
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--l", type=int)

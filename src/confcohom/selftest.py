@@ -5,18 +5,17 @@ from __future__ import annotations
 
 from math import comb
 
-from . import charseries, confspace, oracles, repstab
+from . import charseries, checks, confspace, oracles, repstab
 from .combinat import all_cycle_types, representative, stirling_first_signed, stirling_second
 from .confspace import BUILTIN_SPACES
 from .errors import ConfcohomError, HypothesisViolation
 
 
-def run_checks(poincare_cases_pass, oracle_triangle) -> list[tuple[str, bool]]:
+def run_checks() -> list[tuple[str, bool]]:
     """Run the battery; a check that raises a library error fails.
 
-    ``poincare_cases_pass(cases)`` and ``oracle_triangle(space, m, series)``
-    are the CLI's own checks, so the battery checks the routes the commands
-    run, the way the commands check them.
+    The battery runs the commands' own checks from ``confcohom.checks``, so
+    it checks the routes the commands run, the way the commands check them.
     """
     c = BUILTIN_SPACES["c"]
     cstar = BUILTIN_SPACES["cstar"]
@@ -50,11 +49,11 @@ def run_checks(poincare_cases_pass, oracle_triangle) -> list[tuple[str, bool]]:
         for l in range(1, m + 1)
         for target in ("delta", "delta_le")
     )
-    run("universal-polynomial-evaluation", lambda: poincare_cases_pass(strata))
+    run("universal-polynomial-evaluation", lambda: checks.cases_pass(strata))
 
     def triangles() -> bool:
         return all(
-            oracle_triangle(space, m, charseries.config_series(space, m))
+            checks.oracle_triangle(space, m, charseries.config_series(space, m))
             for space in (c, cstar)
             for m in range(1, 5)
         )
@@ -76,16 +75,16 @@ def run_checks(poincare_cases_pass, oracle_triangle) -> list[tuple[str, bool]]:
 
     quotients = [(c, "cf", m, None) for m in range(1, 6)]
     quotients += [(c, "bf", m, None) for m in range(1, 5)]
-    run("quotient-averaging", lambda: poincare_cases_pass(quotients))
+    run("quotient-averaging", lambda: checks.cases_pass(quotients))
     products = (
         (space, target, m, None)
         for space in (c, cstar, c1)
         for m in range(1, 6)
         for target in ("sym", "cyc")
     )
-    run("symmetric-product-generating-function", lambda: poincare_cases_pass(products))
+    run("symmetric-product-generating-function", lambda: checks.cases_pass(products))
     primes = ((space, "cf", p, None) for p in (2, 3, 5) for space in (c, cstar, c1))
-    run("prime-order-divisibility", lambda: poincare_cases_pass(primes))
+    run("prime-order-divisibility", lambda: checks.cases_pass(primes))
 
     def braid_betti() -> bool:
         return all(

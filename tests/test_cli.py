@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from confcohom import CycleType, LaurentPoly, charseries, cli, combinat, confspace, oracles
+from confcohom import CycleType, LaurentPoly, charseries, checks, cli, combinat, confspace, oracles
 from confcohom.cli import (
     main,
     parse_cycle_type,
@@ -62,8 +63,17 @@ class TestParsers:
 
     @pytest.mark.parametrize("text", [")(", "(1 2))(", "(1 2)(3"])
     def test_generators_misordered_parentheses(self, text):
-        with pytest.raises(InputParseError):
+        with pytest.raises(InputParseError, match="unbalanced parentheses"):
             parse_generators(text, 4)
+
+    def test_generators_bare_cycle(self):
+        (g,) = parse_generators("1 2 3", 3)
+        assert g.cycle_type().parts == (3,)
+
+    @pytest.mark.parametrize("chunk", ["(1 2) 3", "x(1 2)", "(1 2)junk(3)", "(1 2),(3 4)"])
+    def test_generators_text_outside_the_cycles(self, chunk):
+        with pytest.raises(InputParseError, match=re.escape(f"outside the cycles in {chunk!r}")):
+            parse_generators(f"(1 2);{chunk}", 4)
 
     def test_range(self):
         assert parse_range("2..10") == (2, 10)
@@ -138,6 +148,17 @@ class TestCommands:
         names = {c["name"] for c in doc["checks"]}
         assert "oracle-triangle" in names
         assert all(c["passed"] for c in doc["checks"])
+
+    def test_character_refuses_cycle_type_with_all(self, capsys):
+        code, out, err = run(
+            capsys, "character", "--space", "c", "--m", "3", "--all", "--cycle-type", "zzz"
+        )
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "category": "input-parse-error",
+            "message": "character takes --cycle-type or --all, not both",
+        }
 
     def test_character_bad_type_exit_code(self, capsys):
         code, _out, err = run(
@@ -624,7 +645,7 @@ class TestProductChecks:
         def trivial_closure(gens, m):
             return 1, {CycleType.identity(m): 1}
 
-        monkeypatch.setattr(cli, "group_closure", trivial_closure)
+        monkeypatch.setattr(combinat, "group_closure", trivial_closure)
         doc = run_json(capsys, *self.ARGS["cyc"])
         assert doc["checks"] == [{"name": "subgroup-averaging", "passed": False}]
 
@@ -853,10 +874,10 @@ class TestSelftest:
         assert {c["name"] for c in json.loads(out)["checks"] if not c["passed"]} == names
 
     def test_a_case_without_checks_fails(self, monkeypatch):
-        c = cli.BUILTIN_SPACES["c"]
-        assert cli._all_poincare_checks_pass([(c, "bf", 7, None)])
-        monkeypatch.setattr(cli, "_poincare_checks", lambda *args: [])
-        assert not cli._all_poincare_checks_pass([(c, "bf", 7, None)])
+        c = confspace.BUILTIN_SPACES["c"]
+        assert checks.cases_pass([(c, "bf", 7, None)])
+        monkeypatch.setattr(checks, "poincare", lambda *args: [])
+        assert not checks.cases_pass([(c, "bf", 7, None)])
 
 
 class TestCapOverride:

@@ -98,6 +98,10 @@ COMMANDS = [
     "character --space c --m 3 --cycle-type 2^2",
     "quotient --space c --m 4 --generators '(1 5)'",
     "quotient --space c --m 4 --generators ')('",
+    "quotient --space c --m 3 --generators '(1 2) 3'",
+    "quotient --space c --m 3 --generators 'x(1 2)'",
+    "quotient --space c --m 3 --generators '(1 2)junk(3)'",
+    "character --space c --m 3 --all --cycle-type zzz",
     "stability --space c --i 1 --a 3 --range 1..3",
     "CONFCOHOM_MAX_M=abc poincare --space c --target fm --m 3",
     "character --space c --m 13 --all",
@@ -126,8 +130,8 @@ def corpus() -> list[str]:
     return commands
 
 
-def digest(command: str) -> str:
-    """sha256 of exit code, stdout and stderr of one command line."""
+def run_line(command: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one command line."""
     words = shlex.split(command)
     env = {}
     while words and "=" in words[0]:
@@ -145,8 +149,13 @@ def digest(command: str) -> str:
                 os.environ.pop(name, None)
             else:
                 os.environ[name] = value
-    payload = f"{code}\n{out.getvalue()}\0{err.getvalue()}"
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(command: str) -> str:
+    """sha256 of exit code, stdout and stderr of one command line."""
+    code, out, err = run_line(command)
+    return hashlib.sha256(f"{code}\n{out}\0{err}".encode()).hexdigest()
 
 
 def write_space_files(directory: str) -> None:
@@ -514,6 +523,30 @@ DIGESTS = {
         "34931b04dec1a450419c7767e3f7912d58eb2e8e55828a8c9ae76f7bdef86822",
     "quotient --space c --m 4 --generators ')(' --format latex":
         "34931b04dec1a450419c7767e3f7912d58eb2e8e55828a8c9ae76f7bdef86822",
+    "quotient --space c --m 3 --generators '(1 2) 3' --format json":
+        "b022e7c8dae7e7357e347583cb996062661d3d9c78c0947eb2abc269beb4ba89",
+    "quotient --space c --m 3 --generators '(1 2) 3' --format plain":
+        "b022e7c8dae7e7357e347583cb996062661d3d9c78c0947eb2abc269beb4ba89",
+    "quotient --space c --m 3 --generators '(1 2) 3' --format latex":
+        "b022e7c8dae7e7357e347583cb996062661d3d9c78c0947eb2abc269beb4ba89",
+    "quotient --space c --m 3 --generators 'x(1 2)' --format json":
+        "6096e31913bdedfd7cd155e3963030a71db4e051f7354daf887a728b9b6d6b8f",
+    "quotient --space c --m 3 --generators 'x(1 2)' --format plain":
+        "6096e31913bdedfd7cd155e3963030a71db4e051f7354daf887a728b9b6d6b8f",
+    "quotient --space c --m 3 --generators 'x(1 2)' --format latex":
+        "6096e31913bdedfd7cd155e3963030a71db4e051f7354daf887a728b9b6d6b8f",
+    "quotient --space c --m 3 --generators '(1 2)junk(3)' --format json":
+        "7882a10e217617894e8d1f8e270eec4c23f382923098f3d295a5806140846439",
+    "quotient --space c --m 3 --generators '(1 2)junk(3)' --format plain":
+        "7882a10e217617894e8d1f8e270eec4c23f382923098f3d295a5806140846439",
+    "quotient --space c --m 3 --generators '(1 2)junk(3)' --format latex":
+        "7882a10e217617894e8d1f8e270eec4c23f382923098f3d295a5806140846439",
+    "character --space c --m 3 --all --cycle-type zzz --format json":
+        "c826ac1d9c10e59a25256462aaddb7c86629489830ddc08ad5ba08bfbd39f7ad",
+    "character --space c --m 3 --all --cycle-type zzz --format plain":
+        "c826ac1d9c10e59a25256462aaddb7c86629489830ddc08ad5ba08bfbd39f7ad",
+    "character --space c --m 3 --all --cycle-type zzz --format latex":
+        "c826ac1d9c10e59a25256462aaddb7c86629489830ddc08ad5ba08bfbd39f7ad",
     "stability --space c --i 1 --a 3 --range 1..3 --format json":
         "1e255450aee8ddf048ee31facc728750264b1ca31a699a3d836e32f0600f4c8a",
     "stability --space c --i 1 --a 3 --range 1..3 --format plain":
