@@ -59,7 +59,7 @@ def load_space(spec: str) -> SpaceSpec:
             data = json.load(handle)
     except json.JSONDecodeError as exc:
         raise InputParseError(f"invalid JSON in {os.path.normpath(spec)}: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # undecodable bytes, or an int past the digit limit
         raise InputParseError(
             f"cannot read space file {os.path.normpath(spec)}: {exc}"
         ) from exc
@@ -76,6 +76,8 @@ def space_from_document(data) -> SpaceSpec:
     missing = _SPACE_FILE_REQUIRED - keys
     if missing:
         raise InputParseError(f"space file is missing keys: {sorted(missing)}")
+    if not isinstance(data["name"], str):
+        raise InputParseError("name must be a string")
     coeffs = data["poincare_c"]
     if not isinstance(coeffs, list) or not all(
         isinstance(c, int) and not isinstance(c, bool) for c in coeffs
@@ -87,7 +89,7 @@ def space_from_document(data) -> SpaceSpec:
         if flag in data and not isinstance(data[flag], bool):
             raise InputParseError(f"{flag} must be a boolean")
     return SpaceSpec(
-        name=str(data["name"]),
+        name=data["name"],
         pc=LaurentPoly.from_coeffs(coeffs),
         dim=data["dim"],
         i_acyclic=data["i_acyclic"],

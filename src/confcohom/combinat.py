@@ -19,6 +19,7 @@ from itertools import product
 
 from .errors import ConsistencyError, CostCapExceeded
 from . import limits
+from .polyarith import ONE, T, falling_product
 from .record import FrozenRecord
 
 
@@ -204,13 +205,7 @@ def stirling_first_signed(i: int, j: int) -> int:
     """Coefficients of the falling factorial: X(X-1)..(X-i+1) = sum s(i,j) X^j."""
     if i < 0 or j < 0:
         raise ValueError("Stirling indices must be nonnegative")
-    if i == 0 and j == 0:
-        return 1
-    if i == 0 or j == 0:
-        return 0
-    if j > i:
-        return 0
-    return stirling_first_signed(i - 1, j - 1) - (i - 1) * stirling_first_signed(i - 1, j)
+    return falling_product(T, ONE, i).coeff(j)
 
 
 def stirling_first_unsigned(i: int, j: int) -> int:
@@ -261,16 +256,10 @@ def euler_phi(n: int) -> int:
 
 def divisors(n: int) -> tuple[int, ...]:
     """Sorted positive divisors of n."""
-    _factorize(n)  # validates n >= 1
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return tuple(small + large[::-1])
+    divs = [1]
+    for p, k in _factorize(n):
+        divs = [d * p**e for d in divs for e in range(k + 1)]
+    return tuple(sorted(divs))
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +309,12 @@ class Permutation(FrozenRecord):
         """self after other: (self * other)(i) = self(other(i))."""
         if self.m != other.m:
             raise ValueError("size mismatch")
-        return Permutation(tuple(self.images[other.images[i]] for i in range(self.m)))
+        return Permutation(_compose(self.images, other.images))
 
     __mul__ = compose
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.m
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
+        return Permutation(_inverse(self.images))
 
     def cycles(self) -> list[list[int]]:
         seen = [False] * self.m
@@ -447,12 +433,13 @@ def _orbit_groupings(
 # ---------------------------------------------------------------------------
 
 
-def _checked_generators(generators, m: int) -> tuple[Permutation, ...]:
+def _checked_generators(generators, m: int) -> tuple[tuple[int, ...], ...]:
+    """Image tuples of the generators, each a permutation of m letters."""
     gens = tuple(g if isinstance(g, Permutation) else Permutation(tuple(g)) for g in generators)
     for g in gens:
         if g.m != m:
             raise ValueError(f"generator acts on {g.m} letters, expected {m}")
-    return gens
+    return tuple(g.images for g in gens)
 
 
 def _over_cap(cap: int) -> CostCapExceeded:
@@ -470,18 +457,18 @@ def group_closure(
     """
     gens = _checked_generators(generators, m)
     cap = limits.DEFAULT_CLOSURE_CAP
-    identity = Permutation.identity(m)
-    seen = {identity.images}
+    identity = tuple(range(m))
+    seen = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for h in frontier:
             for g in gens:
-                prod = g * h
-                if prod.images not in seen:
+                prod = _compose(g, h)
+                if prod not in seen:
                     if len(seen) >= cap:
                         raise _over_cap(cap)
-                    seen.add(prod.images)
+                    seen.add(prod)
                     nxt.append(prod)
         frontier = nxt
     counts: dict[CycleType, int] = {}
@@ -510,7 +497,7 @@ def subgroup_class_counts(
     other group is listed by :func:`group_closure`.
     """
     gens = _checked_generators(generators, m)
-    transversals = _stabilizer_chain([g.images for g in gens], m, limits.DEFAULT_CLOSURE_CAP)
+    transversals = _stabilizer_chain(gens, m, limits.DEFAULT_CLOSURE_CAP)
     order = math.prod(len(t) for t in transversals)
     if order == math.factorial(m):
         return order, symmetric_counts(m)
@@ -530,7 +517,7 @@ def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _stabilizer_chain(
-    gens: list[tuple[int, ...]], m: int, cap: int
+    gens: tuple[tuple[int, ...], ...], m: int, cap: int
 ) -> list[dict[int, tuple[int, ...]]]:
     """Transversals of a stabilizer chain of the group generated by ``gens``.
 

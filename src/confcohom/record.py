@@ -3,8 +3,10 @@
 A record's fields are its ``__slots__``, in order.  Two records are equal
 when they have the same class and equal fields; the repr lists the fields
 as keywords, ``CycleType(m=2, mult=(0, 1))``.  A :class:`Record` is mutable
-and unhashable; a :class:`FrozenRecord` is set once, by :meth:`_init`, then
-refuses assignment with AttributeError and hashes its fields.  These stand
+and unhashable, and its constructor takes every field by keyword: a missing
+or unknown field raises TypeError.  A :class:`FrozenRecord` validates in
+its own ``__init__``, is set once, by :meth:`_init`, then refuses
+assignment with AttributeError and hashes its fields.  These stand
 in for ``dataclasses``, whose import (with ``inspect``) and class
 processing cost more than the rest of the package at start-up.
 """
@@ -24,6 +26,16 @@ class Record:
             cls._fields_of = staticmethod(lambda record: (getter(record),))
         else:
             cls._fields_of = staticmethod(getter)
+
+    def __init__(self, **fields):
+        missing = [name for name in self.__slots__ if name not in fields]
+        if missing:
+            raise TypeError(f"{type(self).__qualname__}() missing fields {missing}")
+        unknown = sorted(fields.keys() - set(self.__slots__))
+        if unknown:
+            raise TypeError(f"{type(self).__qualname__}() got unknown fields {unknown}")
+        for name in self.__slots__:
+            setattr(self, name, fields[name])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -265,16 +265,6 @@ class MultiplicityTable(Record):
 
     __slots__ = ("degree", "m_values", "rows")
 
-    def __init__(
-        self,
-        degree: int,
-        m_values: tuple[int, ...],
-        rows: dict[tuple[int, ...], dict[int, int]] | None = None,
-    ):
-        self.degree = degree
-        self.m_values = m_values
-        self.rows = {} if rows is None else rows
-
     def value(self, core: tuple[int, ...], m: int) -> int:
         return self.rows.get(core, {}).get(m, 0)
 
@@ -287,32 +277,6 @@ class StabilityReport(Record):
         "space", "degree", "defect", "table", "betti", "monotone_from",
         "stable_from", "monotone_ok", "constant_ok", "poly_degree", "poly_window_ok",
     )
-
-    def __init__(
-        self,
-        space: str,
-        degree: int,
-        defect: int,
-        table: MultiplicityTable,
-        betti: dict[int, int],
-        monotone_from: int,
-        stable_from: int,
-        monotone_ok: bool,
-        constant_ok: bool,
-        poly_degree: int | None,
-        poly_window_ok: bool,
-    ):
-        self.space = space
-        self.degree = degree
-        self.defect = defect
-        self.table = table
-        self.betti = betti
-        self.monotone_from = monotone_from
-        self.stable_from = stable_from
-        self.monotone_ok = monotone_ok
-        self.constant_ok = constant_ok
-        self.poly_degree = poly_degree
-        self.poly_window_ok = poly_window_ok
 
     def verdicts(self) -> list[tuple[str, bool]]:
         named = [
@@ -374,7 +338,7 @@ def stability_report(
     if not ms:
         raise ValueError("range contains no admissible m")
 
-    table = MultiplicityTable(degree=degree, m_values=tuple(ms))
+    table = MultiplicityTable(degree=degree, m_values=tuple(ms), rows={})
     betti: dict[int, int] = {}
     for m in ms:
         distinct = m - defect
@@ -435,26 +399,6 @@ class ConstancyReport(Record):
         "space", "degree", "values", "constant_from", "constant_ok",
         "constant_value", "expect_zero", "observed_from",
     )
-
-    def __init__(
-        self,
-        space: str,
-        degree: int,
-        values: dict[int, int],
-        constant_from: int,
-        constant_ok: bool,
-        constant_value: int | None,
-        expect_zero: bool,
-        observed_from: int | None = None,
-    ):
-        self.space = space
-        self.degree = degree
-        self.values = values
-        self.constant_from = constant_from
-        self.constant_ok = constant_ok
-        self.constant_value = constant_value
-        self.expect_zero = expect_zero
-        self.observed_from = observed_from
 
     def verdicts(self) -> list[tuple[str, bool]]:
         name = f"constant-from-{self.constant_from}"

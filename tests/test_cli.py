@@ -366,6 +366,39 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"]["category"] == "input-parse-error"
 
+    def test_integer_past_the_digit_limit_is_3(self, capsys, tmp_path, digit_limit_640):
+        # json.load raises a plain ValueError, which main reads as a result
+        # past the limit unless the space file's reader catches it
+        space_file = tmp_path / "huge.json"
+        coeffs = f"[0, 1{'0' * 700}]"
+        space_file.write_text(
+            f'{{"name": "huge", "poincare_c": {coeffs}, "dim": 2, "i_acyclic": true}}'
+        )
+        code, out, err = run(
+            capsys, "poincare", "--space", str(space_file), "--target", "fm", "--m", "2"
+        )
+        assert code == 3
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["category"] == "input-parse-error"
+        assert error["message"].startswith(f"cannot read space file {space_file}: ")
+
+    @pytest.mark.parametrize("name", [None, 7, ["c"]])
+    def test_name_that_is_not_a_string_is_3(self, capsys, tmp_path, name):
+        space_file = tmp_path / "named.json"
+        space_file.write_text(
+            json.dumps({"name": name, "poincare_c": [0, 0, 1], "dim": 2, "i_acyclic": True})
+        )
+        code, out, err = run(
+            capsys, "poincare", "--space", str(space_file), "--target", "fm", "--m", "2"
+        )
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "category": "input-parse-error",
+            "message": "name must be a string",
+        }
+
     def test_over_cap_quotient_is_refused_from_its_order(self, capsys, monkeypatch):
         def listed(*_args):
             raise AssertionError("an element was listed")

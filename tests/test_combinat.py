@@ -112,6 +112,7 @@ class TestStirling:
         n = 1500
         assert stirling_second(n, 3) == (3**n - 3 * 2**n + 3) // 6
         assert stirling_second(n, 2) == 2 ** (n - 1) - 1
+        assert stirling_first_signed(n, 1) == -math.factorial(n - 1)
 
     def test_cross_check_failure_raises(self, monkeypatch):
         # every entry filled into the table is compared with the
@@ -137,6 +138,10 @@ class TestNumberTheory:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             mobius(0)
+
+    def test_divisors_by_trial_division(self):
+        for n in range(1, 2001):
+            assert divisors(n) == tuple(d for d in range(1, n + 1) if n % d == 0)
 
     @given(st.integers(1, 300))
     def test_totient_sum(self, n):
@@ -285,6 +290,18 @@ class TestGroupClosure:
         order, counts = group_closure(gens, 3)
         assert order == 6
         assert counts == {ct: ct.class_size() for ct in all_cycle_types(3)}
+
+    def test_symmetric_group_fixing_a_point(self):
+        gens = [
+            Permutation.from_cycles(8, [[1, 2]], one_based=True),
+            Permutation.from_cycles(8, [[1, 2, 3, 4, 5, 6, 7]], one_based=True),
+        ]
+        order, counts = group_closure(gens, 8)
+        assert order == 5040
+        assert counts == {
+            CycleType(8, (ct.mult[0] + 1, *ct.mult[1:], 0)): ct.class_size()
+            for ct in all_cycle_types(7)
+        }
 
     def test_cap(self, monkeypatch):
         gens = [

@@ -69,6 +69,18 @@ class TestRecords:
         with pytest.raises(TypeError):
             hash(report)
 
+    @pytest.mark.parametrize("report", reports(), ids=lambda v: type(v).__name__)
+    def test_reports_take_every_field_by_keyword(self, report):
+        fields = {name: getattr(report, name) for name in type(report).__slots__}
+        assert type(report)(**fields) == report
+        first = type(report).__slots__[0]
+        with pytest.raises(TypeError, match=f"missing fields \\['{first}'\\]"):
+            type(report)(**{k: v for k, v in fields.items() if k != first})
+        with pytest.raises(TypeError, match=r"unknown fields \['extra'\]"):
+            type(report)(**fields, extra=1)
+        with pytest.raises(TypeError):
+            type(report)(*fields.values())
+
     def test_validation_still_runs(self):
         with pytest.raises(ValueError):
             CycleType(2, (1, 1))
