@@ -66,14 +66,44 @@ def poincare(
         # trace series is the independent road to the same polynomial
         series = charseries.config_series(space, m)
         oracle = charseries.quotient_poincare(series, combinat.symmetric_counts(m), factorial(m))
-        return [("subgroup-averaging", oracle == poly)]
-    # The cyclic quotients average traces over the rotation group, listed
-    # element by element, independently of their divisor sums.
-    rotation = [combinat.Permutation.from_cycles(m, [list(range(1, m + 1))], one_based=True)]
-    trace = {"cf": charseries.config_trace, "cyc": charseries.power_trace}[target]
-    order, counts = combinat.group_closure(rotation, m)
-    oracle = charseries._average(lambda ctype: trace(space, ctype), counts, order)
-    return [("subgroup-averaging", oracle == poly)]
+    else:
+        # The cyclic quotients average traces over the rotation group, listed
+        # element by element, independently of their divisor sums.
+        rotation = [combinat.Permutation.from_cycles(m, [list(range(1, m + 1))], one_based=True)]
+        trace = {"cf": charseries.config_trace, "cyc": charseries.power_trace}[target]
+        order, counts = combinat.group_closure(rotation, m)
+        oracle = charseries._average(lambda ctype: trace(space, ctype), counts, order)
+    named = [("subgroup-averaging", oracle == poly)]
+    if target != "cyc" and m <= 6:  # the window of oracle-triangle
+        named.append(("power-trace-reconstruction", _rebuilt_quotient(space, target, m) == poly))
+    return named
+
+
+def _rebuilt_quotient(space: SpaceSpec, target: str, m: int) -> LaurentPoly:
+    """The ``bf`` or ``cf`` quotient, averaged over the configuration character
+    rebuilt from cartesian-power traces.  Unlike both routes and
+    ``subgroup-averaging``, it reads no divisor kernel B_d.
+
+    X^n is the union of the strata with n - a distinct values, and the one
+    with a collisions enters with the shift T^a:
+
+        power_series(n) = sum over a of T^a * induce_blocks(config_series(n - a), n),
+
+    so each configuration character is the power series minus its shifted,
+    induced predecessors.
+    """
+    charseries = _trace_series()
+    rebuilt = []
+    for n in range(1, m + 1):
+        series = charseries.power_series(space, n)
+        for a, lower in enumerate(reversed(rebuilt), start=1):
+            series = series + charseries.induce_blocks(lower, n).scale(LaurentPoly.term(-1, a))
+        rebuilt.append(series)
+    if target == "bf":
+        counts, order = combinat.symmetric_counts(m), factorial(m)
+    else:
+        counts, order = charseries.cyclic_counts(m), m
+    return charseries.quotient_poincare(rebuilt[m - 1], counts, order)
 
 
 def cases_pass(cases) -> bool:

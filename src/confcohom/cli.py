@@ -175,6 +175,13 @@ def require_arg(ok: bool, message: str) -> None:
         raise InputParseError(message)
 
 
+def refuse_before_sizing(space: SpaceSpec, m: int) -> None:
+    """Check the hypothesis (exit 2), then the cycle-type cap (exit 5), before
+    any input is parsed into something whose size grows with m (exit 3)."""
+    confspace.require(space, "i_acyclic")
+    limits.check_cycle_type_m(m)
+
+
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
@@ -272,6 +279,7 @@ def cmd_character(args) -> dict:
         named = checks.character_series(space, m, series)
     else:
         require_arg(bool(args.cycle_type), "character requires --cycle-type or --all")
+        refuse_before_sizing(space, m)
         ctype = parse_cycle_type(args.cycle_type, m)
         poly = charseries.config_trace(space, ctype)
         result = _poly_result(poly)
@@ -296,10 +304,10 @@ def cmd_quotient(args) -> dict:
     space = load_space(args.space)
     m = args.m
     require_arg(m >= 0, "--m must be nonnegative")
+    refuse_before_sizing(space, m)
     gens = parse_generators(args.generators, m) if args.generators else []
     from . import charseries
 
-    # the hypothesis and the cycle-type cap come before the group is built
     series = charseries.config_series(space, m)
     order, counts = subgroup_class_counts(gens, m)
     counted = sum(counts.values())

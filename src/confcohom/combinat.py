@@ -200,12 +200,17 @@ def _stirling_second_explicit(i: int, j: int) -> int:
     return q
 
 
-@lru_cache(maxsize=None)
 def stirling_first_signed(i: int, j: int) -> int:
     """Coefficients of the falling factorial: X(X-1)..(X-i+1) = sum s(i,j) X^j."""
     if i < 0 or j < 0:
         raise ValueError("Stirling indices must be nonnegative")
-    return falling_product(T, ONE, i).coeff(j)
+    return _falling_factorial(i).coeff(j)
+
+
+@lru_cache(maxsize=None)
+def _falling_factorial(i: int):
+    """X(X-1)..(X-i+1), built once per i and read by every j of its row."""
+    return falling_product(T, ONE, i)
 
 
 def stirling_first_unsigned(i: int, j: int) -> int:
@@ -333,13 +338,26 @@ class Permutation(FrozenRecord):
         return out
 
     def cycle_type(self) -> CycleType:
-        mult = [0] * self.m
-        for cycle in self.cycles():
-            mult[len(cycle) - 1] += 1
-        return CycleType(self.m, tuple(mult))
+        return CycleType(self.m, _cycle_mult(self.images))
 
     def sign(self) -> int:
         return self.cycle_type().sign()
+
+
+def _cycle_mult(images: tuple[int, ...]) -> tuple[int, ...]:
+    """The cycle-type multiplicities (x_1, ..., x_m) of an image tuple."""
+    mult = [0] * len(images)
+    unseen = [True] * len(images)
+    for start in range(len(images)):
+        if unseen[start]:
+            length = 0
+            j = start
+            while unseen[j]:
+                unseen[j] = False
+                j = images[j]
+                length += 1
+            mult[length - 1] += 1
+    return tuple(mult)
 
 
 def representative(ctype: CycleType) -> Permutation:
@@ -471,11 +489,11 @@ def group_closure(
                     seen.add(prod)
                     nxt.append(prod)
         frontier = nxt
-    counts: dict[CycleType, int] = {}
+    counts: dict[tuple[int, ...], int] = {}
     for images in seen:
-        ct = Permutation(images).cycle_type()
-        counts[ct] = counts.get(ct, 0) + 1
-    return len(seen), counts
+        mult = _cycle_mult(images)
+        counts[mult] = counts.get(mult, 0) + 1
+    return len(seen), {CycleType(m, mult): n for mult, n in counts.items()}
 
 
 def symmetric_counts(m: int) -> dict[CycleType, int]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .combinat import stirling_second
 from .errors import ConsistencyError, HypothesisViolation, InputParseError
-from .polyarith import BiPoly, LaurentPoly, T, falling_product
+from .polyarith import P_VAR, T_VAR, BiPoly, LaurentPoly, T, falling_product
 from .record import FrozenRecord
 
 
@@ -161,12 +161,10 @@ def universal_poly(distinct: int, m: int, closed: bool) -> BiPoly:
     _check_strata(distinct, m)
     if distinct < 1 or m < 1:
         raise ValueError("universal polynomials require 1 <= distinct <= m")
-    P = BiPoly.term(1, 1, 0)
-    T2 = BiPoly.term(1, 0, 1)
     # rising[k] = P(P + T)...(P + (k-1)T), each built from the one before
     rising = [BiPoly.one()]
     for i in range(distinct):
-        rising.append(rising[i] * (P + i * T2))
+        rising.append(rising[i] * (P_VAR + i * T_VAR))
 
     if not closed:
         result = stirling_second(m, distinct) * rising[distinct]

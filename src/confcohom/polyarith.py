@@ -7,6 +7,15 @@ values are equal iff their canonical maps are equal.  :class:`BiPoly` is the
 bivariate analogue in (P, T), used for the universal polynomials in which P
 stands for an unspecified compactly-supported Poincaré polynomial.
 
+Both share one private base, ``_SparsePoly``, which holds every operation
+that never looks inside a key: ``zero``, ``one``, ``items``, ``is_zero``,
+sums and differences (an int operand is a constant), negation, equality,
+hashing, truth, ``repr`` and ``str``.  Each class defines only its
+constructor, its product, its key-specific methods (``coeff``, ``term``,
+the exp-map codecs; the substitutions and ``divexact`` on
+``LaurentPoly``; ``eval_P`` and ``is_homogeneous`` on ``BiPoly``) and its
+printer ``format``.
+
 Everything here is exact: there are no floats and no divisions except
 :meth:`LaurentPoly.divexact`, which checks divisibility coefficient by
 coefficient and refuses to round.
@@ -20,15 +29,85 @@ dict work.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 
 from .errors import ConsistencyError
 
 
-class LaurentPoly:
-    """Integer Laurent polynomial in T, immutable and hashable."""
+class _SparsePoly:
+    """Sparse integer polynomial: ``_c`` maps keys to nonzero coefficients.
+
+    Holds every operation that never looks inside a key.  A subclass names
+    the key of its constant term in ``_CONST_KEY``, which turns an int
+    operand of ``+``, ``-`` or ``==`` into a constant, and supplies its
+    constructor, its product and its printer.
+    """
 
     __slots__ = ("_c",)
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def one(cls):
+        return cls({cls._CONST_KEY: 1})
+
+    def items(self):
+        return iter(sorted(self._c.items()))
+
+    def is_zero(self) -> bool:
+        return not self._c
+
+    def _coerce(self, value):
+        if isinstance(value, int):
+            return type(self)({self._CONST_KEY: value})
+        return value
+
+    def __add__(self, other):
+        c = dict(self._c)
+        for k, v in self._coerce(other)._c.items():
+            c[k] = c.get(k, 0) + v
+        return type(self)(c)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        c = dict(self._c)
+        for k, v in self._coerce(other)._c.items():
+            c[k] = c.get(k, 0) - v
+        return type(self)(c)
+
+    def __rsub__(self, other: int):
+        return self._coerce(other) - self
+
+    def __neg__(self):
+        return type(self)({k: -v for k, v in self._c.items()})
+
+    def __eq__(self, other: object) -> bool:
+        other = self._coerce(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._c == other._c
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._c.items()))
+
+    def __bool__(self) -> bool:
+        return bool(self._c)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+    def __str__(self) -> str:
+        return self.format()
+
+
+class LaurentPoly(_SparsePoly):
+    """Integer Laurent polynomial in T, immutable and hashable."""
+
+    __slots__ = ()
+    _CONST_KEY = 0
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         c = {}
@@ -39,14 +118,6 @@ class LaurentPoly:
         self._c = c
 
     # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly()
-
-    @staticmethod
-    def one() -> "LaurentPoly":
-        return LaurentPoly({0: 1})
 
     @staticmethod
     def const(value: int) -> "LaurentPoly":
@@ -66,14 +137,8 @@ class LaurentPoly:
     def coeff(self, exp: int) -> int:
         return self._c.get(exp, 0)
 
-    def items(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self._c.items()))
-
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self._c))
-
-    def is_zero(self) -> bool:
-        return not self._c
 
     @property
     def min_exp(self) -> int:
@@ -98,29 +163,7 @@ class LaurentPoly:
     def from_exp_map(data: Mapping[str, int]) -> "LaurentPoly":
         return LaurentPoly({int(e): int(v) for e, v in data.items()})
 
-    # -- ring operations ----------------------------------------------
-
-    def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        other = _coerce(other)
-        c = dict(self._c)
-        for e, v in other._c.items():
-            c[e] = c.get(e, 0) + v
-        return LaurentPoly(c)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        other = _coerce(other)
-        c = dict(self._c)
-        for e, v in other._c.items():
-            c[e] = c.get(e, 0) - v
-        return LaurentPoly(c)
-
-    def __rsub__(self, other: int) -> "LaurentPoly":
-        return _coerce(other) - self
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -v for e, v in self._c.items()})
+    # -- products -----------------------------------------------------
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
@@ -195,26 +238,7 @@ class LaurentPoly:
             c[e] = q
         return LaurentPoly(c)
 
-    # -- value semantics ----------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self})"
-
-    def __str__(self) -> str:
-        return self.format()
+    # -- printing ---------------------------------------------------
 
     def format(self, latex: bool = False) -> str:
         """Ascending terms such as ``1 - 3T + T^2``; LaTeX braces exponents."""
@@ -239,12 +263,6 @@ def format_terms(terms: Iterable[tuple[int, str]], gap: str = "") -> str:
         sign = "-" if v < 0 else ("+" if parts else "")
         parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
     return " ".join(parts) if parts else "0"
-
-
-def _coerce(value: "LaurentPoly | int") -> LaurentPoly:
-    if isinstance(value, LaurentPoly):
-        return value
-    return LaurentPoly.const(value)
 
 
 def _linear_combination(terms: Iterable[tuple[int, LaurentPoly]]) -> LaurentPoly:
@@ -326,13 +344,14 @@ def _mul_row(coeffs: list[int], row: list[int]) -> list[int]:
     return out
 
 
-class BiPoly:
+class BiPoly(_SparsePoly):
     """Integer polynomial in two variables (P, T), canonical sparse form.
 
     Keys are (P-exponent, T-exponent) pairs; P-exponents are nonnegative.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ()
+    _CONST_KEY = (0, 0)
 
     def __init__(self, coeffs: Mapping[tuple[int, int], int] | None = None):
         c = {}
@@ -343,43 +362,14 @@ class BiPoly:
         self._c = c
 
     @staticmethod
-    def zero() -> "BiPoly":
-        return BiPoly()
-
-    @staticmethod
-    def one() -> "BiPoly":
-        return BiPoly({(0, 0): 1})
-
-    @staticmethod
     def term(coeff: int, p_exp: int, t_exp: int) -> "BiPoly":
         return BiPoly({(p_exp, t_exp): coeff})
 
     def coeff(self, p_exp: int, t_exp: int) -> int:
         return self._c.get((p_exp, t_exp), 0)
 
-    def items(self) -> Iterator[tuple[tuple[int, int], int]]:
-        return iter(sorted(self._c.items()))
-
-    def is_zero(self) -> bool:
-        return not self._c
-
     def is_homogeneous(self, degree: int) -> bool:
         return all(i + j == degree for (i, j) in self._c)
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        c = dict(self._c)
-        for k, v in other._c.items():
-            c[k] = c.get(k, 0) + v
-        return BiPoly(c)
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        c = dict(self._c)
-        for k, v in other._c.items():
-            c[k] = c.get(k, 0) - v
-        return BiPoly(c)
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly({k: -v for k, v in self._c.items()})
 
     def __mul__(self, other: "BiPoly | int") -> "BiPoly":
         if isinstance(other, int):
@@ -411,20 +401,6 @@ class BiPoly:
             i, j = key.split(",")
             c[(int(i), int(j))] = int(v)
         return BiPoly(c)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
-
-    def __repr__(self) -> str:
-        return f"BiPoly({self})"
-
-    def __str__(self) -> str:
-        return self.format()
 
     def format(self, latex: bool = False) -> str:
         """Terms ordered by (P, T) exponents, such as ``36 P T^2 + 25 P^3``.

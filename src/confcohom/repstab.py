@@ -334,9 +334,11 @@ def stability_report(
     lo, hi = m_range
     if lo > hi:
         raise ValueError("empty range")
-    ms = [m for m in range(max(lo, defect + 1, 1), hi + 1)]
-    if not ms:
+    first = max(lo, defect + 1, 1)
+    if first > hi:
         raise ValueError("range contains no admissible m")
+    limits.check_cycle_type_m(hi)  # before any m is computed, and before a list of them
+    ms = list(range(first, hi + 1))
 
     table = MultiplicityTable(degree=degree, m_values=tuple(ms), rows={})
     betti: dict[int, int] = {}
@@ -427,9 +429,10 @@ def unordered_betti_constancy(
             f"space {space.name!r} has top Betti {space.top_betti()}",
         )
     lo, hi = m_range
-    ms = list(range(max(lo, 1), hi + 1))
-    if not ms:
+    if max(lo, 1) > hi:
         raise ValueError("empty range")
+    limits.check_cycle_type_m(hi)  # before any m is computed, and before a list of them
+    ms = list(range(max(lo, 1), hi + 1))
     values: dict[int, int] = {}
     for m in ms:
         bm = borel_moore_series(config_series(space, m), space.dim)

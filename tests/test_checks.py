@@ -6,7 +6,7 @@ import shlex
 
 import pytest
 
-from confcohom import CycleType, charseries, combinat, confspace, oracles
+from confcohom import CycleType, LaurentPoly, charseries, combinat, confspace, oracles
 from test_cli import _doubled, _plus_one, _shifted_series
 from test_cli_corpus import COMMANDS, run_line, write_space_files
 
@@ -28,6 +28,10 @@ CORRUPTIONS = [
      charseries, "config_series", _shifted_series),
     ("subgroup-averaging", "poincare --space cstar --target cf --m 4",
      combinat, "group_closure", _identity_only),
+    ("power-trace-reconstruction", "poincare --space cstar --target bf --m 4",
+     charseries, "power_series", _shifted_series),
+    ("power-trace-reconstruction", "poincare --space cstar --target cf --m 4",
+     charseries, "power_series", _shifted_series),
     ("generating-function", "poincare --space cstar --target sym --m 4",
      oracles, "symmetric_product_generating_function", _plus_one),
     ("oracle-triangle", "character --space cstar --m 4 --all",
@@ -81,3 +85,17 @@ def test_every_check_name_the_corpus_emits_is_corrupted(tmp_path, monkeypatch):
         if code == 0:
             emitted |= {entry["name"] for entry in json.loads(out)["checks"]}
     assert emitted == {row[0] for row in CORRUPTIONS}
+
+
+def test_a_wrong_divisor_kernel_fails_only_the_kernel_free_check(monkeypatch):
+    # d * T^d added to B_2: both quotient routes and subgroup-averaging read
+    # the kernel and agree with each other; the power-trace rebuild does not
+    original = charseries._divisor_kernel
+
+    def wrong(space, d):
+        return original(space, d) + (LaurentPoly.term(d, d) if d == 2 else 0)
+
+    monkeypatch.setattr(charseries, "_divisor_kernel", wrong)
+    command = "poincare --space cstar --target bf --m 4"
+    assert outcome(command, "subgroup-averaging")
+    assert not outcome(command, "power-trace-reconstruction")

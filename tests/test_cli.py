@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
@@ -22,6 +23,13 @@ from confcohom.cli import (
 )
 from confcohom.errors import InputParseError
 from confcohom.polyarith import ONE, BiPoly
+
+
+_CYCLE_CAP = "cycle-type computations are capped at m = 12"
+
+
+def _transposition_and_long_cycle(m: int) -> str:
+    return f"(1 2);({' '.join(map(str, range(1, m + 1)))})"
 
 
 def run(capsys, *argv):
@@ -417,21 +425,32 @@ class TestExitCodes:
         }
 
     @pytest.mark.parametrize(
-        "space, m, code, message",
+        "space, m, gens, code, message",
         [
-            ("c", 13, 5, "cycle-type computations are capped at m = 12"),
-            ("c", 2000, 5, "cycle-type computations are capped at m = 12"),
-            ("klein_pointed", 11, 2, "hypothesis"),
+            ("c", 13, _transposition_and_long_cycle(13), 5, _CYCLE_CAP),
+            ("c", 2000, _transposition_and_long_cycle(2000), 5, _CYCLE_CAP),
+            ("klein_pointed", 11, _transposition_and_long_cycle(11), 2, "hypothesis"),
+            # generators are parsed into m-sized permutations only after both
+            ("c", 3_000_000, "(1 2)", 5, _CYCLE_CAP),
+            ("c", 13, "(1 2", 5, _CYCLE_CAP),
+            ("klein_pointed", 4, "(1 5)", 2, "hypothesis"),
+        ],
+        ids=[
+            f"c-13-5-{_CYCLE_CAP}",
+            f"c-2000-5-{_CYCLE_CAP}",
+            "klein_pointed-11-2-hypothesis",
+            f"c-3000000-(1 2)-5-{_CYCLE_CAP}",
+            f"c-13-(1 2-5-{_CYCLE_CAP}",
+            "klein_pointed-4-(1 5)-2-hypothesis",
         ],
     )
     def test_quotient_checks_hypothesis_and_cycle_cap_before_the_group(
-        self, capsys, monkeypatch, space, m, code, message
+        self, capsys, monkeypatch, space, m, gens, code, message
     ):
         def built(*_args):
             raise AssertionError("the group was built")
 
         monkeypatch.setattr(cli, "subgroup_class_counts", built)
-        gens = f"(1 2);({' '.join(map(str, range(1, m + 1)))})"
         exit_code, out, err = run(
             capsys, "quotient", "--space", space, "--m", str(m), "--generators", gens
         )
@@ -465,6 +484,28 @@ class TestExitCodes:
         assert code == 5
         assert out == ""
         assert "cycle-type computations are capped" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("quotient", "--space", "c", "--m", "3000000", "--generators", "(1 2)"),
+            ("character", "--space", "c", "--m", "3000000", "--cycle-type", "1^3000000"),
+            ("stability", "--space", "c", "--i", "1", "--range", "1..3000000"),
+        ],
+        ids=["quotient", "character", "stability"],
+    )
+    def test_past_the_cap_nothing_m_sized_is_built(self, capsys, argv):
+        # a permutation, a multiplicity vector or a list of the m values of
+        # the range, at three million entries, would take tens of MB
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (5, "")
+        assert json.loads(err)["error"]["message"] == _CYCLE_CAP
+        assert peak < 10_000_000
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

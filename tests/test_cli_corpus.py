@@ -220,17 +220,17 @@ DIGESTS = {
     "poincare --space r3 --target ordinary --m 4 --format latex":
         "e1c8c077a1812403a9b81899f9113aa72d70db41581140eed2260cb266743de3",
     "poincare --space c --target cf --m 6 --format json":
-        "c547aceec05e34ea45f96c1c2cf3ddede237815b61e9cf3f0fba729d33f0cd23",
+        "159532933e42a5b0511f97cd08a248701dfac1bc1d691d1e6b03ba2229b1bc20",
     "poincare --space c --target cf --m 6 --format plain":
-        "9c0a26120f0fc1507cc2e120eebec5b57cae8e505b451bf31c1e182279ab40ac",
+        "6f088c11d1bb5776b010daecadff0102b235bf599bffd9cedaa889b8b6397ea9",
     "poincare --space c --target cf --m 6 --format latex":
-        "f8d170b85820dceed80c582a2041f07ac40bf3469722833426faef45a7aab8bf",
+        "ed539a7d5cc376d0f8725a5f20aa72dba2ec2e41adb75264595b4fd5e18b7e60",
     "poincare --space cstar --target cf --m 5 --format json":
-        "ac9bea804ea76d76da6ab0baa6a496bfd8d5bd6112c3adaddd7d65b732e192b6",
+        "a53344bf0bc9cd80531ac65f08af87e69571338141e56f40835a5c4b27232079",
     "poincare --space cstar --target cf --m 5 --format plain":
-        "a5c8f39952cdd0b6ff470fa8df1a2d1524b0873bc3fa708dc32e072526a74d0a",
+        "48de095eb4eba49bee0b9f793e3f71928ecf76b714ffe03a7d3dd49b90d3157a",
     "poincare --space cstar --target cf --m 5 --format latex":
-        "099c6c156408d4ee5f54997b697fbe07dd1df0261d8c8e23dda36c41ffb5185f",
+        "26389f7c4f41461d737f1fe7f0ae88dc7b9b849b7563d7895b36c82ebbee67cf",
     "poincare --space c --target cf --m 10 --format json":
         "396c5a699a9d15fec5061f57ca479aae13cf9afb8d88e61b9ad15ccbe4e71fe2",
     "poincare --space c --target cf --m 10 --format plain":
@@ -238,17 +238,17 @@ DIGESTS = {
     "poincare --space c --target cf --m 10 --format latex":
         "4da659a1a8859f0b7105ea2676ae1fe8735db3b43a6527e5a70f2782be106d7d",
     "poincare --space c --target bf --m 4 --format json":
-        "19ecfbbf68b10f58086b2ec6215fb1e16990573766ad0e26dd8b8b58390034e5",
+        "0ba9d7510f43429c943518b4af18c30097d40872e6bec559e0051bd7dfacb3e2",
     "poincare --space c --target bf --m 4 --format plain":
-        "80ee8d80fa8995fdca3cbc209ddf09141b808a0f79a572cc31030c37718a2f97",
+        "cfb18cca19fd8be04a90ab1e6e5359e21bb86a38d72c5f1a5f81ec75d0f886b3",
     "poincare --space c --target bf --m 4 --format latex":
-        "361d69b9d0eb0de8f4c210ffbc5699f1983f53697bc3670181740da0587df6ad",
+        "1fd2e7415703ad269a86dff02305825e38b62b4c454dc28b18e5a3a2417f88c4",
     "poincare --space cstar --target bf --m 3 --format json":
-        "f2333a0eba069e39dc3c13bf082c4a15e6e3801229a9e80066fbecf10e010719",
+        "ba4fccf909fa58ca73ae3ae850f53225b9a6e7dc46ccfc4ec77b32a62ff47b2d",
     "poincare --space cstar --target bf --m 3 --format plain":
-        "279f2149aaecad67057630faab65d645b2008c19b4b09c68eede978687247a4b",
+        "afb6c37d5e153289bd6411410f09c5af9cd7e199d9a6578ebc43225f0813059b",
     "poincare --space cstar --target bf --m 3 --format latex":
-        "857ac214d6f7cc345cee24bd3433a663c997bc5cd5a3d11d55a2c62a28329714",
+        "07e52e290e492754519ac064771e58390513d21fe69bec1cced7ebc69ddc3f93",
     "poincare --space c --target bf --m 7 --format json":
         "59cdb944e6823fd4f0eb27687f7d3e0903b33d2305b4fb86c3899a5a0e21e297",
     "poincare --space c --target bf --m 7 --format plain":

@@ -114,6 +114,20 @@ class TestStirling:
         assert stirling_second(n, 2) == 2 ** (n - 1) - 1
         assert stirling_first_signed(n, 1) == -math.factorial(n - 1)
 
+    def test_a_row_builds_one_falling_product(self, monkeypatch):
+        calls = []
+        original = combinat.falling_product
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(combinat, "falling_product", counted)
+        combinat._falling_factorial.cache_clear()
+        row = [stirling_first_signed(40, j) for j in range(41)]
+        assert len(calls) == 1
+        assert sum(row) == 0 and sum(map(abs, row)) == math.factorial(40)
+
     def test_cross_check_failure_raises(self, monkeypatch):
         # every entry filled into the table is compared with the
         # inclusion-exclusion count; a disagreement is a ConsistencyError

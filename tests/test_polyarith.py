@@ -225,6 +225,23 @@ class TestBiPoly:
         assert q.is_homogeneous(2)
         assert not q.is_homogeneous(3)
 
+    def test_int_operands_are_constants(self):
+        one = BiPoly.one()
+        assert one + 1 == 1 + one == BiPoly.term(2, 0, 0)
+        assert P_VAR - 3 == BiPoly({(1, 0): 1, (0, 0): -3})
+        assert 3 - P_VAR == -(P_VAR - 3)
+        assert one == 1 and BiPoly.zero() == 0 and P_VAR != 1
+        assert BiPoly.term(5, 0, 0) != LaurentPoly.const(5)
+
+    def test_value_semantics_come_from_one_shared_base(self):
+        shared = ("zero", "items", "is_zero", "__add__", "__sub__", "__neg__",
+                  "__eq__", "__hash__", "__repr__", "__str__")
+        for cls in (LaurentPoly, BiPoly):
+            assert not set(shared) & set(vars(cls)), cls
+            # the products and divexact stay on each class, where tracers patch them
+            assert {"__mul__", "__rmul__"} <= set(vars(cls)), cls
+        assert "divexact" in vars(LaurentPoly)
+
 
 class TestFormat:
     def test_format_terms_rules(self):

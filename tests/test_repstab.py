@@ -524,6 +524,14 @@ class TestStabilityReport:
             direct = poincare_exactly(plane, distinct, m)
             assert betti == direct.coeff(distinct * plane.dim - degree), (m, defect)
 
+    def test_range_past_the_cap_is_refused_before_any_m(self, plane, monkeypatch):
+        def computed(*_args):
+            raise AssertionError("an m was computed")
+
+        monkeypatch.setattr(repstab, "exactly_series", computed)
+        with pytest.raises(CostCapExceeded):
+            stability_report(plane, 1, 0, (1, 3_000_000))
+
 
 class TestUnorderedConstancy:
     def test_plane_low_degrees(self, plane):
@@ -577,3 +585,11 @@ class TestUnorderedConstancy:
     def test_refuses_non_acyclic(self, klein):
         with pytest.raises(HypothesisViolation):
             unordered_betti_constancy(klein, 0, (1, 4))
+
+    def test_range_past_the_cap_is_refused_before_any_m(self, plane, monkeypatch):
+        def computed(*_args):
+            raise AssertionError("an m was computed")
+
+        monkeypatch.setattr(repstab, "config_series", computed)
+        with pytest.raises(CostCapExceeded):
+            unordered_betti_constancy(plane, 1, (1, 3_000_000))
