@@ -4,8 +4,8 @@ This script runs the three heaviest cross-validations in one place:
 
 1. the trace formula for cartesian powers against a brute-force signed
    trace on graded tensor powers,
-2. the configuration-space trace series against a reconstruction that uses
-   only cartesian-power data and signed induction chains,
+2. the configuration-space trace series against its reconstruction from
+   cartesian-power traces, solved stratum by stratum with block induction,
 3. the symmetric-product formula against its classical generating function.
 
 All comparisons are exact polynomial equalities; nothing is approximate.
@@ -20,12 +20,9 @@ from confcohom import (
     config_series,
     poincare_symmetric_product,
     power_trace,
-)
-from confcohom.oracles import (
     reconstruct_config_series,
-    symmetric_product_generating_function,
-    tensor_trace_oracle,
 )
+from confcohom.oracles import symmetric_product_generating_function, tensor_trace_oracle
 
 # --- 1: tensor-power traces --------------------------------------------------
 checked = 0
@@ -46,7 +43,7 @@ for coeffs in [(0, 0, 1), (0, 1, 1), (0, 2, 1)]:
     space = SpaceSpec("probe", pc, 2, i_acyclic=True)
     for m in range(1, 6):
         assert reconstruct_config_series(space, m) == config_series(space, m)
-print("configuration traces match their induction-chain reconstruction")
+print("configuration traces match their power-trace reconstruction")
 
 # --- 3: symmetric products ----------------------------------------------------
 for coeffs in itertools.product(range(2), repeat=4):

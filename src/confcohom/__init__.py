@@ -56,7 +56,6 @@ __all__ = [
     "exactly_trace",
     "falling_product",
     "group_closure",
-    "induce_alternating",
     "induce_blocks",
     "irrep_dimension",
     "mobius",

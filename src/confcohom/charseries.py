@@ -21,9 +21,11 @@ which lives entirely in Z[T]: the two forms are equal because
 c^x * (A)(A-1)...(A-x+1) = (cA)(cA-c)...(cA-(x-1)c).  All arithmetic here
 stays in the cleared form; rational numbers never appear.
 
-Every route here counts stable set partitions by grouping cycles; the
-cross-checks that list them, or take other independent roads to the same
-numbers, are in :mod:`confcohom.oracles`.
+Every route here counts stable set partitions by grouping cycles.  The one
+inverse of the stratification of X^m, :func:`reconstruct_config_series`,
+also lives here, because the ``bf`` and ``cf`` checks run it and they load
+no oracle; the cross-checks that list partitions, or take other independent
+roads to the same numbers, are in :mod:`confcohom.oracles`.
 """
 
 from __future__ import annotations
@@ -219,6 +221,33 @@ def induce_blocks(series: TraceSeries, m: int) -> TraceSeries:
 def _block_counts(ctype: CycleType, blocks: int) -> tuple[tuple[CycleType, int], ...]:
     """The pairs of :func:`stable_block_counts`, built once per process."""
     return tuple(stable_block_counts(ctype, blocks).items())
+
+
+def reconstruct_config_series(space: SpaceSpec, m: int) -> TraceSeries:
+    """The configuration character rebuilt from cartesian-power traces alone.
+
+    X^n is the union of the strata with n - a distinct values, and the one
+    with a collisions enters with the shift T^a:
+
+        power_series(n) = sum over a < n of T^a * induce_blocks(config_series(n - a), n),
+
+    a triangle with config_series(n) on its diagonal.  Solved row by row,
+    each configuration character is the power series minus its shifted,
+    induced predecessors.  No divisor kernel B_d is read, so agreement with
+    :func:`config_series` is a kernel-free check of the trace formula.
+    """
+    require(space, "i_acyclic")
+    limits.check_cycle_type_m(m)  # before listing the cycle types, which grow like p(m)
+    if m == 0:
+        # the empty configuration space is a point
+        return TraceSeries(0, {CycleType.identity(0): LaurentPoly.one()})
+    rebuilt: list[TraceSeries] = []
+    for n in range(1, m + 1):
+        series = power_series(space, n)
+        for a, lower in enumerate(reversed(rebuilt), start=1):
+            series = series + induce_blocks(lower, n).scale(LaurentPoly.term(-1, a))
+        rebuilt.append(series)
+    return rebuilt[-1]
 
 
 # ---------------------------------------------------------------------------

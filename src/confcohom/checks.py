@@ -17,6 +17,17 @@ from .confspace import SpaceSpec
 from .polyarith import BiPoly, LaurentPoly
 
 
+#: Largest m at which a command rebuilds the configuration character from
+#: power traces: ``power-trace-reconstruction`` on ``bf`` and ``cf``, and
+#: ``oracle-triangle`` on ``character --all``, which also lists the stable
+#: set partitions of every stratum.  The bound is cost, not validity.  The
+#: listing grows like p(m) * Bell(m): 0.07 s at m = 6, 0.23 s at 7, 1.4 s
+#: at 8 on the plane.  Past 6 the rebuild alone would also make a cold
+#: ``poincare --space cstar --target bf --m 12`` take 0.34 s, not 0.12 s
+#: (2-CPU Xeon, Python 3.11).
+RECONSTRUCTION_MAX_M = 6
+
+
 def _trace_series():
     """The trace-series layer, which only the routes that average import."""
     from . import charseries
@@ -64,8 +75,8 @@ def poincare(
     if target == "bf":
         # the route is Newton's recurrence; the class-size average of the
         # trace series is the independent road to the same polynomial
-        series = charseries.config_series(space, m)
-        oracle = charseries.quotient_poincare(series, combinat.symmetric_counts(m), factorial(m))
+        counts, order = combinat.symmetric_counts(m), factorial(m)
+        oracle = charseries.quotient_poincare(charseries.config_series(space, m), counts, order)
     else:
         # The cyclic quotients average traces over the rotation group, listed
         # element by element, independently of their divisor sums.
@@ -74,36 +85,13 @@ def poincare(
         order, counts = combinat.group_closure(rotation, m)
         oracle = charseries._average(lambda ctype: trace(space, ctype), counts, order)
     named = [("subgroup-averaging", oracle == poly)]
-    if target != "cyc" and m <= 6:  # the window of oracle-triangle
-        named.append(("power-trace-reconstruction", _rebuilt_quotient(space, target, m) == poly))
+    if target != "cyc" and m <= RECONSTRUCTION_MAX_M:
+        # both routes and subgroup-averaging read the divisor kernels B_d;
+        # the character rebuilt from power traces reads none
+        rebuilt = charseries.reconstruct_config_series(space, m)
+        same = charseries.quotient_poincare(rebuilt, counts, order) == poly
+        named.append(("power-trace-reconstruction", same))
     return named
-
-
-def _rebuilt_quotient(space: SpaceSpec, target: str, m: int) -> LaurentPoly:
-    """The ``bf`` or ``cf`` quotient, averaged over the configuration character
-    rebuilt from cartesian-power traces.  Unlike both routes and
-    ``subgroup-averaging``, it reads no divisor kernel B_d.
-
-    X^n is the union of the strata with n - a distinct values, and the one
-    with a collisions enters with the shift T^a:
-
-        power_series(n) = sum over a of T^a * induce_blocks(config_series(n - a), n),
-
-    so each configuration character is the power series minus its shifted,
-    induced predecessors.
-    """
-    charseries = _trace_series()
-    rebuilt = []
-    for n in range(1, m + 1):
-        series = charseries.power_series(space, n)
-        for a, lower in enumerate(reversed(rebuilt), start=1):
-            series = series + charseries.induce_blocks(lower, n).scale(LaurentPoly.term(-1, a))
-        rebuilt.append(series)
-    if target == "bf":
-        counts, order = combinat.symmetric_counts(m), factorial(m)
-    else:
-        counts, order = charseries.cyclic_counts(m), m
-    return charseries.quotient_poincare(rebuilt[m - 1], counts, order)
 
 
 def cases_pass(cases) -> bool:
@@ -119,15 +107,16 @@ def cases_pass(cases) -> bool:
 def oracle_triangle(space: SpaceSpec, m: int, series) -> bool:
     """Compare the counting routes at m points with the enumeration oracle.
 
-    The chain reconstruction must rebuild ``series``, the configuration
-    character; every stratum series below it, counted by grouping cycles,
-    must equal the trace summed over the enumerated stable set partitions.
+    The power-trace reconstruction must rebuild ``series``, the
+    configuration character; every stratum series below it, counted by
+    grouping cycles, must equal the trace summed over the enumerated stable
+    set partitions.
     """
     from . import oracles
 
-    if oracles.reconstruct_config_series(space, m) != series:
-        return False
     charseries = _trace_series()
+    if charseries.reconstruct_config_series(space, m) != series:
+        return False
     for distinct in range(1, m):
         counted = charseries.exactly_series(space, distinct, m)
         for ctype in combinat.all_cycle_types(m):
@@ -138,8 +127,11 @@ def oracle_triangle(space: SpaceSpec, m: int, series) -> bool:
 
 
 def character_series(space: SpaceSpec, m: int, series) -> list[tuple[str, bool]]:
-    """The whole character, up to m = 6, against the enumeration oracle."""
-    return [("oracle-triangle", oracle_triangle(space, m, series))] if m <= 6 else []
+    """The whole character against the power-trace reconstruction and the
+    enumeration oracle, up to ``RECONSTRUCTION_MAX_M``."""
+    if m > RECONSTRUCTION_MAX_M:
+        return []
+    return [("oracle-triangle", oracle_triangle(space, m, series))]
 
 
 def character_trace(space: SpaceSpec, ctype, poly: LaurentPoly) -> list[tuple[str, bool]]:

@@ -1,12 +1,14 @@
 """Brute-force oracles: cross-checks that list what the routes count.
 
 Each oracle reaches a production route's numbers by an independent road:
-listing stable set partitions point by point, walking the chain
-reconstruction, permuting tensor factors or expanding a generating
-function.  Only the CLI's checks and the test suite use them; no
-production module imports this one.  Calls into the layers go through
-their modules (``charseries.config_trace``), so patching or wrapping a
-layer function reaches the oracles too.
+listing stable set partitions point by point, permuting tensor factors or
+expanding a generating function.  Only the CLI's checks and the test suite
+use them; no production module imports this one.  The rebuild of the
+configuration character from power traces counts rather than lists, and
+the ``bf`` and ``cf`` checks run it, so it is
+``charseries.reconstruct_config_series``.  Calls into the layers go
+through their modules (``charseries.config_trace``), so patching or
+wrapping a layer function reaches the oracles too.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from itertools import product as iter_product
 from math import comb
 
 from . import charseries, combinat, confspace, limits
-from .charseries import TraceSeries
 from .combinat import CycleType, Permutation
 from .confspace import SpaceSpec
 from .errors import CostCapExceeded
@@ -204,60 +205,6 @@ def at_most_trace(
         total = total + LaurentPoly.term(1, a) * exactly_trace(
             space, distinct - a, m, alpha
         )
-    return total
-
-
-def induce_alternating(series: TraceSeries, m: int) -> TraceSeries:
-    """Signed sum of iterated inductions over all descending chains to m.
-
-    A chain m = c_0 > c_1 > ... > c_t = l = ``series.m`` carries the sign
-    (-1)^(m - l) * (-1)^t, so the operator is the identity when l == m and
-    inverts ``charseries.induce_blocks`` inside alternating-sum identities.
-    The result is a virtual character: integer combinations, possibly
-    negative.
-
-    The 2^(m-l-1) chains are not walked one by one.  Grouping them by
-    their last step gives the recurrence
-
-        G(l) = series,   G(k) = sum over l <= j < k of (-1)^(k-j+1) Ind_k G(j),
-
-    with G(m) the result: O((m - l)^2) inductions in place of 2^(m-l).
-    """
-    low = series.m
-    if low > m:
-        raise ValueError("cannot induce downward")
-    limits.check_cycle_type_m(m)
-    levels = [series]
-    for k in range(low + 1, m + 1):
-        total = TraceSeries(k, {ct: LaurentPoly.zero() for ct in combinat.all_cycle_types(k)})
-        for j, lower in enumerate(levels, start=low):
-            sign = 1 if (k - j) % 2 else -1
-            total = total + charseries.induce_blocks(lower, k).scale(sign)
-        levels.append(total)
-    return levels[-1]
-
-
-def reconstruct_config_series(space: SpaceSpec, m: int) -> TraceSeries:
-    """Rebuild the configuration-space character from cartesian-power data.
-
-    sum over a < m of (-T)^a applied to the alternating induction of the
-    power series on m-a letters; the (-T)^a factor transcribes the a-step
-    degree shift into the alternating trace convention.  Must agree with
-    ``charseries.config_series`` on every cycle type; that equality is the
-    central cross-validation of the whole induction machinery.
-    """
-    confspace.require(space, "i_acyclic")
-    limits.check_cycle_type_m(m)
-    if m == 0:
-        # the empty configuration space is a point; the telescoped sum
-        # below starts at m = 1
-        return TraceSeries(0, {CycleType.identity(0): LaurentPoly.one()})
-    zero = {ct: LaurentPoly.zero() for ct in combinat.all_cycle_types(m)}
-    total = TraceSeries(m, zero)
-    for a in range(m):
-        shifted = induce_alternating(charseries.power_series(space, m - a), m)
-        factor = LaurentPoly.term((-1) ** a, a)
-        total = total + shifted.scale(factor)
     return total
 
 

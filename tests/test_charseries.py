@@ -22,7 +22,6 @@ from confcohom import (
     exactly_trace,
     falling_product,
     group_closure,
-    induce_alternating,
     induce_blocks,
     partitions,
     poincare_at_most,
@@ -189,7 +188,6 @@ class TestInduction:
         for m in range(1, 6):
             series = config_series(plane, m)
             assert induce_blocks(series, m) == series
-            assert induce_alternating(series, m) == series
 
     def test_identity_value_scales_by_stirling(self, plane):
         for m in range(2, 6):
@@ -204,20 +202,6 @@ class TestInduction:
         series = config_series(plane, 2)
         induced = induce_blocks(series, 3)
         assert induced[CycleType.from_parts((3,))] == LaurentPoly.zero()
-
-    def test_one_step_alternating_is_plain_induction(self, plane):
-        # a single-step span has exactly one chain, with positive sign
-        for m in range(2, 6):
-            series = config_series(plane, m - 1)
-            assert induce_alternating(series, m) == induce_blocks(series, m)
-
-    def test_two_step_alternating_expansion(self, plane):
-        # two levels down: minus the direct induction plus the composite
-        f = power_series(plane, 1)
-        direct = induce_blocks(f, 3)
-        composite = induce_blocks(induce_blocks(f, 2), 3)
-        expected = direct.scale(-1) + composite
-        assert induce_alternating(f, 3) == expected
 
     def test_block_counts_built_once_per_pair(self, plane, monkeypatch):
         # the reconstruction at m = 7 induces over 196 (cycle type, blocks)
@@ -251,22 +235,38 @@ class TestInduction:
                         ct,
                     )
 
-    def test_recurrence_matches_chain_sum(self, plane):
-        # the explicit signed sum over all descending chains
-        # m = c_0 > ... > c_t = low, one induce_blocks per step
-        for m in range(2, 8):
-            for low in range(1, m):
-                f = power_series(plane, low)
-                total = TraceSeries(m, {ct: LaurentPoly.zero() for ct in all_cycle_types(m)})
+    def test_two_point_row_is_one_induction(self, plane):
+        # the second row of the triangle subtracts the single shifted induction
+        expected = power_series(plane, 2) + induce_blocks(power_series(plane, 1), 2).scale(-T)
+        assert reconstruct_config_series(plane, 2) == expected
+
+    def test_three_point_row_expansion(self, plane):
+        # unrolled to power traces: minus the direct inductions, plus the composite
+        f1, f2 = power_series(plane, 1), power_series(plane, 2)
+        expected = (
+            power_series(plane, 3)
+            + induce_blocks(f2, 3).scale(-T)
+            + induce_blocks(f1, 3).scale(-(T**2))
+            + induce_blocks(induce_blocks(f1, 2), 3).scale(T**2)
+        )
+        assert reconstruct_config_series(plane, 3) == expected
+
+    def test_reconstruction_matches_chain_sum(self, plane):
+        # the triangle unrolled: a signed sum over all descending chains
+        # m = c_0 > ... > c_t >= 1, shifted by T^(m - c_t), one induce_blocks per step
+        for m in range(1, 7):
+            total = TraceSeries(m, {ct: LaurentPoly.zero() for ct in all_cycle_types(m)})
+            for low in range(1, m + 1):
                 middles = range(low + 1, m)
                 for size in range(len(middles) + 1):
                     for mid in itertools.combinations(middles, size):
-                        current = f
+                        current = power_series(plane, low)
                         for target in mid + (m,):
                             current = induce_blocks(current, target)
-                        sign = (-1) ** (m - low + size + 1)
-                        total = total + current.scale(sign)
-                assert induce_alternating(f, m) == total, (low, m)
+                        steps = 0 if low == m else size + 1
+                        shift = LaurentPoly.term((-1) ** steps, m - low)
+                        total = total + current.scale(shift)
+            assert reconstruct_config_series(plane, m) == total, m
 
     def test_reconstruction_values_plane(self, plane):
         series = reconstruct_config_series(plane, 3)
@@ -572,13 +572,15 @@ class TestCaps:
             plane, CycleType.identity(11)
         )
 
-    def test_chain_span_cap(self, plane):
+    def test_reconstruction_cap_before_power_series(self, plane, monkeypatch):
         from confcohom import CostCapExceeded
-        from confcohom.charseries import TraceSeries as TS
 
-        trivial = TS(1, {ct: ONE for ct in all_cycle_types(1)})
+        def listed(*_args):
+            raise AssertionError("power_series ran past the cap")
+
+        monkeypatch.setattr(charseries, "power_series", listed)
         with pytest.raises(CostCapExceeded):
-            induce_alternating(trivial, 14)
+            reconstruct_config_series(plane, 13)
 
 
 class TestPunctureComparisons:

@@ -32,10 +32,12 @@ CORRUPTIONS = [
      charseries, "power_series", _shifted_series),
     ("power-trace-reconstruction", "poincare --space cstar --target cf --m 4",
      charseries, "power_series", _shifted_series),
+    ("power-trace-reconstruction", "poincare --space cstar --target bf --m 4",
+     charseries, "reconstruct_config_series", _shifted_series),
     ("generating-function", "poincare --space cstar --target sym --m 4",
      oracles, "symmetric_product_generating_function", _plus_one),
     ("oracle-triangle", "character --space cstar --m 4 --all",
-     oracles, "reconstruct_config_series", _shifted_series),
+     charseries, "reconstruct_config_series", _shifted_series),
     ("identity-entry-is-poincare", "character --space cstar --m 4 --cycle-type 1^4",
      confspace, "poincare_config", _plus_one),
     ("evaluates-on-reference-space", "universal --l 2 --m 4",

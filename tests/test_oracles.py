@@ -16,8 +16,6 @@ MOVED = (
     "stable_partitions",
     "exactly_trace",
     "at_most_trace",
-    "induce_alternating",
-    "reconstruct_config_series",
     "tensor_trace_oracle",
     "symmetric_product_generating_function",
 )
@@ -72,8 +70,16 @@ def test_reconstruction_induces_through_the_module(monkeypatch):
 
     monkeypatch.setattr(charseries, "induce_blocks", counted)
     plane = BUILTIN_SPACES["c"]
-    assert oracles.reconstruct_config_series(plane, 5) == charseries.config_series(plane, 5)
+    assert charseries.reconstruct_config_series(plane, 5) == charseries.config_series(plane, 5)
     assert calls
+
+
+def test_chain_reconstruction_is_gone():
+    # the power-trace relation has one solver, in charseries
+    assert not hasattr(oracles, "induce_alternating")
+    assert not hasattr(oracles, "reconstruct_config_series")
+    assert "induce_alternating" not in confcohom.__all__
+    assert confcohom.reconstruct_config_series is charseries.reconstruct_config_series
 
 
 def test_lowered_cap_refuses_a_warm_cache(monkeypatch):

@@ -32,9 +32,10 @@ HOMES = {
     "universal_poly",
     "charseries": "TraceSeries config_series config_trace exactly_series induce_blocks "
     "poincare_cyclic_config poincare_cyclic_product poincare_symmetric_product "
-    "poincare_unordered_config power_series power_trace quotient_poincare",
-    "oracles": "SetPartition at_most_trace exactly_trace induce_alternating "
-    "reconstruct_config_series set_partitions stable_partitions tensor_trace_oracle",
+    "poincare_unordered_config power_series power_trace quotient_poincare "
+    "reconstruct_config_series",
+    "oracles": "SetPartition at_most_trace exactly_trace set_partitions stable_partitions "
+    "tensor_trace_oracle",
     "repstab": "ConstancyReport MultiplicityTable StabilityReport borel_moore_series "
     "decompose_series irrep_dimension pad_core stability_report symmetric_group_character "
     "unordered_betti_constancy unpad_shape",
