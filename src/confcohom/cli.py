@@ -290,13 +290,17 @@ def cmd_character(args) -> dict:
 
 def cmd_universal(args) -> dict:
     closed = bool(args.closed)
-    require_arg(1 <= args.l <= args.m, "universal needs 1 <= --l <= --m")
-    q = confspace.universal_poly(args.l, args.m, closed)
+    l, m = args.l, args.m
+    require_arg(1 <= l <= m, "universal needs 1 <= --l <= --m")
+    # the P^l T^0 coefficient is S(m, l) >= l^(m - l), which has at least
+    # (m - l) * log10(l) digits; log10(l) >= 0.301 * (bit_length - 1)
+    limits.check_result_digits((m - l) * (l.bit_length() - 1) * 301 // 1000 + 1)
+    q = confspace.universal_poly(l, m, closed)
     return _document(
         "universal",
-        {"l": args.l, "m": args.m, "closed": closed},
+        {"l": l, "m": m, "closed": closed},
         {"kind": "bivariate", "coefficients": q.to_exp_map()},
-        checks.universal(q, args.l, args.m, closed),
+        checks.universal(q, l, m, closed),
     )
 
 
@@ -461,9 +465,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # CPython's int-to-str digit limit (CVE-2020-10735)
         if "integer string conversion" not in str(exc):
             raise
-        limit = sys.get_int_max_str_digits()
-        message = f"the result has integers past the int-to-str limit of {limit} digits"
-        _emit_error("cost-cap-exceeded", message)
+        _emit_error("cost-cap-exceeded", limits.int_str_refusal())
         return EXIT_COST
     sys.stdout.write(text)
     if document["command"] == "selftest" and document["result"]["failed"]:

@@ -16,6 +16,7 @@ without it rather than silently emitting invalid numbers.
 
 from __future__ import annotations
 
+from . import combinat
 from .combinat import stirling_second
 from .errors import ConsistencyError, HypothesisViolation, InputParseError
 from .polyarith import P_VAR, T_VAR, BiPoly, LaurentPoly, T, falling_product
@@ -156,7 +157,8 @@ def universal_poly(distinct: int, m: int, closed: bool) -> BiPoly:
 
     Substituting P := pc recovers ``poincare_exactly`` (open case) or
     ``poincare_at_most`` (closed case) for every space at once.  The
-    result is homogeneous of total degree ``distinct``.
+    result is homogeneous of total degree ``distinct``.  Its Stirling numbers
+    come from the inclusion-exclusion count, not the table those two read.
     """
     _check_strata(distinct, m)
     if distinct < 1 or m < 1:
@@ -167,14 +169,13 @@ def universal_poly(distinct: int, m: int, closed: bool) -> BiPoly:
         rising.append(rising[i] * (P_VAR + i * T_VAR))
 
     if not closed:
-        result = stirling_second(m, distinct) * rising[distinct]
+        result = combinat._stirling_second_explicit(m, distinct) * rising[distinct]
     else:
         result = BiPoly.zero()
         for a in range(distinct):
             sign = -1 if a % 2 else 1
-            result = result + sign * stirling_second(m, distinct - a) * (
-                rising[distinct - a] * BiPoly.term(1, 0, a)
-            )
+            stirling = combinat._stirling_second_explicit(m, distinct - a)
+            result = result + sign * stirling * (rising[distinct - a] * BiPoly.term(1, 0, a))
     if not result.is_homogeneous(distinct):
         raise ConsistencyError(f"universal polynomial is not homogeneous of degree {distinct}")
     return result

@@ -9,10 +9,12 @@ but never above ABSOLUTE_MAX_M; an empty value counts as unset, and any
 other value that is not a nonnegative integer raises InputParseError.
 DEFAULT_CLOSURE_CAP, read at call time, bounds the order of a subgroup
 given by generators; ``subgroup_class_counts`` checks it against a
-stabilizer chain before any element is listed.
+stabilizer chain before any element is listed.  :func:`check_result_digits`
+refuses, before any work, a result too long for the int-to-str limit.
 """
 
 import os
+import sys
 
 from .errors import CostCapExceeded, InputParseError
 
@@ -59,3 +61,17 @@ def check_set_partition_m(m: int) -> None:
     cap = set_partition_max_m()
     if m > cap:
         raise CostCapExceeded(f"set-partition enumeration is capped at m = {cap}")
+
+
+def int_str_refusal() -> CostCapExceeded:
+    """The refusal of a result whose integers are past the int-to-str limit."""
+    limit = sys.get_int_max_str_digits()
+    return CostCapExceeded(f"the result has integers past the int-to-str limit of {limit} digits")
+
+
+def check_result_digits(digits: int) -> None:
+    """Refuse a result with an integer of ``digits`` or more decimal digits
+    past the int-to-str limit; 0, or no limit (before 3.10.7), refuses none."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        raise int_str_refusal()

@@ -191,21 +191,17 @@ class LaurentPoly(_SparsePoly):
 
     # -- substitutions ------------------------------------------------
 
-    def substitute(self, e: int, negate: bool = False) -> "LaurentPoly":
-        """Return f(s * T^e) with s = -1 if ``negate`` else +1.
-
-        Exponent k maps to e*k; the coefficient picks up s^k.  Requires
-        e >= 1 so that the result stays a genuine substitution.
+    def substitute(self, e: int) -> "LaurentPoly":
+        """Return f(T^e): exponent k maps to e*k.  Requires e >= 1 so that
+        the result stays a genuine substitution.
         """
         if e < 1:
             raise ValueError(f"substitution exponent must be >= 1, got {e}")
-        if not negate:
-            return LaurentPoly({k * e: v for k, v in self._c.items()})
-        return LaurentPoly({k * e: (v if k % 2 == 0 else -v) for k, v in self._c.items()})
+        return LaurentPoly({k * e: v for k, v in self._c.items()})
 
     def negate_var(self) -> "LaurentPoly":
-        """Return f(-T)."""
-        return self.substitute(1, negate=True)
+        """Return f(-T): the coefficient of T^k picks up (-1)^k."""
+        return LaurentPoly({k: (-v if k % 2 else v) for k, v in self._c.items()})
 
     def invert_var(self) -> "LaurentPoly":
         """Return f(1/T)."""

@@ -304,12 +304,11 @@ def _polynomial_degree(seq: list[int]) -> int | None:
     return None
 
 
+DIFF_WINDOW = 4
+
+
 def stability_report(
-    space: SpaceSpec,
-    degree: int,
-    defect: int,
-    m_range: tuple[int, int],
-    diff_window: int = 4,
+    space: SpaceSpec, degree: int, defect: int, m_range: tuple[int, int]
 ) -> StabilityReport:
     """Observe multiplicity stability of one Borel-Moore degree across m.
 
@@ -322,7 +321,7 @@ def stability_report(
     * constant from 4*(degree+defect) in dimension 2, from
       2*degree + 4*defect in dimension >= 3,
     * the Betti sequence has vanishing finite differences past the stable
-      bound, when at least ``diff_window`` points are available there.
+      bound, when at least ``DIFF_WINDOW`` points are available there.
     """
     require(space, "i_acyclic")
     require(space, "orientable")
@@ -371,7 +370,7 @@ def stability_report(
         for m in stable_ms
     ) if stable_ms else False
 
-    poly_window_ok = len(stable_ms) >= diff_window
+    poly_window_ok = len(stable_ms) >= DIFF_WINDOW
     poly_degree = (
         _polynomial_degree([betti[m] for m in stable_ms]) if poly_window_ok else None
     )

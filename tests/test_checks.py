@@ -24,6 +24,8 @@ CORRUPTIONS = [
      confspace, "euler_char_config", _plus_one),
     ("universal-polynomial-evaluation", "poincare --space cstar --target delta --l 2 --m 4",
      confspace, "universal_poly", _doubled),
+    ("universal-polynomial-evaluation", "poincare --space cstar --target delta --l 2 --m 4",
+     combinat, "_stirling_second_explicit", _plus_one),
     ("subgroup-averaging", "poincare --space cstar --target bf --m 4",
      charseries, "config_series", _shifted_series),
     ("subgroup-averaging", "poincare --space cstar --target cf --m 4",
@@ -44,6 +46,8 @@ CORRUPTIONS = [
      confspace, "poincare_exactly", _plus_one),
     ("evaluates-on-reference-space", "universal --l 2 --m 4 --closed",
      confspace, "poincare_at_most", _plus_one),
+    ("evaluates-on-reference-space", "universal --l 2 --m 4",
+     confspace, "stirling_second", _plus_one),
     ("euler-characteristic-average", "quotient --space cstar --m 4 --generators '(1 2 3 4)'",
      confspace, "euler_char_config", _plus_one),
 ]
@@ -101,3 +105,24 @@ def test_a_wrong_divisor_kernel_fails_only_the_kernel_free_check(monkeypatch):
     command = "poincare --space cstar --target bf --m 4"
     assert outcome(command, "subgroup-averaging")
     assert not outcome(command, "power-trace-reconstruction")
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("poincare --space cstar --target delta --l 3 --m 5", "universal-polynomial-evaluation"),
+        ("poincare --space cstar --target delta_le --l 3 --m 5", "universal-polynomial-evaluation"),
+        ("universal --l 3 --m 5", "evaluates-on-reference-space"),
+    ],
+)
+def test_a_wrong_stirling_table_entry_fails_the_strata_checks(monkeypatch, command, name):
+    # S(5, 3) + 1 read from the table: the strata routes answer wrongly, and
+    # the explicit count that universal_poly reads tells them apart
+    original = confspace.stirling_second
+
+    def wrong(i, j):
+        return original(i, j) + ((i, j) == (5, 3))
+
+    assert outcome(command, name)
+    monkeypatch.setattr(confspace, "stirling_second", wrong)
+    assert not outcome(command, name)

@@ -13,7 +13,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from confcohom import CycleType, LaurentPoly, charseries, checks, cli, combinat, confspace, oracles
+from confcohom import (
+    CycleType,
+    LaurentPoly,
+    charseries,
+    checks,
+    cli,
+    combinat,
+    confspace,
+    limits,
+    oracles,
+)
 from confcohom.cli import (
     main,
     parse_cycle_type,
@@ -836,6 +846,36 @@ class TestDigitLimit:
         )
         assert code == 0, err
         assert out
+
+    def test_universal_past_the_limit_refuses_before_any_product(
+        self, capsys, monkeypatch, digit_limit_640
+    ):
+        # S(m, 2) = 2^(m-1) - 1 is a coefficient; at m = 10^9 it has 3 * 10^8 digits
+        def never(*args):
+            raise AssertionError("universal_poly ran")
+
+        monkeypatch.setattr(confspace, "universal_poly", never)
+        code, out, err = run(capsys, "universal", "--l", "2", "--m", "1000000000")
+        assert (code, out) == (5, "")
+        assert json.loads(err)["error"] == {
+            "category": "cost-cap-exceeded",
+            "message": "the result has integers past the int-to-str limit of 640 digits",
+        }
+
+    @pytest.mark.parametrize("closed", [[], ["--closed"]])
+    def test_universal_early_refusal_is_the_render_refusal(
+        self, capsys, monkeypatch, digit_limit_640, closed
+    ):
+        # S(3000, 2) has 903 digits, which the estimate bounds by 903
+        argv = ["universal", "--l", "2", "--m", "3000", *closed]
+        early = run(capsys, *argv)
+        monkeypatch.setattr(limits, "check_result_digits", lambda digits: None)
+        assert run(capsys, *argv) == early
+        assert early[0] == 5
+
+    def test_no_digit_limit_refuses_nothing(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+        limits.check_result_digits(10**9)
 
 
 def _plus_one(original):

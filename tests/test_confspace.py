@@ -16,6 +16,7 @@ from confcohom import (
     poincare_exactly,
     universal_poly,
 )
+from confcohom import combinat, confspace
 from confcohom.polyarith import ONE, T
 
 FIXTURES = [BUILTIN_SPACES[n] for n in ("r1", "r2", "r3", "c", "cstar", "c_minus_1", "c_minus_2")]
@@ -179,11 +180,21 @@ class TestUniversalPolynomials:
 
     def test_deep_closed_polynomial(self):
         # S(m,3) P(P+T)(P+2T) - S(m,2) P(P+T) T + S(m,1) P T^2 at m = 1500,
-        # a size the Stirling table must reach without recursion
+        # far past the interpreter's recursion limit
         m = 1500
         s3, s2 = (3**m - 3 * 2**m + 3) // 6, 2 ** (m - 1) - 1
         q = universal_poly(3, m, True)
         assert dict(q.items()) == {(3, 0): s3, (2, 1): 3 * s3 - s2, (1, 2): 2 * s3 - s2 + 1}
+
+    def test_reads_the_explicit_count_not_the_table(self, monkeypatch):
+        # the strata routes read the table; their check must not
+        def never(i, j):
+            raise AssertionError("universal_poly read the Stirling table")
+
+        monkeypatch.setattr(combinat, "stirling_second", never)
+        monkeypatch.setattr(confspace, "stirling_second", never)
+        q = universal_poly(3, 6, closed=True)
+        assert dict(q.items()) == {(3, 0): 90, (2, 1): 239, (1, 2): 150}
 
     @pytest.mark.parametrize("space", FIXTURES, ids=lambda s: s.name)
     def test_evaluation_matches_direct(self, space):

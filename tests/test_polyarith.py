@@ -80,10 +80,10 @@ class TestSubstitutions:
         assert (T**2 + T).substitute(2) == T**4 + T**2
 
     def test_sign_substitution(self):
-        assert (T**2 + T).substitute(1, negate=True) == T**2 - T
+        assert (T**2 + T).negate_var() == T**2 - T
 
     def test_odd_exponent_negation(self):
-        assert (T**3).substitute(3, negate=True) == -(T**9)
+        assert (T**3).negate_var().substitute(3) == -(T**9)
 
     def test_zero_exponent_rejected(self):
         with pytest.raises(ValueError):
