@@ -21,7 +21,8 @@ which lives entirely in Z[T]: the two forms are equal because
 c^x * (A)(A-1)...(A-x+1) = (cA)(cA-c)...(cA-(x-1)c).  All arithmetic here
 stays in the cleared form; rational numbers never appear.
 
-Every route here counts stable set partitions by grouping cycles.  The one
+Every route here counts stable set partitions by splitting cycles among
+orbit lengths (``combinat.stable_block_counts``), never lists them.  The one
 inverse of the stratification of X^m, :func:`reconstruct_config_series`,
 also lives here, because the ``bf`` and ``cf`` checks run it and they load
 no oracle; the cross-checks that list partitions, or take other independent
@@ -191,13 +192,13 @@ def induce_blocks(series: TraceSeries, m: int) -> TraceSeries:
 
         Ind(series)[ct] = sum over beta of N(ct, beta) * series[beta],
 
-    where N(ct, beta) = ``stable_block_counts(ct, l)[beta]`` groups alpha's
-    cycles into orbits of blocks (the cycle index of the species
-    composition F o E_+, Bergeron-Labelle-Leroux 1998).  This geometric
-    form of induction is equivalent to the group-theoretic
-    induced-character formula for the block stabilizers, and much cheaper.
-    Each count table is built once per process.  Acting with
-    ``series.m == m`` is the identity.
+    where N(ct, beta) = ``stable_block_counts(ct, l)[beta]`` is read in
+    closed form from the split of alpha's cycles among the orbit lengths
+    of beta (the cycle index of the species composition F o E_+,
+    Bergeron-Labelle-Leroux 1998).  This geometric form of induction is
+    equivalent to the group-theoretic induced-character formula for the
+    block stabilizers, and much cheaper.  Each count table is built once
+    per process.  Acting with ``series.m == m`` is the identity.
     """
     blocks = series.m
     if blocks > m:

@@ -23,8 +23,8 @@ from .polyarith import BiPoly, LaurentPoly
 #: set partitions of every stratum.  The bound is cost, not validity.  The
 #: listing grows like p(m) * Bell(m): 0.07 s at m = 6, 0.23 s at 7, 1.4 s
 #: at 8 on the plane.  Past 6 the rebuild alone would also make a cold
-#: ``poincare --space cstar --target bf --m 12`` take 0.34 s, not 0.12 s
-#: (2-CPU Xeon, Python 3.11).
+#: ``poincare --space cstar --target bf --m 12`` take 0.20-0.24 s, not
+#: 0.10 s (2-CPU Xeon, Python 3.11).
 RECONSTRUCTION_MAX_M = 6
 
 
@@ -109,8 +109,8 @@ def oracle_triangle(space: SpaceSpec, m: int, series) -> bool:
 
     The power-trace reconstruction must rebuild ``series``, the
     configuration character; every stratum series below it, counted by
-    grouping cycles, must equal the trace summed over the enumerated stable
-    set partitions.
+    the divisor split of the cycles, must equal the trace summed over the
+    enumerated stable set partitions.
     """
     from . import oracles
 

@@ -182,6 +182,22 @@ def refuse_before_sizing(space: SpaceSpec, m: int) -> None:
     limits.check_cycle_type_m(m)
 
 
+def config_product_digits(space: SpaceSpec, m: int) -> int:
+    """A lower bound on the decimal digits of the largest coefficient of
+    P = prod_{i<m} (pc + i*T), the ``fm`` and ``ordinary`` answers.
+
+    Every coefficient is nonnegative, so the largest is at least
+    P(1) / (m * dim + 1).  When pc(1) >= 1, P(1) >= m!, and
+    log2 m! >= sum_{k<=m} floor(log2 k) = (m + 1) t - 2^(t+1) + 2 with
+    t = floor(log2 m); log10 2 >= 0.301.  Otherwise the bound is 1.
+    """
+    if m < 1 or space.pc.eval_at_int(1) < 1:
+        return 1
+    t = m.bit_length() - 1
+    bits = (m + 1) * t - 2 ** (t + 1) + 2 - (m * space.dim + 1).bit_length()
+    return max(bits, 0) * 301 // 1000 + 1
+
+
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
@@ -248,6 +264,12 @@ def cmd_poincare(args) -> dict:
         require_arg(m >= 0, "--m must be nonnegative")
     else:
         require_arg(m >= 1, f"target {target!r} needs --m >= 1")
+    if target in ("fm", "ordinary"):
+        # the hypotheses (exit 2) before the length of the product (exit 5)
+        confspace.require(space, "i_acyclic")
+        if target == "ordinary":
+            confspace.require(space, "orientable")
+        limits.check_result_digits(config_product_digits(space, m))
     poly = checks.ENGINES[target](space, m, l)
     inputs = {"space": space.name, "m": m, "target": target}
     if l is not None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement
 
 from .errors import ConsistencyError, CostCapExceeded
 from . import limits
@@ -165,8 +165,9 @@ def stirling_second(i: int, j: int) -> int:
     """Number of partitions of an i-set into j nonempty blocks.
 
     Read from a cached table that is filled iteratively by the additive
-    recurrence S(i, j) = S(i-1, j-1) + j S(i-1, j).  Answering (i, j) fills
-    the (j+1) x (i-j+1) rectangle of entries it depends on.
+    recurrence S(i, j) = S(i-1, j-1) + j S(i-1, j).  An entry already in
+    the table is read at once; otherwise answering (i, j) fills the
+    (j+1) x (i-j+1) rectangle of entries it depends on.
     """
     if i < 0 or j < 0:
         raise ValueError("Stirling indices must be nonnegative")
@@ -174,6 +175,8 @@ def stirling_second(i: int, j: int) -> int:
         return 0
     depth = i - j + 1
     columns = _STIRLING2_COLUMNS
+    if j < len(columns) and depth <= len(columns[j]):
+        return columns[j][i - j]
     for c in range(j + 1):
         if c == len(columns):
             columns.append([])
@@ -369,7 +372,7 @@ def representative(ctype: CycleType) -> Permutation:
 
 
 # ---------------------------------------------------------------------------
-# stable set partitions, counted by grouping cycles
+# stable set partitions, counted by the divisor split
 # ---------------------------------------------------------------------------
 
 
@@ -381,65 +384,89 @@ def stable_block_counts(ctype: CycleType, blocks: int) -> dict[CycleType, int]:
     points into ``blocks`` blocks on which alpha permutes the blocks with
     type beta.  Types that do not occur are left out.
 
-    The blocks of one beta-cycle of length d cover a set of alpha-cycles
-    whose lengths are all multiples of d, and k such cycles form one d-orbit
-    of blocks in d^(k-1) ways: the first cycle fixes the block labels, each
-    further cycle enters at one of d rotations.  Grouping alpha's cycles,
-    not its points, is the cycle-index count of the species composition
-    F o E_+ (Bergeron-Labelle-Leroux, *Combinatorial Species and Tree-like
-    Structures*, 1998).  ``oracles.stable_partitions`` enumerates the same
-    partitions point by point and serves as the oracle.
+    Each cycle of alpha, of length e, lies in one orbit of blocks, whose
+    length d divides e.  Split alpha's cycles by that length: j_(e,d) of
+    the x_e cycles of length e go to d, so k_d = sum_e j_(e,d) cycles feed
+    the d-orbits.  They fall into z_d orbits in S(k_d, z_d) ways, and the k
+    cycles of one d-orbit combine in d^(k-1) ways: the first cycle fixes
+    the block labels, each further cycle enters at one of d rotations.  For
+    beta with z_d cycles of length d,
+
+        N(ctype, beta) = sum over j of prod_e x_e! / prod_(d|e) j_(e,d)!
+                             * prod_d S(k_d, z_d) * d^(k_d - z_d),
+
+    the coefficient extraction of the cycle index of the species
+    composition F o E_+ (Bergeron-Labelle-Leroux, *Combinatorial Species
+    and Tree-like Structures*, 1998).  ``oracles.stable_partitions``
+    enumerates the same partitions point by point and serves as the oracle.
     """
     if blocks < 0:
         raise ValueError("block count must be nonnegative")
-    return {
-        CycleType.from_parts(parts, blocks): count
-        for parts, count in _orbit_groupings(_trim(ctype.mult), blocks)
-    }
-
-
-def _trim(mult) -> tuple[int, ...]:
-    """Drop trailing zeros, so the last entry is the longest cycle length."""
-    end = len(mult)
-    while end and not mult[end - 1]:
-        end -= 1
-    return tuple(mult[:end])
+    counts: dict[tuple[int, ...], int] = {}
+    for weight, low, high, orbits in _divisor_splits(ctype.mult):
+        if not low <= blocks <= high:
+            continue
+        # (block type so far, blocks left, count), one orbit length at a
+        # time: 1 <= z_d <= k_d, and the longer lengths cover what is left
+        stage = [((0,) * blocks, blocks, weight)]
+        for d, k, low, high in orbits:
+            stage = [
+                (
+                    mult[: d - 1] + (z,) + mult[d:],
+                    left - d * z,
+                    count * stirling_second(k, z) * d ** (k - z),
+                )
+                for mult, left, count in stage
+                for z in range(max(1, -((high - left) // d)), min(k, (left - low) // d) + 1)
+            ]
+        for mult, _left, count in stage:
+            counts[mult] = counts.get(mult, 0) + count
+    return {CycleType(blocks, mult): count for mult, count in counts.items()}
 
 
 @lru_cache(maxsize=None)
-def _orbit_groupings(
-    mult: tuple[int, ...], blocks: int
-) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(block orbit lengths, count) pairs for the cycles left in ``mult``.
+def _divisor_splits(mult: tuple[int, ...]) -> tuple:
+    """The splits of a cycle type's cycles among orbit lengths.
 
-    One cycle of the longest length c opens an orbit of d | c blocks; it
-    takes j_e further cycles of each length e divisible by d, in
-    C(x_c - 1, j_c) prod_{e != c} C(x_e, j_e) d^(sum j) ways, and the rest
-    is grouped recursively into the remaining blocks.
+    One entry (weight, low, high, orbits) per vector (k_d): ``weight`` is
+    the number of ways to send the cycles, the sum over j of
+    prod_e x_e! / prod_(d|e) j_(e,d)!, and low..high the block counts the
+    split can cover.  ``orbits`` lists the tuples (d, k_d, low_d, high_d)
+    over the k_d > 0, ascending in d; low_d..high_d are the block counts
+    that the longer orbit lengths can cover.
     """
-    points = sum(e * x for e, x in enumerate(mult, start=1))
-    if blocks > points:
-        return ()
-    if not mult:
-        return (((), 1),)
-    c = len(mult)
-    counts: dict[tuple[int, ...], int] = {}
-    for d in divisors(c):
-        if d > blocks:
-            break
-        lengths = range(d, c + 1, d)
-        available = [mult[e - 1] - (e == c) for e in lengths]
-        for picks in product(*(range(a + 1) for a in available)):
-            weight = d ** sum(picks)
-            rest = list(mult)
-            rest[c - 1] -= 1
-            for e, a, j in zip(lengths, available, picks):
-                weight *= math.comb(a, j)
-                rest[e - 1] -= j
-            for parts, count in _orbit_groupings(_trim(rest), blocks - d):
-                key = tuple(sorted(parts + (d,), reverse=True))
-                counts[key] = counts.get(key, 0) + weight * count
-    return tuple(counts.items())
+    present = [(x, divisors(e)) for e, x in enumerate(mult, start=1) if x]
+    lengths = sorted({d for _x, divs in present for d in divs})
+    # k packed into one integer, a field of ``width`` bits per orbit length
+    width = len(mult).bit_length()
+    shift = {d: width * i for i, d in enumerate(lengths)}
+    splits = {0: 1}
+    for x, divs in present:
+        # each of the x cycles picks its orbit length, in x! / prod j_d! ways
+        shares = [
+            (
+                sum(1 << shift[d] for d in pick),
+                math.factorial(x) // math.prod(math.factorial(pick.count(d)) for d in divs),
+            )
+            for pick in combinations_with_replacement(divs, x)
+        ]
+        grown: dict[int, int] = {}
+        for k, weight in splits.items():
+            for offset, ways in shares:
+                grown[k + offset] = grown.get(k + offset, 0) + weight * ways
+        splits = grown
+    mask = (1 << width) - 1
+    table = []
+    for fed, weight in splits.items():
+        orbits: list = []
+        low = high = 0
+        for d in reversed(lengths):
+            k = fed >> shift[d] & mask
+            if k:
+                orbits.insert(0, (d, k, low, high))
+                low, high = low + d, high + d * k
+        table.append((weight, low, high, tuple(orbits)))
+    return tuple(table)
 
 
 # ---------------------------------------------------------------------------

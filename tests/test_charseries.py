@@ -222,7 +222,7 @@ class TestInduction:
         "space", [BUILTIN_SPACES["c"], BUILTIN_SPACES["c_minus_1"]], ids=lambda s: s.name
     )
     def test_counted_strata_match_enumeration(self, space):
-        # exactly_series counts stable partitions by grouping cycles;
+        # exactly_series counts stable partitions by the divisor split;
         # exactly_trace enumerates them point by point
         for m in range(2, 8):
             for distinct in range(1, m):

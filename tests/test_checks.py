@@ -15,6 +15,18 @@ def _identity_only(_original):
     return lambda gens, m: (1, {CycleType.identity(m): 1})
 
 
+def _one_more_three_point_two_block(original):
+    # one more stable partition in every table of 3 points into 2 blocks
+    def miscounted(ctype, blocks):
+        pairs = original(ctype, blocks)
+        if (ctype.m, blocks) != (3, 2) or not pairs:
+            return pairs
+        (beta, count), *rest = pairs
+        return ((beta, count + 1), *rest)
+
+    return miscounted
+
+
 # check name, command that emits it, and a function only the check reads;
 # TestProductChecks in test_cli.py corrupts the closure for ``cyc``
 CORRUPTIONS = [
@@ -36,6 +48,8 @@ CORRUPTIONS = [
      charseries, "power_series", _shifted_series),
     ("power-trace-reconstruction", "poincare --space cstar --target bf --m 4",
      charseries, "reconstruct_config_series", _shifted_series),
+    ("power-trace-reconstruction", "poincare --space cstar --target bf --m 4",
+     charseries, "_block_counts", _one_more_three_point_two_block),
     ("generating-function", "poincare --space cstar --target sym --m 4",
      oracles, "symmetric_product_generating_function", _plus_one),
     ("oracle-triangle", "character --space cstar --m 4 --all",
@@ -103,6 +117,17 @@ def test_a_wrong_divisor_kernel_fails_only_the_kernel_free_check(monkeypatch):
 
     monkeypatch.setattr(charseries, "_divisor_kernel", wrong)
     command = "poincare --space cstar --target bf --m 4"
+    assert outcome(command, "subgroup-averaging")
+    assert not outcome(command, "power-trace-reconstruction")
+
+
+@pytest.mark.parametrize("target", ["bf", "cf"])
+def test_a_wrong_block_count_fails_only_the_reconstruction(monkeypatch, target):
+    # induce_blocks reads the counts by name, so the lru cache behind the
+    # name cannot hide the corruption; the quotient routes never induce
+    command = f"poincare --space cstar --target {target} --m 4"
+    corrupted = _one_more_three_point_two_block(charseries._block_counts)
+    monkeypatch.setattr(charseries, "_block_counts", corrupted)
     assert outcome(command, "subgroup-averaging")
     assert not outcome(command, "power-trace-reconstruction")
 

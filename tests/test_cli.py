@@ -25,6 +25,8 @@ from confcohom import (
     oracles,
 )
 from confcohom.cli import (
+    BUILTIN_SPACES,
+    config_product_digits,
     main,
     parse_cycle_type,
     parse_generators,
@@ -809,17 +811,27 @@ class TestWorkCounts:
         assert "  [pass] subgroup-averaging\n" in out
 
 
-@pytest.fixture
-def digit_limit_640():
-    """Lower CPython's int-to-str digit limit to its minimum for one test."""
+def _digit_limit(limit):
     if not hasattr(sys, "get_int_max_str_digits"):
         pytest.skip("this interpreter has no int-to-str digit limit")
     saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
+    sys.set_int_max_str_digits(limit)
     try:
         yield
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+@pytest.fixture
+def digit_limit_640():
+    """Lower CPython's int-to-str digit limit to its minimum for one test."""
+    yield from _digit_limit(640)
+
+
+@pytest.fixture
+def digit_limit_4300():
+    """Pin CPython's int-to-str digit limit to its default for one test."""
+    yield from _digit_limit(4300)
 
 
 class TestDigitLimit:
@@ -872,6 +884,54 @@ class TestDigitLimit:
         monkeypatch.setattr(limits, "check_result_digits", lambda digits: None)
         assert run(capsys, *argv) == early
         assert early[0] == 5
+
+    @pytest.mark.parametrize("target", ["fm", "ordinary"])
+    def test_config_product_past_the_limit_refuses_before_it_runs(
+        self, capsys, monkeypatch, digit_limit_4300, target
+    ):
+        # the largest coefficient at m = 1700 has at least 4,501 digits
+        def never(*args):
+            raise AssertionError("falling_product ran")
+
+        monkeypatch.setattr(confspace, "falling_product", never)
+        code, out, err = run(capsys, "poincare", "--space", "c", "--target", target, "--m", "1700")
+        assert (code, out) == (5, "")
+        assert json.loads(err)["error"] == {
+            "category": "cost-cap-exceeded",
+            "message": "the result has integers past the int-to-str limit of 4300 digits",
+        }
+
+    def test_config_early_refusal_is_the_render_refusal(
+        self, capsys, monkeypatch, digit_limit_4300
+    ):
+        argv = ["poincare", "--space", "c", "--target", "fm", "--m", "1700"]
+        early = run(capsys, *argv)
+        monkeypatch.setattr(limits, "check_result_digits", lambda digits: None)
+        assert run(capsys, *argv) == early
+        assert early[0] == 5
+
+    @pytest.mark.parametrize("space", ["c", "cstar"])
+    def test_config_product_within_the_bound_answers(self, capsys, digit_limit_4300, space):
+        # the bound reads 3,899 digits at m = 1500 on c
+        code, out, err = run(capsys, "poincare", "--space", space, "--target", "fm", "--m", "1500")
+        assert code == 0, err
+        assert json.loads(out)["result"]["coefficients"]
+
+    @pytest.mark.parametrize("target", ["fm", "ordinary"])
+    def test_config_hypothesis_before_the_digit_refusal(self, capsys, digit_limit_4300, target):
+        code, _out, err = run(
+            capsys, "poincare", "--space", "klein_pointed", "--target", target, "--m", "1700"
+        )
+        assert code == 2, err
+
+    @pytest.mark.parametrize("name", ["c", "cstar", "r1", "r3", "c_minus_3"])
+    def test_config_digit_bound_is_a_lower_bound(self, name):
+        space = BUILTIN_SPACES[name]
+        assert config_product_digits(space, 0) == 1
+        for m in (1, 2, 3, 17, 64, 250):
+            poly = confspace.poincare_config(space, m)
+            largest = max(value for _exp, value in poly.items())
+            assert config_product_digits(space, m) <= len(str(largest)), m
 
     def test_no_digit_limit_refuses_nothing(self, monkeypatch):
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)

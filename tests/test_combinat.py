@@ -246,7 +246,7 @@ class TestStablePartitions:
 class TestStableBlockCounts:
     @pytest.mark.parametrize("m", range(1, 9))
     def test_matches_enumeration(self, m):
-        # the cycle-grouping count against the point-level enumeration,
+        # the divisor-split count against the point-level enumeration,
         # grouped by the type of the induced block permutation
         for ct in all_cycle_types(m):
             alpha = representative(ct)
@@ -271,6 +271,18 @@ class TestStableBlockCounts:
             for blocks in range(1, m + 1):
                 expected = {CycleType.from_parts((blocks,)): 1} if m % blocks == 0 else {}
                 assert stable_block_counts(full, blocks) == expected
+
+    def test_burnside_past_the_enumeration_window(self):
+        # Burnside: the S_m-orbits on set partitions into l blocks are the
+        # partitions of m into l parts, so the stable partitions summed over
+        # all m! permutations number m! p(m, l); this reads neither algorithm
+        for m in range(1, limits.cycle_type_max_m() + 1):
+            for l in range(1, m + 1):
+                fixed = sum(
+                    ct.class_size() * sum(stable_block_counts(ct, l).values())
+                    for ct in all_cycle_types(m)
+                )
+                assert fixed == math.factorial(m) * len(partitions(m, l)), (m, l)
 
     def test_edge_block_counts(self):
         ct = CycleType.from_parts((2, 1))
