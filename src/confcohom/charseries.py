@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping
 from functools import lru_cache
-from math import factorial
 
 from . import limits
 from .combinat import (
@@ -43,7 +42,6 @@ from .combinat import (
     euler_phi,
     mobius,
     stable_block_counts,
-    symmetric_counts,
 )
 from .confspace import SpaceSpec, require
 from .errors import ConsistencyError
@@ -317,40 +315,46 @@ def poincare_cyclic_config(space: SpaceSpec, m: int) -> LaurentPoly:
     return _average(lambda ct: config_trace(space, ct), cyclic_counts(m), m)
 
 
+def _newton(power_sums: list[LaurentPoly]) -> list[LaurentPoly]:
+    """The S_n averages g_0..g_m of a class function whose generating function
+    is exp(sum_j c_j u^j / j), from its power sums c_1..c_m: the exponential
+    formula as Newton's recurrence (Macdonald, *Symmetric Functions*, I.2),
+    g_0 = 1 and n * g_n = sum_{j<=n} c_j * g_(n-j).  No cycle type is
+    visited, and each division by n is exact and checked."""
+    g = [LaurentPoly.one()]
+    for n in range(1, len(power_sums) + 1):
+        total = _linear_combination((1, power_sums[j - 1] * g[n - j]) for j in range(1, n + 1))
+        g.append(total.divexact(n))
+    return g
+
+
+def _config_power_sums(space: SpaceSpec, m: int, twisted: bool = False) -> list[LaurentPoly]:
+    """c_j = sum over d | j of (-1)^(j/d + 1) * B_d * T^(j - d) for j <= m, the power
+    sums of Getzler's product.  ``twisted`` weights each permutation by its sign,
+    as S_m acts on the orientation of X^m in odd dim: each sign becomes (-1)^(j + 1)."""
+    kernels = [_divisor_kernel(space, d) for d in range(1, m + 1)]
+    return [
+        _linear_combination(
+            ((-1) ** ((j if twisted else j // d) + 1), kernels[d - 1] * LaurentPoly.term(1, j - d))
+            for d in divisors(j)
+        )
+        for j in range(1, m + 1)
+    ]
+
+
 def poincare_unordered_config(space: SpaceSpec, m: int) -> LaurentPoly:
-    """Poincaré polynomial of the unordered configuration space.
-
-    The symmetric-group average of :func:`config_trace`, summed over cycle
-    types with weight 1/z_lambda, is by the exponential formula Getzler's
-    product prod_d (1 + (Tu)^d)^(B_d / (d T^d)) at u^m (Getzler, "Resolving
-    mixed Hodge modules on configuration spaces", Duke 1999).  Its
-    logarithmic derivative is Newton's recurrence (Macdonald, *Symmetric
-    Functions*, I.2):
-
-        c_j = sum over d | j of (-1)^(j/d + 1) * B_d * T^(j - d),
-        g_0 = 1,    n * g_n = sum_{j=1..n} c_j * g_(n-j),
-
-    so no cycle type is visited.  Each division by n is exact and checked;
-    the answer is g_m read at -T.  The class-size average over
-    :func:`config_series` is the independent route to the same polynomial.
+    """Poincaré polynomial of the unordered configuration space: g_m of
+    :func:`_newton` on :func:`_config_power_sums`, read at -T.  By the
+    exponential formula this is Getzler's product
+    prod_d (1 + (Tu)^d)^(B_d / (d T^d)) at u^m (Getzler, "Resolving mixed
+    Hodge modules on configuration spaces", Duke 1999), the class-size
+    average of :func:`config_trace`, which is the independent route.
     """
     require(space, "i_acyclic")
     if m < 1:
         raise ValueError("m must be positive")
     limits.check_cycle_type_m(m)
-    kernels = [_divisor_kernel(space, d) for d in range(1, m + 1)]
-    c = [
-        _linear_combination(
-            ((-1) ** (j // d + 1), kernels[d - 1] * LaurentPoly.term(1, j - d))
-            for d in divisors(j)
-        )
-        for j in range(1, m + 1)
-    ]
-    g = [LaurentPoly.one()]
-    for n in range(1, m + 1):
-        total = _linear_combination((1, c[j - 1] * g[n - j]) for j in range(1, n + 1))
-        g.append(total.divexact(n))
-    return _read_at_minus_t(g[m])
+    return _read_at_minus_t(_newton(_config_power_sums(space, m))[m])
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +365,16 @@ def poincare_unordered_config(space: SpaceSpec, m: int) -> LaurentPoly:
 def poincare_symmetric_product(space: SpaceSpec, m: int) -> LaurentPoly:
     """Poincaré polynomial of the m-th symmetric product of X.
 
-    The cartesian-power analogue of the unordered quotient: falling
-    factorials become plain powers, so no acyclicity is needed.  The
-    classical generating function is the independent route to the same
+    The cartesian-power analogue of the unordered quotient: :func:`_newton`
+    on c_j = N(T^j), the trace of a j-cycle, so no acyclicity is needed.
+    The classical generating function is the independent route to the same
     polynomial; the CLI's ``generating-function`` check compares the two.
     """
     if m < 1:
         raise ValueError("m must be positive")
     limits.check_cycle_type_m(m)
-    return _average(lambda ct: power_trace(space, ct), symmetric_counts(m), factorial(m))
+    n = space.pc.negate_var()
+    return _read_at_minus_t(_newton([n.substitute(j) for j in range(1, m + 1)])[m])
 
 
 def poincare_cyclic_product(space: SpaceSpec, m: int) -> LaurentPoly:

@@ -182,19 +182,35 @@ def refuse_before_sizing(space: SpaceSpec, m: int) -> None:
     limits.check_cycle_type_m(m)
 
 
-def config_product_digits(space: SpaceSpec, m: int) -> int:
-    """A lower bound on the decimal digits of the largest coefficient of
-    P = prod_{i<m} (pc + i*T), the ``fm`` and ``ordinary`` answers.
+def _factorial_bits(n: int) -> int:
+    """sum_{k<=n} floor(log2 k) = (n + 1) t - 2^(t+1) + 2 with t = floor(log2 n),
+    a lower bound on log2 n!."""
+    if n < 1:
+        return 0
+    t = n.bit_length() - 1
+    return (n + 1) * t - 2 ** (t + 1) + 2
 
-    Every coefficient is nonnegative, so the largest is at least
-    P(1) / (m * dim + 1).  When pc(1) >= 1, P(1) >= m!, and
-    log2 m! >= sum_{k<=m} floor(log2 k) = (m + 1) t - 2^(t+1) + 2 with
-    t = floor(log2 m); log10 2 >= 0.301.  Otherwise the bound is 1.
+
+def answer_digits(m: int, l: int, space: SpaceSpec | None = None, closed: bool = False) -> int:
+    """A lower bound on the decimal digits of the largest coefficient of
+    S(m, l) * prod_{i<l} (pc + i*T): the ``delta`` answer, and at l = m the
+    ``fm`` and ``ordinary`` answers.  With ``space`` None, P stays a
+    variable, as in the ``universal`` polynomial (open, or ``closed``).
+
+    S(m, l) >= l^(m - l).  When pc(1) >= 1 every coefficient of the product
+    is nonnegative and their sum is at least l!, so the largest is at least
+    l! / (l * dim + 1); when pc(1) < 1 the product may vanish, and the bound
+    is 1.  With P a variable the open polynomial has S(m, l) * (l - 1)! at
+    P T^(l-1); the closed one, an alternating sum, has S(m, l) at P^l.
+    log2 n! >= :func:`_factorial_bits` (n), and log10 2 >= 0.301.
     """
-    if m < 1 or space.pc.eval_at_int(1) < 1:
+    if space is None:
+        bits = 0 if closed else _factorial_bits(l - 1)
+    elif space.pc.eval_at_int(1) >= 1:
+        bits = _factorial_bits(l) - (l * space.dim + 1).bit_length()
+    else:
         return 1
-    t = m.bit_length() - 1
-    bits = (m + 1) * t - 2 ** (t + 1) + 2 - (m * space.dim + 1).bit_length()
+    bits += (m - l) * (l.bit_length() - 1)
     return max(bits, 0) * 301 // 1000 + 1
 
 
@@ -264,12 +280,12 @@ def cmd_poincare(args) -> dict:
         require_arg(m >= 0, "--m must be nonnegative")
     else:
         require_arg(m >= 1, f"target {target!r} needs --m >= 1")
-    if target in ("fm", "ordinary"):
-        # the hypotheses (exit 2) before the length of the product (exit 5)
+    if target in ("fm", "ordinary", "delta"):
+        # the hypotheses (exit 2) before the size of the answer (exit 5)
         confspace.require(space, "i_acyclic")
         if target == "ordinary":
             confspace.require(space, "orientable")
-        limits.check_result_digits(config_product_digits(space, m))
+        limits.check_result_digits(answer_digits(m, l if target == "delta" else m, space))
     poly = checks.ENGINES[target](space, m, l)
     inputs = {"space": space.name, "m": m, "target": target}
     if l is not None:
@@ -314,9 +330,7 @@ def cmd_universal(args) -> dict:
     closed = bool(args.closed)
     l, m = args.l, args.m
     require_arg(1 <= l <= m, "universal needs 1 <= --l <= --m")
-    # the P^l T^0 coefficient is S(m, l) >= l^(m - l), which has at least
-    # (m - l) * log10(l) digits; log10(l) >= 0.301 * (bit_length - 1)
-    limits.check_result_digits((m - l) * (l.bit_length() - 1) * 301 // 1000 + 1)
+    limits.check_result_digits(answer_digits(m, l, closed=closed))
     q = confspace.universal_poly(l, m, closed)
     return _document(
         "universal",

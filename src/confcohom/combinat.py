@@ -33,11 +33,10 @@ from .record import FrozenRecord
 
 
 @lru_cache(maxsize=None)
-def partitions(m: int, length: int | None = None) -> tuple[tuple[int, ...], ...]:
+def partitions(m: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of m as decreasing tuples, in descending lex order.
 
-    With ``length`` given, only partitions with exactly that many parts are
-    returned.  partitions(0) yields the single empty partition.
+    partitions(0) yields the single empty partition.
     """
     if m < 0:
         raise ValueError("partitions of a negative integer")
@@ -51,8 +50,6 @@ def partitions(m: int, length: int | None = None) -> tuple[tuple[int, ...], ...]
             extend(remaining - part, part, prefix + (part,))
 
     extend(m, m if m else 1, ())
-    if length is not None:
-        result = [p for p in result if len(p) == length]
     return tuple(result)
 
 
@@ -165,14 +162,17 @@ def stirling_second(i: int, j: int) -> int:
     """Number of partitions of an i-set into j nonempty blocks.
 
     Read from a cached table that is filled iteratively by the additive
-    recurrence S(i, j) = S(i-1, j-1) + j S(i-1, j).  An entry already in
-    the table is read at once; otherwise answering (i, j) fills the
-    (j+1) x (i-j+1) rectangle of entries it depends on.
+    recurrence S(i, j) = S(i-1, j-1) + j S(i-1, j).  The trivial entries
+    S(i, 0), S(i, 1) and S(i, i), and an entry already in the table, are
+    read at once; otherwise answering (i, j) fills the (j+1) x (i-j+1)
+    rectangle of entries it depends on.
     """
     if i < 0 or j < 0:
         raise ValueError("Stirling indices must be nonnegative")
-    if j > i:
+    if j > i or (j == 0 and i > 0):
         return 0
+    if j == 1 or j == i:
+        return 1
     depth = i - j + 1
     columns = _STIRLING2_COLUMNS
     if j < len(columns) and depth <= len(columns[j]):

@@ -27,9 +27,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
-from . import limits
-from .charseries import TraceSeries, config_series, exactly_series
-from .charseries import quotient_poincare, symmetric_counts
+from . import charseries, limits
+from .charseries import TraceSeries, exactly_series
 from .combinat import CycleType, all_cycle_types, partitions
 from .confspace import SpaceSpec, require
 from .errors import ConsistencyError, HypothesisViolation
@@ -414,12 +413,14 @@ def unordered_betti_constancy(
     """Track one Borel-Moore Betti number of the unordered configuration space.
 
     The value at each m is the multiplicity of the trivial representation
-    in the Borel-Moore conversion of the configuration trace series;
-    equivalently a signed average over the symmetric group, divided
-    exactly by m!.  The expected plateau starts at m = degree; when the
-    top compact Betti number vanishes the plateau starts earlier
-    (dimension >= 3) or the values must vanish outright (dimension 2).
-    The hypothesis requires the top compact Betti number to be at most 1.
+    in the Borel-Moore conversion of the configuration trace series: the
+    S_m average of the traces, twisted by the sign in odd dim, read at -T
+    and dualized in dimension m * dim.  One run of the exponential-formula
+    recurrence up to the top of the range gives every m.  The expected
+    plateau starts at m = degree; when the top compact Betti number
+    vanishes the plateau starts earlier (dimension >= 3) or the values must
+    vanish outright (dimension 2).  The hypothesis requires the top
+    compact Betti number to be at most 1.
     """
     require(space, "i_acyclic")
     if space.top_betti() > 1:
@@ -432,11 +433,8 @@ def unordered_betti_constancy(
         raise ValueError("empty range")
     limits.check_cycle_type_m(hi)  # before any m is computed, and before a list of them
     ms = list(range(max(lo, 1), hi + 1))
-    values: dict[int, int] = {}
-    for m in ms:
-        bm = borel_moore_series(config_series(space, m), space.dim)
-        poincare_bm = quotient_poincare(bm, symmetric_counts(m), factorial(m))
-        values[m] = poincare_bm.coeff(degree)
+    g = charseries._newton(charseries._config_power_sums(space, hi, space.dim % 2 == 1))
+    values = {m: charseries._read_at_minus_t(g[m]).dual(m * space.dim).coeff(degree) for m in ms}
 
     top = space.top_betti()
     expect_zero = False

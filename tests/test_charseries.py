@@ -38,8 +38,9 @@ from confcohom import (
     stirling_second,
     tensor_trace_oracle,
 )
-from confcohom import charseries
-from confcohom.charseries import TraceSeries, cyclic_counts, symmetric_counts
+from confcohom import charseries, limits
+from confcohom.charseries import TraceSeries, cyclic_counts
+from confcohom.combinat import symmetric_counts
 from confcohom.oracles import symmetric_product_generating_function
 from confcohom.polyarith import ONE, T
 from conftest import puncture
@@ -310,7 +311,7 @@ class TestInduction:
                 Permutation(tuple(images))
                 for images in itertools.permutations(range(m))
             ]
-            for profile in partitions(m, length=blocks):
+            for profile in (p for p in partitions(m) if len(p) == blocks):
                 standard = _standard_partition(m, profile)
                 stabilizer = [g for g in group if standard.apply(g) == standard]
                 for ct in all_cycle_types(m):
@@ -499,6 +500,22 @@ class TestProducts:
         # products are defined for any finite-type space
         poincare_symmetric_product(klein, 3)
         poincare_cyclic_product(klein, 3)
+
+    def test_symmetric_is_the_class_size_average(self):
+        # the route's former average over the p(m) classes, kept as a reference
+        for space in BUILTIN_SPACES.values():
+            for m in range(1, limits.cycle_type_max_m() + 1):
+                average = quotient_poincare(
+                    power_series(space, m), symmetric_counts(m), math.factorial(m)
+                )
+                assert poincare_symmetric_product(space, m) == average, (space.name, m)
+
+    def test_symmetric_reads_no_power_trace(self, monkeypatch):
+        def never(*_args):
+            raise AssertionError("power_trace ran")
+
+        monkeypatch.setattr(charseries, "power_trace", never)
+        assert poincare_symmetric_product(BUILTIN_SPACES["c"], 12) == T**24
 
     @given(small_pcs, st.integers(1, 8))
     @settings(max_examples=50, deadline=None)

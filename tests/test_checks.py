@@ -121,6 +121,25 @@ def test_a_wrong_divisor_kernel_fails_only_the_kernel_free_check(monkeypatch):
     assert not outcome(command, "power-trace-reconstruction")
 
 
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("poincare --space cstar --target bf --m 4", "subgroup-averaging"),
+        ("poincare --space cstar --target sym --m 4", "generating-function"),
+    ],
+)
+def test_a_wrong_recurrence_fails_both_quotients(monkeypatch, command, name):
+    # bf and sym share the exponential-formula recurrence; their checks read none
+    original = charseries._newton
+
+    def wrong(power_sums):
+        return [g + 1 if n else g for n, g in enumerate(original(power_sums))]
+
+    assert outcome(command, name)
+    monkeypatch.setattr(charseries, "_newton", wrong)
+    assert not outcome(command, name)
+
+
 @pytest.mark.parametrize("target", ["bf", "cf"])
 def test_a_wrong_block_count_fails_only_the_reconstruction(monkeypatch, target):
     # induce_blocks reads the counts by name, so the lru cache behind the

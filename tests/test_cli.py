@@ -26,7 +26,7 @@ from confcohom import (
 )
 from confcohom.cli import (
     BUILTIN_SPACES,
-    config_product_digits,
+    answer_digits,
     main,
     parse_cycle_type,
     parse_generators,
@@ -927,11 +927,88 @@ class TestDigitLimit:
     @pytest.mark.parametrize("name", ["c", "cstar", "r1", "r3", "c_minus_3"])
     def test_config_digit_bound_is_a_lower_bound(self, name):
         space = BUILTIN_SPACES[name]
-        assert config_product_digits(space, 0) == 1
+        assert answer_digits(0, 0, space) == 1
         for m in (1, 2, 3, 17, 64, 250):
             poly = confspace.poincare_config(space, m)
             largest = max(value for _exp, value in poly.items())
-            assert config_product_digits(space, m) <= len(str(largest)), m
+            assert answer_digits(m, m, space) <= len(str(largest)), m
+
+    @pytest.mark.parametrize("name", ["c", "cstar", "r1", "r3", "c_minus_3"])
+    def test_stratum_digit_bound_is_a_lower_bound(self, name):
+        space = BUILTIN_SPACES[name]
+        for m, l in [(1, 1), (9, 1), (9, 2), (40, 3), (40, 39), (200, 2), (200, 7), (90, 60)]:
+            poly = confspace.poincare_exactly(space, l, m)
+            largest = max(value for _exp, value in poly.items())
+            assert answer_digits(m, l, space) <= len(str(largest)), (m, l)
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_universal_digit_bound_is_a_lower_bound(self, closed):
+        for m, l in [(1, 1), (9, 1), (9, 2), (40, 3), (40, 39), (200, 2), (60, 60)]:
+            q = confspace.universal_poly(l, m, closed)
+            largest = max(abs(value) for _exp, value in q.items())
+            assert answer_digits(m, l, closed=closed) <= len(str(largest)), (m, l)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["poincare", "--space", "c", "--target", "delta", "--l", "2", "--m", "1000000000"],
+            ["poincare", "--space", "c", "--target", "delta", "--l", "1000000000",
+             "--m", "1000000000"],
+            ["universal", "--l", "1000000000", "--m", "1000000000"],
+        ],
+    )
+    def test_strata_past_the_limit_refuse_before_any_product(
+        self, capsys, monkeypatch, digit_limit_4300, argv
+    ):
+        def never(*args):
+            raise AssertionError("the answer was built")
+
+        for name in ("stirling_second", "falling_product", "universal_poly"):
+            monkeypatch.setattr(confspace, name, never)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (5, "")
+        assert json.loads(err)["error"] == {
+            "category": "cost-cap-exceeded",
+            "message": "the result has integers past the int-to-str limit of 4300 digits",
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # S(3000, 2) has 903 digits, P_350 740 and 349! 738; the bounds read 902, 689, 690
+            ["poincare", "--space", "c", "--target", "delta", "--l", "2", "--m", "3000"],
+            ["poincare", "--space", "c", "--target", "delta", "--l", "350", "--m", "350"],
+            ["universal", "--l", "350", "--m", "350"],
+        ],
+    )
+    def test_strata_early_refusal_is_the_render_refusal(
+        self, capsys, monkeypatch, digit_limit_640, argv
+    ):
+        early = run(capsys, *argv)
+        monkeypatch.setattr(limits, "check_result_digits", lambda digits: None)
+        assert run(capsys, *argv) == early
+        assert early[0] == 5
+
+    def test_strata_hypothesis_before_the_digit_refusal(self, capsys, digit_limit_4300):
+        code, _out, err = run(
+            capsys, "poincare", "--space", "klein_pointed", "--target", "delta",
+            "--l", "2", "--m", "1000000000",
+        )
+        assert code == 2, err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["poincare", "--space", "c", "--target", "delta", "--l", "1"],
+            ["poincare", "--space", "c", "--target", "delta_le", "--l", "1"],
+            ["universal", "--l", "1"],
+            ["universal", "--l", "1", "--closed"],
+        ],
+    )
+    def test_one_block_answers_at_a_billion(self, capsys, argv):
+        # S(m, 1) = 1 is read without filling a Stirling table of m entries
+        doc = run_json(capsys, *argv, "--m", "1000000000")
+        assert doc["checks"] and all(check["passed"] for check in doc["checks"])
 
     def test_no_digit_limit_refuses_nothing(self, monkeypatch):
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)

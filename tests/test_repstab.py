@@ -20,13 +20,15 @@ from confcohom import (
     irrep_dimension,
     pad_core,
     partitions,
+    quotient_poincare,
     stability_report,
     symmetric_group_character,
     unordered_betti_constancy,
     unpad_shape,
 )
-from confcohom import repstab
+from confcohom import charseries, repstab
 from confcohom.charseries import TraceSeries
+from confcohom.combinat import symmetric_counts
 from confcohom.polyarith import ONE, T
 
 FIXTURES = [BUILTIN_SPACES[n] for n in ("c", "cstar", "c_minus_1", "r3")]
@@ -434,7 +436,7 @@ class TestPieri:
                 )
                 induced = induce_blocks(trivial, m)
                 mults = decompose_series(induced, 0)
-                assert mults.get((), 0) == len(partitions(m, length=blocks))
+                assert mults.get((), 0) == sum(1 for p in partitions(m) if len(p) == blocks)
                 total = sum(
                     mult * irrep_dimension(pad_core(core, m))
                     for core, mult in mults.items()
@@ -590,6 +592,31 @@ class TestUnorderedConstancy:
         def computed(*_args):
             raise AssertionError("an m was computed")
 
-        monkeypatch.setattr(repstab, "config_series", computed)
+        monkeypatch.setattr(charseries, "_config_power_sums", computed)
         with pytest.raises(CostCapExceeded):
             unordered_betti_constancy(plane, 1, (1, 3_000_000))
+
+    @pytest.mark.parametrize(
+        "name", ["c", "cstar", "c_minus_1", "c_minus_2", "c_minus_3", "r1", "r2", "r3", "r4"]
+    )
+    def test_values_are_the_borel_moore_class_averages(self, name):
+        # the per-m average over S_m of the Borel-Moore series, which carries
+        # the sign of each permutation in odd dimension (r1, r3)
+        space = BUILTIN_SPACES[name]
+        top = 10
+        reports = [unordered_betti_constancy(space, degree, (1, top)) for degree in range(5)]
+        for m in range(1, top + 1):
+            bm = borel_moore_series(config_series(space, m), space.dim)
+            average = quotient_poincare(bm, symmetric_counts(m), math.factorial(m))
+            for degree, report in enumerate(reports):
+                assert report.values[m] == average.coeff(degree), (m, degree)
+
+    def test_values_build_no_trace_series(self, plane, monkeypatch):
+        def never(*_args):
+            raise AssertionError("a trace series was built")
+
+        # config_series lists the cycle types through charseries' own name
+        monkeypatch.setattr(charseries, "config_series", never)
+        monkeypatch.setattr(charseries, "all_cycle_types", never)
+        report = unordered_betti_constancy(plane, 1, (1, 12))
+        assert report.constant_ok and report.constant_value == 1
