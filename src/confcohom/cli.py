@@ -191,27 +191,23 @@ def _factorial_bits(n: int) -> int:
     return (n + 1) * t - 2 ** (t + 1) + 2
 
 
-def answer_digits(m: int, l: int, space: SpaceSpec | None = None, closed: bool = False) -> int:
-    """A lower bound on the decimal digits of the largest coefficient of
-    S(m, l) * prod_{i<l} (pc + i*T): the ``delta`` answer, and at l = m the
-    ``fm`` and ``ordinary`` answers.  With ``space`` None, P stays a
-    variable, as in the ``universal`` polynomial (open, or ``closed``).
+def answer_digits(m: int, l: int, closed: bool = False) -> int:
+    """A lower bound on the decimal digits of S(m, l) * (l - 1)!, or of
+    S(m, l) when ``closed``.  It bounds the ``delta`` answer
+    S(m, l) * prod_{i<l} (pc + i*T) (``fm`` and ``ordinary`` at l = m), the
+    ``delta_le`` answer when ``closed``, and the ``universal`` polynomials,
+    which carry these numbers at P T^(l-1) and at P^l.
 
-    S(m, l) >= l^(m - l).  When pc(1) >= 1 every coefficient of the product
-    is nonnegative and their sum is at least l!, so the largest is at least
-    l! / (l * dim + 1); when pc(1) < 1 the product may vanish, and the bound
-    is 1.  With P a variable the open polynomial has S(m, l) * (l - 1)! at
-    P T^(l-1); the closed one, an alternating sum, has S(m, l) at P^l.
-    log2 n! >= :func:`_factorial_bits` (n), and log10 2 >= 0.301.
+    When pc != 0, pc's lowest term from the factor i = 0 and i*T from every
+    other factor give a coefficient of at least (l - 1)!, and every other
+    contribution to it is nonnegative.  The closed sum's top coefficient is
+    S(m, l) * lc(pc)^l when deg pc >= 2; deg pc = 1 is tested for m <= 40.
+    S(m, l) >= l^(m - l), log2 n! >= :func:`_factorial_bits` (n), and
+    log10 2 >= 0.301.
     """
-    if space is None:
-        bits = 0 if closed else _factorial_bits(l - 1)
-    elif space.pc.eval_at_int(1) >= 1:
-        bits = _factorial_bits(l) - (l * space.dim + 1).bit_length()
-    else:
-        return 1
+    bits = 0 if closed else _factorial_bits(l - 1)
     bits += (m - l) * (l.bit_length() - 1)
-    return max(bits, 0) * 301 // 1000 + 1
+    return bits * 301 // 1000 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +276,15 @@ def cmd_poincare(args) -> dict:
         require_arg(m >= 0, "--m must be nonnegative")
     else:
         require_arg(m >= 1, f"target {target!r} needs --m >= 1")
-    if target in ("fm", "ordinary", "delta"):
-        # the hypotheses (exit 2) before the size of the answer (exit 5)
+    if target in ("fm", "ordinary", "delta", "delta_le"):
+        # the hypotheses (exit 2) before the size of the answer (exit 5);
+        # when pc = 0 every answer is 0
         confspace.require(space, "i_acyclic")
         if target == "ordinary":
             confspace.require(space, "orientable")
-        limits.check_result_digits(answer_digits(m, l if target == "delta" else m, space))
+        if not space.pc.is_zero():
+            blocks = l if target.startswith("delta") else m
+            limits.check_result_digits(answer_digits(m, blocks, target == "delta_le"))
     poly = checks.ENGINES[target](space, m, l)
     inputs = {"space": space.name, "m": m, "target": target}
     if l is not None:
@@ -306,12 +305,7 @@ def cmd_character(args) -> dict:
         series = charseries.config_series(space, m)
         result = {
             "kind": "series",
-            "entries": {
-                str(ctype): entry.to_exp_map()
-                for ctype, entry in sorted(
-                    series.values.items(), key=lambda kv: kv[0].parts, reverse=True
-                )
-            },
+            "entries": {str(ctype): entry.to_exp_map() for ctype, entry in series.values.items()},
         }
         inputs = {"space": space.name, "m": m, "cycle_type": "all"}
         named = checks.character_series(space, m, series)

@@ -2,8 +2,8 @@
 
 Stable set partitions are counted here, never listed (see :mod:`.oracles`).
 Stirling numbers of the second kind have two roads that share no code: the
-table :func:`stirling_second`, read by the strata routes, and the
-inclusion-exclusion count ``_stirling_second_explicit``, read by their check
+additive recurrence :func:`stirling_second`, read by the strata routes, and
+the inclusion-exclusion count ``_stirling_second_explicit``, read by their check
 :func:`confcohom.confspace.universal_poly`.
 
 Conventions
@@ -153,19 +153,14 @@ def all_cycle_types(m: int) -> tuple[CycleType, ...]:
 # ---------------------------------------------------------------------------
 
 
-# Column j holds S(j + t, j) for t = 0, 1, ...; entries above the diagonal
-# are zero and never stored.  Filled by stirling_second on demand.
-_STIRLING2_COLUMNS: list[list[int]] = []
-
-
+@lru_cache(maxsize=None)
 def stirling_second(i: int, j: int) -> int:
     """Number of partitions of an i-set into j nonempty blocks.
 
-    Read from a cached table that is filled iteratively by the additive
-    recurrence S(i, j) = S(i-1, j-1) + j S(i-1, j).  The trivial entries
-    S(i, 0), S(i, 1) and S(i, i), and an entry already in the table, are
-    read at once; otherwise answering (i, j) fills the (j+1) x (i-j+1)
-    rectangle of entries it depends on.
+    S(i, 0), S(i, 1) and S(i, i) are read at once.  Any other entry fills
+    one column in place by the additive recurrence, read as
+    S(c + t, c) = S(c - 1 + t, c - 1) + c S(c + t - 1, c) for c = 2..j:
+    (j - 1)(i - j) additions, whatever was asked before.
     """
     if i < 0 or j < 0:
         raise ValueError("Stirling indices must be nonnegative")
@@ -173,21 +168,11 @@ def stirling_second(i: int, j: int) -> int:
         return 0
     if j == 1 or j == i:
         return 1
-    depth = i - j + 1
-    columns = _STIRLING2_COLUMNS
-    if j < len(columns) and depth <= len(columns[j]):
-        return columns[j][i - j]
-    for c in range(j + 1):
-        if c == len(columns):
-            columns.append([])
-        column = columns[c]
-        for t in range(len(column), depth):
-            if c == 0:
-                value = 1 if t == 0 else 0
-            else:
-                value = columns[c - 1][t] + (c * column[t - 1] if t else 0)
-            column.append(value)
-    return columns[j][i - j]
+    column = [1] * (i - j + 1)  # S(c + t, c) for t = 0..i-j, from c = 1
+    for c in range(2, j + 1):
+        for t in range(1, i - j + 1):
+            column[t] += c * column[t - 1]
+    return column[-1]
 
 
 def _stirling_second_explicit(i: int, j: int) -> int:

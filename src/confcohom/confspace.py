@@ -79,11 +79,14 @@ def euler_char_config(space: SpaceSpec, m: int) -> int:
 
     Equals the falling factorial chi(chi-1)...(chi-m+1) of the Euler
     characteristic of X.  Holds with no acyclicity hypothesis, and feeds
-    the exponential generating series (1+t)^chi.
+    the exponential generating series (1+t)^chi.  When 0 <= chi < m a
+    factor is 0, and so is the answer, read at once.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
     chi = space.euler_char()
+    if 0 <= chi < m:
+        return 0
     value = 1
     for i in range(m):
         value *= chi - i

@@ -400,12 +400,6 @@ class ConstancyReport(Record):
         "constant_value", "expect_zero", "observed_from",
     )
 
-    def verdicts(self) -> list[tuple[str, bool]]:
-        name = f"constant-from-{self.constant_from}"
-        if self.expect_zero:
-            name = f"zero-beyond-{self.constant_from - 1}"
-        return [(name, self.constant_ok)]
-
 
 def unordered_betti_constancy(
     space: SpaceSpec, degree: int, m_range: tuple[int, int]

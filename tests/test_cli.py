@@ -889,7 +889,7 @@ class TestDigitLimit:
     def test_config_product_past_the_limit_refuses_before_it_runs(
         self, capsys, monkeypatch, digit_limit_4300, target
     ):
-        # the largest coefficient at m = 1700 has at least 4,501 digits
+        # the largest coefficient at m = 1700 has at least 4,502 digits
         def never(*args):
             raise AssertionError("falling_product ran")
 
@@ -912,7 +912,7 @@ class TestDigitLimit:
 
     @pytest.mark.parametrize("space", ["c", "cstar"])
     def test_config_product_within_the_bound_answers(self, capsys, digit_limit_4300, space):
-        # the bound reads 3,899 digits at m = 1500 on c
+        # the bound reads 3,900 digits at m = 1500 on c
         code, out, err = run(capsys, "poincare", "--space", space, "--target", "fm", "--m", "1500")
         assert code == 0, err
         assert json.loads(out)["result"]["coefficients"]
@@ -927,11 +927,11 @@ class TestDigitLimit:
     @pytest.mark.parametrize("name", ["c", "cstar", "r1", "r3", "c_minus_3"])
     def test_config_digit_bound_is_a_lower_bound(self, name):
         space = BUILTIN_SPACES[name]
-        assert answer_digits(0, 0, space) == 1
+        assert answer_digits(0, 0) == 1
         for m in (1, 2, 3, 17, 64, 250):
             poly = confspace.poincare_config(space, m)
             largest = max(value for _exp, value in poly.items())
-            assert answer_digits(m, m, space) <= len(str(largest)), m
+            assert answer_digits(m, m) <= len(str(largest)), m
 
     @pytest.mark.parametrize("name", ["c", "cstar", "r1", "r3", "c_minus_3"])
     def test_stratum_digit_bound_is_a_lower_bound(self, name):
@@ -939,7 +939,25 @@ class TestDigitLimit:
         for m, l in [(1, 1), (9, 1), (9, 2), (40, 3), (40, 39), (200, 2), (200, 7), (90, 60)]:
             poly = confspace.poincare_exactly(space, l, m)
             largest = max(value for _exp, value in poly.items())
-            assert answer_digits(m, l, space) <= len(str(largest)), (m, l)
+            assert answer_digits(m, l) <= len(str(largest)), (m, l)
+
+    @pytest.mark.parametrize(
+        "pc, top_m",
+        [
+            # degree 1: every stratum sits in degree l, so the sum may cancel
+            ({1: 1}, 40), ({1: 2}, 40), ({1: 3}, 40),
+            # degree >= 2: the top coefficient is S(m, l) lc(pc)^l
+            ({2: 1}, 20), ({1: 1, 2: 1}, 20), ({1: 3, 2: 1}, 20), ({3: 1}, 20),
+            ({1: 1, 3: 2}, 20), ({2: 3, 4: 1}, 20),
+        ],
+    )
+    def test_closed_stratum_digit_bound_is_a_lower_bound(self, pc, top_m):
+        space = confspace.SpaceSpec("grid", LaurentPoly(pc), max(pc), True)
+        for m in range(1, top_m + 1):
+            for l in range(1, m + 1):
+                poly = confspace.poincare_at_most(space, l, m)
+                largest = max(value for _exp, value in poly.items())
+                assert answer_digits(m, l, closed=True) <= len(str(largest)), (m, l)
 
     @pytest.mark.parametrize("closed", [False, True])
     def test_universal_digit_bound_is_a_lower_bound(self, closed):
@@ -955,6 +973,9 @@ class TestDigitLimit:
             ["poincare", "--space", "c", "--target", "delta", "--l", "1000000000",
              "--m", "1000000000"],
             ["universal", "--l", "1000000000", "--m", "1000000000"],
+            ["poincare", "--space", "c", "--target", "delta_le", "--l", "2", "--m", "1000000000"],
+            ["poincare", "--space", "r1", "--target", "delta_le", "--l", "2",
+             "--m", "1000000000"],
         ],
     )
     def test_strata_past_the_limit_refuse_before_any_product(
@@ -975,10 +996,11 @@ class TestDigitLimit:
     @pytest.mark.parametrize(
         "argv",
         [
-            # S(3000, 2) has 903 digits, P_350 740 and 349! 738; the bounds read 902, 689, 690
+            # S(3000, 2) has 903 digits, P_350 740 and 349! 738; the bounds read 903, 690, 690
             ["poincare", "--space", "c", "--target", "delta", "--l", "2", "--m", "3000"],
             ["poincare", "--space", "c", "--target", "delta", "--l", "350", "--m", "350"],
             ["universal", "--l", "350", "--m", "350"],
+            ["poincare", "--space", "c", "--target", "delta_le", "--l", "2", "--m", "3000"],
         ],
     )
     def test_strata_early_refusal_is_the_render_refusal(
@@ -1013,6 +1035,34 @@ class TestDigitLimit:
     def test_no_digit_limit_refuses_nothing(self, monkeypatch):
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
         limits.check_result_digits(10**9)
+
+
+class TestEmptySpace:
+    """X = ∅ (pc = 0) is valid input; every closed form on it is 0."""
+
+    @pytest.fixture
+    def empty(self, tmp_path):
+        path = tmp_path / "empty.json"
+        document = {
+            "name": "empty", "poincare_c": [0], "dim": 2, "i_acyclic": True, "orientable": True,
+        }
+        path.write_text(json.dumps(document))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv, check",
+        [
+            # chi = 0, so the Euler characteristic check reads a zero factor
+            # rather than multiplying m factors
+            (["--target", "fm", "--m", "1000000000"], "euler-characteristic"),
+            (["--target", "ordinary", "--m", "1000000000"], "euler-characteristic"),
+            (["--target", "delta", "--l", "2", "--m", "3"], "universal-polynomial-evaluation"),
+        ],
+    )
+    def test_answers_zero(self, capsys, empty, argv, check):
+        code, out, err = run(capsys, "poincare", "--space", empty, *argv, "--format", "plain")
+        assert code == 0, err
+        assert out.endswith(f"result:\n  0\nchecks:\n  [pass] {check}\n")
 
 
 def _plus_one(original):

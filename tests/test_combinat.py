@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -127,20 +128,26 @@ class TestStirling:
         assert len(calls) == 1
         assert sum(row) == 0 and sum(map(abs, row)) == math.factorial(40)
 
-    def test_trivial_entries_fill_no_table(self, monkeypatch):
-        monkeypatch.setattr(combinat, "_STIRLING2_COLUMNS", [])
+    def test_trivial_entries_fill_no_table(self):
+        # S(m, 0), S(m, 1) and S(m, m) fill no column of m entries
+        stirling_second.cache_clear()
         m = 10**9
-        assert [stirling_second(m, j) for j in (0, 1, m)] == [0, 1, 1]
+        tracemalloc.start()
+        try:
+            assert [stirling_second(m, j) for j in (0, 1, m)] == [0, 1, 1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
         assert stirling_second(0, 0) == 1
-        assert combinat._STIRLING2_COLUMNS == []
 
     def test_table_never_evaluates_the_explicit_count(self, monkeypatch):
         # the inclusion-exclusion count is the strata checks' independent
-        # road, so filling the table must not read it
+        # road, so the recurrence must not read it
         def never(i, j):
-            raise AssertionError("the table read the explicit count")
+            raise AssertionError("the recurrence read the explicit count")
 
-        monkeypatch.setattr(combinat, "_STIRLING2_COLUMNS", [])
+        stirling_second.cache_clear()
         monkeypatch.setattr(combinat, "_stirling_second_explicit", never)
         assert stirling_second(7, 3) == 301
         assert stirling_second(60, 2) == 2**59 - 1
