@@ -44,8 +44,8 @@ for m in range(2, 7):
 # Any subgroup works, e.g. the Klein four-group inside the symmetric group
 # on 4 letters:
 gens = [
-    Permutation.from_cycles(4, [[1, 2], [3, 4]], one_based=True),
-    Permutation.from_cycles(4, [[1, 3], [2, 4]], one_based=True),
+    Permutation.from_cycles(4, [[1, 2], [3, 4]]),
+    Permutation.from_cycles(4, [[1, 3], [2, 4]]),
 ]
 order, counts = group_closure(gens, 4)
 print(f"\nKlein four-group quotient of 4 points (order {order}):")

@@ -12,6 +12,11 @@ series-expansion oracle in :mod:`confcohom.oracles`, run by
 :mod:`confcohom.checks` or the test suite, never inside the route; the library
 checks its own invariants (exact divisibility, nonnegative Betti output)
 and raises rather than returning data it cannot certify.
+
+``__all__`` names the routes and oracles, the types they take or return,
+and the error classes.  Number-theoretic and representation helpers
+(``divisors``, ``pad_core``, ``subgroup_class_counts``, ...) stay in their
+modules.
 """
 
 import importlib
@@ -44,23 +49,15 @@ __all__ = [
     "TraceSeries",
     "all_cycle_types",
     "at_most_trace",
-    "borel_moore_betti_config",
-    "borel_moore_series",
     "config_series",
     "config_trace",
     "decompose_series",
-    "divisors",
     "euler_char_config",
-    "euler_phi",
     "exactly_series",
     "exactly_trace",
     "falling_product",
     "group_closure",
     "induce_blocks",
-    "irrep_dimension",
-    "mobius",
-    "pad_core",
-    "partitions",
     "poincare_at_most",
     "poincare_config",
     "poincare_config_ordinary",
@@ -69,24 +66,18 @@ __all__ = [
     "poincare_exactly",
     "poincare_symmetric_product",
     "poincare_unordered_config",
-    "power_series",
     "power_trace",
     "quotient_poincare",
     "reconstruct_config_series",
-    "representative",
     "set_partitions",
     "stability_report",
-    "stable_block_counts",
     "stable_partitions",
     "stirling_first_signed",
-    "stirling_first_unsigned",
     "stirling_second",
-    "subgroup_class_counts",
     "symmetric_group_character",
     "tensor_trace_oracle",
     "universal_poly",
     "unordered_betti_constancy",
-    "unpad_shape",
 ]
 
 

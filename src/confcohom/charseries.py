@@ -89,6 +89,18 @@ class TraceSeries(FrozenRecord):
 # ---------------------------------------------------------------------------
 
 
+def _cleared_product(ctype: CycleType, factor: Callable[[int, int], LaurentPoly]) -> LaurentPoly:
+    """prod over the cycle lengths d of ``ctype`` of factor(d, x_d), skipping
+    x_d = 0: the one trace product.  The cartesian power takes
+    factor(d, x) = N(T^d)^x; the configuration traces take the cleared
+    factor(d, x) = prod_{i < x} (B_d - i * d * T^d)."""
+    result = LaurentPoly.one()
+    for d, x in enumerate(ctype.mult, start=1):
+        if x:
+            result = result * factor(d, x)
+    return result
+
+
 def power_trace(space: SpaceSpec, ctype: CycleType) -> LaurentPoly:
     """Graded trace of a type-``ctype`` permutation on H_c of the cartesian power.
 
@@ -98,12 +110,7 @@ def power_trace(space: SpaceSpec, ctype: CycleType) -> LaurentPoly:
     """
     limits.check_cycle_type_m(ctype.m)
     n = space.pc.negate_var()
-    result = LaurentPoly.one()
-    for d in range(1, ctype.m + 1):
-        x = ctype.x(d)
-        if x:
-            result = result * n.substitute(d) ** x
-    return result
+    return _cleared_product(ctype, lambda d, x: n.substitute(d) ** x)
 
 
 def power_series(space: SpaceSpec, m: int) -> TraceSeries:
@@ -125,16 +132,6 @@ def _divisor_kernel(space: SpaceSpec, d: int) -> LaurentPoly:
         if mu:
             total = total + mu * n.substitute(e) * LaurentPoly.term(1, d - e)
     return total
-
-
-def _cleared_product(ctype: CycleType, factor: Callable[[int, int], LaurentPoly]) -> LaurentPoly:
-    """prod over the cycle lengths d of ``ctype`` of factor(d, x_d), where
-    factor(d, x) = prod_{i < x} (B_d - i * d * T^d): the one trace product."""
-    result = LaurentPoly.one()
-    for d, x in enumerate(ctype.mult, start=1):
-        if x:
-            result = result * factor(d, x)
-    return result
 
 
 def config_trace(space: SpaceSpec, ctype: CycleType) -> LaurentPoly:

@@ -80,7 +80,7 @@ def poincare(
     else:
         # The cyclic quotients average traces over the rotation group, listed
         # element by element, independently of their divisor sums.
-        rotation = [combinat.Permutation.from_cycles(m, [list(range(1, m + 1))], one_based=True)]
+        rotation = [combinat.Permutation.from_cycles(m, [list(range(1, m + 1))])]
         trace = {"cf": charseries.config_trace, "cyc": charseries.power_trace}[target]
         order, counts = combinat.group_closure(rotation, m)
         oracle = charseries._average(lambda ctype: trace(space, ctype), counts, order)

@@ -76,18 +76,11 @@ def space_from_document(data) -> SpaceSpec:
     missing = _SPACE_FILE_REQUIRED - keys
     if missing:
         raise InputParseError(f"space file is missing keys: {sorted(missing)}")
-    if not isinstance(data["name"], str):
-        raise InputParseError("name must be a string")
     coeffs = data["poincare_c"]
     if not isinstance(coeffs, list) or not all(
         isinstance(c, int) and not isinstance(c, bool) for c in coeffs
     ):
         raise InputParseError("poincare_c must be a list of integers")
-    if not isinstance(data["dim"], int) or isinstance(data["dim"], bool):
-        raise InputParseError("dim must be an integer")
-    for flag in ("i_acyclic", "orientable", "connected"):
-        if flag in data and not isinstance(data[flag], bool):
-            raise InputParseError(f"{flag} must be a boolean")
     return SpaceSpec(
         name=data["name"],
         pc=LaurentPoly.from_coeffs(coeffs),
@@ -152,7 +145,7 @@ def parse_generators(text: str, m: int) -> list[Permutation]:
                 raise InputParseError(f"cycle {body!r} out of range for m = {m}")
             cycles.append(cycle)
         try:
-            gens.append(Permutation.from_cycles(m, cycles, one_based=True))
+            gens.append(Permutation.from_cycles(m, cycles))
         except ValueError as exc:
             raise InputParseError(str(exc)) from exc
     return gens

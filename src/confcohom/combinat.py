@@ -113,16 +113,6 @@ class CycleType(FrozenRecord):
     def num_cycles(self) -> int:
         return sum(self.mult)
 
-    @property
-    def fixed_points(self) -> int:
-        return self.mult[0] if self.m else 0
-
-    def x(self, d: int) -> int:
-        """Number of cycles of length d (zero outside 1..m)."""
-        if 1 <= d <= self.m:
-            return self.mult[d - 1]
-        return 0
-
     def class_size(self) -> int:
         """Number of permutations with this cycle type: m!/prod(x_d! d^x_d)."""
         denom = 1
@@ -197,12 +187,6 @@ def _falling_factorial(i: int):
     return falling_product(T, ONE, i)
 
 
-def stirling_first_unsigned(i: int, j: int) -> int:
-    """Number of permutations of an i-set that are products of j cycles."""
-    value = stirling_first_signed(i, j)
-    return -value if (i - j) % 2 else value
-
-
 # ---------------------------------------------------------------------------
 # elementary number theory
 # ---------------------------------------------------------------------------
@@ -275,12 +259,13 @@ class Permutation(FrozenRecord):
         return Permutation(tuple(range(m)))
 
     @staticmethod
-    def from_cycles(m: int, cycles: list[list[int]], one_based: bool = False) -> "Permutation":
-        """Build from disjoint cycles; ``one_based`` shifts labels down by 1."""
+    def from_cycles(m: int, cycles: list[list[int]]) -> "Permutation":
+        """Build from disjoint cycles on the labels 1..m, as cycle notation
+        writes them: label c is the point c - 1."""
         images = list(range(m))
         seen: set[int] = set()
         for cycle in cycles:
-            pts = [c - 1 for c in cycle] if one_based else list(cycle)
+            pts = [c - 1 for c in cycle]
             for label, p in zip(cycle, pts):  # messages name the caller's label
                 if not 0 <= p < m:
                     raise ValueError(f"cycle entry {label} out of range for m={m}")
@@ -323,9 +308,6 @@ class Permutation(FrozenRecord):
 
     def cycle_type(self) -> CycleType:
         return CycleType(self.m, _cycle_mult(self.images))
-
-    def sign(self) -> int:
-        return self.cycle_type().sign()
 
 
 def _cycle_mult(images: tuple[int, ...]) -> tuple[int, ...]:

@@ -29,7 +29,9 @@ class SpaceSpec(FrozenRecord):
     ``pc`` is the compactly-supported Poincaré polynomial of X; ``dim`` its
     cohomological dimension.  The three flags assert topological facts the
     library cannot verify: interior acyclicity, orientability (X a
-    topological manifold where relevant), connectedness.
+    topological manifold where relevant), connectedness.  Every field is
+    checked here, for library and CLI callers alike: a str name, an int
+    dim (not a bool), bool flags, and Betti numbers that fit ``dim``.
     """
 
     __slots__ = ("name", "pc", "dim", "i_acyclic", "orientable", "connected")
@@ -43,6 +45,15 @@ class SpaceSpec(FrozenRecord):
         orientable: bool = True,
         connected: bool = True,
     ):
+        if not isinstance(name, str):
+            raise InputParseError("name must be a string")
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise InputParseError("dim must be an integer")
+        for flag, value in (
+            ("i_acyclic", i_acyclic), ("orientable", orientable), ("connected", connected)
+        ):
+            if not isinstance(value, bool):
+                raise InputParseError(f"{flag} must be a boolean")
         if dim < 0:
             raise InputParseError("dimension must be nonnegative")
         if not pc.has_nonnegative_coeffs():
@@ -120,6 +131,8 @@ def poincare_exactly(space: SpaceSpec, distinct: int, m: int) -> LaurentPoly:
     _check_strata(distinct, m)
     if distinct == 0:
         return LaurentPoly.one() if m == 0 else LaurentPoly.zero()
+    if space.pc.is_zero():  # an empty space: every stratum is empty, read before S(m, l)
+        return LaurentPoly.zero()
     return stirling_second(m, distinct) * poincare_config(space, distinct)
 
 
@@ -134,6 +147,8 @@ def poincare_at_most(space: SpaceSpec, distinct: int, m: int) -> LaurentPoly:
     _check_strata(distinct, m)
     if distinct == 0:
         return LaurentPoly.one() if m == 0 else LaurentPoly.zero()
+    if space.pc.is_zero():  # an empty space: every stratum is empty, read before S(m, l)
+        return LaurentPoly.zero()
     total = LaurentPoly.zero()
     for a in range(distinct):
         term = stirling_second(m, distinct - a) * poincare_config(space, distinct - a)
@@ -197,19 +212,6 @@ def poincare_config_ordinary(space: SpaceSpec, m: int) -> LaurentPoly:
     if m < 1:
         raise ValueError("m must be positive")
     return poincare_config(space, m).dual(m * space.dim)
-
-
-def borel_moore_betti_config(space: SpaceSpec, m: int, degree: int) -> int:
-    """Borel-Moore Betti number of the configuration space in one degree.
-
-    Reads the coefficient of T^(m*dim - degree) in the compact-support
-    polynomial, which is the dual grading.
-    """
-    require(space, "orientable")
-    if m < 1 or degree < 0:
-        raise ValueError("m must be positive and degree nonnegative")
-    require(space, "i_acyclic")
-    return poincare_config(space, m).coeff(m * space.dim - degree)
 
 
 # ---------------------------------------------------------------------------

@@ -59,10 +59,6 @@ class SetPartition(FrozenRecord):
             self.m, [[alpha(x) for x in block] for block in self.blocks]
         )
 
-    def block_sizes(self) -> CycleType:
-        """The block-size profile as a Young diagram on m boxes."""
-        return CycleType.from_parts(sorted((len(b) for b in self.blocks), reverse=True), self.m)
-
     def __str__(self) -> str:
         return "|".join("".join(str(x + 1) for x in block) for block in self.blocks)
 

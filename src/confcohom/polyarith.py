@@ -104,7 +104,11 @@ class _SparsePoly:
 
 
 class LaurentPoly(_SparsePoly):
-    """Integer Laurent polynomial in T, immutable and hashable."""
+    """Integer Laurent polynomial in T, immutable and hashable.
+
+    Exponents and coefficients must be ints (not bools): any other entry
+    raises ``TypeError`` rather than being truncated by ``int()``.
+    """
 
     __slots__ = ()
     _CONST_KEY = 0
@@ -113,15 +117,13 @@ class LaurentPoly(_SparsePoly):
         c = {}
         if coeffs:
             for e, v in coeffs.items():
+                if type(e) is not int or type(v) is not int:
+                    raise TypeError(f"LaurentPoly entry {e!r}: {v!r} is not int: int")
                 if v:
-                    c[int(e)] = int(v)
+                    c[e] = v
         self._c = c
 
     # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def const(value: int) -> "LaurentPoly":
-        return LaurentPoly({0: value})
 
     @staticmethod
     def term(coeff: int, exp: int) -> "LaurentPoly":
@@ -344,6 +346,7 @@ class BiPoly(_SparsePoly):
     """Integer polynomial in two variables (P, T), canonical sparse form.
 
     Keys are (P-exponent, T-exponent) pairs; P-exponents are nonnegative.
+    Exponents and coefficients must be ints, as in :class:`LaurentPoly`.
     """
 
     __slots__ = ()
@@ -352,9 +355,12 @@ class BiPoly(_SparsePoly):
     def __init__(self, coeffs: Mapping[tuple[int, int], int] | None = None):
         c = {}
         if coeffs:
-            for (i, j), v in coeffs.items():
+            for key, v in coeffs.items():
+                i, j = key
+                if type(i) is not int or type(j) is not int or type(v) is not int:
+                    raise TypeError(f"BiPoly entry {key!r}: {v!r} is not (int, int): int")
                 if v:
-                    c[(int(i), int(j))] = int(v)
+                    c[(i, j)] = v
         self._c = c
 
     @staticmethod

@@ -141,11 +141,6 @@ def pad_core(core: tuple[int, ...], m: int) -> tuple[int, ...]:
     return (first,) + tuple(core) if first > 0 else tuple(core)
 
 
-def unpad_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
-    """Drop the first row; the unique inverse of :func:`pad_core`."""
-    return tuple(shape[1:])
-
-
 # ---------------------------------------------------------------------------
 # decomposition and Borel-Moore conversion
 # ---------------------------------------------------------------------------

@@ -26,13 +26,13 @@ from confcohom import (
     power_trace,
     quotient_poincare,
     reconstruct_config_series,
-    representative,
     stability_report,
     stirling_first_signed,
     stirling_second,
     tensor_trace_oracle,
     universal_poly,
 )
+from confcohom.combinat import representative
 from confcohom.oracles import symmetric_product_generating_function
 from confcohom.cli import main
 
@@ -142,9 +142,9 @@ def test_criterion_07_quotients_match_subgroup_averaging():
             closures[("cyc", m)] = group_closure([rotation], m)
             gens = []
             if m >= 2:
-                gens.append(Permutation.from_cycles(m, [[1, 2]], one_based=True))
+                gens.append(Permutation.from_cycles(m, [[1, 2]]))
             if m >= 3:
-                gens.append(Permutation.from_cycles(m, [list(range(1, m + 1))], one_based=True))
+                gens.append(Permutation.from_cycles(m, [list(range(1, m + 1))]))
             closures[("sym", m)] = group_closure(gens, m)
         for space in ACYCLIC_FIXTURES:
             for m in range(1, 9):

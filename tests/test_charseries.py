@@ -17,30 +17,26 @@ from confcohom import (
     at_most_trace,
     config_series,
     config_trace,
-    divisors,
     exactly_series,
     exactly_trace,
     falling_product,
     group_closure,
     induce_blocks,
-    partitions,
     poincare_at_most,
     poincare_config,
     poincare_cyclic_config,
     poincare_cyclic_product,
     poincare_symmetric_product,
     poincare_unordered_config,
-    power_series,
     power_trace,
     quotient_poincare,
     reconstruct_config_series,
-    representative,
     stirling_second,
     tensor_trace_oracle,
 )
 from confcohom import charseries, limits
-from confcohom.charseries import TraceSeries, cyclic_counts
-from confcohom.combinat import symmetric_counts
+from confcohom.charseries import TraceSeries, cyclic_counts, power_series
+from confcohom.combinat import divisors, partitions, representative, symmetric_counts
 from confcohom.oracles import symmetric_product_generating_function
 from confcohom.polyarith import ONE, T
 from conftest import puncture
@@ -146,11 +142,11 @@ class TestStrataTraces:
                 assert exactly_trace(plane, 1, m, representative(ct)) == n
 
     def test_two_of_three_transposition(self, plane):
-        alpha = Permutation.from_cycles(3, [[1, 2]], one_based=True)
+        alpha = Permutation.from_cycles(3, [[1, 2]])
         assert exactly_trace(plane, 2, 3, alpha) == T**4 - T**3
 
     def test_at_most_full_cycle(self, plane):
-        alpha = Permutation.from_cycles(3, [[1, 2, 3]], one_based=True)
+        alpha = Permutation.from_cycles(3, [[1, 2, 3]])
         assert at_most_trace(plane, 3, 3, alpha) == T**6
 
     def test_at_most_identity_matches_direct(self):
@@ -331,7 +327,7 @@ class TestInduction:
                     from confcohom import stable_partitions
 
                     for p, beta in stable_partitions(alpha, blocks):
-                        if p.block_sizes().parts == profile:
+                        if tuple(sorted(map(len, p.blocks), reverse=True)) == profile:
                             geometric = geometric + series.values[beta.cycle_type()]
                     assert coset_value == geometric, (profile, ct)
             # the profile pieces assemble to the full operator
@@ -428,10 +424,10 @@ class TestCyclicAndUnordered:
         for m in range(1, 9):
             gens = []
             if m >= 2:
-                gens.append(Permutation.from_cycles(m, [[1, 2]], one_based=True))
+                gens.append(Permutation.from_cycles(m, [[1, 2]]))
             if m >= 3:
                 gens.append(
-                    Permutation.from_cycles(m, [list(range(1, m + 1))], one_based=True)
+                    Permutation.from_cycles(m, [list(range(1, m + 1))])
                 )
             order, counts = group_closure(gens, m)
             assert order == math.factorial(m)
@@ -528,7 +524,7 @@ class TestProducts:
     @settings(max_examples=30, deadline=None)
     def test_cyclic_agrees_with_listed_rotations(self, pc, m):
         space = space_of(pc)
-        rotation = Permutation.from_cycles(m, [list(range(1, m + 1))], one_based=True)
+        rotation = Permutation.from_cycles(m, [list(range(1, m + 1))])
         order, counts = group_closure([rotation], m)
         expected = quotient_poincare(power_series(space, m), counts, order)
         assert poincare_cyclic_product(space, m) == expected
@@ -606,7 +602,7 @@ class TestPunctureComparisons:
         # without fixed points the trace cannot see added punctures
         for m in range(2, 6):
             for ct in all_cycle_types(m):
-                if ct.fixed_points:
+                if ct.mult[0]:
                     continue
                 for a in range(1, 6):
                     assert config_trace(space, ct) == config_trace(
@@ -620,7 +616,7 @@ class TestPunctureComparisons:
         n_x = space.pc.negate_var()
         for m in range(1, 6):
             for ct in all_cycle_types(m):
-                x1 = ct.fixed_points
+                x1 = ct.mult[0]
                 for a in range(1, 4):
                     other = puncture(space, a)
                     n_xa = other.pc.negate_var()
@@ -636,11 +632,7 @@ class TestPunctureComparisons:
         for a in range(1, 4):
             for b in range(1, 4):
                 for ct in all_cycle_types(a):
-                    mult = [0] * (b + a)
-                    mult[0] = ct.fixed_points + b
-                    for d in range(2, a + 1):
-                        mult[d - 1] = ct.x(d)
-                    padded = CycleType(b + a, tuple(mult))
+                    padded = CycleType(b + a, (ct.mult[0] + b,) + ct.mult[1:] + (0,) * b)
                     total = config_trace(space, padded)
                     split = config_trace(
                         puncture(space, a), CycleType.identity(b)

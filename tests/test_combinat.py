@@ -12,21 +12,22 @@ from confcohom import (
     Permutation,
     SetPartition,
     all_cycle_types,
+    group_closure,
+    set_partitions,
+    stable_partitions,
+    stirling_first_signed,
+    stirling_second,
+)
+from confcohom import combinat, limits
+from confcohom.combinat import (
     divisors,
     euler_phi,
-    group_closure,
     mobius,
     partitions,
     representative,
-    set_partitions,
     stable_block_counts,
-    stable_partitions,
-    stirling_first_signed,
-    stirling_first_unsigned,
-    stirling_second,
     subgroup_class_counts,
 )
-from confcohom import combinat, limits
 
 
 class TestPartitions:
@@ -76,14 +77,12 @@ class TestStirling:
     def test_reference_values(self):
         assert stirling_second(6, 2) == 31
         assert stirling_second(6, 3) == 90
-        assert stirling_first_unsigned(4, 1) == 6  # (4-1)!
         assert stirling_second(0, 0) == 1
         for i in range(1, 8):
             assert stirling_second(i, 0) == 0
 
     def test_first_kind_factorials(self):
         for i in range(1, 10):
-            assert stirling_first_unsigned(i, 1) == math.factorial(i - 1)
             assert stirling_first_signed(i, 1) == (-1) ** (i - 1) * math.factorial(i - 1)
 
     @pytest.mark.parametrize("n", [6, 12])
@@ -210,7 +209,7 @@ class TestSetPartitions:
 
 class TestStablePartitions:
     def test_transposition(self):
-        alpha = Permutation.from_cycles(3, [[1, 2]], one_based=True)
+        alpha = Permutation.from_cycles(3, [[1, 2]])
         result = stable_partitions(alpha, 2)
         assert len(result) == 1
         partition, beta = result[0]
@@ -218,7 +217,7 @@ class TestStablePartitions:
         assert beta == Permutation.identity(2)
 
     def test_three_cycle_has_none(self):
-        alpha = Permutation.from_cycles(3, [[1, 2, 3]], one_based=True)
+        alpha = Permutation.from_cycles(3, [[1, 2, 3]])
         assert stable_partitions(alpha, 2) == []
 
     def test_identity_fixes_everything(self):
@@ -315,7 +314,7 @@ class TestGroupClosure:
         assert counts == {CycleType.identity(3): 1}
 
     def test_cyclic_group(self):
-        sigma = Permutation.from_cycles(3, [[1, 2, 3]], one_based=True)
+        sigma = Permutation.from_cycles(3, [[1, 2, 3]])
         order, counts = group_closure([sigma], 3)
         assert order == 3
         assert counts == {
@@ -325,8 +324,8 @@ class TestGroupClosure:
 
     def test_full_symmetric_group(self):
         gens = [
-            Permutation.from_cycles(3, [[1, 2]], one_based=True),
-            Permutation.from_cycles(3, [[1, 2, 3]], one_based=True),
+            Permutation.from_cycles(3, [[1, 2]]),
+            Permutation.from_cycles(3, [[1, 2, 3]]),
         ]
         order, counts = group_closure(gens, 3)
         assert order == 6
@@ -334,8 +333,8 @@ class TestGroupClosure:
 
     def test_symmetric_group_fixing_a_point(self):
         gens = [
-            Permutation.from_cycles(8, [[1, 2]], one_based=True),
-            Permutation.from_cycles(8, [[1, 2, 3, 4, 5, 6, 7]], one_based=True),
+            Permutation.from_cycles(8, [[1, 2]]),
+            Permutation.from_cycles(8, [[1, 2, 3, 4, 5, 6, 7]]),
         ]
         order, counts = group_closure(gens, 8)
         assert order == 5040
@@ -346,8 +345,8 @@ class TestGroupClosure:
 
     def test_cap(self, monkeypatch):
         gens = [
-            Permutation.from_cycles(5, [[1, 2]], one_based=True),
-            Permutation.from_cycles(5, [[1, 2, 3, 4, 5]], one_based=True),
+            Permutation.from_cycles(5, [[1, 2]]),
+            Permutation.from_cycles(5, [[1, 2, 3, 4, 5]]),
         ]
         monkeypatch.setattr(limits, "DEFAULT_CLOSURE_CAP", 10)
         with pytest.raises(CostCapExceeded):
@@ -355,7 +354,7 @@ class TestGroupClosure:
 
 
 def _cycles(m: int, *cycles) -> Permutation:
-    return Permutation.from_cycles(m, [list(c) for c in cycles], one_based=True)
+    return Permutation.from_cycles(m, [list(c) for c in cycles])
 
 
 def _symmetric(m: int) -> list[Permutation]:
@@ -483,17 +482,17 @@ class TestSubgroupClassCounts:
 
 class TestPermutation:
     def test_compose_order(self):
-        a = Permutation.from_cycles(3, [[1, 2]], one_based=True)
-        b = Permutation.from_cycles(3, [[2, 3]], one_based=True)
+        a = Permutation.from_cycles(3, [[1, 2]])
+        b = Permutation.from_cycles(3, [[2, 3]])
         # (a*b)(i) = a(b(i)): b sends 2->3, a fixes 3
         assert (a * b)(1) == 2
 
     def test_inverse(self):
-        g = Permutation.from_cycles(4, [[1, 2, 3]], one_based=True)
+        g = Permutation.from_cycles(4, [[1, 2, 3]])
         assert g * g.inverse() == Permutation.identity(4)
 
     def test_cycle_type(self):
-        g = Permutation.from_cycles(5, [[1, 2], [3, 4, 5]], one_based=True)
+        g = Permutation.from_cycles(5, [[1, 2], [3, 4, 5]])
         assert g.cycle_type() == CycleType.from_parts((3, 2))
 
     def test_representative_has_type(self):
@@ -506,17 +505,15 @@ class TestPermutation:
             Permutation((0, 0, 1))
 
     @pytest.mark.parametrize(
-        "cycles, one_based, message",
+        "cycles, message",
         [
-            ([[1, 1]], True, "cycles are not disjoint at 1"),
-            ([[1, 2], [2, 3]], True, "cycles are not disjoint at 2"),
-            ([[0, 0]], False, "cycles are not disjoint at 0"),
-            ([[1, 4]], True, "cycle entry 4 out of range for m=3"),
-            ([[1, 0]], True, "cycle entry 0 out of range for m=3"),
-            ([[0, 3]], False, "cycle entry 3 out of range for m=3"),
+            ([[1, 1]], "cycles are not disjoint at 1"),
+            ([[1, 2], [2, 3]], "cycles are not disjoint at 2"),
+            ([[1, 4]], "cycle entry 4 out of range for m=3"),
+            ([[1, 0]], "cycle entry 0 out of range for m=3"),
         ],
     )
-    def test_errors_name_the_label_as_written(self, cycles, one_based, message):
+    def test_errors_name_the_label_as_written(self, cycles, message):
         with pytest.raises(ValueError) as info:
-            Permutation.from_cycles(3, cycles, one_based=one_based)
+            Permutation.from_cycles(3, cycles)
         assert str(info.value) == message

@@ -8,7 +8,6 @@ from confcohom import (
     InputParseError,
     LaurentPoly,
     SpaceSpec,
-    borel_moore_betti_config,
     euler_char_config,
     poincare_at_most,
     poincare_config,
@@ -36,6 +35,23 @@ class TestSpaceSpec:
             SpaceSpec("bad", LaurentPoly({0: 1, 2: 1}), 2, i_acyclic=True)
         # fine when the flag is off
         SpaceSpec("ok", LaurentPoly({0: 1, 2: 1}), 2, i_acyclic=False)
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ({"name": 1}, "name must be a string"),
+            ({"dim": 2.5}, "dim must be an integer"),
+            ({"dim": True}, "dim must be an integer"),
+            ({"i_acyclic": 1}, "i_acyclic must be a boolean"),
+            ({"i_acyclic": "no", "orientable": "no"}, "i_acyclic must be a boolean"),
+            ({"orientable": "no"}, "orientable must be a boolean"),
+            ({"connected": None}, "connected must be a boolean"),
+        ],
+    )
+    def test_field_types_checked_for_library_callers(self, field, message):
+        fields = {"name": "x", "pc": T, "dim": 2, "i_acyclic": True, **field}
+        with pytest.raises(InputParseError, match=f"^{message}$"):
+            SpaceSpec(**fields)
 
 
 class TestEulerChar:
@@ -142,6 +158,18 @@ class TestStrata:
             for m in range(1, 7):
                 assert poincare_at_most(space, m, m).eval_at_int(-1) == chi**m
 
+    def test_empty_space_reads_no_stirling_number(self, monkeypatch):
+        def refuse(i, j):
+            raise AssertionError(f"S({i}, {j}) read for the empty space")
+
+        monkeypatch.setattr(combinat, "stirling_second", refuse)
+        monkeypatch.setattr(confspace, "stirling_second", refuse)
+        empty = SpaceSpec("empty", LaurentPoly.zero(), 2, i_acyclic=True)
+        for distinct in (1, 2, 7):
+            assert poincare_exactly(empty, distinct, 10**9) == 0
+            assert poincare_at_most(empty, distinct, 10**9) == 0
+        assert poincare_exactly(empty, 0, 0) == ONE
+
     def test_refusal(self, klein):
         with pytest.raises(HypothesisViolation):
             poincare_exactly(klein, 2, 3)
@@ -225,17 +253,3 @@ class TestOrdinary:
     def test_refuses_nonorientable(self, klein):
         with pytest.raises(HypothesisViolation):
             poincare_config_ordinary(klein, 2)
-
-
-class TestBorelMooreBetti:
-    def test_plane_first_betti(self, plane):
-        assert borel_moore_betti_config(plane, 3, 1) == 3
-
-    def test_degree_zero_connected(self):
-        # needs the configuration space itself connected: dim >= 2
-        for space in FIXTURES:
-            if space.dim >= 2 and space.pc.coeff(space.dim) == 1:
-                assert borel_moore_betti_config(space, 3, 0) == 1
-
-    def test_above_dimension_vanishes(self, plane):
-        assert borel_moore_betti_config(plane, 2, 5) == 0

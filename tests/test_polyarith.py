@@ -75,6 +75,22 @@ class TestRingOps:
         assert -(-f) == f
 
 
+class TestIntEntries:
+    @pytest.mark.parametrize(
+        "coeffs", [{2: 0.5}, {2: 2.0}, {0.5: 1}, {1: True}, {True: 1}, {"1": 1}], ids=repr
+    )
+    def test_laurent_refuses_non_int_entries(self, coeffs):
+        with pytest.raises(TypeError, match="^LaurentPoly entry "):
+            LaurentPoly(coeffs)
+
+    @pytest.mark.parametrize(
+        "coeffs", [{(1, 0): 0.5}, {(1.0, 0): 1}, {(0, True): 1}, {(0, 1): False}], ids=repr
+    )
+    def test_bipoly_refuses_non_int_entries(self, coeffs):
+        with pytest.raises(TypeError, match="^BiPoly entry "):
+            BiPoly(coeffs)
+
+
 class TestSubstitutions:
     def test_exponent_doubling(self):
         assert (T**2 + T).substitute(2) == T**4 + T**2
@@ -109,7 +125,7 @@ class TestFallingProduct:
         assert falling_product(T**2, -T, 3) == T**6 + 3 * T**5 + 2 * T**4
 
     def test_integer_falling_factorial(self):
-        assert falling_product(LaurentPoly.const(3), ONE, 3) == LaurentPoly.const(6)
+        assert falling_product(LaurentPoly.term(3, 0), ONE, 3) == LaurentPoly.term(6, 0)
 
     def test_empty_product(self):
         assert falling_product(T**5, T, 0) == ONE
@@ -129,7 +145,7 @@ class TestFallingProduct:
         n = data.draw(st.integers(0, 12), label="n")
         g = data.draw(
             st.one_of(
-                st.integers(-4, 4).map(LaurentPoly.const),
+                st.integers(-4, 4).map(lambda c: LaurentPoly.term(c, 0)),
                 st.builds(LaurentPoly.term, st.integers(-4, 4), st.integers(-3, 4)),
                 small_laurents,
             ),
@@ -231,7 +247,7 @@ class TestBiPoly:
         assert P_VAR - 3 == BiPoly({(1, 0): 1, (0, 0): -3})
         assert 3 - P_VAR == -(P_VAR - 3)
         assert one == 1 and BiPoly.zero() == 0 and P_VAR != 1
-        assert BiPoly.term(5, 0, 0) != LaurentPoly.const(5)
+        assert BiPoly.term(5, 0, 0) != LaurentPoly.term(5, 0)
 
     def test_value_semantics_come_from_one_shared_base(self):
         shared = ("zero", "items", "is_zero", "__add__", "__sub__", "__neg__",

@@ -24,21 +24,37 @@ HOMES = {
     "errors": "ConfcohomError ConsistencyError CostCapExceeded HypothesisViolation "
     "InputParseError",
     "polyarith": "BiPoly LaurentPoly falling_product",
-    "combinat": "CycleType Permutation all_cycle_types divisors euler_phi group_closure "
-    "mobius partitions representative stable_block_counts stirling_first_signed "
-    "stirling_first_unsigned stirling_second subgroup_class_counts",
-    "confspace": "BUILTIN_SPACES SpaceSpec borel_moore_betti_config euler_char_config "
-    "poincare_at_most poincare_config poincare_config_ordinary poincare_exactly "
-    "universal_poly",
+    "combinat": "CycleType Permutation all_cycle_types group_closure stirling_first_signed "
+    "stirling_second",
+    "confspace": "BUILTIN_SPACES SpaceSpec euler_char_config poincare_at_most poincare_config "
+    "poincare_config_ordinary poincare_exactly universal_poly",
     "charseries": "TraceSeries config_series config_trace exactly_series induce_blocks "
     "poincare_cyclic_config poincare_cyclic_product poincare_symmetric_product "
-    "poincare_unordered_config power_series power_trace quotient_poincare "
-    "reconstruct_config_series",
+    "poincare_unordered_config power_trace quotient_poincare reconstruct_config_series",
     "oracles": "SetPartition at_most_trace exactly_trace set_partitions stable_partitions "
     "tensor_trace_oracle",
-    "repstab": "ConstancyReport MultiplicityTable StabilityReport borel_moore_series "
-    "decompose_series irrep_dimension pad_core stability_report symmetric_group_character "
-    "unordered_betti_constancy unpad_shape",
+    "repstab": "ConstancyReport MultiplicityTable StabilityReport decompose_series "
+    "stability_report symmetric_group_character unordered_betti_constancy",
+}
+
+# names that left the public surface: deleted outright, or kept in their
+# home module for its own callers only
+DELETED = {
+    "combinat": ("stirling_first_unsigned",),
+    "confspace": ("borel_moore_betti_config",),
+    "repstab": ("unpad_shape",),
+}
+DELETED_METHODS = {
+    "CycleType": ("fixed_points", "x"),
+    "LaurentPoly": ("const",),
+    "Permutation": ("sign",),
+    "SetPartition": ("block_sizes",),
+}
+UNEXPORTED = {
+    "combinat": "divisors euler_phi mobius partitions representative stable_block_counts "
+    "subgroup_class_counts",
+    "charseries": "power_series",
+    "repstab": "borel_moore_series irrep_dimension pad_core",
 }
 
 # Prints the confcohom submodules loaded by the time the code before it ends.
@@ -94,6 +110,22 @@ class TestLazyNamespace:
             module = importlib.import_module(f"confcohom.{home}")
             for name in names.split():
                 assert getattr(confcohom, name) is getattr(module, name), name
+
+    def test_removed_names_are_gone(self):
+        for home, names in DELETED.items():
+            module = importlib.import_module(f"confcohom.{home}")
+            for name in names:
+                assert not hasattr(module, name), name
+                assert not hasattr(confcohom, name), name
+        for cls, names in DELETED_METHODS.items():
+            for name in names:
+                assert not hasattr(getattr(confcohom, cls), name), (cls, name)
+        for home, names in UNEXPORTED.items():
+            module = importlib.import_module(f"confcohom.{home}")
+            for name in names.split():
+                assert hasattr(module, name), name
+                assert name not in confcohom.__all__
+                assert not hasattr(confcohom, name), name
 
     def test_star_import_and_dir_cover_all(self):
         namespace: dict = {}
