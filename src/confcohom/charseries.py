@@ -108,13 +108,13 @@ def power_trace(space: SpaceSpec, ctype: CycleType) -> LaurentPoly:
     cycles multiply.  Valid for any finite-type space, no acyclicity
     needed.  The independent check is ``oracles.tensor_trace_oracle``.
     """
-    limits.check_cycle_type_m(ctype.m)
+    limits.check_m(ctype.m)
     n = space.pc.negate_var()
     return _cleared_product(ctype, lambda d, x: n.substitute(d) ** x)
 
 
 def power_series(space: SpaceSpec, m: int) -> TraceSeries:
-    limits.check_cycle_type_m(m)  # before listing the cycle types, which grow like p(m)
+    limits.check_m(m)  # before listing the cycle types, which grow like p(m)
     return TraceSeries(m, {ct: power_trace(space, ct) for ct in all_cycle_types(m)})
 
 
@@ -142,7 +142,7 @@ def config_trace(space: SpaceSpec, ctype: CycleType) -> LaurentPoly:
         prod_d prod_{i < x_d} ( B_d(T) - i * d * T^d ).
     """
     require(space, "i_acyclic")
-    limits.check_cycle_type_m(ctype.m)
+    limits.check_m(ctype.m)
     return _cleared_product(
         ctype, lambda d, x: falling_product(_divisor_kernel(space, d), LaurentPoly.term(d, d), x)
     )
@@ -156,7 +156,7 @@ def config_series(space: SpaceSpec, m: int) -> TraceSeries:
     with d * x <= m: sum_d floor(m/d) falling products for p(m) entries.
     """
     require(space, "i_acyclic")
-    limits.check_cycle_type_m(m)  # before listing the cycle types, which grow like p(m)
+    limits.check_m(m)  # before listing the cycle types, which grow like p(m)
     factors = {}
     for d in range(1, m + 1):
         kernel = _divisor_kernel(space, d)
@@ -174,6 +174,8 @@ def config_series(space: SpaceSpec, m: int) -> TraceSeries:
 
 def exactly_series(space: SpaceSpec, distinct: int, m: int) -> TraceSeries:
     """The full character series of the exact stratum, one entry per cycle type."""
+    require(space, "i_acyclic")
+    limits.check_count(distinct, "distinct", 1)
     return induce_blocks(config_series(space, distinct), m)
 
 
@@ -196,11 +198,8 @@ def induce_blocks(series: TraceSeries, m: int) -> TraceSeries:
     per process.  Acting with ``series.m == m`` is the identity.
     """
     blocks = series.m
-    if blocks > m:
-        raise ValueError("cannot induce downward")
-    if blocks < 1:
-        raise ValueError("induction needs at least one block")
-    limits.check_cycle_type_m(m)
+    limits.check_count(blocks, "series.m", 1)
+    limits.check_m(m, least=blocks)  # induction never goes downward
     if blocks == m:
         return series
     values = series.values
@@ -233,7 +232,7 @@ def reconstruct_config_series(space: SpaceSpec, m: int) -> TraceSeries:
     :func:`config_series` is a kernel-free check of the trace formula.
     """
     require(space, "i_acyclic")
-    limits.check_cycle_type_m(m)  # before listing the cycle types, which grow like p(m)
+    limits.check_m(m)  # before listing the cycle types, which grow like p(m)
     if m == 0:
         # the empty configuration space is a point
         return TraceSeries(0, {CycleType.identity(0): LaurentPoly.one()})
@@ -287,8 +286,7 @@ def quotient_poincare(
     division or a negative Betti number means the series/subgroup pairing
     was invalid and raises ConsistencyError.
     """
-    if order < 1:
-        raise ValueError("group order must be positive")
+    limits.check_count(order, "order", 1)
     if sum(counts.values()) != order:
         raise ValueError("class counts must sum to the group order")
     for ctype in counts:
@@ -306,9 +304,7 @@ def poincare_cyclic_config(space: SpaceSpec, m: int) -> LaurentPoly:
     permutation with m/d cycles of length d.
     """
     require(space, "i_acyclic")
-    if m < 1:
-        raise ValueError("m must be positive")
-    limits.check_cycle_type_m(m)
+    limits.check_m(m, least=1)
     return _average(lambda ct: config_trace(space, ct), cyclic_counts(m), m)
 
 
@@ -348,9 +344,7 @@ def poincare_unordered_config(space: SpaceSpec, m: int) -> LaurentPoly:
     average of :func:`config_trace`, which is the independent route.
     """
     require(space, "i_acyclic")
-    if m < 1:
-        raise ValueError("m must be positive")
-    limits.check_cycle_type_m(m)
+    limits.check_m(m, least=1)
     return _read_at_minus_t(_newton(_config_power_sums(space, m))[m])
 
 
@@ -367,9 +361,7 @@ def poincare_symmetric_product(space: SpaceSpec, m: int) -> LaurentPoly:
     The classical generating function is the independent route to the same
     polynomial; the CLI's ``generating-function`` check compares the two.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
-    limits.check_cycle_type_m(m)
+    limits.check_m(m, least=1)
     n = space.pc.negate_var()
     return _read_at_minus_t(_newton([n.substitute(j) for j in range(1, m + 1)])[m])
 
@@ -381,7 +373,5 @@ def poincare_cyclic_product(space: SpaceSpec, m: int) -> LaurentPoly:
     class counts.  Averaging over the group's listed elements is the
     independent route; the CLI's ``subgroup-averaging`` check compares the two.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
-    limits.check_cycle_type_m(m)
+    limits.check_m(m, least=1)
     return _average(lambda ct: power_trace(space, ct), cyclic_counts(m), m)

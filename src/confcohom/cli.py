@@ -172,7 +172,7 @@ def refuse_before_sizing(space: SpaceSpec, m: int) -> None:
     """Check the hypothesis (exit 2), then the cycle-type cap (exit 5), before
     any input is parsed into something whose size grows with m (exit 3)."""
     confspace.require(space, "i_acyclic")
-    limits.check_cycle_type_m(m)
+    limits.check_m(m)
 
 
 def _factorial_bits(n: int) -> int:
@@ -470,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
         # keep exit code 2 reserved for hypothesis violations
         return EXIT_OK if exc.code in (0, None) else EXIT_PARSE
     try:
-        limits.cycle_type_max_m()  # a malformed CONFCOHOM_MAX_M fails every command
+        limits.max_m()  # a malformed CONFCOHOM_MAX_M fails every command
         document = args.fn(args)
         text = render(document, args.format)
     except HypothesisViolation as exc:

@@ -32,14 +32,13 @@ from .record import FrozenRecord
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def partitions(m: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of m as decreasing tuples, in descending lex order.
 
     partitions(0) yields the single empty partition.
     """
-    if m < 0:
-        raise ValueError("partitions of a negative integer")
+    limits.check_count(m, "m")
     result = []
 
     def extend(remaining: int, max_part: int, prefix: tuple[int, ...]):
@@ -68,6 +67,7 @@ class CycleType(FrozenRecord):
     __slots__ = ("m", "mult")
 
     def __init__(self, m: int, mult: tuple[int, ...]):
+        limits.check_count(m, "m")
         if len(mult) != m:
             raise ValueError("multiplicity vector must have length m")
         if sum(d * x for d, x in enumerate(mult, start=1)) != m:
@@ -100,7 +100,7 @@ class CycleType(FrozenRecord):
 
     @staticmethod
     def identity(m: int) -> "CycleType":
-        return CycleType(m, (m,) + (0,) * (m - 1)) if m else CycleType(0, ())
+        return CycleType(m, (m,) + (0,) * (m - 1)) if m else CycleType(m, ())
 
     @property
     def parts(self) -> tuple[int, ...]:
@@ -132,9 +132,10 @@ class CycleType(FrozenRecord):
         return ",".join(terms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def all_cycle_types(m: int) -> tuple[CycleType, ...]:
-    """Cycle types of the symmetric group on m letters, canonical order."""
+    """Cycle types of the symmetric group on m letters, canonical order;
+    :func:`partitions` gates m."""
     return tuple(CycleType.from_parts(p, m) for p in partitions(m))
 
 
@@ -143,7 +144,7 @@ def all_cycle_types(m: int) -> tuple[CycleType, ...]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def stirling_second(i: int, j: int) -> int:
     """Number of partitions of an i-set into j nonempty blocks.
 
@@ -152,8 +153,8 @@ def stirling_second(i: int, j: int) -> int:
     S(c + t, c) = S(c - 1 + t, c - 1) + c S(c + t - 1, c) for c = 2..j:
     (j - 1)(i - j) additions, whatever was asked before.
     """
-    if i < 0 or j < 0:
-        raise ValueError("Stirling indices must be nonnegative")
+    limits.check_count(i, "i")
+    limits.check_count(j, "j")
     if j > i or (j == 0 and i > 0):
         return 0
     if j == 1 or j == i:
@@ -176,8 +177,8 @@ def _stirling_second_explicit(i: int, j: int) -> int:
 
 def stirling_first_signed(i: int, j: int) -> int:
     """Coefficients of the falling factorial: X(X-1)..(X-i+1) = sum s(i,j) X^j."""
-    if i < 0 or j < 0:
-        raise ValueError("Stirling indices must be nonnegative")
+    limits.check_count(i, "i")
+    limits.check_count(j, "j")
     return _falling_factorial(i).coeff(j)
 
 
@@ -256,12 +257,14 @@ class Permutation(FrozenRecord):
 
     @staticmethod
     def identity(m: int) -> "Permutation":
+        limits.check_count(m, "m")
         return Permutation(tuple(range(m)))
 
     @staticmethod
     def from_cycles(m: int, cycles: list[list[int]]) -> "Permutation":
         """Build from disjoint cycles on the labels 1..m, as cycle notation
         writes them: label c is the point c - 1."""
+        limits.check_count(m, "m")
         images = list(range(m))
         seen: set[int] = set()
         for cycle in cycles:
@@ -367,8 +370,7 @@ def stable_block_counts(ctype: CycleType, blocks: int) -> dict[CycleType, int]:
     and Tree-like Structures*, 1998).  ``oracles.stable_partitions``
     enumerates the same partitions point by point and serves as the oracle.
     """
-    if blocks < 0:
-        raise ValueError("block count must be nonnegative")
+    limits.check_count(blocks, "blocks")
     counts: dict[tuple[int, ...], int] = {}
     for weight, low, high, orbits in _divisor_splits(ctype.mult):
         if not low <= blocks <= high:
@@ -463,6 +465,7 @@ def group_closure(
     group.  Breadth-first multiplication; aborts past the closure cap in
     :mod:`.limits`.  The element-by-element oracle for :func:`subgroup_class_counts`.
     """
+    limits.check_m(m)  # the counts are keyed by cycle types
     gens = _checked_generators(generators, m)
     cap = limits.DEFAULT_CLOSURE_CAP
     identity = tuple(range(m))
@@ -498,17 +501,22 @@ def subgroup_class_counts(
 
     Returns (order, counts) like :func:`group_closure`, but from a
     stabilizer chain built by deterministic Schreier-Sims (Sims 1970;
-    Seress, *Permutation Group Algorithms*, 2003).  The order is the
-    product of the chain's orbit lengths, and a group past the closure cap
-    is refused from it before any element is listed.  A group of
-    order m! is the symmetric group, whose counts are the class sizes; any
-    other group is listed by :func:`group_closure`.
+    Seress, *Permutation Group Algorithms*, 2003).  The cycle-type cap is
+    checked on entry: the answer is keyed by cycle types, and the cost of
+    the chain grows with m.  The order is the product of the chain's orbit
+    lengths.  A group of order m! is the
+    symmetric group, whose counts are the class sizes, and is never
+    listed; any other group is listed by :func:`group_closure`, and is
+    refused from its order, before any element is listed, when that order
+    is past the closure cap.
     """
+    limits.check_m(m)
     gens = _checked_generators(generators, m)
-    transversals = _stabilizer_chain(gens, m, limits.DEFAULT_CLOSURE_CAP)
-    order = math.prod(len(t) for t in transversals)
+    order = math.prod(len(t) for t in _stabilizer_chain(gens, m))
     if order == math.factorial(m):
         return order, symmetric_counts(m)
+    if order > limits.DEFAULT_CLOSURE_CAP:
+        raise _over_cap(limits.DEFAULT_CLOSURE_CAP)
     return group_closure(gens, m)
 
 
@@ -525,7 +533,7 @@ def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _stabilizer_chain(
-    gens: tuple[tuple[int, ...], ...], m: int, cap: int
+    gens: tuple[tuple[int, ...], ...], m: int
 ) -> list[dict[int, tuple[int, ...]]]:
     """Transversals of a stabilizer chain of the group generated by ``gens``.
 
@@ -534,9 +542,9 @@ def _stabilizer_chain(
     generators are sifted from the top level down; one that does not sift
     to the identity becomes a strong generator of the levels it passed and
     checking resumes there (the SCHREIERSIMS procedure of Holt, Eick and
-    O'Brien, *Handbook of Computational Group Theory*, 2005).  Orbits only
-    grow, so the product of their lengths is checked against ``cap`` after
-    every change.
+    O'Brien, *Handbook of Computational Group Theory*, 2005).  Nothing here
+    is capped: the transversals hold at most m(m + 1)/2 elements, whatever
+    the order, and the caller bounds m.
     """
     identity = tuple(range(m))
     base: list[int] = []
@@ -564,8 +572,6 @@ def _stabilizer_chain(
                     queue.append(q)
         transversals[l] = orbit
         inverses[l] = {p: _inverse(u) for p, u in orbit.items()}
-        if math.prod(len(t) for t in transversals) > cap:
-            raise _over_cap(cap)
 
     def add(h, low, high):
         """Make h a strong generator of levels low..high."""

@@ -16,7 +16,7 @@ without it rather than silently emitting invalid numbers.
 
 from __future__ import annotations
 
-from . import combinat
+from . import combinat, limits
 from .combinat import stirling_second
 from .errors import ConsistencyError, HypothesisViolation, InputParseError
 from .polyarith import P_VAR, T_VAR, BiPoly, LaurentPoly, T, falling_product
@@ -30,8 +30,9 @@ class SpaceSpec(FrozenRecord):
     cohomological dimension.  The three flags assert topological facts the
     library cannot verify: interior acyclicity, orientability (X a
     topological manifold where relevant), connectedness.  Every field is
-    checked here, for library and CLI callers alike: a str name, an int
-    dim (not a bool), bool flags, and Betti numbers that fit ``dim``.
+    checked here, for library and CLI callers alike: a str name, a
+    LaurentPoly pc, an int dim (not a bool), bool flags, and Betti numbers
+    that fit ``dim``.
     """
 
     __slots__ = ("name", "pc", "dim", "i_acyclic", "orientable", "connected")
@@ -47,6 +48,8 @@ class SpaceSpec(FrozenRecord):
     ):
         if not isinstance(name, str):
             raise InputParseError("name must be a string")
+        if not isinstance(pc, LaurentPoly):
+            raise InputParseError("pc must be a LaurentPoly")
         if not isinstance(dim, int) or isinstance(dim, bool):
             raise InputParseError("dim must be an integer")
         for flag, value in (
@@ -93,8 +96,7 @@ def euler_char_config(space: SpaceSpec, m: int) -> int:
     the exponential generating series (1+t)^chi.  When 0 <= chi < m a
     factor is 0, and so is the answer, read at once.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    limits.check_count(m, "m")
     chi = space.euler_char()
     if 0 <= chi < m:
         return 0
@@ -116,8 +118,7 @@ def poincare_config(space: SpaceSpec, m: int) -> LaurentPoly:
     one-point space.
     """
     require(space, "i_acyclic")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    limits.check_count(m, "m")
     return falling_product(space.pc, -T, m)
 
 
@@ -163,11 +164,10 @@ def poincare_at_most(space: SpaceSpec, distinct: int, m: int) -> LaurentPoly:
     return total
 
 
-def _check_strata(distinct: int, m: int) -> None:
-    if distinct < 0 or m < 0:
-        raise ValueError("arguments must be nonnegative")
-    if distinct > m:
-        raise ValueError(f"cannot take {distinct} distinct values among {m} entries")
+def _check_strata(distinct: int, m: int, least: int = 0) -> None:
+    """Gate ``distinct`` from ``least`` up and m from ``distinct`` up."""
+    limits.check_count(distinct, "distinct", least)
+    limits.check_count(m, "m", distinct)  # no more distinct values than entries
 
 
 def universal_poly(distinct: int, m: int, closed: bool) -> BiPoly:
@@ -178,9 +178,7 @@ def universal_poly(distinct: int, m: int, closed: bool) -> BiPoly:
     result is homogeneous of total degree ``distinct``.  Its Stirling numbers
     come from the inclusion-exclusion count, not the table those two read.
     """
-    _check_strata(distinct, m)
-    if distinct < 1 or m < 1:
-        raise ValueError("universal polynomials require 1 <= distinct <= m")
+    _check_strata(distinct, m, least=1)
     # rising[k] = P(P + T)...(P + (k-1)T), each built from the one before
     rising = [BiPoly.one()]
     for i in range(distinct):
@@ -209,8 +207,7 @@ def poincare_config_ordinary(space: SpaceSpec, m: int) -> LaurentPoly:
     """
     require(space, "i_acyclic")
     require(space, "orientable")
-    if m < 1:
-        raise ValueError("m must be positive")
+    limits.check_count(m, "m", 1)
     return poincare_config(space, m).dual(m * space.dim)
 
 

@@ -35,6 +35,7 @@ class SetPartition(FrozenRecord):
     __slots__ = ("m", "blocks")
 
     def __init__(self, m: int, blocks: tuple[tuple[int, ...], ...]):
+        limits.check_count(m, "m")
         flat = sorted(x for b in blocks for x in b)
         if flat != list(range(m)):
             raise ValueError("blocks must partition the ground set")
@@ -71,9 +72,8 @@ def set_partitions(m: int, blocks: int) -> tuple[SetPartition, ...]:
     The count is the Stirling number of the second kind.  The cap is
     checked on every call, so a cached list is never served past it.
     """
-    if m < 1 or blocks < 1:
-        raise ValueError("set_partitions requires m >= 1 and blocks >= 1")
-    limits.check_set_partition_m(m)
+    limits.check_count(blocks, "blocks", 1)
+    limits.check_m(m, least=1, cost=limits.SET_PARTITIONS)
     return _set_partitions(m, blocks)
 
 
@@ -116,6 +116,7 @@ def stable_partitions(
     yields the same traces.
     """
     m = alpha.m
+    limits.check_count(blocks, "blocks")
     if blocks == m:
         # Only the partition into singletons; the block action is alpha itself.
         singletons = SetPartition.from_blocks(m, [[i] for i in range(m)])
@@ -173,10 +174,9 @@ def exactly_trace(
     point-level oracle for ``charseries.exactly_series``, which counts them.
     """
     confspace.require(space, "i_acyclic")
+    confspace._check_strata(distinct, m, least=1)
     if alpha.m != m:
         raise ValueError("permutation size must match m")
-    if distinct < 1 or distinct > m:
-        raise ValueError("need 1 <= distinct <= m")
     total = LaurentPoly.zero()
     for _p, beta in stable_partitions(alpha, distinct):
         total = total + charseries.config_trace(space, beta.cycle_type())
@@ -194,8 +194,7 @@ def at_most_trace(
     trace convention contributes a plain T^a factor.
     """
     confspace.require(space, "i_acyclic")
-    if distinct < 1 or distinct > m:
-        raise ValueError("need 1 <= distinct <= m")
+    confspace._check_strata(distinct, m, least=1)
     total = LaurentPoly.zero()
     for a in range(distinct):
         total = total + LaurentPoly.term(1, a) * exactly_trace(

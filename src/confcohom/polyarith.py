@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
+from . import limits
 from .errors import ConsistencyError
 
 
@@ -205,10 +206,6 @@ class LaurentPoly(_SparsePoly):
         """Return f(-T): the coefficient of T^k picks up (-1)^k."""
         return LaurentPoly({k: (-v if k % 2 else v) for k, v in self._c.items()})
 
-    def invert_var(self) -> "LaurentPoly":
-        """Return f(1/T)."""
-        return LaurentPoly({-e: v for e, v in self._c.items()})
-
     def dual(self, d: int) -> "LaurentPoly":
         """Return T^d * f(1/T): exponent k maps to d - k."""
         return LaurentPoly({d - e: v for e, v in self._c.items()})
@@ -293,8 +290,7 @@ def falling_product(f: LaurentPoly, g: LaurentPoly, n: int) -> LaurentPoly:
     product tree was measured 2-4x slower: CPython multiplies big integers
     by Karatsuba with no FFT, so packing saves nothing.
     """
-    if n < 0:
-        raise ValueError("falling product length must be nonnegative")
+    limits.check_count(n, "n")
     if n == 0:
         return LaurentPoly.one()
     exps = f._c.keys() | g._c.keys()

@@ -71,7 +71,7 @@ def symmetric_group_character(shape: tuple[int, ...], mu: tuple[int, ...]) -> in
     total = sum(shape)
     if total != sum(mu):
         raise ValueError(f"size mismatch: {shape} vs {mu}")
-    limits.check_cycle_type_m(total)
+    limits.check_m(total)
     return _character(_beads(shape), mu)
 
 
@@ -174,7 +174,8 @@ def decompose_series(series: TraceSeries, degree: int) -> dict[tuple[int, ...], 
     omitted.
     """
     m = series.m
-    limits.check_cycle_type_m(m)
+    limits.check_m(m)
+    limits.check_count(degree, "degree")
     sign = -1 if degree % 2 else 1
     classes = []
     weighted = []
@@ -244,7 +245,7 @@ def borel_moore_series(
 
     def convert(ct: CycleType, v: LaurentPoly) -> LaurentPoly:
         s = sign_total * (ct.sign() if space_dim % 2 else 1)
-        return LaurentPoly.term(s, n) * v.invert_var()
+        return v.dual(n) * s
 
     return series.map_values(convert)
 
@@ -322,15 +323,13 @@ def stability_report(
     require(space, "connected")
     if space.dim < 2:
         raise HypothesisViolation("dim>=2", f"space {space.name!r} has dim {space.dim}")
-    if degree < 0 or defect < 0:
-        raise ValueError("degree and defect must be nonnegative")
+    limits.check_count(degree, "degree")
+    limits.check_count(defect, "defect")
     lo, hi = m_range
-    if lo > hi:
-        raise ValueError("empty range")
+    limits.check_count(lo, "m_range[0]", None)
     first = max(lo, defect + 1, 1)
-    if first > hi:
-        raise ValueError("range contains no admissible m")
-    limits.check_cycle_type_m(hi)  # before any m is computed, and before a list of them
+    # before any m is computed, and before a list of them
+    limits.check_m(hi, "m_range[1]", first)
     ms = list(range(first, hi + 1))
 
     table = MultiplicityTable(degree=degree, m_values=tuple(ms), rows={})
@@ -417,10 +416,11 @@ def unordered_betti_constancy(
             "top_compact_betti<=1",
             f"space {space.name!r} has top Betti {space.top_betti()}",
         )
+    limits.check_count(degree, "degree")
     lo, hi = m_range
-    if max(lo, 1) > hi:
-        raise ValueError("empty range")
-    limits.check_cycle_type_m(hi)  # before any m is computed, and before a list of them
+    limits.check_count(lo, "m_range[0]", None)
+    # before any m is computed, and before a list of them
+    limits.check_m(hi, "m_range[1]", max(lo, 1))
     ms = list(range(max(lo, 1), hi + 1))
     g = charseries._newton(charseries._config_power_sums(space, hi, space.dim % 2 == 1))
     values = {m: charseries._read_at_minus_t(g[m]).dual(m * space.dim).coeff(degree) for m in ms}

@@ -500,7 +500,7 @@ class TestProducts:
     def test_symmetric_is_the_class_size_average(self):
         # the route's former average over the p(m) classes, kept as a reference
         for space in BUILTIN_SPACES.values():
-            for m in range(1, limits.cycle_type_max_m() + 1):
+            for m in range(1, limits.max_m() + 1):
                 average = quotient_poincare(
                     power_series(space, m), symmetric_counts(m), math.factorial(m)
                 )

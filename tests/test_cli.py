@@ -419,15 +419,30 @@ class TestExitCodes:
             "message": "name must be a string",
         }
 
+    @pytest.mark.parametrize("m", [11, 12])
+    def test_symmetric_quotient_past_the_closure_cap_answers(self, capsys, monkeypatch, m):
+        def listed(*_args):
+            raise AssertionError("an element was listed")
+
+        monkeypatch.setattr(combinat, "group_closure", listed)
+        quotient = run_json(
+            capsys, "quotient", "--space", "c", "--m", str(m),
+            "--generators", _transposition_and_long_cycle(m),
+        )
+        unordered = run_json(capsys, "poincare", "--space", "c", "--target", "bf", "--m", str(m))
+        assert quotient["result"] == unordered["result"]
+        assert quotient["inputs"]["order"] == math.factorial(m)
+
     def test_over_cap_quotient_is_refused_from_its_order(self, capsys, monkeypatch):
         def listed(*_args):
             raise AssertionError("an element was listed")
 
         monkeypatch.setattr(combinat, "group_closure", listed)
         monkeypatch.setattr(combinat, "symmetric_counts", listed)
+        # S_11 fixing a point of 12: order 11!, past the 10! cap, and not S_12
         gens = f"(1 2);({' '.join(map(str, range(1, 12)))})"
         code, out, err = run(
-            capsys, "quotient", "--space", "c", "--m", "11", "--generators", gens
+            capsys, "quotient", "--space", "c", "--m", "12", "--generators", gens
         )
         assert code == 5
         assert out == ""
@@ -1203,9 +1218,9 @@ class TestCapOverride:
 
         monkeypatch.setenv("CONFCOHOM_MAX_M", value)
         with pytest.raises(InputParseError):
-            limits.cycle_type_max_m()
+            limits.max_m()
         with pytest.raises(InputParseError):
-            limits.set_partition_max_m()
+            limits.max_m(limits.SET_PARTITIONS)
 
     @pytest.mark.parametrize("value", ["abc", "-3"])
     @pytest.mark.parametrize("target", ["cf", "fm"])
@@ -1222,16 +1237,16 @@ class TestCapOverride:
         from confcohom import limits
 
         monkeypatch.setenv("CONFCOHOM_MAX_M", "")
-        assert limits.cycle_type_max_m() == limits.DEFAULT_CYCLE_TYPE_MAX_M
-        assert limits.set_partition_max_m() == limits.DEFAULT_SET_PARTITION_MAX_M
+        assert limits.max_m() == limits.DEFAULT_CYCLE_TYPE_MAX_M
+        assert limits.max_m(limits.SET_PARTITIONS) == limits.DEFAULT_SET_PARTITION_MAX_M
 
     @pytest.mark.parametrize("value, cap, hard", [("5", 5, 12), ("14", 14, 14), ("99", 14, 14)])
     def test_env_var_sets_caps_up_or_down(self, monkeypatch, value, cap, hard):
         from confcohom import limits
 
         monkeypatch.setenv("CONFCOHOM_MAX_M", value)
-        assert limits.cycle_type_max_m() == cap
-        assert limits.set_partition_max_m() == cap
+        assert limits.max_m() == cap
+        assert limits.max_m(limits.SET_PARTITIONS) == cap
 
     def test_env_var_zero_is_a_valid_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("CONFCOHOM_MAX_M", "0")

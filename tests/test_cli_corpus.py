@@ -578,11 +578,11 @@ DIGESTS = {
     "poincare --space c --target bf --m 200 --format latex":
         "1a16e0e064b2edbece576b7312c9786ed53239a23a21d33315f3680c564dd48f",
     "quotient --space c --m 11 --generators '(1 2);(1 2 3 4 5 6 7 8 9 10 11)' --format json":
-        "f6f09343b178d00545e9991957c876a06f869c02525e4e640d6ea9c39d594b73",
+        "c2f3382d0168db1982794a781fca92cb31b149a9bec6e2c357253ae414fa0912",
     "quotient --space c --m 11 --generators '(1 2);(1 2 3 4 5 6 7 8 9 10 11)' --format plain":
-        "f6f09343b178d00545e9991957c876a06f869c02525e4e640d6ea9c39d594b73",
+        "63a1408643bcde62ff7ff0252f12d783a1a6cdda16eee746216794d6721c62b5",
     "quotient --space c --m 11 --generators '(1 2);(1 2 3 4 5 6 7 8 9 10 11)' --format latex":
-        "f6f09343b178d00545e9991957c876a06f869c02525e4e640d6ea9c39d594b73",
+        "637f472477119915fd9767598fbc93dda5ae8e6f89263b83bc01bfe8b318fbf6",
     "CONFCOHOM_MAX_M=0 poincare --space c --target cf --m 3 --format json":
         "40ee621864df949f58911019d734ad7b90589f0ba5fc8e571f6a544e72be7c14",
     "CONFCOHOM_MAX_M=0 poincare --space c --target cf --m 3 --format plain":

@@ -289,7 +289,7 @@ class TestStableBlockCounts:
         # Burnside: the S_m-orbits on set partitions into l blocks are the
         # partitions of m into l parts, so the stable partitions summed over
         # all m! permutations number m! p(m, l); this reads neither algorithm
-        for m in range(1, limits.cycle_type_max_m() + 1):
+        for m in range(1, limits.max_m() + 1):
             for l in range(1, m + 1):
                 fixed = sum(
                     ct.class_size() * sum(stable_block_counts(ct, l).values())
@@ -370,7 +370,7 @@ def _alternating(m: int) -> list[Permutation]:
 
 
 def _chain_order(gens: list[Permutation], m: int) -> int:
-    chain = combinat._stabilizer_chain([g.images for g in gens], m, math.factorial(m))
+    chain = combinat._stabilizer_chain([g.images for g in gens], m)
     return math.prod(len(level) for level in chain)
 
 
@@ -436,23 +436,24 @@ class TestSubgroupClassCounts:
         def listed(*_args):
             raise AssertionError("an element was listed")
 
+        s4_on_5 = [_cycles(5, (1, 2)), _cycles(5, (1, 2, 3, 4))]  # order 24, not 5!
         monkeypatch.setattr(limits, "DEFAULT_CLOSURE_CAP", 10)
         with pytest.raises(CostCapExceeded) as closure:
-            group_closure(_symmetric(5), 5)
+            group_closure(s4_on_5, 5)
         monkeypatch.setattr(combinat, "group_closure", listed)
         monkeypatch.setattr(combinat, "symmetric_counts", listed)
         with pytest.raises(CostCapExceeded) as refused:
-            subgroup_class_counts(_symmetric(5), 5)
+            subgroup_class_counts(s4_on_5, 5)
         assert str(refused.value) == str(closure.value)
         # one element over the cap is enough
-        monkeypatch.setattr(limits, "DEFAULT_CLOSURE_CAP", 119)
+        monkeypatch.setattr(limits, "DEFAULT_CLOSURE_CAP", 23)
         with pytest.raises(CostCapExceeded):
-            subgroup_class_counts(_symmetric(5), 5)
+            subgroup_class_counts(s4_on_5, 5)
         monkeypatch.setattr(limits, "DEFAULT_CLOSURE_CAP", 2)
         with pytest.raises(CostCapExceeded):
             subgroup_class_counts([_cycles(6, (1, 2, 3))], 6)
 
-    @pytest.mark.parametrize("m", range(2, 10))
+    @pytest.mark.parametrize("m", range(2, 13))
     def test_symmetric_groups_are_never_listed(self, monkeypatch, m):
         def listed(*_args):
             raise AssertionError("an element was listed")
@@ -468,8 +469,8 @@ class TestSubgroupClassCounts:
         assert subgroup_class_counts([_cycles(6, (1, 2, 3))], 6)[0] == 3
 
     def test_large_degree_over_cap_is_refused_quickly(self):
-        # S_40 would never be listed; the chain stops once its orbits pass 10!
-        with pytest.raises(CostCapExceeded):
+        # the cycle-type cap comes before the chain, which takes seconds at m = 40
+        with pytest.raises(CostCapExceeded, match="^cycle-type computations are capped at m = "):
             subgroup_class_counts(_symmetric(40), 40)
 
     def test_generator_size_mismatch(self):

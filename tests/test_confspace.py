@@ -40,6 +40,7 @@ class TestSpaceSpec:
         "field, message",
         [
             ({"name": 1}, "name must be a string"),
+            ({"pc": [0, 1]}, "pc must be a LaurentPoly"),
             ({"dim": 2.5}, "dim must be an integer"),
             ({"dim": True}, "dim must be an integer"),
             ({"i_acyclic": 1}, "i_acyclic must be a boolean"),

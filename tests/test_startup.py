@@ -46,7 +46,7 @@ DELETED = {
 }
 DELETED_METHODS = {
     "CycleType": ("fixed_points", "x"),
-    "LaurentPoly": ("const",),
+    "LaurentPoly": ("const", "invert_var"),
     "Permutation": ("sign",),
     "SetPartition": ("block_sizes",),
 }
