@@ -3,8 +3,9 @@
 Each subcommand runs one library route; ``confcohom.checks`` compares the
 answer with an independent route and builds the document's ``checks``
 entries.  The document is deterministic: identical inputs produce
-byte-identical output.  Exit codes: 0 success, 2 hypothesis violation,
-3 input parse error, 4 internal consistency failure, 5 cost cap exceeded.
+byte-identical output, and holds its polynomials as values until
+:func:`render`.  Success exits 0; a refusal exits with the code its
+``ConfcohomError`` class names (see :mod:`confcohom.errors`).
 
 A call is one short process, so each command imports ``charseries``,
 ``oracles``, ``repstab`` and ``selftest`` only if it runs them: the closed
@@ -22,19 +23,10 @@ import sys
 from . import checks, confspace, limits
 from .combinat import CycleType, Permutation, subgroup_class_counts
 from .confspace import BUILTIN_SPACES, SpaceSpec
-from .errors import (
-    ConsistencyError,
-    CostCapExceeded,
-    HypothesisViolation,
-    InputParseError,
-)
+from .errors import ConfcohomError, ConsistencyError, InputParseError
 from .polyarith import BiPoly, LaurentPoly
 
 EXIT_OK = 0
-EXIT_HYPOTHESIS = 2
-EXIT_PARSE = 3
-EXIT_CONSISTENCY = 4
-EXIT_COST = 5
 
 _SPACE_FILE_REQUIRED = {"name", "poincare_c", "dim", "i_acyclic"}
 _SPACE_FILE_OPTIONAL = {"orientable", "connected"}
@@ -209,43 +201,37 @@ def answer_digits(m: int, l: int, closed: bool = False) -> int:
 
 
 def render(document: dict, fmt: str) -> str:
+    """The document as sorted JSON, each polynomial an exponent map, or as
+    plain or LaTeX text, each polynomial printed by its ``format``."""
     if fmt == "json":
-        return json.dumps(document, sort_keys=True, indent=2) + "\n"
+        return json.dumps(document, sort_keys=True, indent=2, default=_exp_map) + "\n"
+    latex = fmt == "latex"
+    result = document["result"]
+    if result.get("kind") in ("polynomial", "bivariate"):
+        shown = [result["coefficients"].format(latex=latex)]
+    elif result.get("kind") == "series":
+        entries = sorted(result["entries"].items())
+        shown = [f"{ctype}: {entry.format(latex=latex)}" for ctype, entry in entries]
+    else:
+        shown = [json.dumps(result, sort_keys=True)]
     lines = [f"command: {document['command']}"]
-    for key, value in sorted(document.get("inputs", {}).items()):
-        lines.append(f"  {key}: {value}")
-    result = document.get("result")
-    lines.append("result:")
-    lines.extend(_render_result_lines(result, fmt))
-    entries = document.get("checks", [])
-    if entries:
+    lines += [f"  {key}: {value}" for key, value in sorted(document["inputs"].items())]
+    lines += ["result:"] + [f"  {line}" for line in shown]
+    if document["checks"]:
         lines.append("checks:")
-        for check in entries:
-            status = "pass" if check["passed"] else "FAIL"
-            lines.append(f"  [{status}] {check['name']}")
+    for check in document["checks"]:
+        lines.append(f"  [{'pass' if check['passed'] else 'FAIL'}] {check['name']}")
     return "\n".join(lines) + "\n"
 
 
-def _render_result_lines(result, fmt: str) -> list[str]:
-    latex = fmt == "latex"
-
-    def to_text(exp_map) -> str:
-        return LaurentPoly.from_exp_map(exp_map).format(latex=latex)
-
-    if isinstance(result, dict) and result.get("kind") == "polynomial":
-        return ["  " + to_text(result["coefficients"])]
-    if isinstance(result, dict) and result.get("kind") == "bivariate":
-        return ["  " + BiPoly.from_exp_map(result["coefficients"]).format(latex=latex)]
-    if isinstance(result, dict) and result.get("kind") == "series":
-        return [
-            f"  {ctype}: " + to_text(entry)
-            for ctype, entry in sorted(result["entries"].items())
-        ]
-    return ["  " + json.dumps(result, sort_keys=True)]
+def _exp_map(value) -> dict[str, int]:
+    if isinstance(value, (LaurentPoly, BiPoly)):
+        return value.to_exp_map()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _poly_result(poly: LaurentPoly) -> dict:
-    return {"kind": "polynomial", "coefficients": poly.to_exp_map()}
+    return {"kind": "polynomial", "coefficients": poly}
 
 
 def _document(command: str, inputs: dict, result, named) -> dict:
@@ -296,10 +282,8 @@ def cmd_character(args) -> dict:
     if args.all:
         require_arg(args.cycle_type is None, "character takes --cycle-type or --all, not both")
         series = charseries.config_series(space, m)
-        result = {
-            "kind": "series",
-            "entries": {str(ctype): entry.to_exp_map() for ctype, entry in series.values.items()},
-        }
+        entries = {str(ctype): entry for ctype, entry in series.values.items()}
+        result = {"kind": "series", "entries": entries}
         inputs = {"space": space.name, "m": m, "cycle_type": "all"}
         named = checks.character_series(space, m, series)
     else:
@@ -322,7 +306,7 @@ def cmd_universal(args) -> dict:
     return _document(
         "universal",
         {"l": l, "m": m, "closed": closed},
-        {"kind": "bivariate", "coefficients": q.to_exp_map()},
+        {"kind": "bivariate", "coefficients": q},
         checks.universal(q, l, m, closed),
     )
 
@@ -468,39 +452,30 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; report those as parse errors to
         # keep exit code 2 reserved for hypothesis violations
-        return EXIT_OK if exc.code in (0, None) else EXIT_PARSE
+        return EXIT_OK if exc.code in (0, None) else InputParseError.exit_code
     try:
         limits.max_m()  # a malformed CONFCOHOM_MAX_M fails every command
         document = args.fn(args)
         text = render(document, args.format)
-    except HypothesisViolation as exc:
-        _emit_error("hypothesis-violation", exc, flag=exc.flag)
-        return EXIT_HYPOTHESIS
-    except InputParseError as exc:
-        _emit_error("input-parse-error", exc)
-        return EXIT_PARSE
-    except CostCapExceeded as exc:
-        _emit_error("cost-cap-exceeded", exc)
-        return EXIT_COST
-    except ConsistencyError as exc:
-        _emit_error("consistency-error", exc)
-        return EXIT_CONSISTENCY
+    except ConfcohomError as exc:
+        return _emit_error(exc)
     except ValueError as exc:  # CPython's int-to-str digit limit (CVE-2020-10735)
         if "integer string conversion" not in str(exc):
             raise
-        _emit_error("cost-cap-exceeded", limits.int_str_refusal())
-        return EXIT_COST
+        return _emit_error(limits.int_str_refusal())
     sys.stdout.write(text)
     if document["command"] == "selftest" and document["result"]["failed"]:
-        return EXIT_CONSISTENCY
+        return ConsistencyError.exit_code
     return EXIT_OK
 
 
-def _emit_error(category: str, exc: Exception | str, flag: str | None = None) -> None:
-    payload = {"error": {"category": category, "message": str(exc)}}
-    if flag:
-        payload["error"]["flag"] = flag
-    sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
+def _emit_error(exc: ConfcohomError) -> int:
+    """Write the refusal's JSON payload to stderr; return its exit code."""
+    payload = {"category": exc.category, "message": str(exc)}
+    if getattr(exc, "flag", None):
+        payload["flag"] = exc.flag
+    sys.stderr.write(json.dumps({"error": payload}, sort_keys=True) + "\n")
+    return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -70,7 +70,12 @@ class CycleType(FrozenRecord):
         limits.check_count(m, "m")
         if len(mult) != m:
             raise ValueError("multiplicity vector must have length m")
-        if sum(d * x for d, x in enumerate(mult, start=1)) != m:
+        total = 0  # limits.check_entries's test, in the sum's pass: strata build many
+        for d, x in enumerate(mult, start=1):
+            if type(x) is not int or x < 0:
+                limits.check_count(x, f"mult[{d - 1}]")
+            total += d * x
+        if total != m:
             raise ValueError(f"multiplicities {mult} do not sum to {m}")
         self._init(m, mult)
 
@@ -132,10 +137,15 @@ class CycleType(FrozenRecord):
         return ",".join(terms)
 
 
-@lru_cache(maxsize=None, typed=True)
 def all_cycle_types(m: int) -> tuple[CycleType, ...]:
     """Cycle types of the symmetric group on m letters, canonical order;
-    :func:`partitions` gates m."""
+    the cap is checked on every call, so no cached tuple is served past it."""
+    limits.check_m(m)
+    return _all_cycle_types(m)
+
+
+@lru_cache(maxsize=None)
+def _all_cycle_types(m: int) -> tuple[CycleType, ...]:
     return tuple(CycleType.from_parts(p, m) for p in partitions(m))
 
 
@@ -247,6 +257,7 @@ class Permutation(FrozenRecord):
     __slots__ = ("images",)
 
     def __init__(self, images: tuple[int, ...]):
+        limits.check_entries(images, "images")
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a bijection: {images}")
         self._init(images)

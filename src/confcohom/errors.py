@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all engines.
 
-Each class corresponds to one failure category surfaced by the command-line
-front end as a distinct exit code; library callers can catch them separately.
+Each class names its failure ``category`` and the ``exit_code`` that the
+command-line front end reads from it; library callers can catch them
+separately.
 """
 
 
@@ -15,6 +16,8 @@ class HypothesisViolation(ConfcohomError):
     The message names the violated flag (e.g. ``i_acyclic``), so callers can
     report exactly which hypothesis failed.
     """
+    category = "hypothesis-violation"
+    exit_code = 2
 
     def __init__(self, flag: str, detail: str = ""):
         self.flag = flag
@@ -26,6 +29,8 @@ class HypothesisViolation(ConfcohomError):
 
 class InputParseError(ConfcohomError):
     """Malformed user input: space file, cycle type, range, generators."""
+    category = "input-parse-error"
+    exit_code = 3
 
 
 class ConsistencyError(ConfcohomError):
@@ -36,7 +41,11 @@ class ConsistencyError(ConfcohomError):
     Always signals invalid input data or a genuine bug, never a rounding
     issue: all arithmetic is exact.
     """
+    category = "consistency-error"
+    exit_code = 4
 
 
 class CostCapExceeded(ConfcohomError):
     """An enumeration exceeded its configured size cap."""
+    category = "cost-cap-exceeded"
+    exit_code = 5

@@ -5,7 +5,9 @@ block count, a group order, a Stirling index, an end of an m range) passes
 :func:`check_count`: a value that is not an int, or is a bool, raises
 TypeError, and one below its least value raises ValueError; both messages
 name the argument.  The cached routes run it inside a ``typed`` cache, so
-``f(5.0)`` is never served from the entry of ``f(5)``.
+``f(5.0)`` is never served from the entry of ``f(5)``.  The entries of a
+tuple argument pass :func:`check_entries` (``CycleType`` inlines its test
+in the pass that sums them), each message naming the entry ``name[i]``.
 
 Cycle-type routes, block induction included, scale with the number of
 partitions of m; the set-partition enumeration in :mod:`confcohom.oracles`
@@ -46,6 +48,13 @@ def check_count(value, name: str, least: int | None = 0) -> None:
         raise TypeError(f"{name} must be an int, not {type(value).__name__}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def check_entries(values, name: str, least: int | None = 0) -> None:
+    """:func:`check_count` on each entry of ``values``, in one pass."""
+    for i, value in enumerate(values):
+        if type(value) is not int or least is not None and value < least:
+            check_count(value, f"{name}[{i}]", least)
 
 
 def max_m(cost: tuple[int, str] = CYCLE_TYPES) -> int:

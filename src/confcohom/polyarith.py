@@ -12,7 +12,7 @@ that never looks inside a key: ``zero``, ``one``, ``items``, ``is_zero``,
 sums and differences (an int operand is a constant), negation, equality,
 hashing, truth, ``repr`` and ``str``.  Each class defines only its
 constructor, its product, its key-specific methods (``coeff``, ``term``,
-the exp-map codecs; the substitutions and ``divexact`` on
+``to_exp_map``, the JSON form; the substitutions and ``divexact`` on
 ``LaurentPoly``; ``eval_P`` and ``is_homogeneous`` on ``BiPoly``) and its
 printer ``format``.
 
@@ -161,10 +161,6 @@ class LaurentPoly(_SparsePoly):
     def to_exp_map(self) -> dict[str, int]:
         """JSON-friendly form: exponent (as string) -> coefficient."""
         return {str(e): v for e, v in sorted(self._c.items())}
-
-    @staticmethod
-    def from_exp_map(data: Mapping[str, int]) -> "LaurentPoly":
-        return LaurentPoly({int(e): int(v) for e, v in data.items()})
 
     # -- products -----------------------------------------------------
 
@@ -341,8 +337,10 @@ def _mul_row(coeffs: list[int], row: list[int]) -> list[int]:
 class BiPoly(_SparsePoly):
     """Integer polynomial in two variables (P, T), canonical sparse form.
 
-    Keys are (P-exponent, T-exponent) pairs; P-exponents are nonnegative.
-    Exponents and coefficients must be ints, as in :class:`LaurentPoly`.
+    Keys are (P-exponent, T-exponent) pairs.  Exponents and coefficients
+    must be ints, as in :class:`LaurentPoly`.  A negative P-exponent raises
+    ValueError: :meth:`eval_P` substitutes a polynomial for P, and negative
+    powers of a polynomial are not defined.
     """
 
     __slots__ = ()
@@ -355,6 +353,8 @@ class BiPoly(_SparsePoly):
                 i, j = key
                 if type(i) is not int or type(j) is not int or type(v) is not int:
                     raise TypeError(f"BiPoly entry {key!r}: {v!r} is not (int, int): int")
+                if i < 0:
+                    raise ValueError(f"BiPoly entry {key!r} has a negative P-exponent")
                 if v:
                     c[(i, j)] = v
         self._c = c
@@ -391,14 +391,6 @@ class BiPoly(_SparsePoly):
     def to_exp_map(self) -> dict[str, int]:
         """JSON-friendly form: "P-exp,T-exp" -> coefficient."""
         return {f"{i},{j}": v for (i, j), v in sorted(self._c.items())}
-
-    @staticmethod
-    def from_exp_map(data: Mapping[str, int]) -> "BiPoly":
-        c = {}
-        for key, v in data.items():
-            i, j = key.split(",")
-            c[(int(i), int(j))] = int(v)
-        return BiPoly(c)
 
     def format(self, latex: bool = False) -> str:
         """Terms ordered by (P, T) exponents, such as ``36 P T^2 + 25 P^3``.

@@ -42,8 +42,10 @@ from .record import Record
 
 
 def _check_partition(shape: tuple[int, ...], mu: tuple[int, ...] = ()) -> None:
-    """Refuse a ``shape`` that is not a weakly decreasing sequence of positive
-    parts, and cycle lengths ``mu`` below 1."""
+    """Refuse non-int entries, a ``shape`` that is not a weakly decreasing
+    sequence of positive parts, and cycle lengths ``mu`` below 1."""
+    limits.check_entries(shape, "shape", None)
+    limits.check_entries(mu, "mu", None)
     if any(part < 1 for part in shape) or any(a < b for a, b in zip(shape, shape[1:])):
         raise ValueError(f"shape {shape} is not a partition")
     if any(part < 1 for part in mu):
@@ -57,15 +59,16 @@ def _beads(shape: tuple[int, ...]) -> int:
     return sum(1 << (part + k - 1 - i) for i, part in enumerate(shape))
 
 
-@lru_cache(maxsize=None)
 def symmetric_group_character(shape: tuple[int, ...], mu: tuple[int, ...]) -> int:
     """Irreducible character indexed by ``shape`` at the class with parts ``mu``.
 
     ``shape`` must be a weakly decreasing sequence of positive parts and
-    ``mu`` a list of positive cycle lengths of the same total size;
-    anything else raises ValueError.  The value comes from the
-    Murnaghan-Nakayama rule on the beta-set of ``shape``, held as an int
-    bit mask with one bead per row (see :func:`_character`).
+    ``mu`` a list of positive cycle lengths of the same total size: an entry
+    that is not an int raises TypeError and anything else ValueError, before
+    any cache is read.  The value comes from the Murnaghan-Nakayama rule on
+    the beta-set of ``shape``, held as an int bit mask with one bead per
+    row, by :func:`_character`, every character evaluation's one cache; its
+    ``cache_info`` is this function's.
     """
     _check_partition(shape, mu)
     total = sum(shape)
@@ -104,6 +107,9 @@ def _character(beads: int, mu: tuple[int, ...]) -> int:
         term = _character(moved, rest)
         value += -term if ((beads >> (b - t + 1)) & between).bit_count() & 1 else term
     return value
+
+
+symmetric_group_character.cache_info = _character.cache_info
 
 
 @lru_cache(maxsize=None)
@@ -283,20 +289,25 @@ class StabilityReport(Record):
         return named
 
 
-def _finite_differences(seq: list[int]) -> list[list[int]]:
-    rows = [list(seq)]
-    while len(rows[-1]) > 1:
-        prev = rows[-1]
-        rows.append([b - a for a, b in zip(prev, prev[1:])])
-    return rows
-
-
 def _polynomial_degree(seq: list[int]) -> int | None:
-    """Smallest k with vanishing (k+1)-st differences, or None."""
-    for order, row in enumerate(_finite_differences(seq)):
-        if all(v == 0 for v in row):
-            return order - 1  # -1 encodes the identically-zero sequence
-    return None
+    """Smallest k with vanishing (k+1)-st differences, or None; -1 encodes
+    the identically-zero sequence."""
+    row, order = list(seq), -1
+    while any(row):
+        if len(row) == 1:
+            return None
+        row = [b - a for a, b in zip(row, row[1:])]
+        order += 1
+    return order
+
+
+def _m_window(m_range: tuple[int, int], least: int) -> list[int]:
+    """The m of ``m_range`` from ``least`` on; the gate, and the cap on the
+    top, come before any m is computed or listed."""
+    lo, hi = m_range
+    limits.check_count(lo, "m_range[0]", None)
+    limits.check_m(hi, "m_range[1]", max(lo, least))
+    return list(range(max(lo, least), hi + 1))
 
 
 DIFF_WINDOW = 4
@@ -325,12 +336,7 @@ def stability_report(
         raise HypothesisViolation("dim>=2", f"space {space.name!r} has dim {space.dim}")
     limits.check_count(degree, "degree")
     limits.check_count(defect, "defect")
-    lo, hi = m_range
-    limits.check_count(lo, "m_range[0]", None)
-    first = max(lo, defect + 1, 1)
-    # before any m is computed, and before a list of them
-    limits.check_m(hi, "m_range[1]", first)
-    ms = list(range(first, hi + 1))
+    ms = _m_window(m_range, defect + 1)
 
     table = MultiplicityTable(degree=degree, m_values=tuple(ms), rows={})
     betti: dict[int, int] = {}
@@ -417,12 +423,8 @@ def unordered_betti_constancy(
             f"space {space.name!r} has top Betti {space.top_betti()}",
         )
     limits.check_count(degree, "degree")
-    lo, hi = m_range
-    limits.check_count(lo, "m_range[0]", None)
-    # before any m is computed, and before a list of them
-    limits.check_m(hi, "m_range[1]", max(lo, 1))
-    ms = list(range(max(lo, 1), hi + 1))
-    g = charseries._newton(charseries._config_power_sums(space, hi, space.dim % 2 == 1))
+    ms = _m_window(m_range, 1)
+    g = charseries._newton(charseries._config_power_sums(space, ms[-1], space.dim % 2 == 1))
     values = {m: charseries._read_at_minus_t(g[m]).dual(m * space.dim).coeff(degree) for m in ms}
 
     top = space.top_betti()

@@ -1,11 +1,14 @@
 """The argument gate: every count a public name takes is an int, checked first.
 
-Each route below gets drawn counts: valid small ints, or a malformed twin of
-one (a float equal to it or not, a bool, a string, None, or a negative
-int).  A call with valid counts ends in an answer or a documented refusal;
-a call with a malformed count must never answer, and must end in
-TypeError, ValueError or a ConfcohomError.
+Each route below gets drawn counts, some of them entries of a tuple argument
+(a multiplicity vector, permutation images, the parts of a shape): valid
+small ints, or a malformed twin of one (a float equal to it or not, a bool,
+a string, None, or a negative int).  A call with valid counts ends in an
+answer or a documented refusal; a call with a malformed count must never
+answer, and must end in TypeError, ValueError or a ConfcohomError.
 """
+
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from confcohom import (
     BUILTIN_SPACES,
     BiPoly,
     ConfcohomError,
+    CostCapExceeded,
     CycleType,
     InputParseError,
     LaurentPoly,
@@ -44,17 +48,25 @@ def _s3_counts():
 ROUTES = {
     "BiPoly.term": (
         lambda a, v: BiPoly.term(a["coeff"], a["p_exp"], a["t_exp"]),
-        {"coeff": (-3, 3), "p_exp": (-3, 3), "t_exp": (-3, 3)},
+        {"coeff": (-3, 3), "p_exp": (0, 3), "t_exp": (-3, 3)},
     ),
     "CycleType": (
         lambda a, v: CycleType(a["m"], CycleType.identity(v["m"]).mult),
         {"m": (0, 6)},
     ),
     "CycleType.identity": (lambda a, v: CycleType.identity(a["m"]), {"m": (0, 6)}),
+    # 1^x1 2^x2 4^1 on x1 + 2 x2 + 4 letters: entries of the multiplicity vector
+    "CycleType.mult": (
+        lambda a, v: CycleType(
+            v["x1"] + 2 * v["x2"] + 4, (a["x1"], a["x2"], 0, 1) + (0,) * (v["x1"] + 2 * v["x2"])
+        ),
+        {"x1": (0, 4), "x2": (0, 2)},
+    ),
     "LaurentPoly.term": (
         lambda a, v: LaurentPoly.term(a["coeff"], a["exp"]),
         {"coeff": (-3, 3), "exp": (-3, 3)},
     ),
+    "Permutation": (lambda a, v: Permutation((a["first"], 1 - v["first"], 2)), {"first": (0, 1)}),
     "Permutation.identity": (lambda a, v: Permutation.identity(a["m"]), {"m": (0, 6)}),
     "Permutation.from_cycles": (
         lambda a, v: Permutation.from_cycles(a["m"], []),
@@ -157,6 +169,13 @@ ROUTES = {
         lambda a, v: confcohom.stirling_second(a["i"], a["j"]),
         {"i": (0, 8), "j": (0, 8)},
     ),
+    # shape (a + b, b) at the class (a, 1^2b): parts of both tuples
+    "symmetric_group_character": (
+        lambda a, v: confcohom.symmetric_group_character(
+            (v["a"] + v["b"], a["b"]), (a["a"],) + (1,) * (2 * v["b"])
+        ),
+        {"a": (1, 3), "b": (1, 3)},
+    ),
     "universal_poly": (
         lambda a, v: confcohom.universal_poly(a["distinct"], a["m"], False),
         {"distinct": (0, 6), "m": (0, 6)},
@@ -202,12 +221,11 @@ def test_counts_are_gated(name, data):
 def test_every_public_route_with_a_count_is_drawn():
     covered = {name.split(".")[0] for name in ROUTES}
     # names that take no count: types built by the routes, errors, a dict,
-    # and routes whose counts come inside a CycleType or a shape
+    # and routes whose counts come inside a CycleType
     uncounted = {
         "BUILTIN_SPACES", "ConfcohomError", "ConsistencyError", "ConstancyReport",
         "CostCapExceeded", "HypothesisViolation", "InputParseError", "MultiplicityTable",
-        "StabilityReport", "config_trace", "power_trace", "symmetric_group_character",
-        "tensor_trace_oracle",
+        "StabilityReport", "config_trace", "power_trace", "tensor_trace_oracle",
     }
     assert covered | uncounted == set(confcohom.__all__)
 
@@ -217,8 +235,12 @@ def test_every_public_route_with_a_count_is_drawn():
     [
         (lambda: confcohom.stirling_second(5, 2), lambda: confcohom.stirling_second(5.0, 2)),
         (lambda: confcohom.all_cycle_types(1), lambda: confcohom.all_cycle_types(True)),
+        (
+            lambda: confcohom.symmetric_group_character((1,), (1,)),
+            lambda: confcohom.symmetric_group_character((True,), (True,)),
+        ),
     ],
-    ids=["stirling_second", "all_cycle_types"],
+    ids=["stirling_second", "all_cycle_types", "symmetric_group_character"],
 )
 def test_the_gate_comes_before_the_cache(first, second):
     first()
@@ -250,3 +272,45 @@ def test_a_count_below_its_least_value_names_it():
         confcohom.poincare_unordered_config(BUILTIN_SPACES["c"], 0)
     with pytest.raises(ValueError, match="^m must be at least 3, got 2$"):
         confcohom.poincare_exactly(BUILTIN_SPACES["c"], 3, 2)
+
+
+@pytest.mark.parametrize(
+    "call, error, name",
+    [
+        (lambda: CycleType(3, (-1, 2, 0)), ValueError, "mult[0] must be at least 0, got -1"),
+        (lambda: CycleType(2, (0.0, 1)), TypeError, "mult[0] must be an int, not float"),
+        (lambda: Permutation((True, False)), TypeError, "images[0] must be an int, not bool"),
+        (
+            lambda: confcohom.symmetric_group_character((2, True), (1, 1, 1)),
+            TypeError,
+            "shape[1] must be an int, not bool",
+        ),
+        (
+            lambda: confcohom.symmetric_group_character((2, 1), (1, 1.0, 1)),
+            TypeError,
+            "mu[1] must be an int, not float",
+        ),
+    ],
+    ids=["CycleType-negative", "CycleType-float", "Permutation-bool", "character-shape",
+         "character-mu"],
+)
+def test_malformed_tuple_entries_are_refused_by_name(call, error, name):
+    with pytest.raises(error, match=f"^{re.escape(name)}$"):
+        call()
+
+
+def test_a_negative_p_exponent_is_refused():
+    with pytest.raises(ValueError, match="negative P-exponent"):
+        BiPoly.term(1, -1, 0)
+    with pytest.raises(ValueError, match="negative P-exponent"):
+        BiPoly({(0, 0): 1, (-2, 1): 0})
+
+
+def test_all_cycle_types_is_capped_on_every_call(monkeypatch):
+    monkeypatch.delenv("CONFCOHOM_MAX_M", raising=False)
+    with pytest.raises(CostCapExceeded, match="capped at m = 12"):
+        confcohom.all_cycle_types(13)
+    assert len(confcohom.all_cycle_types(5)) == 7  # now cached
+    monkeypatch.setenv("CONFCOHOM_MAX_M", "4")
+    with pytest.raises(CostCapExceeded, match="capped at m = 4"):
+        confcohom.all_cycle_types(5)

@@ -33,7 +33,12 @@ from confcohom.cli import (
     parse_range,
     space_from_document,
 )
-from confcohom.errors import InputParseError
+from confcohom.errors import (
+    ConsistencyError,
+    CostCapExceeded,
+    HypothesisViolation,
+    InputParseError,
+)
 from confcohom.polyarith import ONE, BiPoly
 
 
@@ -545,6 +550,59 @@ class TestExitCodes:
         assert code == 5
         assert "cost-cap-exceeded" in err
 
+    @pytest.mark.parametrize(
+        "error, category, code",
+        [
+            (HypothesisViolation, "hypothesis-violation", 2),
+            (InputParseError, "input-parse-error", 3),
+            (ConsistencyError, "consistency-error", 4),
+            (CostCapExceeded, "cost-cap-exceeded", 5),
+        ],
+    )
+    def test_each_error_class_owns_its_category_and_exit_code(self, error, category, code):
+        assert (error.category, error.exit_code) == (category, code)
+
+    @pytest.mark.parametrize(
+        "error, payload, code",
+        [
+            (
+                HypothesisViolation("orientable", "raised by a stub"),
+                {
+                    "category": "hypothesis-violation",
+                    "flag": "orientable",
+                    "message": "hypothesis violation: requires orientable (raised by a stub)",
+                },
+                2,
+            ),
+            (
+                InputParseError("raised by a stub"),
+                {"category": "input-parse-error", "message": "raised by a stub"},
+                3,
+            ),
+            (
+                ConsistencyError("raised by a stub"),
+                {"category": "consistency-error", "message": "raised by a stub"},
+                4,
+            ),
+            (
+                CostCapExceeded("raised by a stub"),
+                {"category": "cost-cap-exceeded", "message": "raised by a stub"},
+                5,
+            ),
+        ],
+        ids=["hypothesis", "parse", "consistency", "cost"],
+    )
+    def test_main_reports_every_error_class_from_the_class(
+        self, capsys, monkeypatch, error, payload, code
+    ):
+        def raising(_args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_universal", raising)
+        got, out, err = run(capsys, "universal", "--l", "1", "--m", "2")
+        assert (got, out) == (code, "")
+        assert json.loads(err) == {"error": payload}
+
 
 class TestDeterminismAndRoundTrip:
     def test_identical_runs_byte_identical(self, capsys):
@@ -575,7 +633,7 @@ class TestDeterminismAndRoundTrip:
 
     def test_polynomial_roundtrip(self, capsys):
         doc = run_json(capsys, "poincare", "--space", "cstar", "--target", "fm", "--m", "3")
-        poly = LaurentPoly.from_exp_map(doc["result"]["coefficients"])
+        poly = LaurentPoly({int(e): v for e, v in doc["result"]["coefficients"].items()})
         from confcohom import BUILTIN_SPACES, poincare_config
 
         assert poly == poincare_config(BUILTIN_SPACES["cstar"], 3)

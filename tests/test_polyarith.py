@@ -232,10 +232,6 @@ class TestBiPoly:
         q = BiPoly.term(1, n, 0)
         assert q.eval_P(p) == p**n
 
-    def test_roundtrip_exp_map(self):
-        q = BiPoly({(2, 0): 31, (1, 1): 30})
-        assert BiPoly.from_exp_map(q.to_exp_map()) == q
-
     def test_homogeneous(self):
         q = BiPoly({(2, 0): 31, (1, 1): 30})
         assert q.is_homogeneous(2)
@@ -289,10 +285,6 @@ class TestFormat:
 
 
 class TestRoundTrip:
-    @given(laurents)
-    def test_exp_map(self, f):
-        assert LaurentPoly.from_exp_map(f.to_exp_map()) == f
-
     @given(laurents)
     def test_hash_consistency(self, f):
         assert hash(f) == hash(LaurentPoly(dict(f.items())))

@@ -46,7 +46,8 @@ DELETED = {
 }
 DELETED_METHODS = {
     "CycleType": ("fixed_points", "x"),
-    "LaurentPoly": ("const", "invert_var"),
+    "BiPoly": ("from_exp_map",),
+    "LaurentPoly": ("const", "from_exp_map", "invert_var"),
     "Permutation": ("sign",),
     "SetPartition": ("block_sizes",),
 }
