@@ -21,8 +21,9 @@ which lives entirely in Z[T]: the two forms are equal because
 c^x * (A)(A-1)...(A-x+1) = (cA)(cA-c)...(cA-(x-1)c).  All arithmetic here
 stays in the cleared form; rational numbers never appear.
 
-Every route here counts stable set partitions by splitting cycles among
-orbit lengths (``combinat.stable_block_counts``), never lists them.  The one
+Every route here counts stable set partitions, one cycle at a time, by
+the orbit of blocks each cycle opens or joins
+(``combinat.stable_block_counts``), and never lists them.  The one
 inverse of the stratification of X^m, :func:`reconstruct_config_series`,
 also lives here, because the ``bf`` and ``cf`` checks run it and they load
 no oracle; the cross-checks that list partitions, or take other independent
@@ -55,7 +56,7 @@ class TraceSeries(FrozenRecord):
     __slots__ = ("m", "values")
 
     def __init__(self, m: int, values: Mapping[CycleType, LaurentPoly]):
-        if set(values) != set(all_cycle_types(m)):
+        if values.keys() != _cycle_type_set(m):
             raise ValueError("series must be defined on every cycle type")
         self._init(m, values)
 
@@ -82,6 +83,13 @@ class TraceSeries(FrozenRecord):
         if not isinstance(other, TraceSeries):
             return NotImplemented
         return self.m == other.m and dict(self.values) == dict(other.values)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _cycle_type_set(m: int) -> frozenset[CycleType]:
+    """The cycle types of m letters as a set, after one cap check per m:
+    every series on m letters compares its keys against it."""
+    return frozenset(all_cycle_types(m))
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +197,12 @@ def induce_blocks(series: TraceSeries, m: int) -> TraceSeries:
 
         Ind(series)[ct] = sum over beta of N(ct, beta) * series[beta],
 
-    where N(ct, beta) = ``stable_block_counts(ct, l)[beta]`` is read in
-    closed form from the split of alpha's cycles among the orbit lengths
-    of beta (the cycle index of the species composition F o E_+,
-    Bergeron-Labelle-Leroux 1998).  This geometric form of induction is
-    equivalent to the group-theoretic induced-character formula for the
-    block stabilizers, and much cheaper.  Each count table is built once
+    where N(ct, beta) = ``stable_block_counts(ct, l)[beta]`` is counted by
+    a recurrence over alpha's cycles, each of which opens an orbit of
+    blocks or joins one (the cycle index of the species composition
+    F o E_+, Bergeron-Labelle-Leroux 1998).  This geometric form of
+    induction is equivalent to the group-theoretic induced-character
+    formula for the block stabilizers, and much cheaper.  Each count table is built once
     per process.  Acting with ``series.m == m`` is the identity.
     """
     blocks = series.m

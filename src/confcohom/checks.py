@@ -109,7 +109,7 @@ def oracle_triangle(space: SpaceSpec, m: int, series) -> bool:
 
     The power-trace reconstruction must rebuild ``series``, the
     configuration character; every stratum series below it, counted by
-    the divisor split of the cycles, must equal the trace summed over the
+    the recurrence over the cycles, must equal the trace summed over the
     enumerated stable set partitions.
     """
     from . import oracles

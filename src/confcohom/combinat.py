@@ -2,8 +2,9 @@
 
 Stable set partitions are counted here, never listed (see :mod:`.oracles`).
 Stirling numbers of the second kind have two roads that share no code: the
-additive recurrence :func:`stirling_second`, read by the strata routes, and
-the inclusion-exclusion count ``_stirling_second_explicit``, read by their check
+additive recurrence of :func:`stirling_second` and :func:`stirling_row`,
+read by the strata routes, and the inclusion-exclusion count
+``_stirling_second_explicit``, read by their check
 :func:`confcohom.confspace.universal_poly`.
 
 Conventions
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations_with_replacement
 
 from .errors import ConsistencyError, CostCapExceeded
 from . import limits
@@ -158,10 +158,9 @@ def _all_cycle_types(m: int) -> tuple[CycleType, ...]:
 def stirling_second(i: int, j: int) -> int:
     """Number of partitions of an i-set into j nonempty blocks.
 
-    S(i, 0), S(i, 1) and S(i, i) are read at once.  Any other entry fills
-    one column in place by the additive recurrence, read as
-    S(c + t, c) = S(c - 1 + t, c - 1) + c S(c + t - 1, c) for c = 2..j:
-    (j - 1)(i - j) additions, whatever was asked before.
+    S(i, 0), S(i, 1) and S(i, i) are read at once; any other entry is the
+    last of :func:`_stirling_sweep` from j to j, (j - 1)(i - j) additions
+    whatever was asked before.
     """
     limits.check_count(i, "i")
     limits.check_count(j, "j")
@@ -169,11 +168,35 @@ def stirling_second(i: int, j: int) -> int:
         return 0
     if j == 1 or j == i:
         return 1
-    column = [1] * (i - j + 1)  # S(c + t, c) for t = 0..i-j, from c = 1
+    return _stirling_sweep(i, j, j)[-1]
+
+
+def stirling_row(i: int, j: int) -> tuple[int, ...]:
+    """S(i, 1), ..., S(i, j) for 1 <= j <= i, from one sweep of about i * j
+    additions: the row the strata sums read."""
+    limits.check_count(j, "j", 1)
+    limits.check_count(i, "i", j)
+    return _stirling_sweep(i, j, 1)
+
+
+def _stirling_sweep(i: int, j: int, lowest: int) -> tuple[int, ...]:
+    """S(i, lowest), ..., S(i, j) for 1 <= lowest <= j <= i.
+
+    One column, filled in place by the additive recurrence read as
+    S(c + t, c) = S(c - 1 + t, c - 1) + c S(c + t - 1, c) for c = 2..j, up
+    to t = i - max(c, lowest): an entry S(i, c) with c >= lowest sits at
+    t = i - c.  No column is allocated when j = 1.
+    """
+    if j == 1:
+        return (1,)
+    column = [1] * (i - lowest + 1)  # S(c + t, c) for t = 0..i-lowest, from c = 1
+    row = [1] if lowest == 1 else []
     for c in range(2, j + 1):
-        for t in range(1, i - j + 1):
+        for t in range(1, i - max(c, lowest) + 1):
             column[t] += c * column[t - 1]
-    return column[-1]
+        if c >= lowest:
+            row.append(column[i - c])
+    return tuple(row)
 
 
 def _stirling_second_explicit(i: int, j: int) -> int:
@@ -353,7 +376,7 @@ def representative(ctype: CycleType) -> Permutation:
 
 
 # ---------------------------------------------------------------------------
-# stable set partitions, counted by the divisor split
+# stable set partitions, counted by a recurrence over the cycles
 # ---------------------------------------------------------------------------
 
 
@@ -363,90 +386,51 @@ def stable_block_counts(ctype: CycleType, blocks: int) -> dict[CycleType, int]:
     For a permutation alpha of type ``ctype``, maps each cycle type beta on
     ``blocks`` letters to the number of alpha-stable partitions of the m
     points into ``blocks`` blocks on which alpha permutes the blocks with
-    type beta.  Types that do not occur are left out.
-
-    Each cycle of alpha, of length e, lies in one orbit of blocks, whose
-    length d divides e.  Split alpha's cycles by that length: j_(e,d) of
-    the x_e cycles of length e go to d, so k_d = sum_e j_(e,d) cycles feed
-    the d-orbits.  They fall into z_d orbits in S(k_d, z_d) ways, and the k
-    cycles of one d-orbit combine in d^(k-1) ways: the first cycle fixes
-    the block labels, each further cycle enters at one of d rotations.  For
-    beta with z_d cycles of length d,
-
-        N(ctype, beta) = sum over j of prod_e x_e! / prod_(d|e) j_(e,d)!
-                             * prod_d S(k_d, z_d) * d^(k_d - z_d),
-
-    the coefficient extraction of the cycle index of the species
-    composition F o E_+ (Bergeron-Labelle-Leroux, *Combinatorial Species
-    and Tree-like Structures*, 1998).  ``oracles.stable_partitions``
-    enumerates the same partitions point by point and serves as the oracle.
+    type beta.  Types that do not occur are left out.  The counts are read
+    from :func:`_block_table` of alpha's cycle lengths, whose recursion
+    depth the cap on m bounds.  ``oracles.stable_partitions`` enumerates
+    the same partitions point by point and serves as the oracle.
     """
+    limits.check_m(ctype.m)
     limits.check_count(blocks, "blocks")
-    counts: dict[tuple[int, ...], int] = {}
-    for weight, low, high, orbits in _divisor_splits(ctype.mult):
-        if not low <= blocks <= high:
-            continue
-        # (block type so far, blocks left, count), one orbit length at a
-        # time: 1 <= z_d <= k_d, and the longer lengths cover what is left
-        stage = [((0,) * blocks, blocks, weight)]
-        for d, k, low, high in orbits:
-            stage = [
-                (
-                    mult[: d - 1] + (z,) + mult[d:],
-                    left - d * z,
-                    count * stirling_second(k, z) * d ** (k - z),
-                )
-                for mult, left, count in stage
-                for z in range(max(1, -((high - left) // d)), min(k, (left - low) // d) + 1)
-            ]
-        for mult, _left, count in stage:
-            counts[mult] = counts.get(mult, 0) + count
-    return {CycleType(blocks, mult): count for mult, count in counts.items()}
+    return {
+        CycleType(blocks, mult[:blocks] + (0,) * (blocks - len(mult))): count
+        for (mult, used), count in _block_table(ctype.parts)
+        if used == blocks
+    }
 
 
 @lru_cache(maxsize=None)
-def _divisor_splits(mult: tuple[int, ...]) -> tuple:
-    """The splits of a cycle type's cycles among orbit lengths.
+def _block_table(parts: tuple[int, ...]) -> tuple:
+    """The pairs ((block type, blocks used), count) over the stable set
+    partitions of a permutation with the cycle lengths ``parts``.
 
-    One entry (weight, low, high, orbits) per vector (k_d): ``weight`` is
-    the number of ways to send the cycles, the sum over j of
-    prod_e x_e! / prod_(d|e) j_(e,d)!, and low..high the block counts the
-    split can cover.  ``orbits`` lists the tuples (d, k_d, low_d, high_d)
-    over the k_d > 0, ascending in d; low_d..high_d are the block counts
-    that the longer orbit lengths can cover.
+    The block type is a multiplicity vector (z_1, z_2, ...) of orbit
+    lengths, padded to the longest cycle.  Each cycle of alpha, of length
+    e, lies in one orbit of blocks, whose length d divides e.  The last
+    cycle either opens a new d-orbit, in one way, or joins one of the z_d
+    open d-orbits at one of d rotations, in d * z_d ways: the Stirling
+    recurrence S(k, z) = S(k - 1, z - 1) + z S(k - 1, z), weighted by d.
+    Summed over the cycles, this is the coefficient extraction of the cycle
+    index of the species composition F o E_+ (Bergeron-Labelle-Leroux,
+    *Combinatorial Species and Tree-like Structures*, 1998).  The table of
+    ``parts`` is one step from that of ``parts[:-1]``, itself a partition,
+    so each table is built once per process.
     """
-    present = [(x, divisors(e)) for e, x in enumerate(mult, start=1) if x]
-    lengths = sorted({d for _x, divs in present for d in divs})
-    # k packed into one integer, a field of ``width`` bits per orbit length
-    width = len(mult).bit_length()
-    shift = {d: width * i for i, d in enumerate(lengths)}
-    splits = {0: 1}
-    for x, divs in present:
-        # each of the x cycles picks its orbit length, in x! / prod j_d! ways
-        shares = [
-            (
-                sum(1 << shift[d] for d in pick),
-                math.factorial(x) // math.prod(math.factorial(pick.count(d)) for d in divs),
-            )
-            for pick in combinations_with_replacement(divs, x)
-        ]
-        grown: dict[int, int] = {}
-        for k, weight in splits.items():
-            for offset, ways in shares:
-                grown[k + offset] = grown.get(k + offset, 0) + weight * ways
-        splits = grown
-    mask = (1 << width) - 1
-    table = []
-    for fed, weight in splits.items():
-        orbits: list = []
-        low = high = 0
-        for d in reversed(lengths):
-            k = fed >> shift[d] & mask
-            if k:
-                orbits.insert(0, (d, k, low, high))
-                low, high = low + d, high + d * k
-        table.append((weight, low, high, tuple(orbits)))
-    return tuple(table)
+    if not parts:
+        return ((((), 0), 1),)
+    e = parts[-1]
+    lengths = divisors(e)
+    table: dict[tuple[tuple[int, ...], int], int] = {}
+    for (mult, used), count in _block_table(parts[:-1]):
+        mult += (0,) * (e - len(mult))  # only the first, longest cycle pads
+        for d in lengths:
+            z = mult[d - 1]
+            opened = (mult[: d - 1] + (z + 1,) + mult[d:], used + d)
+            table[opened] = table.get(opened, 0) + count
+            if z:
+                table[mult, used] = table.get((mult, used), 0) + count * d * z
+    return tuple(table.items())
 
 
 # ---------------------------------------------------------------------------

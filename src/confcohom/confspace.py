@@ -17,7 +17,7 @@ without it rather than silently emitting invalid numbers.
 from __future__ import annotations
 
 from . import combinat, limits
-from .combinat import stirling_second
+from .combinat import stirling_row, stirling_second
 from .errors import ConsistencyError, HypothesisViolation, InputParseError
 from .polyarith import P_VAR, T_VAR, BiPoly, LaurentPoly, T, falling_product
 from .record import FrozenRecord
@@ -140,8 +140,10 @@ def poincare_exactly(space: SpaceSpec, distinct: int, m: int) -> LaurentPoly:
 def poincare_at_most(space: SpaceSpec, distinct: int, m: int) -> LaurentPoly:
     """Tuples in X^m taking at most ``distinct`` values.
 
-    Alternating sum over the exact strata with a degree shift per step;
-    the result must have nonnegative coefficients (they are Betti
+    Alternating sum over the exact strata, sum over a < l of
+    (-T)^a S(m, l - a) prod_(i<l-a) (pc + iT) with l = ``distinct``, from
+    one Stirling row and l products, by Horner over the factors pc + kT.
+    The result must have nonnegative coefficients (they are Betti
     numbers), which is asserted before returning.
     """
     require(space, "i_acyclic")
@@ -150,11 +152,14 @@ def poincare_at_most(space: SpaceSpec, distinct: int, m: int) -> LaurentPoly:
         return LaurentPoly.one() if m == 0 else LaurentPoly.zero()
     if space.pc.is_zero():  # an empty space: every stratum is empty, read before S(m, l)
         return LaurentPoly.zero()
-    total = LaurentPoly.zero()
-    for a in range(distinct):
-        term = stirling_second(m, distinct - a) * poincare_config(space, distinct - a)
-        term = term * LaurentPoly.term((-1) ** a, a)
-        total = total + term
+    stirling = stirling_row(m, distinct)
+    total = LaurentPoly.term(stirling[-1], 0)
+    for k in range(distinct - 1, 0, -1):
+        a = distinct - k
+        total = total * (space.pc + LaurentPoly.term(k, 1)) + LaurentPoly.term(
+            (-1) ** a * stirling[k - 1], a
+        )
+    total = total * space.pc
     if not total.has_nonnegative_coeffs():
         raise ConsistencyError(
             f"alternating stratum sum for {space.name!r} produced negative "
@@ -184,14 +189,11 @@ def universal_poly(distinct: int, m: int, closed: bool) -> BiPoly:
     for i in range(distinct):
         rising.append(rising[i] * (P_VAR + i * T_VAR))
 
-    if not closed:
-        result = combinat._stirling_second_explicit(m, distinct) * rising[distinct]
-    else:
-        result = BiPoly.zero()
-        for a in range(distinct):
-            sign = -1 if a % 2 else 1
-            stirling = combinat._stirling_second_explicit(m, distinct - a)
-            result = result + sign * stirling * (rising[distinct - a] * BiPoly.term(1, 0, a))
+    result = BiPoly.zero()
+    for a in range(distinct if closed else 1):  # the open stratum is the a = 0 term
+        sign = -1 if a % 2 else 1
+        stirling = combinat._stirling_second_explicit(m, distinct - a)
+        result = result + sign * stirling * (rising[distinct - a] * BiPoly.term(1, 0, a))
     if not result.is_homogeneous(distinct):
         raise ConsistencyError(f"universal polynomial is not homogeneous of degree {distinct}")
     return result

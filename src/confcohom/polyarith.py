@@ -382,10 +382,13 @@ class BiPoly(_SparsePoly):
     __rmul__ = __mul__
 
     def eval_P(self, p: LaurentPoly) -> LaurentPoly:
-        """Substitute P := p and multiply through by the T-monomials."""
-        total = LaurentPoly.zero()
+        """Substitute P := p, by Horner in P over the T-polynomial of each P-power."""
+        rows: dict[int, dict[int, int]] = {}
         for (i, j), v in self._c.items():
-            total = total + (p**i) * LaurentPoly.term(v, j)
+            rows.setdefault(i, {})[j] = v
+        total = LaurentPoly.zero()
+        for i in range(max(rows, default=0), -1, -1):
+            total = total * p + LaurentPoly(rows.get(i))
         return total
 
     def to_exp_map(self) -> dict[str, int]:

@@ -112,9 +112,9 @@ def _character(beads: int, mu: tuple[int, ...]) -> int:
 symmetric_group_character.cache_info = _character.cache_info
 
 
-@lru_cache(maxsize=None)
 def irrep_dimension(shape: tuple[int, ...]) -> int:
-    """Dimension of the irreducible with the given diagram, by hook lengths."""
+    """Dimension of the irreducible with the given diagram, by hook lengths:
+    cheap enough to need no cache, so every call checks its shape."""
     _check_partition(shape)
     m = sum(shape)
     if not shape:

@@ -585,6 +585,21 @@ class TestCaps:
             plane, CycleType.identity(11)
         )
 
+    def test_series_keys_read_one_cached_set(self, plane, monkeypatch):
+        # the cap is checked once per m, when the set is built; a series on a
+        # missing class is still refused
+        series = config_series(plane, 5)
+
+        def listed(m):
+            raise AssertionError("the cycle types were listed again")
+
+        monkeypatch.setattr(charseries, "all_cycle_types", listed)
+        assert series.map_values(lambda _ct, v: v) == series
+        missing = dict(series.values)
+        del missing[CycleType.identity(5)]
+        with pytest.raises(ValueError, match="every cycle type"):
+            TraceSeries(5, missing)
+
     def test_reconstruction_cap_before_power_series(self, plane, monkeypatch):
         from confcohom import CostCapExceeded
 

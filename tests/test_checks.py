@@ -160,13 +160,18 @@ def test_a_wrong_block_count_fails_only_the_reconstruction(monkeypatch, target):
     ],
 )
 def test_a_wrong_stirling_table_entry_fails_the_strata_checks(monkeypatch, command, name):
-    # S(5, 3) + 1 read from the table: the strata routes answer wrongly, and
-    # the explicit count that universal_poly reads tells them apart
-    original = confspace.stirling_second
+    # S(5, 3) + 1 read from the table, as one entry or in a row: the strata
+    # routes answer wrongly, and the explicit count that universal_poly reads
+    # tells them apart
+    entry, row = confspace.stirling_second, confspace.stirling_row
 
     def wrong(i, j):
-        return original(i, j) + ((i, j) == (5, 3))
+        return entry(i, j) + ((i, j) == (5, 3))
+
+    def wrong_row(i, j):
+        return tuple(s + ((i, c) == (5, 3)) for c, s in enumerate(row(i, j), start=1))
 
     assert outcome(command, name)
     monkeypatch.setattr(confspace, "stirling_second", wrong)
+    monkeypatch.setattr(confspace, "stirling_row", wrong_row)
     assert not outcome(command, name)

@@ -1057,8 +1057,9 @@ class TestDigitLimit:
         def never(*args):
             raise AssertionError("the answer was built")
 
-        for name in ("stirling_second", "falling_product", "universal_poly"):
+        for name in ("stirling_second", "stirling_row", "falling_product", "universal_poly"):
             monkeypatch.setattr(confspace, name, never)
+        monkeypatch.setattr(combinat, "_stirling_sweep", never)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (5, "")
         assert json.loads(err)["error"] == {

@@ -140,6 +140,28 @@ class TestStirling:
         assert peak < 2**20
         assert stirling_second(0, 0) == 1
 
+    def test_row_is_the_entries(self):
+        for i in range(1, 30):
+            for j in range(1, i + 1):
+                assert combinat.stirling_row(i, j) == tuple(
+                    stirling_second(i, c) for c in range(1, j + 1)
+                )
+
+    def test_row_of_one_fills_no_column(self):
+        tracemalloc.start()
+        try:
+            assert combinat.stirling_row(10**9, 1) == (1,)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_row_refuses_more_blocks_than_points(self):
+        with pytest.raises(ValueError, match="i must be at least 3"):
+            combinat.stirling_row(2, 3)
+        with pytest.raises(ValueError, match="j must be at least 1"):
+            combinat.stirling_row(2, 0)
+
     def test_table_never_evaluates_the_explicit_count(self, monkeypatch):
         # the inclusion-exclusion count is the strata checks' independent
         # road, so the recurrence must not read it
@@ -297,6 +319,27 @@ class TestStableBlockCounts:
                 )
                 parts = sum(1 for p in partitions(m) if len(p) == l)
                 assert fixed == math.factorial(m) * parts, (m, l)
+
+    def test_each_table_is_built_once_per_partition(self):
+        # the table of a partition is one step from that of its prefix, so
+        # every table up to m misses the cache once per partition of k <= m
+        m = 9
+        combinat._block_table.cache_clear()
+        for n in range(m, -1, -1):
+            for ct in all_cycle_types(n):
+                for blocks in range(n + 1):
+                    stable_block_counts(ct, blocks)
+        misses = sum(len(partitions(k)) for k in range(m + 1))
+        assert combinat._block_table.cache_info().misses == misses
+
+    def test_cap_comes_before_the_recursion(self, monkeypatch):
+        # the recursion is as deep as alpha has cycles; the cap bounds it
+        def built(parts):
+            raise AssertionError("a block table was built past the cap")
+
+        monkeypatch.setattr(combinat, "_block_table", built)
+        with pytest.raises(CostCapExceeded):
+            stable_block_counts(CycleType.identity(1000), 2)
 
     def test_edge_block_counts(self):
         ct = CycleType.from_parts((2, 1))

@@ -144,6 +144,33 @@ class TestStrata:
             for m in range(1, 7):
                 assert poincare_at_most(space, 1, m) == space.pc
 
+    def test_closed_strata_take_one_sweep_and_l_products(self, monkeypatch):
+        # one Stirling row and one polynomial product per factor pc + kT,
+        # whatever l; the answer is the universal polynomial's
+        sweeps, products = [], []
+        sweep, mul = combinat._stirling_sweep, LaurentPoly.__mul__
+
+        def counted_sweep(*args):
+            sweeps.append(args)
+            return sweep(*args)
+
+        def counted_mul(self, other):
+            if not isinstance(other, int):
+                products.append(other)
+            return mul(self, other)
+
+        for space in FIXTURES:
+            for m, l in [(1, 1), (9, 4), (60, 30)]:
+                expected = universal_poly(l, m, closed=True).eval_P(space.pc)
+                sweeps.clear()
+                products.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(combinat, "_stirling_sweep", counted_sweep)
+                    patch.setattr(LaurentPoly, "__mul__", counted_mul)
+                    assert poincare_at_most(space, l, m) == expected
+                assert sweeps == [(m, l, 1)]
+                assert len(products) == l
+
     def test_exactly_two_in_three(self, plane):
         assert poincare_exactly(plane, 2, 3) == 3 * (T**4 + T**3)
 
@@ -163,8 +190,10 @@ class TestStrata:
         def refuse(i, j):
             raise AssertionError(f"S({i}, {j}) read for the empty space")
 
-        monkeypatch.setattr(combinat, "stirling_second", refuse)
-        monkeypatch.setattr(confspace, "stirling_second", refuse)
+        for name in ("stirling_second", "stirling_row"):
+            monkeypatch.setattr(combinat, name, refuse)
+            monkeypatch.setattr(confspace, name, refuse)
+        monkeypatch.setattr(combinat, "_stirling_sweep", lambda i, j, lowest: refuse(i, j))
         empty = SpaceSpec("empty", LaurentPoly.zero(), 2, i_acyclic=True)
         for distinct in (1, 2, 7):
             assert poincare_exactly(empty, distinct, 10**9) == 0

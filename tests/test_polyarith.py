@@ -232,6 +232,14 @@ class TestBiPoly:
         q = BiPoly.term(1, n, 0)
         assert q.eval_P(p) == p**n
 
+    def test_eval_skips_missing_powers(self):
+        # P^3 and P^0 with no P^1 or P^2 term, and T-exponents of both signs
+        q = BiPoly({(3, -1): 2, (3, 2): -1, (0, 0): 5, (0, -2): 1})
+        p = 1 + 2 * T
+        expected = (2 * LaurentPoly.term(1, -1) - T**2) * p**3 + 5 + LaurentPoly.term(1, -2)
+        assert q.eval_P(p) == expected
+        assert BiPoly.zero().eval_P(p) == LaurentPoly.zero()
+
     def test_homogeneous(self):
         q = BiPoly({(2, 0): 31, (1, 1): 30})
         assert q.is_homogeneous(2)

@@ -67,6 +67,12 @@ class TestCharacters:
         with pytest.raises(ValueError, match="not a partition"):
             irrep_dimension(shape)
 
+    def test_shape_checked_after_an_equal_shape(self):
+        # (2, True) == (2, 1), so a cache would serve it the entry of (2, 1)
+        assert irrep_dimension((2, 1)) == 2
+        with pytest.raises(TypeError, match=r"shape\[1\] must be an int, not bool"):
+            irrep_dimension((2, True))
+
     @pytest.mark.parametrize("m", range(1, 7))
     def test_orthogonality(self, m):
         shapes = partitions(m)

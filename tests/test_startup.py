@@ -53,7 +53,7 @@ DELETED_METHODS = {
 }
 UNEXPORTED = {
     "combinat": "divisors euler_phi mobius partitions representative stable_block_counts "
-    "subgroup_class_counts",
+    "stirling_row subgroup_class_counts",
     "charseries": "power_series",
     "repstab": "borel_moore_series irrep_dimension pad_core",
 }
