@@ -156,20 +156,26 @@ def config_trace(space: SpaceSpec, ctype: CycleType) -> LaurentPoly:
     )
 
 
-def config_series(space: SpaceSpec, m: int) -> TraceSeries:
-    """:func:`config_trace` on every cycle type, from one factor table.
-
-    The table, local to the call, builds each kernel B_d once and each
-    falling factor prod_{i < x} (B_d - i * d * T^d) once per pair (d, x)
-    with d * x <= m: sum_d floor(m/d) falling products for p(m) entries.
-    """
-    require(space, "i_acyclic")
-    limits.check_m(m)  # before listing the cycle types, which grow like p(m)
+def _factor_table(space: SpaceSpec, m: int) -> dict[tuple[int, int], LaurentPoly]:
+    """The cleared falling factors prod_{i < x} (B_d - i * d * T^d) for
+    d * x <= m, keyed by (d, x): each kernel B_d built once and each factor
+    once, sum_d floor(m/d) falling products.  Every configuration trace on
+    at most m letters is a product of its entries."""
     factors = {}
     for d in range(1, m + 1):
         kernel = _divisor_kernel(space, d)
         for x in range(1, m // d + 1):
             factors[d, x] = falling_product(kernel, LaurentPoly.term(d, d), x)
+    return factors
+
+
+def config_series(space: SpaceSpec, m: int) -> TraceSeries:
+    """:func:`config_trace` on every cycle type, from one
+    :func:`_factor_table`, local to the call: p(m) entries from
+    sum_d floor(m/d) falling products."""
+    require(space, "i_acyclic")
+    limits.check_m(m)  # before listing the cycle types, which grow like p(m)
+    factors = _factor_table(space, m)
     return TraceSeries(
         m, {ct: _cleared_product(ct, lambda d, x: factors[d, x]) for ct in all_cycle_types(m)}
     )
@@ -224,6 +230,30 @@ def induce_blocks(series: TraceSeries, m: int) -> TraceSeries:
 def _block_counts(ctype: CycleType, blocks: int) -> tuple[tuple[CycleType, int], ...]:
     """The pairs of :func:`stable_block_counts`, built once per process."""
     return tuple(stable_block_counts(ctype, blocks).items())
+
+
+def _exactly_coefficients(
+    factors: Mapping[tuple[int, int], LaurentPoly], distinct: int, m: int, exp: int
+) -> dict[CycleType, int]:
+    """The coefficient of T^exp in ``exactly_series(space, distinct, m)`` on
+    every cycle type of m, in :func:`all_cycle_types` order, from the
+    :func:`_factor_table` of the space for ``distinct`` letters or more.
+
+    Each configuration trace of ``distinct`` letters, a product of table
+    entries, gives its one coefficient at T^exp, and the block counts of
+    :func:`induce_blocks` induce those integers up to m: no series, and no
+    linear combination of polynomials, is built.
+    """
+    at = {
+        beta: _cleared_product(beta, lambda d, x: factors[d, x]).coeff(exp)
+        for beta in all_cycle_types(distinct)
+    }
+    if distinct == m:
+        return at
+    return {
+        ct: sum(count * at[beta] for beta, count in _block_counts(ct, distinct))
+        for ct in all_cycle_types(m)
+    }
 
 
 def reconstruct_config_series(space: SpaceSpec, m: int) -> TraceSeries:

@@ -149,6 +149,21 @@ def universal(q: BiPoly, l: int, m: int, closed: bool) -> list[tuple[str, bool]]
     return [("evaluates-on-reference-space", q.eval_P(reference.pc) == direct)]
 
 
+def stability(space: SpaceSpec, report) -> list[tuple[str, bool]]:
+    """Each Betti number of a stability table against the stratum's
+    Poincaré polynomial, which reads no trace series: the stratum of
+    l = m - defect distinct values is an orientable manifold of dimension
+    l * dim, so its Borel-Moore Betti number in degree i is the coefficient
+    of T^(l * dim - i) in ``poincare_exactly(space, l, m)``."""
+    same = all(
+        betti == confspace.poincare_exactly(space, m - report.defect, m).coeff(
+            (m - report.defect) * space.dim - report.degree
+        )
+        for m, betti in report.betti.items()
+    )
+    return [("betti-against-stratum-polynomial", same)]
+
+
 def quotient(space: SpaceSpec, m: int, order: int, poly: LaurentPoly) -> list[tuple[str, bool]]:
     """The action on configurations is free, so the quotient's Euler
     characteristic is the configuration space's divided by the order."""

@@ -264,6 +264,10 @@ def cmd_poincare(args) -> dict:
         if not space.pc.is_zero():
             blocks = l if target.startswith("delta") else m
             limits.check_result_digits(answer_digits(m, blocks, target == "delta_le"))
+    if target in ("delta", "delta_le"):
+        # the route sweeps Stirling numbers unless pc = 0; the check builds
+        # the universal polynomial
+        limits.check_strata_work(l, m, sweep=not space.pc.is_zero())
     poly = checks.ENGINES[target](space, m, l)
     inputs = {"space": space.name, "m": m, "target": target}
     if l is not None:
@@ -302,6 +306,7 @@ def cmd_universal(args) -> dict:
     l, m = args.l, args.m
     require_arg(1 <= l <= m, "universal needs 1 <= --l <= --m")
     limits.check_result_digits(answer_digits(m, l, closed=closed))
+    limits.check_strata_work(l, m)  # the check sweeps Stirling numbers on the plane
     q = confspace.universal_poly(l, m, closed)
     return _document(
         "universal",
@@ -356,7 +361,8 @@ def cmd_stability(args) -> dict:
         "poly_degree": report.poly_degree,
     }
     inputs = {"space": space.name, "i": args.i, "a": args.a, "range": args.range}
-    return _document("stability", inputs, result, report.verdicts())
+    named = report.verdicts() + checks.stability(space, report)
+    return _document("stability", inputs, result, named)
 
 
 # ---------------------------------------------------------------------------

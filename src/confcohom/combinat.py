@@ -149,6 +149,13 @@ def _all_cycle_types(m: int) -> tuple[CycleType, ...]:
     return tuple(CycleType.from_parts(p, m) for p in partitions(m))
 
 
+@lru_cache(maxsize=None)
+def _cycle_type_index(m: int) -> dict[tuple[int, ...], CycleType]:
+    """The cycle types of :func:`_all_cycle_types` keyed by multiplicity
+    vector, built once per m."""
+    return {ct.mult: ct for ct in _all_cycle_types(m)}
+
+
 # ---------------------------------------------------------------------------
 # Stirling numbers
 # ---------------------------------------------------------------------------
@@ -386,15 +393,20 @@ def stable_block_counts(ctype: CycleType, blocks: int) -> dict[CycleType, int]:
     For a permutation alpha of type ``ctype``, maps each cycle type beta on
     ``blocks`` letters to the number of alpha-stable partitions of the m
     points into ``blocks`` blocks on which alpha permutes the blocks with
-    type beta.  Types that do not occur are left out.  The counts are read
-    from :func:`_block_table` of alpha's cycle lengths, whose recursion
-    depth the cap on m bounds.  ``oracles.stable_partitions`` enumerates
-    the same partitions point by point and serves as the oracle.
+    type beta.  Types that do not occur are left out, and each beta is the
+    very object of ``all_cycle_types(blocks)``, looked up by its
+    multiplicities.  The counts are read from :func:`_block_table` of
+    alpha's cycle lengths, whose recursion depth the cap on m bounds.
+    ``oracles.stable_partitions`` enumerates the same partitions point by
+    point and serves as the oracle.
     """
     limits.check_m(ctype.m)
     limits.check_count(blocks, "blocks")
+    if blocks > ctype.m:  # no partition has more blocks than points
+        return {}
+    index = _cycle_type_index(blocks)
     return {
-        CycleType(blocks, mult[:blocks] + (0,) * (blocks - len(mult))): count
+        index[mult[:blocks] + (0,) * (blocks - len(mult))]: count
         for (mult, used), count in _block_table(ctype.parts)
         if used == blocks
     }

@@ -1,16 +1,20 @@
 """Irreducible decompositions and empirical representation-stability checks.
 
-The decomposition pipeline converts a compact-support trace series to its
-Borel-Moore counterpart, extracts one cohomological degree, and expands it
-into irreducible symmetric-group characters.  Those come from the
-Murnaghan-Nakayama rule on a beta-set held as an int bit mask, one bead
-per row of the diagram: removing a border strip of length t moves a bead
-from position b to an empty b - t, and the number of beads strictly
-between fixes the sign.  Representation stability (Church-Ellenberg-Farb)
-puts the constituents on padded shapes with small cores, so the expansion
-visits cores by increasing size and stops once their dimensions account
-for the whole Betti number.  The stopping rule checks nothing by itself; the
-result is certified by rebuilding the character from the multiplicities
+One cohomological degree of a character, an integer class function, is
+expanded into irreducible symmetric-group characters.  ``decompose_series``
+reads that degree off a whole trace series, which ``borel_moore_series``
+converts from compact-support to Borel-Moore grading.  A stability table
+builds no series: for each m it reads the one coefficient it needs of each
+configuration trace, from one factor table for the whole window, induces
+those integers up to m, and applies the Borel-Moore sign per class.  The
+irreducible characters come from the Murnaghan-Nakayama rule on a beta-set
+held as an int bit mask, one bead per row of the diagram: removing a
+border strip of length t moves a bead from position b to an empty b - t,
+and the number of beads strictly between fixes the sign.  Representation
+stability (Church-Ellenberg-Farb) puts the constituents on padded shapes
+with small cores, so the expansion visits cores by increasing size and
+stops once their dimensions account for the whole Betti number.  The
+stopping rule checks nothing by itself; the result is certified by rebuilding the character from the multiplicities
 on every class, which proves the unvisited shapes absent.  Stability is
 then *observed* on a finite window of m, never proven: verdicts state that
 the data is consistent with the expected monotonicity/constancy bounds on
@@ -28,7 +32,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 from . import charseries, limits
-from .charseries import TraceSeries, exactly_series
+from .charseries import TraceSeries
 from .combinat import CycleType, all_cycle_types, partitions
 from .confspace import SpaceSpec, require
 from .errors import ConsistencyError, HypothesisViolation
@@ -166,31 +170,42 @@ def decompose_series(series: TraceSeries, degree: int) -> dict[tuple[int, ...], 
     """Multiplicities of the irreducibles in one cohomological degree.
 
     Extracts the degree-``degree`` character chi from the alternating-sign
-    series and pairs it with the irreducibles lambda[m] core by core, in
-    the order of :func:`_fitting_cores`; classes where chi vanishes are
-    left out of the pairing sums.  The cycle-type cap is checked once, on
-    entry, and each visited shape becomes a bead mask once, for the pairing
-    sums and the certificate alike.  Every visited multiplicity must be a
-    nonnegative integer.  The walk stops once sum mult * dim(lambda[m])
-    reaches chi(1), and raises if the sum overshoots, if the cores run out
-    first, or if chi(1) is negative.  The result is then certified: sum
-    mult * chi_lambda must equal chi on every class, so every shape left
-    unvisited has multiplicity 0, whether or not chi was a true character.
-    Keys of the result are cores (rows below the first); zero rows are
-    omitted.
+    series, after one cap check on entry, and hands it to
+    :func:`_decompose`, the pairing walk and certificate that
+    :func:`stability_report` also runs.  Keys of the result are cores (rows
+    below the first); zero rows are omitted.
     """
     m = series.m
     limits.check_m(m)
     limits.check_count(degree, "degree")
     sign = -1 if degree % 2 else 1
+    chi = {ct: sign * series.values[ct].coeff(degree) for ct in all_cycle_types(m)}
+    return _decompose(m, chi, degree)
+
+
+def _decompose(m: int, chi: dict[CycleType, int], degree: int) -> dict[tuple[int, ...], int]:
+    """Multiplicities of the irreducibles of S_m in the integer class
+    function ``chi``, given on every cycle type in :func:`all_cycle_types`
+    order; ``degree`` only names the degree in errors.
+
+    Pairs chi with the irreducibles lambda[m] core by core, in the order of
+    :func:`_fitting_cores`; classes where chi vanishes are left out of the
+    pairing sums, and each visited shape becomes a bead mask once, for the
+    pairing sums and the certificate alike.  Every visited multiplicity
+    must be a nonnegative integer.  The walk stops once
+    sum mult * dim(lambda[m]) reaches chi(1), and raises if the sum
+    overshoots, if the cores run out first, or if chi(1) is negative.  The
+    result is then certified: sum mult * chi_lambda must equal chi on every
+    class, so every shape left unvisited has multiplicity 0, whether or not
+    chi was a true character.
+    """
     classes = []
     weighted = []
-    for ct in all_cycle_types(m):
-        chi = sign * series.values[ct].coeff(degree)
-        classes.append((ct.parts, chi))
-        if chi:
-            weighted.append((ct.parts, ct.class_size() * chi))
-    betti = sign * series.identity_entry().coeff(degree)
+    for ct, value in chi.items():
+        classes.append((ct.parts, value))
+        if value:
+            weighted.append((ct.parts, ct.class_size() * value))
+    betti = chi[CycleType.identity(m)]
     if betti < 0:
         raise ConsistencyError(f"negative Betti number {betti} in degree {degree}")
     order = factorial(m)
@@ -224,11 +239,11 @@ def decompose_series(series: TraceSeries, degree: int) -> dict[tuple[int, ...], 
         raise ConsistencyError(
             f"cores ran out at dimension {covered} of {betti} in degree {degree}"
         )
-    for parts, chi in classes:
+    for parts, value in classes:
         rebuilt = sum(mult * _character(beads, parts) for beads, mult in found)
-        if rebuilt != chi:
+        if rebuilt != value:
             raise ConsistencyError(
-                f"multiplicities in degree {degree} give {rebuilt}, not {chi}, at {parts}"
+                f"multiplicities in degree {degree} give {rebuilt}, not {value}, at {parts}"
             )
     return out
 
@@ -318,10 +333,17 @@ def stability_report(
 ) -> StabilityReport:
     """Observe multiplicity stability of one Borel-Moore degree across m.
 
-    For each m in the range, assembles the character series of the
-    stratum of tuples with m - ``defect`` distinct values, converts it to
-    Borel-Moore grading (dual dimension (m - defect) * dim), decomposes
-    degree ``degree``, and records multiplicities per core.  Verdicts:
+    For each m in the range, takes the character of the stratum of tuples
+    with l = m - ``defect`` distinct values in Borel-Moore degree
+    ``degree``, decomposes it, and records multiplicities per core.  That
+    character is degree ``degree`` of ``borel_moore_series`` of
+    ``exactly_series(space, l, m)`` with dual dimension l * dim, but no
+    series is built: one factor table, for the top of the window, gives
+    the coefficient of T^(l * dim - degree) in each configuration trace of
+    l letters; the block counts of ``induce_blocks`` carry those integers
+    up to m, and each class takes the Borel-Moore sign.  The integer class
+    function goes to the pairing walk and certificate of
+    :func:`decompose_series`.  Verdicts:
 
     * monotone from degree + defect,
     * constant from 4*(degree+defect) in dimension 2, from
@@ -340,13 +362,18 @@ def stability_report(
 
     table = MultiplicityTable(degree=degree, m_values=tuple(ms), rows={})
     betti: dict[int, int] = {}
+    factors = charseries._factor_table(space, ms[-1] - defect)
     for m in ms:
-        distinct = m - defect
-        series = exactly_series(space, distinct, m)
-        bm = borel_moore_series(series, space.dim, dual_dim=distinct * space.dim)
-        mults = decompose_series(bm, degree)
-        betti[m] = (-1 if degree % 2 else 1) * bm.identity_entry().coeff(degree)
-        for core, mult in mults.items():
+        dual_dim = (m - defect) * space.dim
+        coeffs = charseries._exactly_coefficients(factors, m - defect, m, dual_dim - degree)
+        # the Borel-Moore sign of borel_moore_series, then the degree's sign
+        sign = -1 if (dual_dim + degree) % 2 else 1
+        chi = {
+            ct: (ct.sign() * sign if space.dim % 2 else sign) * value
+            for ct, value in coeffs.items()
+        }
+        betti[m] = chi[CycleType.identity(m)]
+        for core, mult in _decompose(m, chi, degree).items():
             table.rows.setdefault(core, {})[m] = mult
 
     monotone_from = degree + defect

@@ -1111,6 +1111,59 @@ class TestDigitLimit:
         limits.check_result_digits(10**9)
 
 
+class TestStrataWork:
+    """Strata whose answers fit the digit limit, but whose Stirling sweep or
+    universal polynomial would not fit in memory, exit 5 before building
+    either."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["poincare", "--space", "c", "--target", "delta_le", "--l", "1000000000",
+             "--m", "1000000000"],
+            ["universal", "--l", "3000", "--m", "3000", "--closed"],
+            ["universal", "--l", "1000000000", "--m", "1000000000", "--closed"],
+        ],
+    )
+    def test_past_the_budget_refuse_before_any_allocation(
+        self, capsys, monkeypatch, digit_limit_4300, argv
+    ):
+        def never(*args):
+            raise AssertionError("the answer was built")
+
+        for name in ("stirling_second", "stirling_row", "falling_product", "universal_poly"):
+            monkeypatch.setattr(confspace, name, never)
+        monkeypatch.setattr(combinat, "_stirling_sweep", never)
+        monkeypatch.setattr(BiPoly, "__mul__", never)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (5, "")
+        error = json.loads(err)["error"]
+        assert error["category"] == "cost-cap-exceeded"
+        assert error["message"].startswith("strata work is capped at 2000000 big-integer steps")
+
+    @pytest.mark.parametrize(
+        "l, m, sweep",
+        [(700, 1500, True), (300, 600, True), (1000, 1000, True), (1, 10**9, True),
+         (2, 10**9, False)],
+    )
+    def test_the_budget_admits(self, l, m, sweep):
+        # delta_le and universal --closed at (700, 1500) and CI's (300, 600);
+        # one block sweeps nothing, and the empty space's route reads no
+        # Stirling number
+        limits.check_strata_work(l, m, sweep)
+
+    def test_empty_space_refuses_the_universal_polynomial(self, capsys, tmp_path, monkeypatch):
+        # pc = 0 answers 0 at once, but the check would build l^2 terms
+        path = tmp_path / "empty.json"
+        path.write_text('{"name": "empty", "poincare_c": [0], "dim": 2, "i_acyclic": true}')
+        monkeypatch.setattr(confspace, "universal_poly", lambda *args: pytest.fail("built"))
+        code, _out, _err = run(
+            capsys, "poincare", "--space", str(path), "--target", "delta_le",
+            "--l", "1000000000", "--m", "1000000000",
+        )
+        assert code == 5
+
+
 class TestEmptySpace:
     """X = ∅ (pc = 0) is valid input; every closed form on it is 0."""
 

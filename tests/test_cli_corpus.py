@@ -396,37 +396,37 @@ DIGESTS = {
     "quotient --space plane.json --m 0 --format latex":
         "0bc73e2686d7fa2ba9bdbf93b2b24606e0befb42e9f0338a2fae2a3471c647fd",
     "stability --space c --i 1 --a 0 --range 1..8 --format json":
-        "29e16525426af983834b9872ff24b0337f05117f1d05055b8b7ef5e929f08d4e",
+        "b5e180badecaafd446ce63cef3a09567f55edf8d6958ffbd0aca3c366be42d1f",
     "stability --space c --i 1 --a 0 --range 1..8 --format plain":
-        "e48250a7ee02efd04f660c02c5e95487df645e4917c8c44674204c7bddbf21ea",
+        "7b048e92d0d54692722bf2637c2be78246de9ccd7f18076f61fae007c05d6879",
     "stability --space c --i 1 --a 0 --range 1..8 --format latex":
-        "e48250a7ee02efd04f660c02c5e95487df645e4917c8c44674204c7bddbf21ea",
+        "7b048e92d0d54692722bf2637c2be78246de9ccd7f18076f61fae007c05d6879",
     "stability --space r3 --i 2 --a 0 --range 1..6 --format json":
-        "d42bd9395cda65d19d3bcc8ef08fa52b23460b92d70aec9ef6d220857cd0436f",
+        "9e4e4ccae9b86e3804f762dc93ab7ac5fc17bf19285a78bed494402cb5778558",
     "stability --space r3 --i 2 --a 0 --range 1..6 --format plain":
-        "2ce1117bfe2df38a0d418717b5b83c2ab5268d3688af4aec90b5ab3dbc899d22",
+        "f2f93535daf0ee26a33ea26c648537ed0777236622fcf500d3bacb13ebc1c4a1",
     "stability --space r3 --i 2 --a 0 --range 1..6 --format latex":
-        "2ce1117bfe2df38a0d418717b5b83c2ab5268d3688af4aec90b5ab3dbc899d22",
+        "f2f93535daf0ee26a33ea26c648537ed0777236622fcf500d3bacb13ebc1c4a1",
     "stability --space cstar --i 1 --a 1 --range 2..7 --format json":
-        "34aa0310741f60e94c59960479be22b6f8ab7660f614814fcbfb9e789fa114d9",
+        "5360784f511fe10b35e6ae40b146f02f8033232d1c308ff191de5ce2a961e1cd",
     "stability --space cstar --i 1 --a 1 --range 2..7 --format plain":
-        "3ac1a1f9b7aeb9c73bf6c97d364046544c935d3650d0bc38aa7acf5dc451ed31",
+        "509b58c073a613a27ab3ac3822618811a85cab567cea54c63bea0b0064f542b9",
     "stability --space cstar --i 1 --a 1 --range 2..7 --format latex":
-        "3ac1a1f9b7aeb9c73bf6c97d364046544c935d3650d0bc38aa7acf5dc451ed31",
+        "509b58c073a613a27ab3ac3822618811a85cab567cea54c63bea0b0064f542b9",
     "stability --space r3 --i 2 --a 3 --range 1..8 --format json":
-        "180f53babf5a0a32003ab273cf048abbba40b303cad3eacf8f737fb4319201f8",
+        "56fd6433af84e3e8f19117bbc95ced472c3b60e0eb35945f332746fec6afb4ad",
     "stability --space r3 --i 2 --a 3 --range 1..8 --format plain":
-        "4e80b5938181dee5a86b770c75b3069abbd8ddead8cd4f4921ffeb34f7b0959a",
+        "aa9843b9adea7c933c1fc29c80d90135e76186cac56a670f1af71b14ec1da790",
     "stability --space r3 --i 2 --a 3 --range 1..8 --format latex":
-        "4e80b5938181dee5a86b770c75b3069abbd8ddead8cd4f4921ffeb34f7b0959a",
+        "aa9843b9adea7c933c1fc29c80d90135e76186cac56a670f1af71b14ec1da790",
     "stability --space cstar --i 2 --a 2 --range 1..9 --format json":
-        "d2e2431841e43c495f8342e22110d603ffd513eb74c6fcd2282fd1c39da5dca1",
+        "de3aba8174e930795700434292f047763ac260ebd13d499f6949c7cdde0b52c3",
     "stability --space cstar --i 2 --a 2 --range 1..9 --format plain":
-        "15e806b8b4f19d1954e14aa460e01af27d98e78b376b9593400e5f0a7bd7c141",
+        "39d3eac3d95ee7fdc2ed4c7b1ab563c87ee80ead411c0304a972b30a951e0b8e",
     "stability --space cstar --i 2 --a 2 --range 1..9 --format latex":
-        "15e806b8b4f19d1954e14aa460e01af27d98e78b376b9593400e5f0a7bd7c141",
+        "39d3eac3d95ee7fdc2ed4c7b1ab563c87ee80ead411c0304a972b30a951e0b8e",
     "CONFCOHOM_MAX_M=14 stability --space c --i 2 --a 1 --range 1..14 --format json":
-        "7a67568922c2edd410159806b356a19087d029fae444a63a2981271585e80e8d",
+        "f7315251b076d871e3d69f41ee9321fd291db5e32f5c8371791d28daf5484e12",
     "selftest --format json":
         "f1dead27686f20c60eca47f6689c90eb546e813bcecf5d0ec1de505f58000c15",
     "selftest --format plain":

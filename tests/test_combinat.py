@@ -320,6 +320,15 @@ class TestStableBlockCounts:
                 parts = sum(1 for p in partitions(m) if len(p) == l)
                 assert fixed == math.factorial(m) * parts, (m, l)
 
+    def test_keys_are_the_canonical_cycle_types(self):
+        # each beta is an object of all_cycle_types(blocks), not a copy
+        for m in range(9):
+            for ct in all_cycle_types(m):
+                for blocks in range(m + 1):
+                    canonical = {beta: beta for beta in all_cycle_types(blocks)}
+                    for beta in stable_block_counts(ct, blocks):
+                        assert canonical[beta] is beta, (ct, blocks)
+
     def test_each_table_is_built_once_per_partition(self):
         # the table of a partition is one step from that of its prefix, so
         # every table up to m misses the cache once per partition of k <= m

@@ -279,6 +279,19 @@ def stratum_bm(space, defect, m):
     return borel_moore_series(series, space.dim, dual_dim=distinct * space.dim)
 
 
+def assert_tables_read_the_series(space, defect, m_range):
+    """stability_report's rows and Betti numbers, degrees 0 to 4, against
+    decompose_series of the whole Borel-Moore series at every m."""
+    reports = [stability_report(space, degree, defect, m_range) for degree in range(5)]
+    for m in reports[0].table.m_values:
+        series = stratum_bm(space, defect, m)
+        for degree, report in enumerate(reports):
+            rows = {core: row[m] for core, row in report.table.rows.items() if m in row}
+            assert rows == decompose_series(series, degree), (m, degree)
+            sign = -1 if degree % 2 else 1
+            assert report.betti[m] == sign * series.identity_entry().coeff(degree), (m, degree)
+
+
 def class_function(m, values):
     """A degree-0 series from {cycle-type parts: value}; missing classes are 0."""
     return TraceSeries(
@@ -334,6 +347,18 @@ class TestDecomposeOracle:
             series = config_series(space, m)
             for degree in range(m * space.dim + 1):
                 assert_same_decomposition(series, degree)
+
+    @pytest.mark.parametrize("defect", [0, 1, 2])
+    @pytest.mark.parametrize("space", FIXTURES, ids=lambda s: s.name)
+    def test_stability_tables_up_to_ten(self, space, defect):
+        assert_tables_read_the_series(space, defect, (1, 10))
+
+    @pytest.mark.parametrize("m", [13, 14])
+    @pytest.mark.parametrize("space", FIXTURES, ids=lambda s: s.name)
+    def test_stability_tables_at_the_cap_ceiling(self, monkeypatch, space, m):
+        monkeypatch.setenv("CONFCOHOM_MAX_M", "14")
+        for defect in range(3):
+            assert_tables_read_the_series(space, defect, (m, m))
 
     def test_empty_symmetric_group(self):
         assert decompose_series(class_function(0, {(): 3}), 0) == {(): 3}
@@ -412,6 +437,26 @@ class TestWorkCount:
         repstab._character.cache_clear()
         stability_report(plane, 1, 0, (1, 12))
         assert 0 < repstab._character.cache_info().misses <= 1000
+
+    def test_stability_table_builds_one_factor_table(self, monkeypatch):
+        # d * x <= 7 for the top stratum, m = 9 with defect 2: 7 kernels and
+        # 7 + 3 + 2 + 1 + 1 + 1 + 1 falling products for the whole window
+        calls = {"_divisor_kernel": 0, "falling_product": 0}
+
+        def counted(name):
+            original = getattr(charseries, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(charseries, name, counted(name))
+        plane_a2 = SpaceSpec("plane_a2", LaurentPoly({1: 2, 2: 1}), 2, True)
+        stability_report(plane_a2, 2, 2, (1, 9))
+        assert calls == {"_divisor_kernel": 7, "falling_product": 16}
 
 
 class TestPieri:
@@ -532,7 +577,7 @@ class TestStabilityReport:
         def computed(*_args):
             raise AssertionError("an m was computed")
 
-        monkeypatch.setattr(repstab, "exactly_series", computed)
+        monkeypatch.setattr(charseries, "_factor_table", computed)
         with pytest.raises(CostCapExceeded):
             stability_report(plane, 1, 0, (1, 3_000_000))
 
