@@ -167,34 +167,6 @@ def refuse_before_sizing(space: SpaceSpec, m: int) -> None:
     limits.check_m(m)
 
 
-def _factorial_bits(n: int) -> int:
-    """sum_{k<=n} floor(log2 k) = (n + 1) t - 2^(t+1) + 2 with t = floor(log2 n),
-    a lower bound on log2 n!."""
-    if n < 1:
-        return 0
-    t = n.bit_length() - 1
-    return (n + 1) * t - 2 ** (t + 1) + 2
-
-
-def answer_digits(m: int, l: int, closed: bool = False) -> int:
-    """A lower bound on the decimal digits of S(m, l) * (l - 1)!, or of
-    S(m, l) when ``closed``.  It bounds the ``delta`` answer
-    S(m, l) * prod_{i<l} (pc + i*T) (``fm`` and ``ordinary`` at l = m), the
-    ``delta_le`` answer when ``closed``, and the ``universal`` polynomials,
-    which carry these numbers at P T^(l-1) and at P^l.
-
-    When pc != 0, pc's lowest term from the factor i = 0 and i*T from every
-    other factor give a coefficient of at least (l - 1)!, and every other
-    contribution to it is nonnegative.  The closed sum's top coefficient is
-    S(m, l) * lc(pc)^l when deg pc >= 2; deg pc = 1 is tested for m <= 40.
-    S(m, l) >= l^(m - l), log2 n! >= :func:`_factorial_bits` (n), and
-    log10 2 >= 0.301.
-    """
-    bits = 0 if closed else _factorial_bits(l - 1)
-    bits += (m - l) * (l.bit_length() - 1)
-    return bits * 301 // 1000 + 1
-
-
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
@@ -256,18 +228,11 @@ def cmd_poincare(args) -> dict:
     else:
         require_arg(m >= 1, f"target {target!r} needs --m >= 1")
     if target in ("fm", "ordinary", "delta", "delta_le"):
-        # the hypotheses (exit 2) before the size of the answer (exit 5);
-        # when pc = 0 every answer is 0
+        # the hypotheses (exit 2) before the size of the answer (exit 5)
         confspace.require(space, "i_acyclic")
         if target == "ordinary":
             confspace.require(space, "orientable")
-        if not space.pc.is_zero():
-            blocks = l if target.startswith("delta") else m
-            limits.check_result_digits(answer_digits(m, blocks, target == "delta_le"))
-    if target in ("delta", "delta_le"):
-        # the route sweeps Stirling numbers unless pc = 0; the check builds
-        # the universal polynomial
-        limits.check_strata_work(l, m, sweep=not space.pc.is_zero())
+        limits.check_closed_form(target, m, l, space.pc)
     poly = checks.ENGINES[target](space, m, l)
     inputs = {"space": space.name, "m": m, "target": target}
     if l is not None:
@@ -305,8 +270,7 @@ def cmd_universal(args) -> dict:
     closed = bool(args.closed)
     l, m = args.l, args.m
     require_arg(1 <= l <= m, "universal needs 1 <= --l <= --m")
-    limits.check_result_digits(answer_digits(m, l, closed=closed))
-    limits.check_strata_work(l, m)  # the check sweeps Stirling numbers on the plane
+    limits.check_closed_form("delta_le" if closed else "delta", m, l)
     q = confspace.universal_poly(l, m, closed)
     return _document(
         "universal",

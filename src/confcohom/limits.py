@@ -18,9 +18,9 @@ but never above ABSOLUTE_MAX_M; an empty value counts as unset, and any
 other value that is not a nonnegative integer raises InputParseError.
 DEFAULT_CLOSURE_CAP, read at call time, bounds the order of a subgroup
 that ``subgroup_class_counts`` would list element by element.
-:func:`check_result_digits` refuses, before any work, a result too long
-for the int-to-str limit, and :func:`check_strata_work` a stratum whose
-Stirling sweep and universal polynomial pass STRATA_WORK_BUDGET.
+:func:`check_closed_form` sizes a closed-form answer before any product:
+it refuses one too long for the int-to-str limit, then one whose work
+passes STRATA_WORK_BUDGET, so that no closed form runs unbounded.
 """
 
 import os
@@ -35,10 +35,11 @@ DEFAULT_SET_PARTITION_MAX_M = 10
 
 DEFAULT_CLOSURE_CAP = 3_628_800  # 10!
 
-#: The most big-integer steps a strata command may take (see
-#: :func:`check_strata_work`).  At l = m = 1000, the most it admits, a
+#: The most big-integer steps a closed form may take (see
+#: :func:`check_closed_form`).  At l = m = 1000, the most it admits, a
 #: closed ``universal`` call took 32 s and 309 MB; at l = m = 1400 it took
-#: 93 s and 787 MB (2-CPU Xeon, Python 3.11).
+#: 93 s and 787 MB.  ``fm`` at m = 2000, the most it admits, took 2.0 s with
+#: no int-to-str limit (2-CPU Xeon, Python 3.11).
 STRATA_WORK_BUDGET = 2_000_000
 
 #: The costs capped in m: (default cap, what a refusal says is capped).
@@ -87,16 +88,52 @@ def check_m(m, name: str = "m", least: int = 0, cost: tuple[int, str] = CYCLE_TY
         raise CostCapExceeded(f"{cost[1]} capped at m = {cap}")
 
 
-def check_strata_work(l: int, m: int, sweep: bool = True) -> None:
-    """Refuse, before any allocation, a stratum of m entries with l distinct
-    values whose work passes STRATA_WORK_BUDGET, with CostCapExceeded.
+def _factorial_bits(n: int) -> int:
+    """sum_{k<=n} floor(log2 k) = (n + 1) t - 2^(t+1) + 2 with t = floor(log2 n),
+    a lower bound on log2 n! for n >= -1 (0 up to n = 1)."""
+    t = n.bit_length() - 1
+    return (n + 1) * t - 2 ** (t + 1) + 2
 
-    The universal polynomial keeps about l^2/2 BiPoly terms in its rising
-    products and as many in its closed sum: l^2 in all.  When ``sweep``,
-    the Stirling sweep of S(m, 1..l) adds a column of m entries and fewer
-    than (l - 1) * m additions; at l = 1 it fills no column.
+
+def answer_digits(m: int, l: int, closed: bool = False) -> int:
+    """A lower bound on the decimal digits of S(m, l) * (l - 1)!, or of
+    S(m, l) when ``closed``.  It bounds the ``delta`` answer
+    S(m, l) * prod_{i<l} (pc + i*T) (``fm`` and ``ordinary`` at l = m), the
+    ``delta_le`` answer when ``closed``, and the ``universal`` polynomials,
+    which carry these numbers at P T^(l-1) and at P^l.
+
+    When pc != 0, pc's lowest term from the factor i = 0 and i*T from every
+    other factor give a coefficient of at least (l - 1)!, and every other
+    contribution to it is nonnegative.  The closed sum's top coefficient is
+    S(m, l) * lc(pc)^l when deg pc >= 2; deg pc = 1 is tested for m <= 40.
+    S(m, l) >= l^(m - l), log2 n! >= :func:`_factorial_bits` (n), and
+    log10 2 >= 0.301.
     """
-    work = l * l + (l * m if sweep and l > 1 else 0)
+    bits = 0 if closed else _factorial_bits(l - 1)
+    bits += (m - l) * (l.bit_length() - 1)
+    return bits * 301 // 1000 + 1
+
+
+def check_closed_form(target: str, m: int, l: int | None, pc=None) -> None:
+    """Refuse the closed form ``target`` (``fm``, ``ordinary``, ``delta`` or
+    ``delta_le``) at m points, before any product, with CostCapExceeded: first
+    an answer of :func:`answer_digits` past the int-to-str limit, then work past
+    STRATA_WORK_BUDGET.  ``pc`` is the space's compact-support Poincaré
+    polynomial; None sizes the ``universal`` polynomial of ``target``.
+
+    ``fm`` and ``ordinary``, the stratum l = m, take the m(m - 1)/2 steps of a
+    falling product.  A stratum builds the universal polynomial, l^2 BiPoly
+    terms as answer or check, and for l > 1 S(m, l), about l * m steps.  When
+    pc = 0 every answer is 0 at once, but the strata's check still reads S(m, l).
+    """
+    empty = pc is not None and pc.is_zero()
+    if target in ("fm", "ordinary"):
+        l, work = m, 0 if empty else m * (m - 1) // 2
+    else:
+        work = l * l + (l * m if l > 1 else 0)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
+    if not empty and limit and answer_digits(m, l, target == "delta_le") > limit:
+        raise int_str_refusal()
     if work > STRATA_WORK_BUDGET:
         raise CostCapExceeded(
             f"strata work is capped at {STRATA_WORK_BUDGET} big-integer steps; "
@@ -108,11 +145,3 @@ def int_str_refusal() -> CostCapExceeded:
     """The refusal of a result whose integers are past the int-to-str limit."""
     limit = sys.get_int_max_str_digits()
     return CostCapExceeded(f"the result has integers past the int-to-str limit of {limit} digits")
-
-
-def check_result_digits(digits: int) -> None:
-    """Refuse a result with an integer of ``digits`` or more decimal digits
-    past the int-to-str limit; 0, or no limit (before 3.10.7), refuses none."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and digits > limit:
-        raise int_str_refusal()

@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from confcohom import (
@@ -26,7 +26,6 @@ from confcohom import (
 )
 from confcohom.cli import (
     BUILTIN_SPACES,
-    answer_digits,
     main,
     parse_cycle_type,
     parse_generators,
@@ -954,7 +953,7 @@ class TestDigitLimit:
         # S(3000, 2) has 903 digits, which the estimate bounds by 903
         argv = ["universal", "--l", "2", "--m", "3000", *closed]
         early = run(capsys, *argv)
-        monkeypatch.setattr(limits, "check_result_digits", lambda digits: None)
+        monkeypatch.setattr(limits, "answer_digits", lambda *args: 0)
         assert run(capsys, *argv) == early
         assert early[0] == 5
 
@@ -979,7 +978,7 @@ class TestDigitLimit:
     ):
         argv = ["poincare", "--space", "c", "--target", "fm", "--m", "1700"]
         early = run(capsys, *argv)
-        monkeypatch.setattr(limits, "check_result_digits", lambda digits: None)
+        monkeypatch.setattr(limits, "answer_digits", lambda *args: 0)
         assert run(capsys, *argv) == early
         assert early[0] == 5
 
@@ -996,48 +995,6 @@ class TestDigitLimit:
             capsys, "poincare", "--space", "klein_pointed", "--target", target, "--m", "1700"
         )
         assert code == 2, err
-
-    @pytest.mark.parametrize("name", ["c", "cstar", "r1", "r3", "c_minus_3"])
-    def test_config_digit_bound_is_a_lower_bound(self, name):
-        space = BUILTIN_SPACES[name]
-        assert answer_digits(0, 0) == 1
-        for m in (1, 2, 3, 17, 64, 250):
-            poly = confspace.poincare_config(space, m)
-            largest = max(value for _exp, value in poly.items())
-            assert answer_digits(m, m) <= len(str(largest)), m
-
-    @pytest.mark.parametrize("name", ["c", "cstar", "r1", "r3", "c_minus_3"])
-    def test_stratum_digit_bound_is_a_lower_bound(self, name):
-        space = BUILTIN_SPACES[name]
-        for m, l in [(1, 1), (9, 1), (9, 2), (40, 3), (40, 39), (200, 2), (200, 7), (90, 60)]:
-            poly = confspace.poincare_exactly(space, l, m)
-            largest = max(value for _exp, value in poly.items())
-            assert answer_digits(m, l) <= len(str(largest)), (m, l)
-
-    @pytest.mark.parametrize(
-        "pc, top_m",
-        [
-            # degree 1: every stratum sits in degree l, so the sum may cancel
-            ({1: 1}, 40), ({1: 2}, 40), ({1: 3}, 40),
-            # degree >= 2: the top coefficient is S(m, l) lc(pc)^l
-            ({2: 1}, 20), ({1: 1, 2: 1}, 20), ({1: 3, 2: 1}, 20), ({3: 1}, 20),
-            ({1: 1, 3: 2}, 20), ({2: 3, 4: 1}, 20),
-        ],
-    )
-    def test_closed_stratum_digit_bound_is_a_lower_bound(self, pc, top_m):
-        space = confspace.SpaceSpec("grid", LaurentPoly(pc), max(pc), True)
-        for m in range(1, top_m + 1):
-            for l in range(1, m + 1):
-                poly = confspace.poincare_at_most(space, l, m)
-                largest = max(value for _exp, value in poly.items())
-                assert answer_digits(m, l, closed=True) <= len(str(largest)), (m, l)
-
-    @pytest.mark.parametrize("closed", [False, True])
-    def test_universal_digit_bound_is_a_lower_bound(self, closed):
-        for m, l in [(1, 1), (9, 1), (9, 2), (40, 3), (40, 39), (200, 2), (60, 60)]:
-            q = confspace.universal_poly(l, m, closed)
-            largest = max(abs(value) for _exp, value in q.items())
-            assert answer_digits(m, l, closed=closed) <= len(str(largest)), (m, l)
 
     @pytest.mark.parametrize(
         "argv",
@@ -1081,7 +1038,7 @@ class TestDigitLimit:
         self, capsys, monkeypatch, digit_limit_640, argv
     ):
         early = run(capsys, *argv)
-        monkeypatch.setattr(limits, "check_result_digits", lambda digits: None)
+        monkeypatch.setattr(limits, "answer_digits", lambda *args: 0)
         assert run(capsys, *argv) == early
         assert early[0] == 5
 
@@ -1106,9 +1063,23 @@ class TestDigitLimit:
         doc = run_json(capsys, *argv, "--m", "1000000000")
         assert doc["checks"] and all(check["passed"] for check in doc["checks"])
 
-    def test_no_digit_limit_refuses_nothing(self, monkeypatch):
+    @pytest.mark.parametrize("target", ["fm", "ordinary"])
+    @pytest.mark.parametrize("m", ["2001", "1000000000"])
+    def test_config_without_a_digit_limit_refuses_before_the_product(
+        self, capsys, monkeypatch, target, m
+    ):
+        # PYTHONINTMAXSTRDIGITS=0, or CPython before 3.10.7: no digit bound,
+        # so the falling product's m(m - 1)/2 steps are what refuses
+        def never(*args):
+            raise AssertionError("falling_product ran")
+
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
-        limits.check_result_digits(10**9)
+        monkeypatch.setattr(confspace, "falling_product", never)
+        code, out, err = run(capsys, "poincare", "--space", "c", "--target", target, "--m", m)
+        assert (code, out) == (5, "")
+        error = json.loads(err)["error"]
+        assert error["category"] == "cost-cap-exceeded"
+        assert error["message"].startswith("strata work is capped at 2000000 big-integer steps")
 
 
 class TestStrataWork:
@@ -1141,17 +1112,6 @@ class TestStrataWork:
         assert error["category"] == "cost-cap-exceeded"
         assert error["message"].startswith("strata work is capped at 2000000 big-integer steps")
 
-    @pytest.mark.parametrize(
-        "l, m, sweep",
-        [(700, 1500, True), (300, 600, True), (1000, 1000, True), (1, 10**9, True),
-         (2, 10**9, False)],
-    )
-    def test_the_budget_admits(self, l, m, sweep):
-        # delta_le and universal --closed at (700, 1500) and CI's (300, 600);
-        # one block sweeps nothing, and the empty space's route reads no
-        # Stirling number
-        limits.check_strata_work(l, m, sweep)
-
     def test_empty_space_refuses_the_universal_polynomial(self, capsys, tmp_path, monkeypatch):
         # pc = 0 answers 0 at once, but the check would build l^2 terms
         path = tmp_path / "empty.json"
@@ -1162,6 +1122,23 @@ class TestStrataWork:
             "--l", "1000000000", "--m", "1000000000",
         )
         assert code == 5
+
+    @pytest.mark.parametrize("target", ["delta", "delta_le"])
+    @pytest.mark.parametrize("l", ["2", "3"])
+    def test_empty_space_refuses_the_stirling_number_of_its_check(
+        self, capsys, tmp_path, monkeypatch, target, l
+    ):
+        # pc = 0 answers 0 at once, but the check would read S(10^9, l) from
+        # powers k^(10^9), for seconds at l = 2 and minutes at l = 3
+        path = tmp_path / "empty.json"
+        path.write_text('{"name": "empty", "poincare_c": [0], "dim": 2, "i_acyclic": true}')
+        monkeypatch.setattr(combinat, "_stirling_second_explicit", lambda *args: pytest.fail("read"))
+        code, out, err = run(
+            capsys, "poincare", "--space", str(path), "--target", target,
+            "--l", l, "--m", "1000000000",
+        )
+        assert (code, out) == (5, "")
+        assert json.loads(err)["error"]["message"].startswith("strata work is capped")
 
 
 class TestEmptySpace:
@@ -1373,7 +1350,8 @@ class TestCapOverride:
 # fuzzing the exit-code contract
 # ---------------------------------------------------------------------------
 
-_small = st.integers(-2, 6)
+_large = st.sampled_from([12, 13, 14, 15, 1000, 10**9])  # the caps and far past them
+_sizes = st.one_of(st.integers(-2, 6), _large)
 _formats = st.sampled_from(["json", "plain", "latex"])
 _spaces = st.sampled_from(["c", "cstar", "r3", "c_minus_1", "klein_pointed", "nosuch", "FILE"])
 _generators = st.one_of(
@@ -1413,27 +1391,27 @@ def _argv(draw):
         st.sampled_from(["quotient", "poincare", "character", "universal", "stability", "raw"])
     )
     if command == "quotient":
-        argv = ["quotient", *space, "--m", str(draw(_small)), "--generators", draw(_generators)]
+        argv = ["quotient", *space, "--m", str(draw(_sizes)), "--generators", draw(_generators)]
     elif command == "poincare":
         targets = ["fm", "delta", "delta_le", "ordinary", "cf", "bf", "sym", "cyc"]
         target = draw(st.sampled_from(targets))
-        argv = ["poincare", *space, "--target", target, "--m", str(draw(_small))]
+        argv = ["poincare", *space, "--target", target, "--m", str(draw(_sizes))]
         if draw(st.booleans()):
-            argv += ["--l", str(draw(_small))]
+            argv += ["--l", str(draw(_sizes))]
     elif command == "character":
-        argv = ["character", *space, "--m", str(draw(st.integers(-1, 5)))]
+        argv = ["character", *space, "--m", str(draw(_sizes))]
         if draw(st.booleans()):
             argv.append("--all")
         else:
             argv += ["--cycle-type", draw(st.text(alphabet="0123456789^,", max_size=8))]
     elif command == "universal":
-        argv = ["universal", "--l", str(draw(_small)), "--m", str(draw(_small))]
+        argv = ["universal", "--l", str(draw(_sizes)), "--m", str(draw(_sizes))]
         if draw(st.booleans()):
             argv.append("--closed")
     elif command == "stability":
-        lo, hi = draw(_small), draw(_small)
-        argv = ["stability", *space, "--i", str(draw(st.integers(-1, 3))),
-                "--a", str(draw(st.integers(-1, 2))), "--range", f"{lo}..{hi}"]
+        lo, hi = draw(_sizes), draw(_sizes)
+        argv = ["stability", *space, "--i", str(draw(st.one_of(st.integers(-1, 3), _large))),
+                "--a", str(draw(st.one_of(st.integers(-1, 2), _large))), "--range", f"{lo}..{hi}"]
     else:
         vocabulary = st.sampled_from(
             ["poincare", "quotient", "--space", "c", "--m", "3", "--target", "fm", "--all", "--l"]
@@ -1444,31 +1422,80 @@ def _argv(draw):
     return argv
 
 
+def _admitted(target, m, l, pc, budget) -> bool:
+    saved = limits.STRATA_WORK_BUDGET
+    limits.STRATA_WORK_BUDGET = budget
+    try:
+        limits.check_closed_form(target, m, l, pc)
+    except CostCapExceeded:
+        return False
+    finally:
+        limits.STRATA_WORK_BUDGET = saved
+    return True
+
+
+def _costly(argv) -> bool:
+    """Whether the closed-form estimate admits ``argv`` with more than 10^5
+    big-integer steps: a draw that would answer, but slowly.  The estimate
+    reads of a space only whether it is empty, so the plane and the empty
+    space stand for every space."""
+    try:
+        m = int(argv[argv.index("--m") + 1])
+        l = int(argv[argv.index("--l") + 1]) if "--l" in argv else None
+        target = argv[argv.index("--target") + 1] if argv[0] == "poincare" else None
+    except (ValueError, IndexError):
+        return False  # refused by argparse, or a raw draw at m = 3
+    if argv[0] == "universal":
+        target, spaces = "delta_le" if "--closed" in argv else "delta", [None]
+    elif target in ("fm", "ordinary", "delta", "delta_le"):
+        spaces = [BUILTIN_SPACES["c"].pc, LaurentPoly.zero()]
+    else:
+        return False
+    if target in ("fm", "ordinary"):
+        valid = m >= 0
+    else:
+        valid = l is not None and 1 <= l <= m
+    return valid and any(
+        _admitted(target, m, l, pc, limits.STRATA_WORK_BUDGET)
+        and not _admitted(target, m, l, pc, 10**5)
+        for pc in spaces
+    )
+
+
 class TestFuzzExitCodes:
-    """Every argv and space document ends in a documented exit code."""
+    """Every argv and space document ends in a documented exit code, at sizes
+    up to 10^9 and with or without an int-to-str limit."""
 
     @settings(
         max_examples=300,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
     )
-    @given(argv=_argv(), document=_documents, max_m=_max_m)
-    def test_exit_code_contract(self, tmp_path, argv, document, max_m):
+    @given(
+        argv=_argv(), document=_documents, max_m=_max_m, no_digit_limit=st.booleans()
+    )
+    def test_exit_code_contract(self, tmp_path, argv, document, max_m, no_digit_limit):
         space_file = tmp_path / "space.json"
         space_file.write_text(json.dumps(document))
         argv = [str(space_file) if a == "FILE" else a for a in argv]
         out, err = StringIO(), StringIO()
         saved = os.environ.pop("CONFCOHOM_MAX_M", None)
+        saved_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
         if max_m is not None:
             os.environ["CONFCOHOM_MAX_M"] = max_m
+        if no_digit_limit and saved_limit is not None:
+            sys.set_int_max_str_digits(0)
         try:
+            assume(not _costly(argv))
             with redirect_stdout(out), redirect_stderr(err):
                 code = main(argv)
         finally:
             os.environ.pop("CONFCOHOM_MAX_M", None)
             if saved is not None:
                 os.environ["CONFCOHOM_MAX_M"] = saved
-        assert code in (0, 2, 3, 4, 5), (argv, max_m, err.getvalue())
+            if saved_limit is not None:
+                sys.set_int_max_str_digits(saved_limit)
+        assert code in (0, 2, 3, 4, 5), (argv, max_m, no_digit_limit, err.getvalue())
         assert "Traceback" not in err.getvalue()
 
 

@@ -1,0 +1,123 @@
+"""The closed-form size estimate of :mod:`confcohom.limits`: its digit bound
+never passes the answer it bounds, and its work budget admits and refuses
+at the edges the README names."""
+
+import sys
+
+import pytest
+
+from confcohom import BUILTIN_SPACES, LaurentPoly, confspace
+from confcohom.errors import CostCapExceeded
+from confcohom.limits import answer_digits, check_closed_form
+
+_EMPTY = LaurentPoly.zero()
+_PLANE = BUILTIN_SPACES["c"].pc
+
+
+@pytest.fixture
+def no_digit_limit(monkeypatch):
+    """An interpreter with no int-to-str limit: 0, as before 3.10.7 or with
+    PYTHONINTMAXSTRDIGITS=0."""
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+
+
+@pytest.fixture
+def digit_limit_4300(monkeypatch):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+
+
+def _largest(poly) -> int:
+    return max(abs(value) for _exp, value in poly.items())
+
+
+class TestDigitBound:
+    """``answer_digits`` is a lower bound on the longest coefficient."""
+
+    @pytest.mark.parametrize("name", ["c", "cstar", "r1", "r3", "c_minus_3"])
+    def test_config_digit_bound_is_a_lower_bound(self, name):
+        space = BUILTIN_SPACES[name]
+        assert answer_digits(0, 0) == 1
+        for m in (1, 2, 3, 17, 64, 250):
+            poly = confspace.poincare_config(space, m)
+            assert answer_digits(m, m) <= len(str(_largest(poly))), m
+
+    @pytest.mark.parametrize("name", ["c", "cstar", "r1", "r3", "c_minus_3"])
+    def test_stratum_digit_bound_is_a_lower_bound(self, name):
+        space = BUILTIN_SPACES[name]
+        for m, l in [(1, 1), (9, 1), (9, 2), (40, 3), (40, 39), (200, 2), (200, 7), (90, 60)]:
+            poly = confspace.poincare_exactly(space, l, m)
+            assert answer_digits(m, l) <= len(str(_largest(poly))), (m, l)
+
+    @pytest.mark.parametrize(
+        "pc, top_m",
+        [
+            # degree 1: every stratum sits in degree l, so the sum may cancel
+            ({1: 1}, 40), ({1: 2}, 40), ({1: 3}, 40),
+            # degree >= 2: the top coefficient is S(m, l) lc(pc)^l
+            ({2: 1}, 20), ({1: 1, 2: 1}, 20), ({1: 3, 2: 1}, 20), ({3: 1}, 20),
+            ({1: 1, 3: 2}, 20), ({2: 3, 4: 1}, 20),
+        ],
+    )
+    def test_closed_stratum_digit_bound_is_a_lower_bound(self, pc, top_m):
+        space = confspace.SpaceSpec("grid", LaurentPoly(pc), max(pc), True)
+        for m in range(1, top_m + 1):
+            for l in range(1, m + 1):
+                poly = confspace.poincare_at_most(space, l, m)
+                assert answer_digits(m, l, closed=True) <= len(str(_largest(poly))), (m, l)
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_universal_digit_bound_is_a_lower_bound(self, closed):
+        for m, l in [(1, 1), (9, 1), (9, 2), (40, 3), (40, 39), (200, 2), (60, 60)]:
+            q = confspace.universal_poly(l, m, closed)
+            assert answer_digits(m, l, closed=closed) <= len(str(_largest(q))), (m, l)
+
+    def test_no_digit_limit_refuses_nothing(self, no_digit_limit):
+        # S(999998, 2) has about 301,000 digits, within the work budget
+        for pc in (_PLANE, None):
+            check_closed_form("delta", 999_998, 2, pc)
+            check_closed_form("delta_le", 999_998, 2, pc)
+        check_closed_form("fm", 2000, None, _PLANE)
+
+    def test_the_digit_bound_comes_before_the_work(self, digit_limit_4300):
+        with pytest.raises(CostCapExceeded, match="int-to-str limit of 4300 digits"):
+            check_closed_form("delta", 10**9, 10**9, _PLANE)
+
+
+def _refuses_work(target, m, l, pc):
+    with pytest.raises(CostCapExceeded, match=r"^strata work is capped at 2000000 big-integer"):
+        check_closed_form(target, m, l, pc)
+
+
+class TestWorkEstimate:
+    """The estimate's work budget, STRATA_WORK_BUDGET big-integer steps."""
+
+    @pytest.mark.parametrize("pc", [_PLANE, _EMPTY, None], ids=["plane", "empty", "universal"])
+    @pytest.mark.parametrize(
+        "l, m",
+        # delta_le and universal --closed at (700, 1500), CI's (300, 600), the
+        # most the budget admits at l = m, and one block, which sweeps nothing
+        [(700, 1500), (300, 600), (1000, 1000), (1, 10**9)],
+    )
+    def test_the_budget_admits(self, digit_limit_4300, l, m, pc):
+        check_closed_form("delta_le", m, l, pc)
+
+    @pytest.mark.parametrize("pc", [_PLANE, _EMPTY, None], ids=["plane", "empty", "universal"])
+    @pytest.mark.parametrize("target", ["delta", "delta_le"])
+    def test_strata_past_the_budget_are_refused(self, no_digit_limit, target, pc):
+        _refuses_work(target, 1001, 1001, pc)
+        _refuses_work(target, 10**9, 10**9, pc)
+
+    @pytest.mark.parametrize("target", ["fm", "ordinary"])
+    def test_config_without_a_digit_limit(self, no_digit_limit, target):
+        # the falling product takes m(m - 1)/2 steps: 1,999,000 at m = 2000
+        check_closed_form(target, 2000, None, _PLANE)
+        _refuses_work(target, 2001, None, _PLANE)
+        _refuses_work(target, 10**9, None, _PLANE)
+
+    def test_the_message_names_the_estimate(self):
+        with pytest.raises(CostCapExceeded) as refused:
+            check_closed_form("delta", 1001, 1001, _EMPTY)
+        assert str(refused.value) == (
+            "strata work is capped at 2000000 big-integer steps; "
+            "l = 1001, m = 1001 needs about 2004002"
+        )
