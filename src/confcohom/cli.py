@@ -223,10 +223,12 @@ def cmd_poincare(args) -> dict:
     if target in ("delta", "delta_le"):
         require_arg(l is not None, f"target {target!r} requires --l")
         require_arg(1 <= l <= m, f"target {target!r} needs 1 <= --l <= --m")
-    elif target == "fm":
-        require_arg(m >= 0, "--m must be nonnegative")
     else:
-        require_arg(m >= 1, f"target {target!r} needs --m >= 1")
+        require_arg(l is None, f"target {target!r} takes no --l")
+        if target == "fm":
+            require_arg(m >= 0, "--m must be nonnegative")
+        else:
+            require_arg(m >= 1, f"target {target!r} needs --m >= 1")
     if target in ("fm", "ordinary", "delta", "delta_le"):
         # the hypotheses (exit 2) before the size of the answer (exit 5)
         confspace.require(space, "i_acyclic")

@@ -5,7 +5,8 @@ Stirling numbers of the second kind have two roads that share no code: the
 additive recurrence of :func:`stirling_second` and :func:`stirling_row`,
 read by the strata routes, and the inclusion-exclusion count
 ``_stirling_second_explicit``, read by their check
-:func:`confcohom.confspace.universal_poly`.
+:func:`confcohom.confspace.universal_poly`.  A subgroup's order comes from
+Knuth's table (``_group_order``) before any element is listed.
 
 Conventions
 -----------
@@ -446,7 +447,7 @@ def _block_table(parts: tuple[int, ...]) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# subgroups: element-by-element closure and stabilizer chains
+# subgroups: element-by-element closure and Knuth's table
 # ---------------------------------------------------------------------------
 
 
@@ -506,20 +507,17 @@ def subgroup_class_counts(
 ) -> tuple[int, dict[CycleType, int]]:
     """Order and cycle-type counts of the group the generators generate.
 
-    Returns (order, counts) like :func:`group_closure`, but from a
-    stabilizer chain built by deterministic Schreier-Sims (Sims 1970;
-    Seress, *Permutation Group Algorithms*, 2003).  The cycle-type cap is
+    Returns (order, counts) like :func:`group_closure`, but takes the order
+    first from Knuth's table (``_group_order``).  The cycle-type cap is
     checked on entry: the answer is keyed by cycle types, and the cost of
-    the chain grows with m.  The order is the product of the chain's orbit
-    lengths.  A group of order m! is the
-    symmetric group, whose counts are the class sizes, and is never
-    listed; any other group is listed by :func:`group_closure`, and is
-    refused from its order, before any element is listed, when that order
-    is past the closure cap.
+    the table grows with m.  A group of order m! is the symmetric group,
+    whose counts are the class sizes, and is never listed; any other group
+    is listed by :func:`group_closure`, and is refused from its order,
+    before any element is listed, when that order is past the closure cap.
     """
     limits.check_m(m)
     gens = _checked_generators(generators, m)
-    order = math.prod(len(t) for t in _stabilizer_chain(gens, m))
+    order = _group_order(gens, m)
     if order == math.factorial(m):
         return order, symmetric_counts(m)
     if order > limits.DEFAULT_CLOSURE_CAP:
@@ -539,79 +537,51 @@ def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def _stabilizer_chain(
-    gens: tuple[tuple[int, ...], ...], m: int
-) -> list[dict[int, tuple[int, ...]]]:
-    """Transversals of a stabilizer chain of the group generated by ``gens``.
+def _group_order(gens: tuple[tuple[int, ...], ...], m: int) -> int:
+    """The order of the group generated by ``gens``, from Knuth's table.
 
-    Level l holds, for each point p in the orbit of base point b_l under
-    the stabilizer of b_0..b_(l-1), an element mapping b_l to p.  Schreier
-    generators are sifted from the top level down; one that does not sift
-    to the identity becomes a strong generator of the levels it passed and
-    checking resumes there (the SCHREIERSIMS procedure of Holt, Eick and
-    O'Brien, *Handbook of Computational Group Theory*, 2005).  Nothing here
-    is capped: the transversals hold at most m(m + 1)/2 elements, whatever
-    the order, and the caller bounds m.
+    Level k files, under each j, an element that fixes 0..k-1 and sends k to
+    j; ``strong[k]`` lists the level's generators.  A product of one entry
+    per level from k on is an element of level k's group, and ``member``
+    sifts through the tables to find one.  Every strong generator of a
+    level times every entry of its table is closed there: filed if new,
+    else its residue joins the next level unless it is a member (D. E.
+    Knuth, "Efficient representation of perm groups", *Combinatorica* 11,
+    1991; Sims 1970).  A "not a member" answer during the build only adds a
+    redundant generator, so the order, the product of the table sizes, is
+    exact.  Nothing here is capped: the tables hold at most m(m + 1)/2
+    elements, the recursion is about m^2/2 frames deep, and the caller
+    bounds m.
     """
     identity = tuple(range(m))
-    base: list[int] = []
-    strong: list[list[tuple[int, ...]]] = []
-    transversals: list[dict[int, tuple[int, ...]]] = []
-    inverses: list[dict[int, tuple[int, ...]]] = []
+    table = [{k: (identity, identity)} for k in range(m)]  # j -> (element, inverse)
+    strong: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
 
-    def sift(g, level):
-        for l in range(level, len(base)):
-            u_inv = inverses[l].get(g[base[l]])
-            if u_inv is None:
-                return g, l
-            g = _compose(u_inv, g)
-        return g, len(base)
+    def member(p, k):
+        for i in range(k, m):
+            entry = table[i].get(p[i])
+            if entry is None:
+                return False
+            p = _compose(entry[1], p)
+        return True
 
-    def rebuild(l):
-        orbit = {base[l]: identity}
-        queue = [base[l]]
-        for p in queue:
-            u = orbit[p]
-            for s in strong[l]:
-                q = s[p]
-                if q not in orbit:
-                    orbit[q] = _compose(s, u)
-                    queue.append(q)
-        transversals[l] = orbit
-        inverses[l] = {p: _inverse(u) for p, u in orbit.items()}
+    def add(k, p):
+        strong[k].append(p)
+        for t, _ in list(table[k].values()):
+            close(k, _compose(p, t))
 
-    def add(h, low, high):
-        """Make h a strong generator of levels low..high."""
-        if high == len(base):
-            base.append(next(x for x in range(m) if h[x] != x))
-            strong.append([])
-            transversals.append({})
-            inverses.append({})
-        for l in range(low, high + 1):
-            strong[l].append(h)
-            rebuild(l)
-
-    def add_unsifted_schreier_generator(i):
-        """Add the first Schreier generator of level i that does not sift to
-        the identity; return the last level it joined, or None."""
-        for u in transversals[i].values():
-            for s in strong[i]:
-                su = _compose(s, u)
-                q = su[base[i]]
-                if su == transversals[i][q]:
-                    continue
-                h, j = sift(_compose(inverses[i][q], su), i + 1)
-                if h != identity:
-                    add(h, i + 1, j)
-                    return j
-        return None
+    def close(k, p):
+        entry = table[k].get(p[k])
+        if entry is None:
+            table[k][p[k]] = p, _inverse(p)
+            for s in strong[k]:
+                close(k, _compose(s, p))
+        else:
+            q = _compose(entry[1], p)
+            if not member(q, k + 1):
+                add(k + 1, q)
 
     for g in gens:
-        h, j = sift(g, 0)
-        if h != identity:
-            add(h, 0, j)
-    i = len(base) - 1
-    while i >= 0:
-        j = add_unsifted_schreier_generator(i)
-        i = i - 1 if j is None else j
-    return transversals
+        if not member(g, 0):
+            add(0, g)
+    return math.prod(map(len, table))

@@ -18,11 +18,13 @@ but never above ABSOLUTE_MAX_M; an empty value counts as unset, and any
 other value that is not a nonnegative integer raises InputParseError.
 DEFAULT_CLOSURE_CAP, read at call time, bounds the order of a subgroup
 that ``subgroup_class_counts`` would list element by element.
-:func:`check_closed_form` sizes a closed-form answer before any product:
-it refuses one too long for the int-to-str limit, then one whose work
-passes STRATA_WORK_BUDGET, so that no closed form runs unbounded.
+:func:`check_closed_form` sizes a closed-form answer before any product,
+from m, l and the size of pc's coefficients: it refuses one too long for
+the int-to-str limit, or one whose work passes STRATA_WORK_BUDGET, so that
+no closed form runs unbounded.
 """
 
+import math
 import os
 import sys
 
@@ -88,36 +90,47 @@ def check_m(m, name: str = "m", least: int = 0, cost: tuple[int, str] = CYCLE_TY
         raise CostCapExceeded(f"{cost[1]} capped at m = {cap}")
 
 
-def _factorial_bits(n: int) -> int:
-    """sum_{k<=n} floor(log2 k) = (n + 1) t - 2^(t+1) + 2 with t = floor(log2 n),
-    a lower bound on log2 n! for n >= -1 (0 up to n = 1)."""
+def _factorial_bits(n: int, exact: bool = False) -> int:
+    """A lower bound on log2 n! for n >= -1: n!.bit_length() - 1 when
+    ``exact``, else sum_{k<=n} floor(log2 k) = (n + 1) t - 2^(t+1) + 2 with
+    t = floor(log2 n), which loses under one bit per factor (0 up to n = 1)."""
+    if exact:
+        return math.factorial(max(n, 0)).bit_length() - 1
     t = n.bit_length() - 1
     return (n + 1) * t - 2 ** (t + 1) + 2
 
 
-def answer_digits(m: int, l: int, closed: bool = False) -> int:
-    """A lower bound on the decimal digits of S(m, l) * (l - 1)!, or of
-    S(m, l) when ``closed``.  It bounds the ``delta`` answer
-    S(m, l) * prod_{i<l} (pc + i*T) (``fm`` and ``ordinary`` at l = m), the
-    ``delta_le`` answer when ``closed``, and the ``universal`` polynomials,
-    which carry these numbers at P T^(l-1) and at P^l.
+def answer_digits(m: int, l: int, closed: bool = False, pc=None, exact: bool = False) -> int:
+    """A lower bound on the decimal digits of the longest coefficient of the
+    ``delta`` answer S(m, l) * prod_{i<l} (pc + i*T) (``fm`` and ``ordinary``
+    at l = m), of the ``delta_le`` answer when ``closed``, or, with pc None,
+    of the ``universal`` polynomials, which carry S(m, l) * (l - 1)! at
+    P T^(l-1) and S(m, l) at P^l.  ``exact`` counts (l - 1)! exactly.
 
-    When pc != 0, pc's lowest term from the factor i = 0 and i*T from every
-    other factor give a coefficient of at least (l - 1)!, and every other
-    contribution to it is nonnegative.  The closed sum's top coefficient is
-    S(m, l) * lc(pc)^l when deg pc >= 2; deg pc = 1 is tested for m <= 40.
-    S(m, l) >= l^(m - l), log2 n! >= :func:`_factorial_bits` (n), and
-    log10 2 >= 0.301.
+    pc's coefficients are nonnegative and its lowest exponent e is at least
+    1, so no contribution to a coefficient of the product is negative.  pc's
+    lowest term from the factor i = 0 and i*T from every other factor give
+    a coefficient of at least (l - 1)!; the top coefficient is at least
+    lc(pc)^l; and when e = 1, with coefficient b, the lowest is
+    prod_{i<l} (b + i) >= b^l.  The closed sum can cancel: its top
+    coefficient is S(m, l) * lc(pc)^l when deg pc >= 2, and deg pc = 1 is
+    tested for m <= 40 with S(m, l) alone.  S(m, l) >= l^(m - l),
+    log2 x >= x.bit_length() - 1, and log10 2 >= 0.301.
     """
-    bits = 0 if closed else _factorial_bits(l - 1)
+    bits = 0 if closed else _factorial_bits(l - 1, exact)
+    if pc is not None and not pc.is_zero():
+        if not closed or pc.max_exp >= 2:
+            bits = max(bits, l * (pc.coeff(pc.max_exp).bit_length() - 1))
+        if not closed and pc.min_exp == 1:
+            bits = max(bits, l * (pc.coeff(1).bit_length() - 1))
     bits += (m - l) * (l.bit_length() - 1)
     return bits * 301 // 1000 + 1
 
 
 def check_closed_form(target: str, m: int, l: int | None, pc=None) -> None:
     """Refuse the closed form ``target`` (``fm``, ``ordinary``, ``delta`` or
-    ``delta_le``) at m points, before any product, with CostCapExceeded: first
-    an answer of :func:`answer_digits` past the int-to-str limit, then work past
+    ``delta_le``) at m points, before any product, with CostCapExceeded: an
+    answer of :func:`answer_digits` past the int-to-str limit, or work past
     STRATA_WORK_BUDGET.  ``pc`` is the space's compact-support Poincaré
     polynomial; None sizes the ``universal`` polynomial of ``target``.
 
@@ -125,20 +138,29 @@ def check_closed_form(target: str, m: int, l: int | None, pc=None) -> None:
     falling product.  A stratum builds the universal polynomial, l^2 BiPoly
     terms as answer or check, and for l > 1 S(m, l), about l * m steps.  When
     pc = 0 every answer is 0 at once, but the strata's check still reads S(m, l).
+    Each step weighs the 64-bit words of pc's largest coefficient.  The digits
+    are bounded first with (l - 1)! from below; once the work is admitted,
+    l <= 2000, and (l - 1)! is counted exactly.
     """
     empty = pc is not None and pc.is_zero()
     if target in ("fm", "ordinary"):
         l, work = m, 0 if empty else m * (m - 1) // 2
     else:
         work = l * l + (l * m if l > 1 else 0)
+    if pc is not None and not empty:
+        work *= max(1, (max(value for _exp, value in pc.items()).bit_length() + 63) // 64)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
-    if not empty and limit and answer_digits(m, l, target == "delta_le") > limit:
+    sized = limit and not empty
+    closed = target == "delta_le"
+    if sized and answer_digits(m, l, closed, pc) > limit:
         raise int_str_refusal()
     if work > STRATA_WORK_BUDGET:
         raise CostCapExceeded(
             f"strata work is capped at {STRATA_WORK_BUDGET} big-integer steps; "
             f"l = {l}, m = {m} needs about {work}"
         )
+    if sized and answer_digits(m, l, closed, pc, True) > limit:
+        raise int_str_refusal()
 
 
 def int_str_refusal() -> CostCapExceeded:

@@ -155,6 +155,18 @@ class TestCommands:
         assert code == 3
         assert "input-parse-error" in err
 
+    @pytest.mark.parametrize("target", ["fm", "ordinary", "bf", "sym", "cf", "cyc"])
+    @pytest.mark.parametrize("l", ["-5", "1", "3", "7"])
+    def test_poincare_targets_without_strata_refuse_l(self, capsys, target, l):
+        code, out, err = run(
+            capsys, "poincare", "--space", "c", "--target", target, "--m", "3", "--l", l
+        )
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == {
+            "category": "input-parse-error",
+            "message": f"target {target!r} takes no --l",
+        }
+
     def test_character_single(self, capsys):
         doc = run_json(
             capsys, "character", "--space", "c", "--m", "3", "--cycle-type", "3"
@@ -906,6 +918,12 @@ def digit_limit_4300():
     yield from _digit_limit(4300)
 
 
+@pytest.fixture
+def digit_limit_off():
+    """No int-to-str digit limit, as with PYTHONINTMAXSTRDIGITS=0."""
+    yield from _digit_limit(0)
+
+
 class TestDigitLimit:
     """Results past the interpreter's int-to-str limit exit 5 in every format."""
 
@@ -972,6 +990,22 @@ class TestDigitLimit:
             "category": "cost-cap-exceeded",
             "message": "the result has integers past the int-to-str limit of 4300 digits",
         }
+
+    @pytest.mark.parametrize("m", ["1560", "1600", "1633"])
+    def test_config_just_past_the_limit_refuses_before_the_product(
+        self, capsys, monkeypatch, digit_limit_4300, m
+    ):
+        # 1559! has 4,303 digits; the floors of the cheap factorial bound
+        # read 4,080 at m = 1560, so (m - 1)! is counted exactly
+        def never(*args):
+            raise AssertionError("falling_product ran")
+
+        monkeypatch.setattr(confspace, "falling_product", never)
+        code, out, err = run(capsys, "poincare", "--space", "c", "--target", "fm", "--m", m)
+        assert (code, out) == (5, "")
+        assert json.loads(err)["error"]["message"] == (
+            "the result has integers past the int-to-str limit of 4300 digits"
+        )
 
     def test_config_early_refusal_is_the_render_refusal(
         self, capsys, monkeypatch, digit_limit_4300
@@ -1139,6 +1173,48 @@ class TestStrataWork:
         )
         assert (code, out) == (5, "")
         assert json.loads(err)["error"]["message"].startswith("strata work is capped")
+
+
+class TestHugeBettiNumbers:
+    """Space files whose Betti numbers have a thousand digits: the estimate
+    reads pc's coefficients, so answers of a million digits are refused
+    before any product, with or without an int-to-str limit."""
+
+    @pytest.fixture(params=["digit_limit_4300", "digit_limit_off"])
+    def limit(self, request):
+        request.getfixturevalue(request.param)
+        return request.param
+
+    @pytest.mark.parametrize(
+        "betti, argv",
+        [
+            ([0, 0, 10**1000], ["--target", "fm", "--m", "1500"]),
+            ([0, 10**1000, 1], ["--target", "fm", "--m", "1500"]),
+            ([0, 10**1000, 1], ["--target", "delta_le", "--l", "300", "--m", "600"]),
+        ],
+    )
+    def test_refused_before_any_product(
+        self, capsys, monkeypatch, tmp_path, limit, betti, argv
+    ):
+        def never(*args):
+            raise AssertionError("the answer was built")
+
+        path = tmp_path / "huge.json"
+        document = {"name": "huge", "poincare_c": betti, "dim": 2, "i_acyclic": True}
+        path.write_text(json.dumps(document))
+        for name in ("stirling_second", "stirling_row", "falling_product", "universal_poly"):
+            monkeypatch.setattr(confspace, name, never)
+        code, out, err = run(capsys, "poincare", "--space", str(path), *argv)
+        assert (code, out) == (5, "")
+        assert json.loads(err)["error"]["category"] == "cost-cap-exceeded"
+
+    def test_small_strata_still_answer(self, capsys, tmp_path, limit):
+        path = tmp_path / "huge.json"
+        document = {"name": "huge", "poincare_c": [0, 10**100, 1], "dim": 2, "i_acyclic": True}
+        path.write_text(json.dumps(document))
+        for argv in (["--target", "fm", "--m", "3"], ["--target", "delta_le", "--l", "2", "--m", "5"]):
+            doc = run_json(capsys, "poincare", "--space", str(path), *argv)
+            assert doc["checks"] and all(check["passed"] for check in doc["checks"])
 
 
 class TestEmptySpace:
@@ -1363,7 +1439,13 @@ _generators = st.one_of(
         max_size=3,
     ).map(";".join),
 )
-_betti = st.one_of(st.integers(-1, 3), st.booleans(), st.floats(0, 2), st.text(max_size=2))
+_betti = st.one_of(
+    st.integers(-1, 3),
+    st.booleans(),
+    st.floats(0, 2),
+    st.text(max_size=2),
+    st.sampled_from([10**1000, 10**4000]),  # answers of a million digits at m = 1000
+)
 _documents = st.one_of(
     st.fixed_dictionaries(
         {"name": st.one_of(st.text(max_size=4), st.integers())},
@@ -1434,11 +1516,10 @@ def _admitted(target, m, l, pc, budget) -> bool:
     return True
 
 
-def _costly(argv) -> bool:
+def _costly(argv, document) -> bool:
     """Whether the closed-form estimate admits ``argv`` with more than 10^5
     big-integer steps: a draw that would answer, but slowly.  The estimate
-    reads of a space only whether it is empty, so the plane and the empty
-    space stand for every space."""
+    reads the space's pc, so a space file is sized by the drawn ``document``."""
     try:
         m = int(argv[argv.index("--m") + 1])
         l = int(argv[argv.index("--l") + 1]) if "--l" in argv else None
@@ -1446,19 +1527,24 @@ def _costly(argv) -> bool:
     except (ValueError, IndexError):
         return False  # refused by argparse, or a raw draw at m = 3
     if argv[0] == "universal":
-        target, spaces = "delta_le" if "--closed" in argv else "delta", [None]
+        target, pc = "delta_le" if "--closed" in argv else "delta", None
     elif target in ("fm", "ordinary", "delta", "delta_le"):
-        spaces = [BUILTIN_SPACES["c"].pc, LaurentPoly.zero()]
+        name = argv[argv.index("--space") + 1]
+        try:
+            space = space_from_document(document) if name == "FILE" else BUILTIN_SPACES[name]
+        except (KeyError, InputParseError):
+            return False  # an unknown or malformed space is refused first
+        pc = space.pc
     else:
         return False
     if target in ("fm", "ordinary"):
         valid = m >= 0
     else:
         valid = l is not None and 1 <= l <= m
-    return valid and any(
-        _admitted(target, m, l, pc, limits.STRATA_WORK_BUDGET)
+    return (
+        valid
+        and _admitted(target, m, l, pc, limits.STRATA_WORK_BUDGET)
         and not _admitted(target, m, l, pc, 10**5)
-        for pc in spaces
     )
 
 
@@ -1477,7 +1563,6 @@ class TestFuzzExitCodes:
     def test_exit_code_contract(self, tmp_path, argv, document, max_m, no_digit_limit):
         space_file = tmp_path / "space.json"
         space_file.write_text(json.dumps(document))
-        argv = [str(space_file) if a == "FILE" else a for a in argv]
         out, err = StringIO(), StringIO()
         saved = os.environ.pop("CONFCOHOM_MAX_M", None)
         saved_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
@@ -1486,7 +1571,8 @@ class TestFuzzExitCodes:
         if no_digit_limit and saved_limit is not None:
             sys.set_int_max_str_digits(0)
         try:
-            assume(not _costly(argv))
+            assume(not _costly(argv, document))
+            argv = [str(space_file) if a == "FILE" else a for a in argv]
             with redirect_stdout(out), redirect_stderr(err):
                 code = main(argv)
         finally:

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from collections import Counter
 
@@ -422,8 +423,36 @@ def _alternating(m: int) -> list[Permutation]:
 
 
 def _chain_order(gens: list[Permutation], m: int) -> int:
-    chain = combinat._stabilizer_chain([g.images for g in gens], m)
-    return math.prod(len(level) for level in chain)
+    return combinat._group_order(tuple(g.images for g in gens), m)
+
+
+def _groups_on_14_points() -> list[tuple[list[Permutation], int]]:
+    """Generators of groups on 14 points, each with its order."""
+    f = math.factorial
+    line = [*range(13), None]  # the projective line over GF(13), None at infinity
+
+    def mobius_map(a, b, c, d):  # x -> (a x + b) / (c x + d)
+        def image(x):
+            num, den = (a, c) if x is None else ((a * x + b) % 13, (c * x + d) % 13)
+            return None if den == 0 else num * pow(den, -1, 13) % 13
+        return Permutation(tuple(line.index(image(x)) for x in line))
+
+    psl = [mobius_map(1, 1, 0, 1), mobius_map(4, 0, 0, 1), mobius_map(0, -1, 1, 0)]
+    return [
+        (_symmetric(14), f(14)),
+        (_alternating(14), f(14) // 2),
+        ([_cycles(14, (1, 2)), _cycles(14, range(1, 14))], f(13)),  # S_13 fixing 14
+        ([_cycles(14, range(1, 15))], 14),
+        ([_cycles(14, range(1, 15)), _cycles(14, *((i, 16 - i) for i in range(2, 8)))], 28),
+        ([_cycles(14, (1, 2)), _cycles(14, range(1, 8)), _cycles(14, (8, 9)),
+          _cycles(14, range(8, 15))], f(7) ** 2),  # S_7 x S_7
+        ([_cycles(14, (1, 2)), _cycles(14, range(1, 8)),
+          _cycles(14, *((i, i + 7) for i in range(1, 8)))], 2 * f(7) ** 2),  # S_7 wr S_2
+        ([_cycles(14, (1, 2)), _cycles(14, (1, 3), (2, 4)),
+          _cycles(14, range(1, 15, 2), range(2, 15, 2))], 2**7 * f(7)),  # S_2 wr S_7
+        (psl, 1092),  # PSL(2,13) on the projective line
+        (psl + [mobius_map(2, 0, 0, 1)], 2184),  # PGL(2,13)
+    ]
 
 
 def _named_groups(m: int) -> dict[str, list[Permutation]]:
@@ -477,12 +506,70 @@ class TestSubgroupClassCounts:
             (7, [[(1, 2, 3, 4, 5, 6, 7)], [(2, 3, 5), (4, 7, 6)]], 21),  # Frobenius F_21
             (8, [[(1, 2, 3, 4)], [(5, 6, 7, 8)], [(1, 5), (2, 6), (3, 7), (4, 8)]], 32),
             (7, [[(1, 2)], [(2, 3)], [(3, 4)], [(4, 5)], [(5, 6)]], 720),  # S_6 fixing 7
+            (11, [[range(1, 12)], [(3, 7, 11, 8), (4, 10, 5, 6)]], 7920),  # M11
+            (12, [[range(1, 12)], [(3, 7, 11, 8), (4, 10, 5, 6)],
+                  [(1, 12), (2, 11), (3, 6), (4, 8), (5, 9), (7, 10)]], 95040),  # M12
+            (7, [[range(1, 8)], [(1, 2), (3, 6)]], 168),  # PSL(2,7) on 7 points
+            (12, [[(1, 2)], [(1, 2, 3, 4)], [(1, 5, 9), (2, 6, 10), (3, 7, 11), (4, 8, 12)],
+                  [(1, 5), (2, 6), (3, 7), (4, 8)]], 82944),  # S_4 wr S_3
+            (12, [[(2 * i + 1, 2 * i + 2)] for i in range(6)], 64),  # C_2^6
         ],
     )
     def test_chain_order_of_listed_groups(self, m, cycles, order):
         gens = [_cycles(m, *g) for g in cycles]
         assert _chain_order(gens, m) == order
         assert subgroup_class_counts(gens, m) == group_closure(gens, m)
+
+    @pytest.mark.parametrize(
+        "m, cycles, order",
+        [
+            (13, [[range(1, 14)], [(2, 3, 5, 9, 4, 7, 13, 12, 10, 6, 11, 8)]], 156),  # AGL(1,13)
+            (14, [[range(1, 15)], [(2, 14), (3, 13), (4, 12), (5, 11), (6, 10), (7, 9)]], 28),
+        ],
+        ids=["AGL(1,13)", "D_14"],
+    )
+    def test_chain_order_of_listed_groups_past_the_default_cap(self, monkeypatch, m, cycles, order):
+        monkeypatch.setenv("CONFCOHOM_MAX_M", "14")
+        gens = [_cycles(m, *g) for g in cycles]
+        assert _chain_order(gens, m) == order
+        assert subgroup_class_counts(gens, m) == group_closure(gens, m)
+
+    @pytest.mark.parametrize(
+        "gens, order",
+        [
+            (_symmetric(14), math.factorial(14)),
+            (_alternating(14), math.factorial(14) // 2),
+        ],
+        ids=["S_14", "A_14"],
+    )
+    def test_orders_at_the_cap_ceiling(self, monkeypatch, gens, order):
+        # with the default recursion limit, which the table's recursion stays
+        # far below (about m^2 / 2 frames)
+        monkeypatch.setenv("CONFCOHOM_MAX_M", "14")
+        assert _chain_order(gens, 14) == order
+        if order == math.factorial(14):
+            assert subgroup_class_counts(gens, 14)[0] == order
+        else:  # refused from its order, past the closure cap
+            with pytest.raises(CostCapExceeded):
+                subgroup_class_counts(gens, 14)
+
+    def test_dense_random_sets_at_the_cap_ceiling(self, monkeypatch):
+        # 200 random conjugates of groups of known order on 14 points, each
+        # generated by its conjugated generators and random words in them
+        monkeypatch.setenv("CONFCOHOM_MAX_M", "14")
+        known = _groups_on_14_points()
+        rng = random.Random(14)
+        for _ in range(200):
+            gens, order = rng.choice(known)
+            conjugator = Permutation(tuple(rng.sample(range(14), 14)))
+            drawn = [conjugator * g * conjugator.inverse() for g in gens]
+            for _ in range(rng.randint(0, 2)):
+                word = Permutation.identity(14)
+                for _ in range(rng.randint(1, 6)):
+                    word = word * rng.choice(drawn)
+                drawn.append(word)
+            rng.shuffle(drawn)
+            assert _chain_order(drawn, 14) == order
 
     def test_cap_refuses_from_the_order(self, monkeypatch):
         def listed(*_args):

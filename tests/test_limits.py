@@ -71,6 +71,36 @@ class TestDigitBound:
             q = confspace.universal_poly(l, m, closed)
             assert answer_digits(m, l, closed=closed) <= len(str(_largest(q))), (m, l)
 
+    @pytest.mark.parametrize("name", ["c", "cstar", "r1", "c_minus_3"])
+    def test_exact_factorial_bound_is_a_lower_bound(self, name):
+        space = BUILTIN_SPACES[name]
+        for m in (1, 2, 17, 250, 600):
+            poly = confspace.poincare_config(space, m)
+            bound = answer_digits(m, m, False, space.pc, True)
+            assert answer_digits(m, m, False, space.pc) <= bound <= len(str(_largest(poly))), m
+
+    @pytest.mark.parametrize(
+        "pc", [{1: 10**30, 2: 1}, {2: 10**30}, {1: 7, 3: 10**20}, {1: 2**70}, {2: 5, 4: 3}]
+    )
+    def test_digit_bound_reading_the_coefficients_is_a_lower_bound(self, pc):
+        space = confspace.SpaceSpec("big", LaurentPoly(pc), max(pc), True)
+        for m, l in [(1, 1), (5, 1), (5, 3), (12, 12), (30, 7), (40, 40)]:
+            poly = confspace.poincare_exactly(space, l, m)
+            for exact in (False, True):
+                assert answer_digits(m, l, False, space.pc, exact) <= len(str(_largest(poly)))
+            poly = confspace.poincare_at_most(space, l, m)
+            assert answer_digits(m, l, True, space.pc) <= len(str(_largest(poly))), (m, l)
+
+    def test_the_digit_bound_reads_the_coefficients(self):
+        # lc(pc)^l for every open answer; b^l when pc's lowest term is b T;
+        # lc(pc)^l for the closed sum only when deg pc >= 2
+        huge = 10**1000
+        assert answer_digits(1500, 1500, False, LaurentPoly({2: huge})) > 1_490_000
+        assert answer_digits(1500, 1500, False, LaurentPoly({1: huge, 2: 1})) > 1_490_000
+        assert answer_digits(600, 300, True, LaurentPoly({2: huge})) > 298_000
+        assert answer_digits(600, 300, True, LaurentPoly({1: huge})) == answer_digits(600, 300, True)
+        assert answer_digits(600, 300, False, LaurentPoly({1: 1, 2: 1})) == answer_digits(600, 300)
+
     def test_no_digit_limit_refuses_nothing(self, no_digit_limit):
         # S(999998, 2) has about 301,000 digits, within the work budget
         for pc in (_PLANE, None):
@@ -113,6 +143,15 @@ class TestWorkEstimate:
         check_closed_form(target, 2000, None, _PLANE)
         _refuses_work(target, 2001, None, _PLANE)
         _refuses_work(target, 10**9, None, _PLANE)
+
+    def test_each_step_weighs_the_words_of_the_largest_coefficient(self, no_digit_limit):
+        # weight 1 below 2^64; fm at m = 1414 takes 999,091 steps, 1,998,182 at weight 2
+        check_closed_form("fm", 2000, None, LaurentPoly({1: 1, 2: 2**64 - 1}))
+        _refuses_work("fm", 2000, None, LaurentPoly({1: 2**64, 2: 1}))
+        check_closed_form("fm", 1414, None, LaurentPoly({2: 2**64}))
+        _refuses_work("fm", 1415, None, LaurentPoly({2: 2**64}))
+        _refuses_work("delta_le", 600, 300, LaurentPoly({1: 10**1000, 2: 1}))
+        check_closed_form("delta_le", 5, 2, LaurentPoly({1: 10**1000, 2: 1}))
 
     def test_the_message_names_the_estimate(self):
         with pytest.raises(CostCapExceeded) as refused:

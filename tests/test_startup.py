@@ -156,20 +156,21 @@ class TestLazyNamespace:
 
 HEAVY = {"confcohom.charseries", "confcohom.oracles", "confcohom.repstab"}
 NO_ORACLES = {"confcohom.oracles", "confcohom.repstab"}
-CLOSED_FORMS = ("--space", "c", "--m", "4", "--l", "2")
+POINTS = ("--space", "c", "--m", "4")
+STRATA = (*POINTS, "--l", "2")  # only delta and delta_le take --l
 
 
 COMMANDS = [
-    (("poincare", "--target", "fm", *CLOSED_FORMS), HEAVY),
-    (("poincare", "--target", "delta", *CLOSED_FORMS), HEAVY),
-    (("poincare", "--target", "delta_le", *CLOSED_FORMS), HEAVY),
-    (("poincare", "--target", "ordinary", *CLOSED_FORMS), HEAVY),
+    (("poincare", "--target", "fm", *POINTS), HEAVY),
+    (("poincare", "--target", "delta", *STRATA), HEAVY),
+    (("poincare", "--target", "delta_le", *STRATA), HEAVY),
+    (("poincare", "--target", "ordinary", *POINTS), HEAVY),
     (("universal", "--l", "2", "--m", "4"), HEAVY),
     (("character", "--space", "c", "--m", "4", "--cycle-type", "1^2,2"), NO_ORACLES),
     (("quotient", "--space", "c", "--m", "4", "--generators", "(1 2 3 4)"), NO_ORACLES),
-    (("poincare", "--target", "cf", *CLOSED_FORMS), NO_ORACLES),
-    (("poincare", "--target", "bf", *CLOSED_FORMS), NO_ORACLES),
-    (("poincare", "--target", "cyc", *CLOSED_FORMS), NO_ORACLES),
+    (("poincare", "--target", "cf", *POINTS), NO_ORACLES),
+    (("poincare", "--target", "bf", *POINTS), NO_ORACLES),
+    (("poincare", "--target", "cyc", *POINTS), NO_ORACLES),
     (("stability", "--space", "c", "--i", "1", "--range", "1..5"), {"confcohom.oracles"}),
 ]
 
