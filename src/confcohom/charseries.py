@@ -34,19 +34,21 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping
 from functools import lru_cache
+from itertools import chain, repeat
 
 from . import limits
 from .combinat import (
     CycleType,
+    _all_cycle_types,
+    _stable_block_counts,
     all_cycle_types,
     divisors,
     euler_phi,
     mobius,
-    stable_block_counts,
 )
 from .confspace import SpaceSpec, require
 from .errors import ConsistencyError
-from .polyarith import LaurentPoly, _linear_combination, falling_product
+from .polyarith import LaurentPoly, _linear_combination, falling_prefixes, falling_product
 from .record import FrozenRecord
 
 
@@ -102,11 +104,20 @@ def _cleared_product(ctype: CycleType, factor: Callable[[int, int], LaurentPoly]
     x_d = 0: the one trace product.  The cartesian power takes
     factor(d, x) = N(T^d)^x; the configuration traces take the cleared
     factor(d, x) = prod_{i < x} (B_d - i * d * T^d)."""
-    result = LaurentPoly.one()
+    result = None
     for d, x in enumerate(ctype.mult, start=1):
         if x:
-            result = result * factor(d, x)
-    return result
+            result = factor(d, x) if result is None else result * factor(d, x)
+    return LaurentPoly.one() if result is None else result
+
+
+def _table_series(m: int, table: Mapping[tuple[int, int], LaurentPoly]) -> TraceSeries:
+    """The series on m letters whose entry at each cycle type is the
+    :func:`_cleared_product` of ``table``'s entries (d, x), for an m the
+    caller checked."""
+    return TraceSeries(
+        m, {ct: _cleared_product(ct, lambda d, x: table[d, x]) for ct in _all_cycle_types(m)}
+    )
 
 
 def power_trace(space: SpaceSpec, ctype: CycleType) -> LaurentPoly:
@@ -122,8 +133,25 @@ def power_trace(space: SpaceSpec, ctype: CycleType) -> LaurentPoly:
 
 
 def power_series(space: SpaceSpec, m: int) -> TraceSeries:
+    """:func:`power_trace` on every cycle type, from one :func:`_power_table`."""
     limits.check_m(m)  # before listing the cycle types, which grow like p(m)
-    return TraceSeries(m, {ct: power_trace(space, ct) for ct in all_cycle_types(m)})
+    return _table_series(m, _power_table(space, m))
+
+
+def _power_table(space: SpaceSpec, m: int) -> dict[tuple[int, int], LaurentPoly]:
+    """The powers N(T^d)^x for d * x <= m, keyed by (d, x), each one sparse
+    product from the last: every cartesian-power trace on at most m letters
+    is a product of its entries.  It reads neither a divisor kernel nor the
+    falling-product kernel, so the reconstruction that reads it shares no
+    product with :func:`config_series`."""
+    n = space.pc.negate_var()
+    powers = {}
+    for d in range(1, m + 1):
+        base = power = n.substitute(d)
+        for x in range(1, m // d + 1):
+            powers[d, x] = power
+            power = power * base
+    return powers
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +186,18 @@ def config_trace(space: SpaceSpec, ctype: CycleType) -> LaurentPoly:
 
 def _factor_table(space: SpaceSpec, m: int) -> dict[tuple[int, int], LaurentPoly]:
     """The cleared falling factors prod_{i < x} (B_d - i * d * T^d) for
-    d * x <= m, keyed by (d, x): each kernel B_d built once and each factor
-    once, sum_d floor(m/d) falling products.  Every configuration trace on
-    at most m letters is a product of its entries."""
+    d * x <= m, keyed by (d, x).  Each kernel B_d is built once, and all x
+    of it come from one :func:`falling_prefixes` pass of floor(m/d) kernel
+    steps: sum_d floor(m/d) steps in all, where a product per (d, x) would
+    take sum_d sum_x x.  A pass that stops at a zero factor leaves the
+    longer products 0.  Every configuration trace on at most m letters is a
+    product of its entries."""
     factors = {}
     for d in range(1, m + 1):
-        kernel = _divisor_kernel(space, d)
-        for x in range(1, m // d + 1):
-            factors[d, x] = falling_product(kernel, LaurentPoly.term(d, d), x)
+        count = m // d
+        prefixes = falling_prefixes(_divisor_kernel(space, d), LaurentPoly.term(d, d), count)
+        for x, product in zip(range(1, count + 1), chain(prefixes, repeat(LaurentPoly.zero()))):
+            factors[d, x] = product
     return factors
 
 
@@ -175,10 +207,7 @@ def config_series(space: SpaceSpec, m: int) -> TraceSeries:
     sum_d floor(m/d) falling products."""
     require(space, "i_acyclic")
     limits.check_m(m)  # before listing the cycle types, which grow like p(m)
-    factors = _factor_table(space, m)
-    return TraceSeries(
-        m, {ct: _cleared_product(ct, lambda d, x: factors[d, x]) for ct in all_cycle_types(m)}
-    )
+    return _table_series(m, _factor_table(space, m))
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +250,16 @@ def induce_blocks(series: TraceSeries, m: int) -> TraceSeries:
         ct: _linear_combination(
             (count, values[beta]) for beta, count in _block_counts(ct, blocks)
         )
-        for ct in all_cycle_types(m)
+        for ct in _all_cycle_types(m)
     }
     return TraceSeries(m, induced)
 
 
 @lru_cache(maxsize=None)
 def _block_counts(ctype: CycleType, blocks: int) -> tuple[tuple[CycleType, int], ...]:
-    """The pairs of :func:`stable_block_counts`, built once per process."""
-    return tuple(stable_block_counts(ctype, blocks).items())
+    """The pairs of ``combinat.stable_block_counts``, built once per process
+    by its unchecked core: each caller checked its m on entry."""
+    return tuple(_stable_block_counts(ctype, blocks).items())
 
 
 def _exactly_coefficients(
@@ -242,17 +272,17 @@ def _exactly_coefficients(
     Each configuration trace of ``distinct`` letters, a product of table
     entries, gives its one coefficient at T^exp, and the block counts of
     :func:`induce_blocks` induce those integers up to m: no series, and no
-    linear combination of polynomials, is built.
+    linear combination of polynomials, is built.  The caller checked m.
     """
     at = {
         beta: _cleared_product(beta, lambda d, x: factors[d, x]).coeff(exp)
-        for beta in all_cycle_types(distinct)
+        for beta in _all_cycle_types(distinct)
     }
     if distinct == m:
         return at
     return {
         ct: sum(count * at[beta] for beta, count in _block_counts(ct, distinct))
-        for ct in all_cycle_types(m)
+        for ct in _all_cycle_types(m)
     }
 
 
@@ -266,17 +296,21 @@ def reconstruct_config_series(space: SpaceSpec, m: int) -> TraceSeries:
 
     a triangle with config_series(n) on its diagonal.  Solved row by row,
     each configuration character is the power series minus its shifted,
-    induced predecessors.  No divisor kernel B_d is read, so agreement with
-    :func:`config_series` is a kernel-free check of the trace formula.
+    induced predecessors.  Every power trace of every row is read from one
+    :func:`_power_table` for m, as :func:`config_series` reads
+    :func:`_factor_table`.  No divisor kernel B_d and no falling product is
+    read, so agreement with :func:`config_series` is a kernel-free check of
+    the trace formula.
     """
     require(space, "i_acyclic")
     limits.check_m(m)  # before listing the cycle types, which grow like p(m)
     if m == 0:
         # the empty configuration space is a point
         return TraceSeries(0, {CycleType.identity(0): LaurentPoly.one()})
+    powers = _power_table(space, m)
     rebuilt: list[TraceSeries] = []
     for n in range(1, m + 1):
-        series = power_series(space, n)
+        series = _table_series(n, powers)
         for a, lower in enumerate(reversed(rebuilt), start=1):
             series = series + induce_blocks(lower, n).scale(LaurentPoly.term(-1, a))
         rebuilt.append(series)

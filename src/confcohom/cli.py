@@ -160,11 +160,16 @@ def require_arg(ok: bool, message: str) -> None:
         raise InputParseError(message)
 
 
-def refuse_before_sizing(space: SpaceSpec, m: int) -> None:
+def refuse_before_sizing(space: SpaceSpec, m: int, series: bool = False) -> None:
     """Check the hypothesis (exit 2), then the cycle-type cap (exit 5), before
-    any input is parsed into something whose size grows with m (exit 3)."""
+    any input is parsed into something whose size grows with m (exit 3).  A
+    command that builds a whole trace ``series`` is also weighed by the size
+    of the Betti numbers (``limits.check_series``)."""
     confspace.require(space, "i_acyclic")
-    limits.check_m(m)
+    if series:
+        limits.check_series(m, space.pc)
+    else:
+        limits.check_m(m)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +234,10 @@ def cmd_poincare(args) -> dict:
             require_arg(m >= 0, "--m must be nonnegative")
         else:
             require_arg(m >= 1, f"target {target!r} needs --m >= 1")
-    if target in ("fm", "ordinary", "delta", "delta_le"):
+    if target == "bf":
+        # the check averages the whole configuration series
+        refuse_before_sizing(space, m, series=True)
+    elif target in ("fm", "ordinary", "delta", "delta_le"):
         # the hypotheses (exit 2) before the size of the answer (exit 5)
         confspace.require(space, "i_acyclic")
         if target == "ordinary":
@@ -252,6 +260,7 @@ def cmd_character(args) -> dict:
 
     if args.all:
         require_arg(args.cycle_type is None, "character takes --cycle-type or --all, not both")
+        refuse_before_sizing(space, m, series=True)
         series = charseries.config_series(space, m)
         entries = {str(ctype): entry for ctype, entry in series.values.items()}
         result = {"kind": "series", "entries": entries}
@@ -286,7 +295,7 @@ def cmd_quotient(args) -> dict:
     space = load_space(args.space)
     m = args.m
     require_arg(m >= 0, "--m must be nonnegative")
-    refuse_before_sizing(space, m)
+    refuse_before_sizing(space, m, series=True)
     gens = parse_generators(args.generators, m) if args.generators else []
     from . import charseries
 
@@ -312,6 +321,8 @@ def cmd_stability(args) -> dict:
     )
     from . import repstab
 
+    repstab.require_stability_hypotheses(space)
+    limits.check_series(m_range[1], space.pc)
     report = repstab.stability_report(space, args.i, args.a, m_range)
     rows = {}
     for core in report.table.cores():

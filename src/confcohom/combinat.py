@@ -62,10 +62,14 @@ class CycleType(FrozenRecord):
     """Cycle type of a permutation of m letters, as multiplicities.
 
     ``mult[d-1]`` is the number of cycles of length d; the weighted sum
-    over d of d * mult[d-1] equals m.
+    over d of d * mult[d-1] equals m.  Cycle types key every trace series
+    and count table, so what the routes read of one is computed once per
+    object: the parts and the hash of (m, mult) when it is built, the
+    class size when first asked.  They sit in private slots, so the fields,
+    equality, repr and pickle are those of (m, mult) alone.
     """
 
-    __slots__ = ("m", "mult")
+    __slots__ = ("m", "mult", "_parts", "_hash", "_size")
 
     def __init__(self, m: int, mult: tuple[int, ...]):
         limits.check_count(m, "m")
@@ -79,16 +83,18 @@ class CycleType(FrozenRecord):
         if total != m:
             raise ValueError(f"multiplicities {mult} do not sum to {m}")
         self._init(m, mult)
+        parts = tuple(d for d in range(m, 0, -1) for _ in range(mult[d - 1]))
+        object.__setattr__(self, "_parts", parts)
+        object.__setattr__(self, "_hash", hash((m, mult)))
 
-    # Cycle types key every trace series and count table, so equality and
-    # hash are spelled out: the generic record versions are 1.5-2x slower.
+    # The generic record equality is 1.5-2x slower.
     def __eq__(self, other):
         if other.__class__ is not CycleType:
             return NotImplemented
         return self.m == other.m and self.mult == other.mult
 
     def __hash__(self) -> int:
-        return hash((self.m, self.mult))
+        return self._hash
 
     @staticmethod
     def from_parts(parts: tuple[int, ...] | list[int], m: int | None = None) -> "CycleType":
@@ -110,10 +116,8 @@ class CycleType(FrozenRecord):
 
     @property
     def parts(self) -> tuple[int, ...]:
-        out = []
-        for d in range(self.m, 0, -1):
-            out.extend([d] * self.mult[d - 1])
-        return tuple(out)
+        """The cycle lengths in decreasing order."""
+        return self._parts
 
     @property
     def num_cycles(self) -> int:
@@ -121,11 +125,16 @@ class CycleType(FrozenRecord):
 
     def class_size(self) -> int:
         """Number of permutations with this cycle type: m!/prod(x_d! d^x_d)."""
+        try:
+            return self._size
+        except AttributeError:
+            pass
         denom = 1
-        for d in range(1, self.m + 1):
-            x = self.mult[d - 1]
+        for d, x in enumerate(self.mult, start=1):
             denom *= math.factorial(x) * d**x
-        return math.factorial(self.m) // denom
+        size = math.factorial(self.m) // denom
+        object.__setattr__(self, "_size", size)
+        return size
 
     def sign(self) -> int:
         """Signature: (-1)^(m - number of cycles)."""
@@ -139,8 +148,13 @@ class CycleType(FrozenRecord):
 
 
 def all_cycle_types(m: int) -> tuple[CycleType, ...]:
-    """Cycle types of the symmetric group on m letters, canonical order;
-    the cap is checked on every call, so no cached tuple is served past it."""
+    """Cycle types of the symmetric group on m letters, canonical order.
+
+    The tuple is built once per m (``_all_cycle_types``), but the cap is
+    checked on every call, so no cached tuple is served past a cap lowered
+    since.  A route that checked its m on entry reads ``_all_cycle_types``
+    in its loops.
+    """
     limits.check_m(m)
     return _all_cycle_types(m)
 
@@ -400,9 +414,18 @@ def stable_block_counts(ctype: CycleType, blocks: int) -> dict[CycleType, int]:
     alpha's cycle lengths, whose recursion depth the cap on m bounds.
     ``oracles.stable_partitions`` enumerates the same partitions point by
     point and serves as the oracle.
+
+    The cap and the block count are checked on every call; the routes that
+    checked their own m on entry read the unchecked core
+    ``_stable_block_counts``.
     """
     limits.check_m(ctype.m)
     limits.check_count(blocks, "blocks")
+    return _stable_block_counts(ctype, blocks)
+
+
+def _stable_block_counts(ctype: CycleType, blocks: int) -> dict[CycleType, int]:
+    """:func:`stable_block_counts` for an m and a block count already checked."""
     if blocks > ctype.m:  # no partition has more blocks than points
         return {}
     index = _cycle_type_index(blocks)

@@ -21,7 +21,11 @@ that ``subgroup_class_counts`` would list element by element.
 :func:`check_closed_form` sizes a closed-form answer before any product,
 from m, l and the size of pc's coefficients: it refuses one too long for
 the int-to-str limit, or one whose work passes STRATA_WORK_BUDGET, so that
-no closed form runs unbounded.
+no closed form runs unbounded.  :func:`check_series` does the same for a
+command that builds a trace series on m letters, against
+SERIES_WORK_BUDGET, so that no cycle-type command runs unbounded in the
+size of the Betti numbers either.  Both weigh pc by :func:`coefficient_words`,
+which is 1 below 2^64.
 """
 
 import math
@@ -43,6 +47,13 @@ DEFAULT_CLOSURE_CAP = 3_628_800  # 10!
 #: 93 s and 787 MB.  ``fm`` at m = 2000, the most it admits, took 2.0 s with
 #: no int-to-str limit (2-CPU Xeon, Python 3.11).
 STRATA_WORK_BUDGET = 2_000_000
+
+#: The most word products the trace series of one command may take (see
+#: :func:`check_series`).  With no int-to-str limit, ``character --all`` took
+#: 0.6 s at m = 12 on Betti numbers of 10^1000 (3.0e7 word products) and
+#: 1.2 s at m = 6 on 10^4000 (1.7e7), and 7.7 s at m = 12 on 10^4000 (4.8e8),
+#: which is refused (2-CPU Xeon, Python 3.11).
+SERIES_WORK_BUDGET = 40_000_000
 
 #: The costs capped in m: (default cap, what a refusal says is capped).
 CYCLE_TYPES = (DEFAULT_CYCLE_TYPE_MAX_M, "cycle-type computations are")
@@ -88,6 +99,39 @@ def check_m(m, name: str = "m", least: int = 0, cost: tuple[int, str] = CYCLE_TY
     cap = max_m(cost)
     if m > cap:
         raise CostCapExceeded(f"{cost[1]} capped at m = {cap}")
+
+
+def coefficient_words(pc) -> int:
+    """The 64-bit words of pc's largest coefficient, and 1 for a smaller one
+    or for pc = 0: the weight of one big-integer step of a route on pc."""
+    largest = max((value for _exp, value in pc.items()), default=0)
+    return max(1, (largest.bit_length() + 63) // 64)
+
+
+def check_series(m: int, pc) -> None:
+    """Refuse a command that builds trace series on up to m letters, before
+    any series, with CostCapExceeded: first an m past the cycle-type cap
+    (:func:`check_m`), then work past SERIES_WORK_BUDGET.
+
+    Such a series has p(m) traces, and each takes about m^2 products of two
+    coefficients, which grow with pc's: with w = :func:`coefficient_words`,
+    a product, or the printing of its result, costs about w^2 word
+    products.  So the work is p(m) * m^2 * w^2.  ``character --all``, the
+    costliest command that builds a series, took 16-21 ns per unit of it at
+    8 <= m <= 12 and w from 52 to 208 with no int-to-str limit; ``stability``,
+    ``quotient`` and ``poincare --target bf`` took less.  At w = 1 the work
+    is at most p(14) * 14^2 = 26,460, so no space with coefficients below
+    2^64 is refused here.
+    """
+    from .combinat import partitions  # combinat imports this module
+
+    check_m(m)
+    work = len(partitions(m)) * m * m * coefficient_words(pc) ** 2
+    if work > SERIES_WORK_BUDGET:
+        raise CostCapExceeded(
+            f"trace-series work is capped at {SERIES_WORK_BUDGET} word products; "
+            f"m = {m} on Betti numbers of {coefficient_words(pc)} words needs about {work}"
+        )
 
 
 def _factorial_bits(n: int, exact: bool = False) -> int:
@@ -147,8 +191,8 @@ def check_closed_form(target: str, m: int, l: int | None, pc=None) -> None:
         l, work = m, 0 if empty else m * (m - 1) // 2
     else:
         work = l * l + (l * m if l > 1 else 0)
-    if pc is not None and not empty:
-        work *= max(1, (max(value for _exp, value in pc.items()).bit_length() + 63) // 64)
+    if pc is not None:
+        work *= coefficient_words(pc)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
     sized = limit and not empty
     closed = target == "delta_le"

@@ -24,12 +24,13 @@ Two multiplication routes exist on purpose.  ``LaurentPoly.__mul__`` is the
 sparse schoolbook product; :func:`falling_product`, the package's deepest
 product (thousands of factors for configuration spaces), runs a dense
 coefficient-row kernel instead, O(n^2) big-integer steps with no per-term
-dict work.
+dict work.  :func:`falling_prefixes` reads every prefix of the same kernel
+in one pass.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from . import limits
 from .errors import ConsistencyError
@@ -277,21 +278,48 @@ def falling_product(f: LaurentPoly, g: LaurentPoly, n: int) -> LaurentPoly:
     package: with g = 1 it is the classical falling factorial of f, with
     g = -T it is the rising product that builds configuration-space
     Poincaré polynomials, and with g = d*T^d it clears the denominators of
-    the cyclic trace formulas.  n = 0 gives the empty product 1.
+    the cyclic trace formulas.  n = 0 gives the empty product 1; zero f and
+    g, or any zero factor, give 0 at once, whatever n.
 
-    The running product is a dense coefficient list with a lowest
-    exponent, and each factor f - g*i is a short dense row, so the whole
-    product costs O(n^2) big-integer multiply-adds (for factors with a
-    bounded number of terms) and no per-term dict work.  A Kronecker-packed
-    product tree was measured 2-4x slower: CPython multiplies big integers
-    by Karatsuba with no FFT, so packing saves nothing.
+    The product is the last prefix of :func:`_falling_rows`, the one
+    kernel, which :func:`falling_prefixes` shares: a dense coefficient list
+    and a short dense row per factor, so the whole product costs O(n^2)
+    big-integer multiply-adds (for factors with a bounded number of terms)
+    and no per-term dict work.  A Kronecker-packed product tree was
+    measured 2-4x slower: CPython multiplies big integers by Karatsuba with
+    no FFT, so packing saves nothing.
     """
     limits.check_count(n, "n")
-    if n == 0:
-        return LaurentPoly.one()
+    low, coeffs, steps = 0, [1], 0
+    for steps, (low, coeffs) in enumerate(_falling_rows(f, g, n), start=1):
+        pass
+    if steps < n:
+        return LaurentPoly.zero()
+    return LaurentPoly(dict(enumerate(coeffs, low)))
+
+
+def falling_prefixes(f: LaurentPoly, g: LaurentPoly, n: int) -> Iterator[LaurentPoly]:
+    """Yield ``falling_product(f, g, x)`` for x = 1, ..., n, from one pass
+    of the kernel: each prefix is one factor more than the last, so all n
+    cost what the longest alone does.  The pass stops after the first zero
+    factor, as :func:`falling_product` answers 0 there: every longer
+    product is 0, and the caller reads them so.  Zero f and g yield
+    nothing, whatever n.
+    """
+    limits.check_count(n, "n")
+    return (LaurentPoly(dict(enumerate(coeffs, low))) for low, coeffs in _falling_rows(f, g, n))
+
+
+def _falling_rows(f: LaurentPoly, g: LaurentPoly, n: int):
+    """Yield (lowest exponent, dense coefficients) of the products of the
+    first x factors f - g*i, x = 1, ..., n, stopping at a zero factor.
+
+    The running product is a dense coefficient list with a lowest
+    exponent, and each factor a short dense row trimmed of its zero ends.
+    """
     exps = f._c.keys() | g._c.keys()
     if not exps:
-        return LaurentPoly.zero()
+        return
     lo = min(exps)
     width = max(exps) - lo + 1
     f_row = [f._c.get(lo + k, 0) for k in range(width)]
@@ -304,13 +332,13 @@ def falling_product(f: LaurentPoly, g: LaurentPoly, n: int) -> LaurentPoly:
         while start < width and not row[start]:
             start += 1
         if start == width:
-            return LaurentPoly.zero()
+            return
         stop = width
         while not row[stop - 1]:
             stop -= 1
         low += lo + start
         coeffs = _mul_row(coeffs, row[start:stop])
-    return LaurentPoly({e: v for e, v in enumerate(coeffs, low)})
+        yield low, coeffs
 
 
 def _mul_row(coeffs: list[int], row: list[int]) -> list[int]:

@@ -1,7 +1,10 @@
 """Plain value classes with dataclass-style equality, hash and repr.
 
-A record's fields are its ``__slots__``, in order.  Two records are equal
-when they have the same class and equal fields; the repr lists the fields
+A record's fields are its ``__slots__``, in order, save those whose name
+starts with an underscore: such a private slot holds a value derived from
+the fields, kept so that it is computed once, and no equality, hash, repr,
+constructor or pickle reads it.  Two records are equal when they have the
+same class and equal fields; the repr lists the fields
 as keywords, ``CycleType(m=2, mult=(0, 1))``.  A :class:`Record` is mutable
 and unhashable, and its constructor takes every field by keyword: a missing
 or unknown field raises TypeError.  A :class:`FrozenRecord` validates in
@@ -16,25 +19,27 @@ from operator import attrgetter
 
 class Record:
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if not cls.__slots__:
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        if not cls._fields:
             return
-        getter = attrgetter(*cls.__slots__)
-        if len(cls.__slots__) == 1:
+        getter = attrgetter(*cls._fields)
+        if len(cls._fields) == 1:
             cls._fields_of = staticmethod(lambda record: (getter(record),))
         else:
             cls._fields_of = staticmethod(getter)
 
     def __init__(self, **fields):
-        missing = [name for name in self.__slots__ if name not in fields]
+        missing = [name for name in self._fields if name not in fields]
         if missing:
             raise TypeError(f"{type(self).__qualname__}() missing fields {missing}")
-        unknown = sorted(fields.keys() - set(self.__slots__))
+        unknown = sorted(fields.keys() - set(self._fields))
         if unknown:
             raise TypeError(f"{type(self).__qualname__}() got unknown fields {unknown}")
-        for name in self.__slots__:
+        for name in self._fields:
             setattr(self, name, fields[name])
 
     def __eq__(self, other):
@@ -44,7 +49,7 @@ class Record:
 
     def __repr__(self) -> str:
         fields = ", ".join(
-            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields_of(self))
+            f"{name}={value!r}" for name, value in zip(self._fields, self._fields_of(self))
         )
         return f"{type(self).__qualname__}({fields})"
 
@@ -53,7 +58,7 @@ class FrozenRecord(Record):
     __slots__ = ()
 
     def _init(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
     def __hash__(self) -> int:

@@ -33,7 +33,7 @@ from functools import lru_cache
 from math import factorial
 from . import charseries, limits
 from .charseries import TraceSeries
-from .combinat import CycleType, all_cycle_types, partitions
+from .combinat import CycleType, _all_cycle_types, partitions
 from .confspace import SpaceSpec, require
 from .errors import ConsistencyError, HypothesisViolation
 from .polyarith import LaurentPoly
@@ -179,7 +179,7 @@ def decompose_series(series: TraceSeries, degree: int) -> dict[tuple[int, ...], 
     limits.check_m(m)
     limits.check_count(degree, "degree")
     sign = -1 if degree % 2 else 1
-    chi = {ct: sign * series.values[ct].coeff(degree) for ct in all_cycle_types(m)}
+    chi = {ct: sign * series.values[ct].coeff(degree) for ct in _all_cycle_types(m)}
     return _decompose(m, chi, degree)
 
 
@@ -295,10 +295,20 @@ class StabilityReport(Record):
     )
 
     def verdicts(self) -> list[tuple[str, bool]]:
-        named = [
-            (f"monotone-from-{self.monotone_from}", self.monotone_ok),
-            (f"constant-from-{self.stable_from}", self.constant_ok),
-        ]
+        """The ``(name, passed)`` verdicts the table's window can hold.
+
+        A verdict compares the m of its window, from its bound to the top
+        of the table, so one with fewer than two m would compare nothing:
+        ``monotone-from-N`` and ``constant-from-N`` are left out then, as
+        ``betti-eventually-polynomial`` is below ``DIFF_WINDOW`` points.
+        """
+        named = []
+        for name, bound, passed in (
+            ("monotone", self.monotone_from, self.monotone_ok),
+            ("constant", self.stable_from, self.constant_ok),
+        ):
+            if sum(1 for m in self.table.m_values if m >= bound) >= 2:
+                named.append((f"{name}-from-{bound}", passed))
         if self.poly_window_ok:
             named.append(("betti-eventually-polynomial", self.poly_degree is not None))
         return named
@@ -328,6 +338,16 @@ def _m_window(m_range: tuple[int, int], least: int) -> list[int]:
 DIFF_WINDOW = 4
 
 
+def require_stability_hypotheses(space: SpaceSpec) -> None:
+    """Refuse a space outside :func:`stability_report`'s hypotheses: an
+    i-acyclic, orientable, connected space of dimension at least 2."""
+    require(space, "i_acyclic")
+    require(space, "orientable")
+    require(space, "connected")
+    if space.dim < 2:
+        raise HypothesisViolation("dim>=2", f"space {space.name!r} has dim {space.dim}")
+
+
 def stability_report(
     space: SpaceSpec, degree: int, defect: int, m_range: tuple[int, int]
 ) -> StabilityReport:
@@ -351,11 +371,7 @@ def stability_report(
     * the Betti sequence has vanishing finite differences past the stable
       bound, when at least ``DIFF_WINDOW`` points are available there.
     """
-    require(space, "i_acyclic")
-    require(space, "orientable")
-    require(space, "connected")
-    if space.dim < 2:
-        raise HypothesisViolation("dim>=2", f"space {space.name!r} has dim {space.dim}")
+    require_stability_hypotheses(space)
     limits.check_count(degree, "degree")
     limits.check_count(defect, "defect")
     ms = _m_window(m_range, defect + 1)

@@ -28,6 +28,7 @@ from confcohom import (
     SpaceSpec,
     TraceSeries,
 )
+from confcohom import combinat
 from confcohom.polyarith import T
 
 SPACE = BUILTIN_SPACES["cstar"]
@@ -314,3 +315,31 @@ def test_all_cycle_types_is_capped_on_every_call(monkeypatch):
     monkeypatch.setenv("CONFCOHOM_MAX_M", "4")
     with pytest.raises(CostCapExceeded, match="capped at m = 4"):
         confcohom.all_cycle_types(5)
+
+
+_PLANE = confcohom.BUILTIN_SPACES["c"]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: confcohom.exactly_series(_PLANE, 2, m),
+        lambda m: confcohom.induce_blocks(confcohom.config_series(_PLANE, 2), m),
+        lambda m: confcohom.stability_report(_PLANE, 1, 1, (1, m)),
+        lambda m: confcohom.reconstruct_config_series(_PLANE, m),
+        lambda m: combinat.stable_block_counts(confcohom.CycleType.identity(m), 2),
+    ],
+    ids=[
+        "exactly_series", "induce_blocks", "stability_report",
+        "reconstruct_config_series", "stable_block_counts",
+    ],
+)
+def test_a_cap_changed_between_two_calls_is_honored(monkeypatch, call):
+    # the first call fills every cache at m = 6; the next reads the cap again
+    monkeypatch.delenv("CONFCOHOM_MAX_M", raising=False)
+    call(6)
+    monkeypatch.setenv("CONFCOHOM_MAX_M", "5")
+    with pytest.raises(CostCapExceeded, match="capped at m = 5"):
+        call(6)
+    monkeypatch.setenv("CONFCOHOM_MAX_M", "14")
+    call(13)

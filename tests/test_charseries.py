@@ -201,19 +201,20 @@ class TestInduction:
         assert induced[CycleType.from_parts((3,))] == LaurentPoly.zero()
 
     def test_block_counts_built_once_per_pair(self, plane, monkeypatch):
-        # the reconstruction at m = 7 induces over 196 (cycle type, blocks)
-        # pairs; each count table is built once, not once per induction
+        # the reconstruction at m = 7 induces over all 196 (cycle type, blocks)
+        # pairs with blocks < n <= 7; each count table is built once, by the
+        # unchecked core, not once per induction
         calls = []
-        counts = charseries.stable_block_counts
+        counts = charseries._stable_block_counts
 
         def counting(ctype, blocks):
             calls.append((ctype, blocks))
             return counts(ctype, blocks)
 
-        monkeypatch.setattr(charseries, "stable_block_counts", counting)
+        monkeypatch.setattr(charseries, "_stable_block_counts", counting)
         charseries._block_counts.cache_clear()
         reconstruct_config_series(plane, 7)
-        assert 0 < len(calls) == len(set(calls)) <= 196
+        assert len(calls) == len(set(calls)) == 196
 
     @pytest.mark.parametrize(
         "space", [BUILTIN_SPACES["c"], BUILTIN_SPACES["c_minus_1"]], ids=lambda s: s.name
@@ -600,15 +601,27 @@ class TestCaps:
         with pytest.raises(ValueError, match="every cycle type"):
             TraceSeries(5, missing)
 
-    def test_reconstruction_cap_before_power_series(self, plane, monkeypatch):
+    def test_reconstruction_cap_before_power_table(self, plane, monkeypatch):
         from confcohom import CostCapExceeded
 
         def listed(*_args):
-            raise AssertionError("power_series ran past the cap")
+            raise AssertionError("the power table was built past the cap")
 
-        monkeypatch.setattr(charseries, "power_series", listed)
+        monkeypatch.setattr(charseries, "_power_table", listed)
         with pytest.raises(CostCapExceeded):
             reconstruct_config_series(plane, 13)
+
+
+class TestReconstructionAtTheCeiling:
+    """The kernel-free reconstruction at the two m past the default cap."""
+
+    @pytest.mark.parametrize(
+        "space", [s for s in BUILTIN_SPACES.values() if s.i_acyclic], ids=lambda s: s.name
+    )
+    def test_reconstruction_equals_config_series(self, space, monkeypatch):
+        monkeypatch.setenv("CONFCOHOM_MAX_M", "14")
+        for m in (13, 14):
+            assert reconstruct_config_series(space, m) == config_series(space, m), m
 
 
 class TestPunctureComparisons:

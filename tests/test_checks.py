@@ -7,6 +7,7 @@ import shlex
 import pytest
 
 from confcohom import CycleType, LaurentPoly, charseries, combinat, confspace, oracles
+from conftest import puncture
 from test_cli import _doubled, _plus_one, _shifted_series
 from test_cli_corpus import COMMANDS, run_line, write_space_files
 
@@ -25,6 +26,12 @@ def _one_more_three_point_two_block(original):
         return ((beta, count + 1), *rest)
 
     return miscounted
+
+
+def _powers_of_a_punctured_space(original):
+    # the cartesian-power traces of X minus a point: a true character, so
+    # every average stays integral, but of another space
+    return lambda space, m: original(puncture(space, 1), m)
 
 
 def _every_class_doubled(original):
@@ -50,9 +57,9 @@ CORRUPTIONS = [
     ("subgroup-averaging", "poincare --space cstar --target cf --m 4",
      combinat, "group_closure", _identity_only),
     ("power-trace-reconstruction", "poincare --space cstar --target bf --m 4",
-     charseries, "power_series", _shifted_series),
+     charseries, "_power_table", _powers_of_a_punctured_space),
     ("power-trace-reconstruction", "poincare --space cstar --target cf --m 4",
-     charseries, "power_series", _shifted_series),
+     charseries, "_power_table", _powers_of_a_punctured_space),
     ("power-trace-reconstruction", "poincare --space cstar --target bf --m 4",
      charseries, "reconstruct_config_series", _shifted_series),
     ("power-trace-reconstruction", "poincare --space cstar --target bf --m 4",

@@ -23,6 +23,7 @@ from confcohom import (
     confspace,
     limits,
     oracles,
+    repstab,
 )
 from confcohom.cli import (
     BUILTIN_SPACES,
@@ -38,6 +39,7 @@ from confcohom.errors import (
     HypothesisViolation,
     InputParseError,
 )
+from confcohom import polyarith
 from confcohom.polyarith import ONE, BiPoly
 
 
@@ -249,6 +251,74 @@ class TestCommands:
         names = {c["name"]: c["passed"] for c in doc["checks"]}
         assert names["monotone-from-1"]
         assert names["constant-from-4"]
+
+
+class TestHugeBettiRefusals:
+    """The commands that build a trace series are weighed by the size of the
+    Betti numbers and refused (exit 5) before any series, with or without an
+    int-to-str limit; a coefficient below 2^64 changes nothing."""
+
+    COMMANDS = {
+        "character": ["character", "--m", "12", "--all"],
+        "stability": ["stability", "--i", "2", "--a", "2", "--range", "1..12"],
+        "bf": ["poincare", "--target", "bf", "--m", "12"],
+        "quotient": ["quotient", "--m", "12"],
+    }
+
+    @staticmethod
+    def _space_file(tmp_path, betti) -> str:
+        path = tmp_path / "huge.json"
+        document = {
+            "name": "huge", "poincare_c": betti, "dim": 2,
+            "i_acyclic": True, "orientable": True, "connected": True,
+        }
+        path.write_text(json.dumps(document))
+        return str(path)
+
+    @pytest.fixture
+    def no_series(self, monkeypatch):
+        def built(*_args):
+            raise AssertionError("a series was built")
+
+        for module, name in [
+            (charseries, "config_series"),
+            (charseries, "_factor_table"),
+            (charseries, "poincare_unordered_config"),
+            (repstab, "stability_report"),
+        ]:
+            monkeypatch.setattr(module, name, built)
+
+    @pytest.mark.parametrize("digits", [4300, 0])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_refused_before_any_series(self, capsys, tmp_path, no_series, command, digits):
+        space = self._space_file(tmp_path, [0, 10**4000, 10**4000])
+        saved = getattr(sys, "get_int_max_str_digits", lambda: None)()  # none before 3.10.7
+        if saved is not None:
+            sys.set_int_max_str_digits(digits)
+        try:
+            code, out, err = run(capsys, *self.COMMANDS[command], "--space", space)
+        finally:
+            if saved is not None:
+                sys.set_int_max_str_digits(saved)
+        assert (code, out) == (5, "")
+        error = json.loads(err)["error"]
+        assert error["category"] == "cost-cap-exceeded"
+        assert error["message"].startswith("trace-series work is capped")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_small_betti_numbers_answer(self, capsys, tmp_path, command):
+        space = self._space_file(tmp_path, [0, 2**64 - 1, 1])
+        argv = [w.replace("12", "4") for w in self.COMMANDS[command]]
+        assert run(capsys, *argv, "--space", space)[0] == 0
+
+    def test_the_hypotheses_come_first(self, capsys, tmp_path):
+        space = self._space_file(tmp_path, [0, 10**4000, 10**4000])
+        document = json.loads(open(space).read())
+        document["orientable"] = False
+        with open(space, "w") as handle:
+            json.dump(document, handle)
+        code, _out, err = run(capsys, *self.COMMANDS["stability"], "--space", space)
+        assert code == 2 and json.loads(err)["error"]["flag"] == "orientable"
 
 
 class TestExitCodes:
@@ -853,11 +923,12 @@ class TestWorkCounts:
         assert calls == []
 
     def test_series_builds_each_factor_once(self, monkeypatch):
-        falling = _counting(monkeypatch, charseries, "falling_product")
+        passes = _counting(monkeypatch, charseries, "falling_prefixes")
+        steps = _counting(monkeypatch, polyarith, "_mul_row")
         kernels = _counting(monkeypatch, charseries, "_divisor_kernel")
         charseries.config_series(cli.BUILTIN_SPACES["c"], 12)
-        assert len(falling) <= 35  # one per (d, x) with d * x <= 12
-        assert len(kernels) <= 12
+        assert len(passes) == len(kernels) == 12  # one prefix pass per d <= 12
+        assert len(steps) == 35  # one kernel step per (d, x) with d * x <= 12
 
     def test_unordered_route_visits_no_cycle_type(self, monkeypatch):
         calls = _counting(monkeypatch, charseries, "config_trace")

@@ -408,23 +408,23 @@ DIGESTS = {
     "stability --space r3 --i 2 --a 0 --range 1..6 --format latex":
         "f2f93535daf0ee26a33ea26c648537ed0777236622fcf500d3bacb13ebc1c4a1",
     "stability --space cstar --i 1 --a 1 --range 2..7 --format json":
-        "5360784f511fe10b35e6ae40b146f02f8033232d1c308ff191de5ce2a961e1cd",
+        "98f843d0ab22d5677a207202dfc9f3089ea9599aa772ce443078799073123b95",
     "stability --space cstar --i 1 --a 1 --range 2..7 --format plain":
-        "509b58c073a613a27ab3ac3822618811a85cab567cea54c63bea0b0064f542b9",
+        "f2fc12e136764949d93ad5060684b88d4fba265ff14f57b1419e5741b477439f",
     "stability --space cstar --i 1 --a 1 --range 2..7 --format latex":
-        "509b58c073a613a27ab3ac3822618811a85cab567cea54c63bea0b0064f542b9",
+        "f2fc12e136764949d93ad5060684b88d4fba265ff14f57b1419e5741b477439f",
     "stability --space r3 --i 2 --a 3 --range 1..8 --format json":
-        "56fd6433af84e3e8f19117bbc95ced472c3b60e0eb35945f332746fec6afb4ad",
+        "cb4f430c12a907b85ab1ac35035693cc62bd366af3c6610d6be15a01df7b3e8d",
     "stability --space r3 --i 2 --a 3 --range 1..8 --format plain":
-        "aa9843b9adea7c933c1fc29c80d90135e76186cac56a670f1af71b14ec1da790",
+        "9d12dd0aa2c6289a4502bd7b2d0f2ce181401a3413c009610263bcb3128763a5",
     "stability --space r3 --i 2 --a 3 --range 1..8 --format latex":
-        "aa9843b9adea7c933c1fc29c80d90135e76186cac56a670f1af71b14ec1da790",
+        "9d12dd0aa2c6289a4502bd7b2d0f2ce181401a3413c009610263bcb3128763a5",
     "stability --space cstar --i 2 --a 2 --range 1..9 --format json":
-        "de3aba8174e930795700434292f047763ac260ebd13d499f6949c7cdde0b52c3",
+        "fa692f69b50c6df205ba938f89fae9087603eab415d4c94ade2711759114b2a9",
     "stability --space cstar --i 2 --a 2 --range 1..9 --format plain":
-        "39d3eac3d95ee7fdc2ed4c7b1ab563c87ee80ead411c0304a972b30a951e0b8e",
+        "70179b83ea2dce95c1f26c39e3e0eac7b669eb3f95e2b29a091ff06d28078669",
     "stability --space cstar --i 2 --a 2 --range 1..9 --format latex":
-        "39d3eac3d95ee7fdc2ed4c7b1ab563c87ee80ead411c0304a972b30a951e0b8e",
+        "70179b83ea2dce95c1f26c39e3e0eac7b669eb3f95e2b29a091ff06d28078669",
     "CONFCOHOM_MAX_M=14 stability --space c --i 2 --a 1 --range 1..14 --format json":
         "f7315251b076d871e3d69f41ee9321fd291db5e32f5c8371791d28daf5484e12",
     "selftest --format json":

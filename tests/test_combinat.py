@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import tracemalloc
 from collections import Counter
@@ -67,6 +68,22 @@ class TestCycleType:
     @pytest.mark.parametrize("m", range(1, 13))
     def test_class_sizes_sum_to_factorial(self, m):
         assert sum(ct.class_size() for ct in all_cycle_types(m)) == math.factorial(m)
+
+    def test_cached_invariants_leave_the_record_alone(self):
+        # parts, hash and class size sit in private slots, outside the fields
+        ct = CycleType(5, (1, 2, 0, 0, 0))
+        assert CycleType._fields == ("m", "mult")
+        assert repr(ct) == "CycleType(m=5, mult=(1, 2, 0, 0, 0))"
+        assert hash(ct) == hash((5, (1, 2, 0, 0, 0)))
+        assert ct == CycleType.from_parts((2, 2, 1)) and ct != (5, (1, 2, 0, 0, 0))
+        assert ct.__reduce__() == (CycleType, (5, (1, 2, 0, 0, 0)))
+        assert ct.parts is ct.parts == (2, 2, 1)
+        assert ct.class_size() == ct.class_size() == 15
+        copied = pickle.loads(pickle.dumps(ct))
+        assert copied == ct and hash(copied) == hash(ct)
+        assert copied.parts == (2, 2, 1) and copied.class_size() == 15
+        with pytest.raises(AttributeError):
+            ct._hash = 0
 
     def test_sign(self):
         assert CycleType.from_parts((2, 1)).sign() == -1

@@ -1,6 +1,6 @@
-"""The closed-form size estimate of :mod:`confcohom.limits`: its digit bound
-never passes the answer it bounds, and its work budget admits and refuses
-at the edges the README names."""
+"""The size estimates of :mod:`confcohom.limits`: the closed-form digit
+bound never passes the answer it bounds, and the closed-form and
+trace-series work budgets admit and refuse at the edges the README names."""
 
 import sys
 
@@ -8,7 +8,12 @@ import pytest
 
 from confcohom import BUILTIN_SPACES, LaurentPoly, confspace
 from confcohom.errors import CostCapExceeded
-from confcohom.limits import answer_digits, check_closed_form
+from confcohom.limits import (
+    answer_digits,
+    check_closed_form,
+    check_series,
+    coefficient_words,
+)
 
 _EMPTY = LaurentPoly.zero()
 _PLANE = BUILTIN_SPACES["c"].pc
@@ -159,4 +164,52 @@ class TestWorkEstimate:
         assert str(refused.value) == (
             "strata work is capped at 2000000 big-integer steps; "
             "l = 1001, m = 1001 needs about 2004002"
+        )
+
+
+_HUGE = LaurentPoly({1: 10**4000, 2: 10**4000})
+
+
+class TestSeriesWork:
+    """``check_series``: the cap, then p(m) * m^2 * w^2 word products against
+    SERIES_WORK_BUDGET, with w the words of pc's largest coefficient."""
+
+    def test_the_weight_is_one_below_two_to_the_64(self):
+        assert coefficient_words(_EMPTY) == coefficient_words(_PLANE) == 1
+        assert coefficient_words(LaurentPoly({1: 2**64 - 1, 3: 5})) == 1
+        assert coefficient_words(LaurentPoly({2: 2**64})) == 2
+        assert coefficient_words(LaurentPoly({1: 10**1000})) == 52
+        assert coefficient_words(_HUGE) == 208
+
+    def test_no_space_below_two_to_the_64_is_refused(self, monkeypatch):
+        monkeypatch.setenv("CONFCOHOM_MAX_M", "14")
+        widest = LaurentPoly({e: 2**64 - 1 for e in range(1, 40)})
+        for m in range(15):
+            check_series(m, widest)
+
+    @pytest.mark.parametrize("m", [8, 10, 12])
+    def test_huge_betti_numbers_are_refused(self, monkeypatch, m):
+        monkeypatch.delenv("CONFCOHOM_MAX_M", raising=False)
+        with pytest.raises(CostCapExceeded, match=r"^trace-series work is capped at 40000000"):
+            check_series(m, _HUGE)
+
+    def test_the_budget_admits_the_sizes_that_answer_within_a_second(self, monkeypatch):
+        # 10^1000 at m = 12 (0.6 s for character --all); 10^4000 at m = 6
+        monkeypatch.delenv("CONFCOHOM_MAX_M", raising=False)
+        check_series(12, LaurentPoly({1: 10**1000, 2: 10**1000}))
+        check_series(6, _HUGE)
+
+    def test_the_cap_comes_first(self, monkeypatch):
+        monkeypatch.delenv("CONFCOHOM_MAX_M", raising=False)
+        for m in (13, 10**9):
+            with pytest.raises(CostCapExceeded, match="cycle-type computations are capped"):
+                check_series(m, _HUGE)
+
+    def test_the_message_names_the_estimate(self, monkeypatch):
+        monkeypatch.delenv("CONFCOHOM_MAX_M", raising=False)
+        with pytest.raises(CostCapExceeded) as refused:
+            check_series(12, _HUGE)
+        assert str(refused.value) == (
+            "trace-series work is capped at 40000000 word products; "
+            "m = 12 on Betti numbers of 208 words needs about 479711232"
         )

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confcohom import BiPoly, ConsistencyError, LaurentPoly, falling_product
-from confcohom.polyarith import ONE, P_VAR, T, T_VAR, format_terms
+from confcohom.polyarith import ONE, P_VAR, T, T_VAR, falling_prefixes, format_terms
 
 
 def lp(pairs):
@@ -190,6 +190,43 @@ class TestFallingProduct:
         assert product.max_exp == 2 * m and product.coeff(2 * m) == 1
         assert product.min_exp == m and product.coeff(m) == rising
         assert len(product.support()) == m + 1
+
+
+class TestFallingPrefixes:
+    """One pass of the kernel yields every prefix of the falling product."""
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_every_prefix_is_the_falling_product(self, data):
+        n = data.draw(st.integers(0, 10), label="n")
+        g = data.draw(small_laurents, label="g")
+        f = data.draw(small_laurents, label="f")
+        if n and data.draw(st.booleans(), label="vanishing"):
+            f = g * data.draw(st.integers(0, n - 1), label="j")  # f - g*j = 0
+        prefixes = list(falling_prefixes(f, g, n))
+        # a pass that stops early stops at a zero factor: every longer product is 0
+        rest = [LaurentPoly.zero()] * (n - len(prefixes))
+        assert prefixes + rest == [falling_product(f, g, x) for x in range(1, n + 1)]
+
+    def test_early_exits_answer_at_a_billion(self):
+        n, zero = 10**9, LaurentPoly.zero()
+        # zero f and g: no factor is nonzero
+        assert list(falling_prefixes(zero, zero, n)) == []
+        assert falling_product(zero, zero, n) == 0
+        # the empty space's configuration product: its first factor is 0
+        assert list(falling_prefixes(zero, -T, n)) == []
+        assert falling_product(zero, -T, n) == 0
+        # factors 3, 2, 1, 0: the pass ends after three
+        assert list(falling_prefixes(3 * ONE, ONE, n)) == [3, 6, 6]
+        assert falling_product(3 * ONE, ONE, n) == 0
+        assert list(falling_prefixes(T, ONE, 0)) == []
+
+    def test_length_is_checked_on_the_call(self):
+        # before the first prefix is asked for
+        with pytest.raises(ValueError):
+            falling_prefixes(T, ONE, -1)
+        with pytest.raises(TypeError):
+            falling_prefixes(T, ONE, True)
 
 
 class TestDual:

@@ -21,7 +21,7 @@ from confcohom import (
     symmetric_group_character,
     unordered_betti_constancy,
 )
-from confcohom import charseries, repstab
+from confcohom import charseries, polyarith, repstab
 from confcohom.charseries import TraceSeries
 from confcohom.combinat import partitions, symmetric_counts
 from confcohom.repstab import borel_moore_series, irrep_dimension, pad_core
@@ -439,24 +439,28 @@ class TestWorkCount:
         assert 0 < repstab._character.cache_info().misses <= 1000
 
     def test_stability_table_builds_one_factor_table(self, monkeypatch):
-        # d * x <= 7 for the top stratum, m = 9 with defect 2: 7 kernels and
-        # 7 + 3 + 2 + 1 + 1 + 1 + 1 falling products for the whole window
-        calls = {"_divisor_kernel": 0, "falling_product": 0}
+        # d * x <= 7 for the top stratum, m = 9 with defect 2: 7 kernels, one
+        # prefix pass each, and 7 + 3 + 2 + 1 + 1 + 1 + 1 kernel steps for the
+        # whole window, where a falling product per (d, x) would take 41
+        calls = {"_divisor_kernel": 0, "falling_prefixes": 0, "falling_product": 0, "_mul_row": 0}
 
-        def counted(name):
-            original = getattr(charseries, name)
+        def counted(module, name):
+            original = getattr(module, name)
 
             def wrapper(*args):
                 calls[name] += 1
                 return original(*args)
 
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in calls:
-            monkeypatch.setattr(charseries, name, counted(name))
+        for name in ("_divisor_kernel", "falling_prefixes", "falling_product"):
+            counted(charseries, name)
+        counted(polyarith, "_mul_row")
         plane_a2 = SpaceSpec("plane_a2", LaurentPoly({1: 2, 2: 1}), 2, True)
         stability_report(plane_a2, 2, 2, (1, 9))
-        assert calls == {"_divisor_kernel": 7, "falling_product": 16}
+        assert calls == {
+            "_divisor_kernel": 7, "falling_prefixes": 7, "falling_product": 0, "_mul_row": 16
+        }
 
 
 class TestPieri:
@@ -580,6 +584,32 @@ class TestStabilityReport:
         monkeypatch.setattr(charseries, "_factor_table", computed)
         with pytest.raises(CostCapExceeded):
             stability_report(plane, 1, 0, (1, 3_000_000))
+
+
+    @pytest.mark.parametrize("space", ["c", "cstar", "r3"])
+    def test_no_verdict_stands_on_fewer_than_two_points(self, space):
+        # every window of every degree and defect below 3: a verdict named
+        # from N compares the table's m >= N, at least two of them
+        space = BUILTIN_SPACES[space]
+        for degree in range(3):
+            for defect in range(3):
+                for lo, hi in [(1, 12), (1, 8), (5, 9), (9, 12), (12, 12)]:
+                    report = stability_report(space, degree, defect, (lo, hi))
+                    for name, _passed in report.verdicts():
+                        if name == "betti-eventually-polynomial":
+                            continue
+                        bound = int(name.rsplit("-", 1)[1])
+                        window = [m for m in report.table.m_values if m >= bound]
+                        assert len(window) >= 2, (degree, defect, lo, hi, name)
+
+    def test_empty_and_one_point_windows_give_no_verdict(self, plane):
+        # the window from 16 is empty, and the one from 12 holds m = 12 alone
+        empty = stability_report(plane, 2, 2, (1, 12))
+        assert [name for name, _ in empty.verdicts()] == ["monotone-from-4"]
+        single = stability_report(plane, 1, 2, (1, 12))
+        assert [name for name, _ in single.verdicts()] == ["monotone-from-3"]
+        single.table.m_values += (13,)  # one more point past the bound
+        assert [name for name, _ in single.verdicts()] == ["monotone-from-3", "constant-from-12"]
 
 
 class TestUnorderedConstancy:
