@@ -237,6 +237,9 @@ def cmd_poincare(args) -> dict:
     if target == "bf":
         # the check averages the whole configuration series
         refuse_before_sizing(space, m, series=True)
+    elif target in ("sym", "cyc"):
+        # their powers of N(T) grow like a series on a long pc
+        limits.check_series(m, space.pc)
     elif target in ("fm", "ordinary", "delta", "delta_le"):
         # the hypotheses (exit 2) before the size of the answer (exit 5)
         confspace.require(space, "i_acyclic")

@@ -19,13 +19,13 @@ other value that is not a nonnegative integer raises InputParseError.
 DEFAULT_CLOSURE_CAP, read at call time, bounds the order of a subgroup
 that ``subgroup_class_counts`` would list element by element.
 :func:`check_closed_form` sizes a closed-form answer before any product,
-from m, l and the size of pc's coefficients: it refuses one too long for
-the int-to-str limit, or one whose work passes STRATA_WORK_BUDGET, so that
-no closed form runs unbounded.  :func:`check_series` does the same for a
-command that builds a trace series on m letters, against
-SERIES_WORK_BUDGET, so that no cycle-type command runs unbounded in the
-size of the Betti numbers either.  Both weigh pc by :func:`coefficient_words`,
-which is 1 below 2^64.
+from m, l and pc: it refuses one too long for the int-to-str limit, or one
+whose work, :func:`closed_form_work`, passes STRATA_WORK_BUDGET, so that no
+closed form runs unbounded.  :func:`check_series` does the same for a
+command that builds trace series on m letters, against SERIES_WORK_BUDGET,
+so that no cycle-type command runs unbounded in the size or the number of
+the Betti numbers either.  Both weigh pc by :func:`pc_weight`, 1 on every
+built-in space.
 """
 
 import math
@@ -103,9 +103,23 @@ def check_m(m, name: str = "m", least: int = 0, cost: tuple[int, str] = CYCLE_TY
 
 def coefficient_words(pc) -> int:
     """The 64-bit words of pc's largest coefficient, and 1 for a smaller one
-    or for pc = 0: the weight of one big-integer step of a route on pc."""
+    or for pc = 0."""
     largest = max((value for _exp, value in pc.items()), default=0)
     return max(1, (largest.bit_length() + 63) // 64)
+
+
+def pc_weight(pc) -> int:
+    """The weight of one step of a route on pc: :func:`coefficient_words`
+    times the shape of the dense kernel's row pc + kT, its nonzero terms t
+    times its exponent span s, less 6, and at least 1.  Rows with t*s <= 6
+    weigh 1: every built-in space (kT + T^4 the widest) and the planes
+    aT + T^2, on which the budgets were fit.  Past that a step costs about
+    t*s small products: ``character --all`` and ``bf`` took 17-32 ns per unit
+    of p(m)*m^2*t*s on rows of 25 to 200 ones, and ``fm`` 50-190 ns per unit
+    of m^2/2*t*s on rows of 5 to 200 ones or T + T^d, d <= 200 (no int-to-str
+    limit, 2-CPU Xeon, Python 3.11)."""
+    exps = {1, *pc.support()}
+    return coefficient_words(pc) * max(1, len(exps) * (max(exps) - min(exps)) - 6)
 
 
 def check_series(m: int, pc) -> None:
@@ -116,21 +130,22 @@ def check_series(m: int, pc) -> None:
     Such a series has p(m) traces, and each takes about m^2 products of two
     coefficients, which grow with pc's: with w = :func:`coefficient_words`,
     a product, or the printing of its result, costs about w^2 word
-    products.  So the work is p(m) * m^2 * w^2.  ``character --all``, the
-    costliest command that builds a series, took 16-21 ns per unit of it at
+    products, and pc's shape multiplies their number.  So the work is
+    p(m) * m^2 * w * :func:`pc_weight`.  ``character --all``, the costliest
+    command that builds a series, took 16-21 ns per unit of it at
     8 <= m <= 12 and w from 52 to 208 with no int-to-str limit; ``stability``,
-    ``quotient`` and ``poincare --target bf`` took less.  At w = 1 the work
-    is at most p(14) * 14^2 = 26,460, so no space with coefficients below
-    2^64 is refused here.
+    ``quotient`` and ``poincare --target bf`` took less.  At weight 1 the
+    work is at most p(14) * 14^2 = 26,460.
     """
     from .combinat import partitions  # combinat imports this module
 
     check_m(m)
-    work = len(partitions(m)) * m * m * coefficient_words(pc) ** 2
+    work = len(partitions(m)) * m * m * coefficient_words(pc) * pc_weight(pc)
     if work > SERIES_WORK_BUDGET:
         raise CostCapExceeded(
             f"trace-series work is capped at {SERIES_WORK_BUDGET} word products; "
-            f"m = {m} on Betti numbers of {coefficient_words(pc)} words needs about {work}"
+            f"m = {m} on Betti numbers of {coefficient_words(pc)} words, pc weight "
+            f"{pc_weight(pc)}, needs about {work}"
         )
 
 
@@ -171,30 +186,35 @@ def answer_digits(m: int, l: int, closed: bool = False, pc=None, exact: bool = F
     return bits * 301 // 1000 + 1
 
 
+def closed_form_work(target: str, m: int, l: int | None, pc=None) -> int:
+    """The big-integer steps of the closed form ``target`` at m points, each
+    weighed by :func:`pc_weight` (pc None: the ``universal`` polynomial).
+    ``fm`` and ``ordinary`` take the m(m - 1)/2 steps of a falling product,
+    none when pc = 0.  A stratum builds the universal polynomial, l^2 BiPoly
+    terms as answer or check, and for l > 1 S(m, l), about l * m steps; when
+    pc = 0 its answer is 0, but its check still reads S(m, l)."""
+    if target in ("fm", "ordinary"):
+        work = 0 if pc is not None and pc.is_zero() else m * (m - 1) // 2
+    else:
+        work = l * l + (l * m if l > 1 else 0)
+    return work if pc is None else work * pc_weight(pc)
+
+
 def check_closed_form(target: str, m: int, l: int | None, pc=None) -> None:
     """Refuse the closed form ``target`` (``fm``, ``ordinary``, ``delta`` or
     ``delta_le``) at m points, before any product, with CostCapExceeded: an
-    answer of :func:`answer_digits` past the int-to-str limit, or work past
-    STRATA_WORK_BUDGET.  ``pc`` is the space's compact-support Poincaré
-    polynomial; None sizes the ``universal`` polynomial of ``target``.
-
-    ``fm`` and ``ordinary``, the stratum l = m, take the m(m - 1)/2 steps of a
-    falling product.  A stratum builds the universal polynomial, l^2 BiPoly
-    terms as answer or check, and for l > 1 S(m, l), about l * m steps.  When
-    pc = 0 every answer is 0 at once, but the strata's check still reads S(m, l).
-    Each step weighs the 64-bit words of pc's largest coefficient.  The digits
-    are bounded first with (l - 1)! from below; once the work is admitted,
-    l <= 2000, and (l - 1)! is counted exactly.
+    answer of :func:`answer_digits` past the int-to-str limit, or
+    :func:`closed_form_work` past STRATA_WORK_BUDGET.  ``pc`` is the space's
+    compact-support Poincaré polynomial; None sizes the ``universal``
+    polynomial of ``target``.  The digits are bounded first with (l - 1)!
+    from below; once the work is admitted, l <= 2000, and (l - 1)! is
+    counted exactly.
     """
-    empty = pc is not None and pc.is_zero()
     if target in ("fm", "ordinary"):
-        l, work = m, 0 if empty else m * (m - 1) // 2
-    else:
-        work = l * l + (l * m if l > 1 else 0)
-    if pc is not None:
-        work *= coefficient_words(pc)
+        l = m
+    work = closed_form_work(target, m, l, pc)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
-    sized = limit and not empty
+    sized = limit and not (pc is not None and pc.is_zero())
     closed = target == "delta_le"
     if sized and answer_digits(m, l, closed, pc) > limit:
         raise int_str_refusal()

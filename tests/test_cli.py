@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -5,13 +6,12 @@ import re
 import shlex
 import subprocess
 import sys
+import traceback
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
-from hypothesis import strategies as st
 
 from confcohom import (
     CycleType,
@@ -23,7 +23,6 @@ from confcohom import (
     confspace,
     limits,
     oracles,
-    repstab,
 )
 from confcohom.cli import (
     BUILTIN_SPACES,
@@ -255,8 +254,8 @@ class TestCommands:
 
 class TestHugeBettiRefusals:
     """The commands that build a trace series are weighed by the size of the
-    Betti numbers and refused (exit 5) before any series, with or without an
-    int-to-str limit; a coefficient below 2^64 changes nothing."""
+    Betti numbers; their refusals (exit 5) are rows of the refusal table,
+    ``FIXED`` in tools/fuzz_cli.py.  A coefficient below 2^64 changes nothing."""
 
     COMMANDS = {
         "character": ["character", "--m", "12", "--all"],
@@ -274,36 +273,6 @@ class TestHugeBettiRefusals:
         }
         path.write_text(json.dumps(document))
         return str(path)
-
-    @pytest.fixture
-    def no_series(self, monkeypatch):
-        def built(*_args):
-            raise AssertionError("a series was built")
-
-        for module, name in [
-            (charseries, "config_series"),
-            (charseries, "_factor_table"),
-            (charseries, "poincare_unordered_config"),
-            (repstab, "stability_report"),
-        ]:
-            monkeypatch.setattr(module, name, built)
-
-    @pytest.mark.parametrize("digits", [4300, 0])
-    @pytest.mark.parametrize("command", COMMANDS)
-    def test_refused_before_any_series(self, capsys, tmp_path, no_series, command, digits):
-        space = self._space_file(tmp_path, [0, 10**4000, 10**4000])
-        saved = getattr(sys, "get_int_max_str_digits", lambda: None)()  # none before 3.10.7
-        if saved is not None:
-            sys.set_int_max_str_digits(digits)
-        try:
-            code, out, err = run(capsys, *self.COMMANDS[command], "--space", space)
-        finally:
-            if saved is not None:
-                sys.set_int_max_str_digits(saved)
-        assert (code, out) == (5, "")
-        error = json.loads(err)["error"]
-        assert error["category"] == "cost-cap-exceeded"
-        assert error["message"].startswith("trace-series work is capped")
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_small_betti_numbers_answer(self, capsys, tmp_path, command):
@@ -966,33 +935,42 @@ class TestWorkCounts:
         assert "  [pass] subgroup-averaging\n" in out
 
 
-def _digit_limit(limit):
-    if not hasattr(sys, "get_int_max_str_digits"):
+class _IntDigits:
+    """CPython's int-to-str digit limit as an attribute, which
+    ``monkeypatch.setattr`` sets and restores after the test."""
+
+    value = property(
+        lambda self: sys.get_int_max_str_digits(),
+        lambda self, digits: sys.set_int_max_str_digits(digits),
+    )
+
+
+@pytest.fixture
+def int_digits(monkeypatch):
+    """Set CPython's int-to-str digit limit until the test ends (0: none, as
+    with PYTHONINTMAXSTRDIGITS=0); skip where the interpreter has no limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this interpreter has no int-to-str digit limit")
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
+    limit = _IntDigits()
+    return lambda digits: monkeypatch.setattr(limit, "value", digits)
 
 
 @pytest.fixture
-def digit_limit_640():
+def digit_limit_640(int_digits):
     """Lower CPython's int-to-str digit limit to its minimum for one test."""
-    yield from _digit_limit(640)
+    int_digits(640)
 
 
 @pytest.fixture
-def digit_limit_4300():
+def digit_limit_4300(int_digits):
     """Pin CPython's int-to-str digit limit to its default for one test."""
-    yield from _digit_limit(4300)
+    int_digits(4300)
 
 
 @pytest.fixture
-def digit_limit_off():
+def digit_limit_off(int_digits):
     """No int-to-str digit limit, as with PYTHONINTMAXSTRDIGITS=0."""
-    yield from _digit_limit(0)
+    int_digits(0)
 
 
 class TestDigitLimit:
@@ -1190,32 +1168,7 @@ class TestDigitLimit:
 class TestStrataWork:
     """Strata whose answers fit the digit limit, but whose Stirling sweep or
     universal polynomial would not fit in memory, exit 5 before building
-    either."""
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["poincare", "--space", "c", "--target", "delta_le", "--l", "1000000000",
-             "--m", "1000000000"],
-            ["universal", "--l", "3000", "--m", "3000", "--closed"],
-            ["universal", "--l", "1000000000", "--m", "1000000000", "--closed"],
-        ],
-    )
-    def test_past_the_budget_refuse_before_any_allocation(
-        self, capsys, monkeypatch, digit_limit_4300, argv
-    ):
-        def never(*args):
-            raise AssertionError("the answer was built")
-
-        for name in ("stirling_second", "stirling_row", "falling_product", "universal_poly"):
-            monkeypatch.setattr(confspace, name, never)
-        monkeypatch.setattr(combinat, "_stirling_sweep", never)
-        monkeypatch.setattr(BiPoly, "__mul__", never)
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (5, "")
-        error = json.loads(err)["error"]
-        assert error["category"] == "cost-cap-exceeded"
-        assert error["message"].startswith("strata work is capped at 2000000 big-integer steps")
+    either (and so do the refusal table's rows at l = 3000 and 10^9)."""
 
     def test_empty_space_refuses_the_universal_polynomial(self, capsys, tmp_path, monkeypatch):
         # pc = 0 answers 0 at once, but the check would build l^2 terms
@@ -1249,35 +1202,12 @@ class TestStrataWork:
 class TestHugeBettiNumbers:
     """Space files whose Betti numbers have a thousand digits: the estimate
     reads pc's coefficients, so answers of a million digits are refused
-    before any product, with or without an int-to-str limit."""
+    before any product (rows of the refusal table), while small strata answer."""
 
     @pytest.fixture(params=["digit_limit_4300", "digit_limit_off"])
     def limit(self, request):
         request.getfixturevalue(request.param)
         return request.param
-
-    @pytest.mark.parametrize(
-        "betti, argv",
-        [
-            ([0, 0, 10**1000], ["--target", "fm", "--m", "1500"]),
-            ([0, 10**1000, 1], ["--target", "fm", "--m", "1500"]),
-            ([0, 10**1000, 1], ["--target", "delta_le", "--l", "300", "--m", "600"]),
-        ],
-    )
-    def test_refused_before_any_product(
-        self, capsys, monkeypatch, tmp_path, limit, betti, argv
-    ):
-        def never(*args):
-            raise AssertionError("the answer was built")
-
-        path = tmp_path / "huge.json"
-        document = {"name": "huge", "poincare_c": betti, "dim": 2, "i_acyclic": True}
-        path.write_text(json.dumps(document))
-        for name in ("stirling_second", "stirling_row", "falling_product", "universal_poly"):
-            monkeypatch.setattr(confspace, name, never)
-        code, out, err = run(capsys, "poincare", "--space", str(path), *argv)
-        assert (code, out) == (5, "")
-        assert json.loads(err)["error"]["category"] == "cost-cap-exceeded"
 
     def test_small_strata_still_answer(self, capsys, tmp_path, limit):
         path = tmp_path / "huge.json"
@@ -1497,163 +1427,115 @@ class TestCapOverride:
 # fuzzing the exit-code contract
 # ---------------------------------------------------------------------------
 
-_large = st.sampled_from([12, 13, 14, 15, 1000, 10**9])  # the caps and far past them
-_sizes = st.one_of(st.integers(-2, 6), _large)
-_formats = st.sampled_from(["json", "plain", "latex"])
-_spaces = st.sampled_from(["c", "cstar", "r3", "c_minus_1", "klein_pointed", "nosuch", "FILE"])
-_generators = st.one_of(
-    st.text(alphabet="()0123456789 ,;-", max_size=16),
-    st.lists(
-        st.lists(st.integers(0, 7), min_size=1, max_size=4).map(
-            lambda c: "(" + " ".join(map(str, c)) + ")"
-        ),
-        max_size=3,
-    ).map(";".join),
-)
-_betti = st.one_of(
-    st.integers(-1, 3),
-    st.booleans(),
-    st.floats(0, 2),
-    st.text(max_size=2),
-    st.sampled_from([10**1000, 10**4000]),  # answers of a million digits at m = 1000
-)
-_documents = st.one_of(
-    st.fixed_dictionaries(
-        {"name": st.one_of(st.text(max_size=4), st.integers())},
-        optional={
-            "poincare_c": st.one_of(st.lists(_betti, max_size=5), st.integers()),
-            "dim": st.one_of(st.integers(-1, 4), st.text(max_size=2)),
-            "i_acyclic": st.one_of(st.booleans(), st.integers(0, 1)),
-            "orientable": st.booleans(),
-            "connected": st.one_of(st.booleans(), st.none()),
-            "extra": st.integers(),
-        },
-    ),
-    st.lists(st.integers(), max_size=3),
-    st.integers(),
-)
 
-
-_max_m = st.sampled_from([None, "", "0", "3", "14", "99", "abc", "-1", "1.5"])
-
-
-@st.composite
-def _argv(draw):
-    space = ["--space", draw(_spaces)]
-    command = draw(
-        st.sampled_from(["quotient", "poincare", "character", "universal", "stability", "raw"])
+@pytest.fixture(scope="module")
+def fuzz():
+    """tools/fuzz_cli.py, which holds the one grammar of the contract."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "fuzz_cli", os.path.join(root, "tools", "fuzz_cli.py")
     )
-    if command == "quotient":
-        argv = ["quotient", *space, "--m", str(draw(_sizes)), "--generators", draw(_generators)]
-    elif command == "poincare":
-        targets = ["fm", "delta", "delta_le", "ordinary", "cf", "bf", "sym", "cyc"]
-        target = draw(st.sampled_from(targets))
-        argv = ["poincare", *space, "--target", target, "--m", str(draw(_sizes))]
-        if draw(st.booleans()):
-            argv += ["--l", str(draw(_sizes))]
-    elif command == "character":
-        argv = ["character", *space, "--m", str(draw(_sizes))]
-        if draw(st.booleans()):
-            argv.append("--all")
-        else:
-            argv += ["--cycle-type", draw(st.text(alphabet="0123456789^,", max_size=8))]
-    elif command == "universal":
-        argv = ["universal", "--l", str(draw(_sizes)), "--m", str(draw(_sizes))]
-        if draw(st.booleans()):
-            argv.append("--closed")
-    elif command == "stability":
-        lo, hi = draw(_sizes), draw(_sizes)
-        argv = ["stability", *space, "--i", str(draw(st.one_of(st.integers(-1, 3), _large))),
-                "--a", str(draw(st.one_of(st.integers(-1, 2), _large))), "--range", f"{lo}..{hi}"]
-    else:
-        vocabulary = st.sampled_from(
-            ["poincare", "quotient", "--space", "c", "--m", "3", "--target", "fm", "--all", "--l"]
-        )
-        argv = draw(st.lists(st.one_of(vocabulary, st.text(max_size=4)), max_size=8))
-    if draw(st.booleans()):
-        argv += ["--format", draw(_formats)]
-    return argv
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def _admitted(target, m, l, pc, budget) -> bool:
-    saved = limits.STRATA_WORK_BUDGET
-    limits.STRATA_WORK_BUDGET = budget
-    try:
-        limits.check_closed_form(target, m, l, pc)
-    except CostCapExceeded:
-        return False
-    finally:
-        limits.STRATA_WORK_BUDGET = saved
-    return True
+def _never(*_args):
+    raise AssertionError("a product was taken")
 
 
-def _costly(argv, document) -> bool:
-    """Whether the closed-form estimate admits ``argv`` with more than 10^5
-    big-integer steps: a draw that would answer, but slowly.  The estimate
-    reads the space's pc, so a space file is sized by the drawn ``document``."""
-    try:
-        m = int(argv[argv.index("--m") + 1])
-        l = int(argv[argv.index("--l") + 1]) if "--l" in argv else None
-        target = argv[argv.index("--target") + 1] if argv[0] == "poincare" else None
-    except (ValueError, IndexError):
-        return False  # refused by argparse, or a raw draw at m = 3
-    if argv[0] == "universal":
-        target, pc = "delta_le" if "--closed" in argv else "delta", None
-    elif target in ("fm", "ordinary", "delta", "delta_le"):
-        name = argv[argv.index("--space") + 1]
-        try:
-            space = space_from_document(document) if name == "FILE" else BUILTIN_SPACES[name]
-        except (KeyError, InputParseError):
-            return False  # an unknown or malformed space is refused first
-        pc = space.pc
-    else:
-        return False
-    if target in ("fm", "ordinary"):
-        valid = m >= 0
-    else:
-        valid = l is not None and 1 <= l <= m
-    return (
-        valid
-        and _admitted(target, m, l, pc, limits.STRATA_WORK_BUDGET)
-        and not _admitted(target, m, l, pc, 10**5)
-    )
+#: Every polynomial product and Stirling sweep: a refusal comes before all of them.
+_PRODUCTS = [
+    (LaurentPoly, "__mul__"), (LaurentPoly, "__rmul__"), (LaurentPoly, "__pow__"),
+    (BiPoly, "__mul__"), (BiPoly, "__rmul__"), (polyarith, "_falling_rows"),
+    (combinat, "_stirling_sweep"), (combinat, "_stirling_second_explicit"),
+]
 
 
 class TestFuzzExitCodes:
-    """Every argv and space document ends in a documented exit code, at sizes
-    up to 10^9 and with or without an int-to-str limit."""
+    """The exit-code contract of tools/fuzz_cli.py, in process: each row of its
+    refusal table ``FIXED`` ends in its own exit code, and every draw of its
+    one grammar ``draw`` in a documented one, with no exception.  CI runs the
+    table and seeds 0..199 as processes in 1 GiB; these are seeds 200..499."""
 
-    @settings(
-        max_examples=300,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
-    )
-    @given(
-        argv=_argv(), document=_documents, max_m=_max_m, no_digit_limit=st.booleans()
-    )
-    def test_exit_code_contract(self, tmp_path, argv, document, max_m, no_digit_limit):
-        space_file = tmp_path / "space.json"
+    SEEDS = range(200, 500)
+
+    @staticmethod
+    def _environ(monkeypatch, int_digits, env):
+        """Give this process the environment of one call of the tool."""
+        if "CONFCOHOM_MAX_M" in env:
+            monkeypatch.setenv("CONFCOHOM_MAX_M", env["CONFCOHOM_MAX_M"])
+        else:
+            monkeypatch.delenv("CONFCOHOM_MAX_M", raising=False)
+        int_digits(int(env.get("PYTHONINTMAXSTRDIGITS", 4300)))
+
+    @staticmethod
+    def _run(space_file, argv, document):
+        """Run one call in process; return its exit code, or the traceback it
+        ended in, and its stderr."""
         space_file.write_text(json.dumps(document))
-        out, err = StringIO(), StringIO()
-        saved = os.environ.pop("CONFCOHOM_MAX_M", None)
-        saved_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-        if max_m is not None:
-            os.environ["CONFCOHOM_MAX_M"] = max_m
-        if no_digit_limit and saved_limit is not None:
-            sys.set_int_max_str_digits(0)
+        argv = [str(space_file) if a == "FILE" else a for a in argv]
+        err = StringIO()
         try:
-            assume(not _costly(argv, document))
-            argv = [str(space_file) if a == "FILE" else a for a in argv]
-            with redirect_stdout(out), redirect_stderr(err):
-                code = main(argv)
-        finally:
-            os.environ.pop("CONFCOHOM_MAX_M", None)
-            if saved is not None:
-                os.environ["CONFCOHOM_MAX_M"] = saved
-            if saved_limit is not None:
-                sys.set_int_max_str_digits(saved_limit)
-        assert code in (0, 2, 3, 4, 5), (argv, max_m, no_digit_limit, err.getvalue())
-        assert "Traceback" not in err.getvalue()
+            with redirect_stdout(StringIO()), redirect_stderr(err):
+                return main(argv), err.getvalue()
+        except Exception:
+            return traceback.format_exc(), err.getvalue()
+
+    def test_fixed_rows(self, fuzz, tmp_path, monkeypatch, int_digits):
+        failures = []
+        for row, (argv, document, env, expected) in enumerate(fuzz.FIXED):
+            self._environ(monkeypatch, int_digits, env)
+            with monkeypatch.context() as patch:
+                for owner, name in _PRODUCTS if expected == 5 else []:
+                    patch.setattr(owner, name, _never)
+                code, err = self._run(tmp_path / "space.json", argv, document)
+            if code != expected:
+                failures.append((row, env, argv, code, err[-300:]))
+        assert not failures
+
+    def test_exit_code_contract(self, fuzz, tmp_path, monkeypatch, int_digits):
+        failures = []
+        for seed in self.SEEDS:
+            argv, document, env = fuzz.draw(seed)
+            self._environ(monkeypatch, int_digits, env)
+            if fuzz.costly(argv, document):
+                continue
+            code, err = self._run(tmp_path / "space.json", argv, document)
+            if code not in (0, 2, 3, 4, 5) or "Traceback" in err:
+                failures.append((seed, env, argv[:12], code, err[-300:]))
+        assert not failures
+
+    @staticmethod
+    def _kind(document) -> str:
+        if not isinstance(document, dict):
+            return "not an object"
+        return document["name"] if document["name"] in ("huge", "long") else "fuzzed"
+
+    def test_the_grammar_does_not_narrow(self, fuzz):
+        draws = [fuzz.draw(seed) for seed in self.SEEDS]
+        argvs = [argv for argv, _document, _env in draws]
+
+        def after(flag):
+            return {argv[i + 1] for argv in argvs for i, w in enumerate(argv[:-1]) if w == flag}
+
+        commands = {"quotient", "poincare", "character", "universal", "stability"}
+        assert {argv[0] for argv in argvs if argv} >= commands
+        assert after("--target") >= set(checks.ENGINES)
+        assert after("--format") >= {"json", "plain", "latex"}
+        assert any("--all" in argv for argv in argvs)
+        assert any("--cycle-type" in argv for argv in argvs)
+        documents = [document for _argv, document, _env in draws]
+        assert {self._kind(d) for d in documents} == {"huge", "long", "fuzzed", "not an object"}
+        huge = [d["poincare_c"] for d in documents if self._kind(d) == "huge"]
+        assert any(max(betti) >= 10**1000 for betti in huge)
+        long = [d["poincare_c"] for d in documents if self._kind(d) == "long"]
+        assert {len(betti) - 1 for betti in long} == {50, 200}
+        assert {sum(betti) for betti in long} == {2, 50, 200}  # T + T^dim, and all ones
+        envs = [env for _argv, _document, env in draws]
+        max_m = {None, "", "0", "3", "14", "99", "abc", "-1", "1.5"}
+        assert {env.get("CONFCOHOM_MAX_M") for env in envs} == max_m
+        assert {env.get("PYTHONINTMAXSTRDIGITS") for env in envs} == {None, "0"}
 
 
 def test_cli_import_skips_heavy_modules():

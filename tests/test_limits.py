@@ -12,7 +12,9 @@ from confcohom.limits import (
     answer_digits,
     check_closed_form,
     check_series,
+    closed_form_work,
     coefficient_words,
+    pc_weight,
 )
 
 _EMPTY = LaurentPoly.zero()
@@ -211,5 +213,60 @@ class TestSeriesWork:
             check_series(12, _HUGE)
         assert str(refused.value) == (
             "trace-series work is capped at 40000000 word products; "
-            "m = 12 on Betti numbers of 208 words needs about 479711232"
+            "m = 12 on Betti numbers of 208 words, pc weight 208, needs about 479711232"
         )
+
+
+_ONES = LaurentPoly({e: 1 for e in range(1, 201)})  # 200 Betti numbers of 1
+_GAPPED = LaurentPoly({1: 1, 200: 1})  # T + T^200
+
+
+class TestPcWeight:
+    """``pc_weight``: the words of pc's largest coefficient times the terms t
+    and the exponent span s of the row pc + kT, t * s less 6, at least 1."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SPACES))
+    def test_every_built_in_space_weighs_one(self, name):
+        assert pc_weight(BUILTIN_SPACES[name].pc) == 1
+
+    @pytest.mark.parametrize("a", [0, 1, 3, 2**64 - 1])
+    def test_the_planes_weigh_one(self, a):
+        assert pc_weight(LaurentPoly({1: a, 2: 1})) == 1
+
+    @pytest.mark.parametrize(
+        "pc, weight",
+        [
+            (_EMPTY, 1),  # the row kT
+            ({0: 1}, 1),  # a point: 1 + kT
+            ({4: 1}, 1),  # kT + T^4, t * s = 6
+            ({1: 1, 2: 1, 3: 1}, 1),  # t * s = 6
+            ({5: 1}, 2),  # kT + T^5, t * s = 8
+            ({2: 1, 3: 1, 4: 1}, 6),  # t * s = 12
+            ({1: 2**64, 5: 1}, 4),  # two words times shape 2
+            (_GAPPED, 392),
+            (_ONES, 39794),
+        ],
+    )
+    def test_weight_edges(self, pc, weight):
+        assert pc_weight(LaurentPoly(pc) if isinstance(pc, dict) else pc) == weight
+
+    def test_closed_form_work_is_weighed(self):
+        assert closed_form_work("fm", 2000, None, _PLANE) == 1_999_000
+        assert closed_form_work("fm", 2000, None, _EMPTY) == 0
+        assert closed_form_work("delta_le", 600, 300, None) == 270_000
+        assert closed_form_work("delta_le", 600, 300, _ONES) == 270_000 * 39794
+        assert closed_form_work("fm", 102, None, _GAPPED) == 5151 * 392
+
+    def test_the_gapped_falling_product_at_the_edge(self, no_digit_limit):
+        # 101 * 100 / 2 * 392 = 1,979,600 steps; 102 * 101 / 2 * 392 = 2,019,192
+        check_closed_form("fm", 101, None, _GAPPED)
+        _refuses_work("fm", 102, None, _GAPPED)
+        _refuses_work("fm", 1500, None, _GAPPED)
+
+    def test_long_betti_numbers_weigh_the_series(self, monkeypatch):
+        # p(6) * 36 * 39794 = 15,758,424; p(8) * 64 * 39794 = 56,029,952
+        monkeypatch.delenv("CONFCOHOM_MAX_M", raising=False)
+        check_series(6, _ONES)
+        with pytest.raises(CostCapExceeded, match=r"^trace-series work is capped"):
+            check_series(8, _ONES)
+        check_series(12, _GAPPED)
