@@ -28,7 +28,9 @@ for ctype in sorted(series.values, key=lambda c: c.parts, reverse=True):
 # --- quotients ---------------------------------------------------------------
 # Unordered configurations: divide by everything.  Cyclic configurations:
 # divide by the rotation subgroup only.  Both have dedicated closed forms;
-# here we also average explicitly over a subgroup closure to cross-check.
+# here we also average explicitly over a subgroup to cross-check, listed
+# element by element by the oracle group_closure (the quotient command walks
+# the group's Knuth table instead).
 
 print("\nUnordered and cyclic configuration spaces of the plane:")
 for m in range(2, 7):

@@ -78,11 +78,11 @@ def poincare(
         counts, order = combinat.symmetric_counts(m), factorial(m)
         oracle = charseries.quotient_poincare(charseries.config_series(space, m), counts, order)
     else:
-        # The cyclic quotients average traces over the rotation group, listed
-        # element by element, independently of their divisor sums.
+        # The cyclic quotients average traces over the rotation group, counted
+        # by walking its Knuth table, independently of their divisor sums.
         rotation = [combinat.Permutation.from_cycles(m, [list(range(1, m + 1))])]
         trace = {"cf": charseries.config_trace, "cyc": charseries.power_trace}[target]
-        order, counts = combinat.group_closure(rotation, m)
+        order, counts = combinat.subgroup_class_counts(rotation, m)
         oracle = charseries._average(lambda ctype: trace(space, ctype), counts, order)
     named = [("subgroup-averaging", oracle == poly)]
     if target != "cyc" and m <= RECONSTRUCTION_MAX_M:

@@ -5,8 +5,8 @@ Stirling numbers of the second kind have two roads that share no code: the
 additive recurrence of :func:`stirling_second` and :func:`stirling_row`,
 read by the strata routes, and the inclusion-exclusion count
 ``_stirling_second_explicit``, read by their check
-:func:`confcohom.confspace.universal_poly`.  A subgroup's order comes from
-Knuth's table (``_group_order``) before any element is listed.
+:func:`confcohom.confspace.universal_poly`.  A subgroup's order and class
+counts come from Knuth's table (``_group_table``), walked, never listed.
 
 Conventions
 -----------
@@ -20,6 +20,7 @@ Conventions
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 
 from .errors import ConsistencyError, CostCapExceeded
@@ -470,7 +471,7 @@ def _block_table(parts: tuple[int, ...]) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# subgroups: element-by-element closure and Knuth's table
+# subgroups: Knuth's table and the walk of its products
 # ---------------------------------------------------------------------------
 
 
@@ -487,39 +488,6 @@ def _over_cap(cap: int) -> CostCapExceeded:
     return CostCapExceeded(f"subgroup closure exceeded the cap of {cap} elements")
 
 
-def group_closure(
-    generators: list[Permutation] | tuple[Permutation, ...], m: int
-) -> tuple[int, dict[CycleType, int]]:
-    """Close a generator set under composition; count elements per cycle type.
-
-    Returns (order, counts).  The empty generator set yields the trivial
-    group.  Breadth-first multiplication; aborts past the closure cap in
-    :mod:`.limits`.  The element-by-element oracle for :func:`subgroup_class_counts`.
-    """
-    limits.check_m(m)  # the counts are keyed by cycle types
-    gens = _checked_generators(generators, m)
-    cap = limits.DEFAULT_CLOSURE_CAP
-    identity = tuple(range(m))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in gens:
-                prod = _compose(g, h)
-                if prod not in seen:
-                    if len(seen) >= cap:
-                        raise _over_cap(cap)
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    counts: dict[tuple[int, ...], int] = {}
-    for images in seen:
-        mult = _cycle_mult(images)
-        counts[mult] = counts.get(mult, 0) + 1
-    return len(seen), {CycleType(m, mult): n for mult, n in counts.items()}
-
-
 def symmetric_counts(m: int) -> dict[CycleType, int]:
     """Class counts of the full symmetric group on m letters: the class sizes."""
     return {ct: ct.class_size() for ct in all_cycle_types(m)}
@@ -530,22 +498,34 @@ def subgroup_class_counts(
 ) -> tuple[int, dict[CycleType, int]]:
     """Order and cycle-type counts of the group the generators generate.
 
-    Returns (order, counts) like :func:`group_closure`, but takes the order
-    first from Knuth's table (``_group_order``).  The cycle-type cap is
-    checked on entry: the answer is keyed by cycle types, and the cost of
-    the table grows with m.  A group of order m! is the symmetric group,
-    whose counts are the class sizes, and is never listed; any other group
-    is listed by :func:`group_closure`, and is refused from its order,
-    before any element is listed, when that order is past the closure cap.
+    Returns (order, counts), both from Knuth's table (``_group_table``).
+    The cycle-type cap is checked on entry: the answer is keyed by cycle
+    types, and the cost of the table grows with m.  A group of order m! is
+    the symmetric group, whose counts are the class sizes; any other group
+    is walked by ``_table_products``, and is refused from its order, before
+    any product is formed, when that order is past the closure cap.
     """
     limits.check_m(m)
-    gens = _checked_generators(generators, m)
-    order = _group_order(gens, m)
+    table = _group_table(_checked_generators(generators, m), m)
+    order = math.prod(map(len, table))
     if order == math.factorial(m):
         return order, symmetric_counts(m)
     if order > limits.DEFAULT_CLOSURE_CAP:
         raise _over_cap(limits.DEFAULT_CLOSURE_CAP)
-    return group_closure(gens, m)
+    levels = [[t for t, _ in level.values()] for level in table if len(level) > 1]
+    counts = Counter(map(_cycle_mult, _table_products(levels, tuple(range(m)))))
+    return order, {CycleType(m, mult): n for mult, n in counts.items()}
+
+
+def _table_products(levels: list[list], prefix: tuple[int, ...], k: int = 0):
+    """``prefix`` times each product t_k t_(k+1) ... of one entry per level
+    from k on: each element of the group once, as ``member`` sifts it,
+    walked depth first with one prefix product held per level."""
+    if k == len(levels):
+        yield prefix
+    else:
+        for t in levels[k]:
+            yield from _table_products(levels, _compose(prefix, t), k + 1)
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -560,8 +540,8 @@ def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def _group_order(gens: tuple[tuple[int, ...], ...], m: int) -> int:
-    """The order of the group generated by ``gens``, from Knuth's table.
+def _group_table(gens: tuple[tuple[int, ...], ...], m: int) -> list[dict]:
+    """Knuth's table of the group generated by ``gens``.
 
     Level k files, under each j, an element that fixes 0..k-1 and sends k to
     j; ``strong[k]`` lists the level's generators.  A product of one entry
@@ -571,10 +551,10 @@ def _group_order(gens: tuple[tuple[int, ...], ...], m: int) -> int:
     else its residue joins the next level unless it is a member (D. E.
     Knuth, "Efficient representation of perm groups", *Combinatorica* 11,
     1991; Sims 1970).  A "not a member" answer during the build only adds a
-    redundant generator, so the order, the product of the table sizes, is
-    exact.  Nothing here is capped: the tables hold at most m(m + 1)/2
-    elements, the recursion is about m^2/2 frames deep, and the caller
-    bounds m.
+    redundant generator, so the table is exact: the order is the product of
+    its level sizes.  Nothing here is capped: the tables hold at most
+    m(m + 1)/2 elements, the recursion is about m^2/2 frames deep, and the
+    caller bounds m.
     """
     identity = tuple(range(m))
     table = [{k: (identity, identity)} for k in range(m)]  # j -> (element, inverse)
@@ -607,4 +587,4 @@ def _group_order(gens: tuple[tuple[int, ...], ...], m: int) -> int:
     for g in gens:
         if not member(g, 0):
             add(0, g)
-    return math.prod(map(len, table))
+    return table

@@ -17,7 +17,7 @@ CostCapExceeded.  CONFCOHOM_MAX_M sets both caps to its value, up or down,
 but never above ABSOLUTE_MAX_M; an empty value counts as unset, and any
 other value that is not a nonnegative integer raises InputParseError.
 DEFAULT_CLOSURE_CAP, read at call time, bounds the order of a subgroup
-that ``subgroup_class_counts`` would list element by element.
+whose Knuth table ``subgroup_class_counts`` walks product by product.
 :func:`check_closed_form` sizes a closed-form answer before any product,
 from m, l and pc: it refuses one too long for the int-to-str limit, or one
 whose work, :func:`closed_form_work`, passes STRATA_WORK_BUDGET, so that no

@@ -1,11 +1,11 @@
 """Brute-force oracles: cross-checks that list what the routes count.
 
 Each oracle reaches a production route's numbers by an independent road:
-listing stable set partitions point by point, permuting tensor factors or
-expanding a generating function.  Only the CLI's checks and the test suite
-use them; no production module imports this one.  The rebuild of the
-configuration character from power traces counts rather than lists, and
-the ``bf`` and ``cf`` checks run it, so it is
+listing stable set partitions point by point, closing a subgroup element by
+element, permuting tensor factors or expanding a generating function.  Only
+the CLI's checks and the test suite use them; no production module imports
+this one.  The rebuild of the configuration character from power traces
+counts rather than lists, and the ``bf`` and ``cf`` checks run it, so it is
 ``charseries.reconstruct_config_series``.  Calls into the layers go
 through their modules (``charseries.config_trace``), so patching or
 wrapping a layer function reaches the oracles too.
@@ -128,6 +128,41 @@ def stable_partitions(
             beta = Permutation(tuple(idx[alpha(block[0])] for block in p.blocks))
             found.append((p, beta))
     return found
+
+
+def group_closure(
+    generators: list[Permutation] | tuple[Permutation, ...], m: int
+) -> tuple[int, dict[CycleType, int]]:
+    """Close a generator set under composition; count elements per cycle type.
+
+    Returns (order, counts).  The empty generator set yields the trivial
+    group.  Breadth-first multiplication; aborts past the closure cap in
+    :mod:`.limits`.  The element-by-element oracle for ``combinat.subgroup_class_counts``.
+    """
+    limits.check_m(m)  # the counts are keyed by cycle types
+    gens = combinat._checked_generators(generators, m)
+    cap = limits.DEFAULT_CLOSURE_CAP
+    identity = tuple(range(m))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g in gens:
+                prod = combinat._compose(g, h)
+                if prod not in seen:
+                    if len(seen) >= cap:
+                        raise combinat._over_cap(cap)
+                    seen.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    counts: dict[tuple[int, ...], int] = {}
+    for images in seen:
+        mult = combinat._cycle_mult(images)
+        counts[mult] = counts.get(mult, 0) + 1
+    return len(seen), {CycleType(m, mult): n for mult, n in counts.items()}
+
+
 
 
 def tensor_trace_oracle(dims: tuple[int, ...], ctype: CycleType) -> LaurentPoly:

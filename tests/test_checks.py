@@ -40,7 +40,7 @@ def _every_class_doubled(original):
 
 
 # check name, command that emits it, and a function only the check reads;
-# TestProductChecks in test_cli.py corrupts the closure for ``cyc``.  The
+# TestProductChecks in test_cli.py corrupts the class counts for ``cyc``.  The
 # stability table's check reads no series, so its row corrupts the one
 # coefficient that only the table's route reads.
 CORRUPTIONS = [
@@ -55,7 +55,7 @@ CORRUPTIONS = [
     ("subgroup-averaging", "poincare --space cstar --target bf --m 4",
      charseries, "config_series", _shifted_series),
     ("subgroup-averaging", "poincare --space cstar --target cf --m 4",
-     combinat, "group_closure", _identity_only),
+     combinat, "subgroup_class_counts", _identity_only),
     ("power-trace-reconstruction", "poincare --space cstar --target bf --m 4",
      charseries, "_power_table", _powers_of_a_punctured_space),
     ("power-trace-reconstruction", "poincare --space cstar --target cf --m 4",

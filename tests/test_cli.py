@@ -479,7 +479,7 @@ class TestExitCodes:
         def listed(*_args):
             raise AssertionError("an element was listed")
 
-        monkeypatch.setattr(combinat, "group_closure", listed)
+        monkeypatch.setattr(combinat, "_table_products", listed)
         quotient = run_json(
             capsys, "quotient", "--space", "c", "--m", str(m),
             "--generators", _transposition_and_long_cycle(m),
@@ -492,7 +492,7 @@ class TestExitCodes:
         def listed(*_args):
             raise AssertionError("an element was listed")
 
-        monkeypatch.setattr(combinat, "group_closure", listed)
+        monkeypatch.setattr(combinat, "_table_products", listed)
         monkeypatch.setattr(combinat, "symmetric_counts", listed)
         # S_11 fixing a point of 12: order 11!, past the 10! cap, and not S_12
         gens = f"(1 2);({' '.join(map(str, range(1, 12)))})"
@@ -851,10 +851,10 @@ class TestProductChecks:
 
     def test_corrupted_closure_changes_outcome(self, capsys, monkeypatch):
         # the whole cyclic group replaced by its identity element
-        def trivial_closure(gens, m):
+        def trivial_group(gens, m):
             return 1, {CycleType.identity(m): 1}
 
-        monkeypatch.setattr(combinat, "group_closure", trivial_closure)
+        monkeypatch.setattr(combinat, "subgroup_class_counts", trivial_group)
         doc = run_json(capsys, *self.ARGS["cyc"])
         assert doc["checks"] == [{"name": "subgroup-averaging", "passed": False}]
 

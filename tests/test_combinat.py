@@ -440,7 +440,7 @@ def _alternating(m: int) -> list[Permutation]:
 
 
 def _chain_order(gens: list[Permutation], m: int) -> int:
-    return combinat._group_order(tuple(g.images for g in gens), m)
+    return math.prod(map(len, combinat._group_table(tuple(g.images for g in gens), m)))
 
 
 def _groups_on_14_points() -> list[tuple[list[Permutation], int]]:
@@ -496,7 +496,7 @@ def generator_sets(draw):
 
 
 class TestSubgroupClassCounts:
-    """The stabilizer-chain route against the element-by-element closure."""
+    """The walk of Knuth's table against the element-by-element closure."""
 
     @pytest.mark.parametrize("m", range(8))
     @pytest.mark.parametrize("group", ["trivial", "cyclic", "symmetric", "alternating"])
@@ -587,6 +587,8 @@ class TestSubgroupClassCounts:
                 drawn.append(word)
             rng.shuffle(drawn)
             assert _chain_order(drawn, 14) == order
+            if order <= 2184:  # C_14, D_14, PSL(2,13), PGL(2,13): also walked
+                assert subgroup_class_counts(drawn, 14) == group_closure(drawn, 14)
 
     def test_cap_refuses_from_the_order(self, monkeypatch):
         def listed(*_args):
@@ -596,7 +598,7 @@ class TestSubgroupClassCounts:
         monkeypatch.setattr(limits, "DEFAULT_CLOSURE_CAP", 10)
         with pytest.raises(CostCapExceeded) as closure:
             group_closure(s4_on_5, 5)
-        monkeypatch.setattr(combinat, "group_closure", listed)
+        monkeypatch.setattr(combinat, "_table_products", listed)
         monkeypatch.setattr(combinat, "symmetric_counts", listed)
         with pytest.raises(CostCapExceeded) as refused:
             subgroup_class_counts(s4_on_5, 5)
@@ -609,12 +611,26 @@ class TestSubgroupClassCounts:
         with pytest.raises(CostCapExceeded):
             subgroup_class_counts([_cycles(6, (1, 2, 3))], 6)
 
+    def test_walk_holds_no_list_of_elements(self):
+        # S_5 x S_5 on 10 points has 14,400 elements; listing them takes
+        # megabytes, the walk one prefix product per level of the table
+        gens = [_cycles(10, (1, 2)), _cycles(10, range(1, 6)), _cycles(10, (6, 7)),
+                _cycles(10, range(6, 11))]
+        tracemalloc.start()
+        try:
+            order, counts = subgroup_class_counts(gens, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert order == sum(counts.values()) == 120**2
+        assert peak < 256 * 1024
+
     @pytest.mark.parametrize("m", range(2, 13))
     def test_symmetric_groups_are_never_listed(self, monkeypatch, m):
         def listed(*_args):
             raise AssertionError("an element was listed")
 
-        monkeypatch.setattr(combinat, "group_closure", listed)
+        monkeypatch.setattr(combinat, "_table_products", listed)
         order, counts = subgroup_class_counts(_symmetric(m), m)
         assert order == sum(counts.values()) == math.factorial(m)
 

@@ -24,15 +24,14 @@ HOMES = {
     "errors": "ConfcohomError ConsistencyError CostCapExceeded HypothesisViolation "
     "InputParseError",
     "polyarith": "BiPoly LaurentPoly falling_product",
-    "combinat": "CycleType Permutation all_cycle_types group_closure stirling_first_signed "
-    "stirling_second",
+    "combinat": "CycleType Permutation all_cycle_types stirling_first_signed stirling_second",
     "confspace": "BUILTIN_SPACES SpaceSpec euler_char_config poincare_at_most poincare_config "
     "poincare_config_ordinary poincare_exactly universal_poly",
     "charseries": "TraceSeries config_series config_trace exactly_series induce_blocks "
     "poincare_cyclic_config poincare_cyclic_product poincare_symmetric_product "
     "poincare_unordered_config power_trace quotient_poincare reconstruct_config_series",
-    "oracles": "SetPartition at_most_trace exactly_trace set_partitions stable_partitions "
-    "tensor_trace_oracle",
+    "oracles": "SetPartition at_most_trace exactly_trace group_closure set_partitions "
+    "stable_partitions tensor_trace_oracle",
     "repstab": "ConstancyReport MultiplicityTable StabilityReport decompose_series "
     "stability_report symmetric_group_character unordered_betti_constancy",
 }
