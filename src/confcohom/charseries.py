@@ -248,18 +248,11 @@ def induce_blocks(series: TraceSeries, m: int) -> TraceSeries:
     values = series.values
     induced = {
         ct: _linear_combination(
-            (count, values[beta]) for beta, count in _block_counts(ct, blocks)
+            (count, values[beta]) for beta, count in _stable_block_counts(ct, blocks)
         )
         for ct in _all_cycle_types(m)
     }
     return TraceSeries(m, induced)
-
-
-@lru_cache(maxsize=None)
-def _block_counts(ctype: CycleType, blocks: int) -> tuple[tuple[CycleType, int], ...]:
-    """The pairs of ``combinat.stable_block_counts``, built once per process
-    by its unchecked core: each caller checked its m on entry."""
-    return tuple(_stable_block_counts(ctype, blocks).items())
 
 
 def _exactly_coefficients(
@@ -281,7 +274,7 @@ def _exactly_coefficients(
     if distinct == m:
         return at
     return {
-        ct: sum(count * at[beta] for beta, count in _block_counts(ct, distinct))
+        ct: sum(count * at[beta] for beta, count in _stable_block_counts(ct, distinct))
         for ct in _all_cycle_types(m)
     }
 

@@ -7,6 +7,10 @@ byte-identical output, and holds its polynomials as values until
 :func:`render`.  Success exits 0; a refusal exits with the code its
 ``ConfcohomError`` class names (see :mod:`confcohom.errors`).
 
+Each command checks its hypotheses (exit 2), then one gate of
+:mod:`confcohom.limits` (exit 5): ``check_series``, ``check_closed_form`` or
+``check_m``, before it parses any input whose size grows with m (exit 3).
+
 A call is one short process, so each command imports ``charseries``,
 ``oracles``, ``repstab`` and ``selftest`` only if it runs them: the closed
 forms compile no trace-series code.
@@ -160,18 +164,6 @@ def require_arg(ok: bool, message: str) -> None:
         raise InputParseError(message)
 
 
-def refuse_before_sizing(space: SpaceSpec, m: int, series: bool = False) -> None:
-    """Check the hypothesis (exit 2), then the cycle-type cap (exit 5), before
-    any input is parsed into something whose size grows with m (exit 3).  A
-    command that builds a whole trace ``series`` is also weighed by the size
-    of the Betti numbers (``limits.check_series``)."""
-    confspace.require(space, "i_acyclic")
-    if series:
-        limits.check_series(m, space.pc)
-    else:
-        limits.check_m(m)
-
-
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
@@ -234,17 +226,14 @@ def cmd_poincare(args) -> dict:
             require_arg(m >= 0, "--m must be nonnegative")
         else:
             require_arg(m >= 1, f"target {target!r} needs --m >= 1")
-    if target == "bf":
-        # the check averages the whole configuration series
-        refuse_before_sizing(space, m, series=True)
-    elif target in ("sym", "cyc"):
-        # their powers of N(T) grow like a series on a long pc
-        limits.check_series(m, space.pc)
-    elif target in ("fm", "ordinary", "delta", "delta_le"):
-        # the hypotheses (exit 2) before the size of the answer (exit 5)
+    if target not in ("sym", "cyc"):
         confspace.require(space, "i_acyclic")
-        if target == "ordinary":
-            confspace.require(space, "orientable")
+    if target == "ordinary":
+        confspace.require(space, "orientable")
+    if target in ("bf", "sym", "cyc"):
+        # bf's check averages a series; sym's and cyc's powers of N(T) grow like one
+        limits.check_series(m, space.pc)
+    elif target != "cf":  # cf's route checks its own m
         limits.check_closed_form(target, m, l, space.pc)
     poly = checks.ENGINES[target](space, m, l)
     inputs = {"space": space.name, "m": m, "target": target}
@@ -263,7 +252,8 @@ def cmd_character(args) -> dict:
 
     if args.all:
         require_arg(args.cycle_type is None, "character takes --cycle-type or --all, not both")
-        refuse_before_sizing(space, m, series=True)
+        confspace.require(space, "i_acyclic")
+        limits.check_series(m, space.pc)
         series = charseries.config_series(space, m)
         entries = {str(ctype): entry for ctype, entry in series.values.items()}
         result = {"kind": "series", "entries": entries}
@@ -271,7 +261,8 @@ def cmd_character(args) -> dict:
         named = checks.character_series(space, m, series)
     else:
         require_arg(bool(args.cycle_type), "character requires --cycle-type or --all")
-        refuse_before_sizing(space, m)
+        confspace.require(space, "i_acyclic")
+        limits.check_m(m)  # before the cycle type, whose size grows with m, is parsed
         ctype = parse_cycle_type(args.cycle_type, m)
         poly = charseries.config_trace(space, ctype)
         result = _poly_result(poly)
@@ -298,7 +289,8 @@ def cmd_quotient(args) -> dict:
     space = load_space(args.space)
     m = args.m
     require_arg(m >= 0, "--m must be nonnegative")
-    refuse_before_sizing(space, m, series=True)
+    confspace.require(space, "i_acyclic")
+    limits.check_series(m, space.pc)  # before the generators are parsed
     gens = parse_generators(args.generators, m) if args.generators else []
     from . import charseries
 

@@ -23,7 +23,7 @@ import math
 from collections import Counter
 from functools import lru_cache
 
-from .errors import ConsistencyError, CostCapExceeded
+from .errors import ConsistencyError
 from . import limits
 from .polyarith import ONE, T, falling_product
 from .record import FrozenRecord
@@ -418,23 +418,24 @@ def stable_block_counts(ctype: CycleType, blocks: int) -> dict[CycleType, int]:
 
     The cap and the block count are checked on every call; the routes that
     checked their own m on entry read the unchecked core
-    ``_stable_block_counts``.
+    ``_stable_block_counts``, which builds the pairs once per process.
     """
     limits.check_m(ctype.m)
     limits.check_count(blocks, "blocks")
-    return _stable_block_counts(ctype, blocks)
+    return dict(_stable_block_counts(ctype, blocks))
 
 
-def _stable_block_counts(ctype: CycleType, blocks: int) -> dict[CycleType, int]:
-    """:func:`stable_block_counts` for an m and a block count already checked."""
+@lru_cache(maxsize=None)
+def _stable_block_counts(ctype: CycleType, blocks: int) -> tuple[tuple[CycleType, int], ...]:
+    """The (beta, count) pairs of :func:`stable_block_counts`, unchecked."""
     if blocks > ctype.m:  # no partition has more blocks than points
-        return {}
+        return ()
     index = _cycle_type_index(blocks)
-    return {
-        index[mult[:blocks] + (0,) * (blocks - len(mult))]: count
+    return tuple(
+        (index[mult[:blocks] + (0,) * (blocks - len(mult))], count)
         for (mult, used), count in _block_table(ctype.parts)
         if used == blocks
-    }
+    )
 
 
 @lru_cache(maxsize=None)
@@ -484,10 +485,6 @@ def _checked_generators(generators, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(g.images for g in gens)
 
 
-def _over_cap(cap: int) -> CostCapExceeded:
-    return CostCapExceeded(f"subgroup closure exceeded the cap of {cap} elements")
-
-
 def symmetric_counts(m: int) -> dict[CycleType, int]:
     """Class counts of the full symmetric group on m letters: the class sizes."""
     return {ct: ct.class_size() for ct in all_cycle_types(m)}
@@ -510,8 +507,7 @@ def subgroup_class_counts(
     order = math.prod(map(len, table))
     if order == math.factorial(m):
         return order, symmetric_counts(m)
-    if order > limits.DEFAULT_CLOSURE_CAP:
-        raise _over_cap(limits.DEFAULT_CLOSURE_CAP)
+    limits.check_group_order(order)
     levels = [[t for t, _ in level.values()] for level in table if len(level) > 1]
     counts = Counter(map(_cycle_mult, _table_products(levels, tuple(range(m)))))
     return order, {CycleType(m, mult): n for mult, n in counts.items()}

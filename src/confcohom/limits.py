@@ -9,15 +9,12 @@ name the argument.  The cached routes run it inside a ``typed`` cache, so
 tuple argument pass :func:`check_entries` (``CycleType`` inlines its test
 in the pass that sums them), each message naming the entry ``name[i]``.
 
-Cycle-type routes, block induction included, scale with the number of
-partitions of m; the set-partition enumeration in :mod:`confcohom.oracles`
-grows like the Bell numbers.  :func:`check_m` gates an m and then refuses
-it past the cap of its cost, CYCLE_TYPES or SET_PARTITIONS, with
-CostCapExceeded.  CONFCOHOM_MAX_M sets both caps to its value, up or down,
-but never above ABSOLUTE_MAX_M; an empty value counts as unset, and any
-other value that is not a nonnegative integer raises InputParseError.
-DEFAULT_CLOSURE_CAP, read at call time, bounds the order of a subgroup
-whose Knuth table ``subgroup_class_counts`` walks product by product.
+Cycle-type routes scale with the number of partitions of m, and
+:func:`check_m` refuses an m past the one cap, :func:`max_m`, with
+CostCapExceeded.  CONFCOHOM_MAX_M sets it, up or down, but never above
+ABSOLUTE_MAX_M; an empty value counts as unset, and any other value that is
+not a nonnegative integer raises InputParseError.  :func:`check_group_order`
+refuses a group past DEFAULT_CLOSURE_CAP, read at call time.
 :func:`check_closed_form` sizes a closed-form answer before any product,
 from m, l and pc: it refuses one too long for the int-to-str limit, or one
 whose work, :func:`closed_form_work`, passes STRATA_WORK_BUDGET, so that no
@@ -37,7 +34,6 @@ from .errors import CostCapExceeded, InputParseError
 ABSOLUTE_MAX_M = 14
 
 DEFAULT_CYCLE_TYPE_MAX_M = 12
-DEFAULT_SET_PARTITION_MAX_M = 10
 
 DEFAULT_CLOSURE_CAP = 3_628_800  # 10!
 
@@ -54,10 +50,6 @@ STRATA_WORK_BUDGET = 2_000_000
 #: 1.2 s at m = 6 on 10^4000 (1.7e7), and 7.7 s at m = 12 on 10^4000 (4.8e8),
 #: which is refused (2-CPU Xeon, Python 3.11).
 SERIES_WORK_BUDGET = 40_000_000
-
-#: The costs capped in m: (default cap, what a refusal says is capped).
-CYCLE_TYPES = (DEFAULT_CYCLE_TYPE_MAX_M, "cycle-type computations are")
-SET_PARTITIONS = (DEFAULT_SET_PARTITION_MAX_M, "set-partition enumeration is")
 
 _ENV_VAR = "CONFCOHOM_MAX_M"
 
@@ -78,11 +70,11 @@ def check_entries(values, name: str, least: int | None = 0) -> None:
             check_count(value, f"{name}[{i}]", least)
 
 
-def max_m(cost: tuple[int, str] = CYCLE_TYPES) -> int:
-    """The cap on m for ``cost``: CONFCOHOM_MAX_M when set, else its default."""
+def max_m() -> int:
+    """The cap on m: CONFCOHOM_MAX_M when set, else DEFAULT_CYCLE_TYPE_MAX_M."""
     raw = os.environ.get(_ENV_VAR)
     if not raw:
-        return cost[0]
+        return DEFAULT_CYCLE_TYPE_MAX_M
     try:
         value = int(raw)
     except ValueError:
@@ -92,13 +84,20 @@ def max_m(cost: tuple[int, str] = CYCLE_TYPES) -> int:
     return min(value, ABSOLUTE_MAX_M)
 
 
-def check_m(m, name: str = "m", least: int = 0, cost: tuple[int, str] = CYCLE_TYPES) -> None:
-    """Gate ``m`` with :func:`check_count`, then refuse it past the cap of
-    ``cost`` with CostCapExceeded."""
+def check_m(m, name: str = "m", least: int = 0) -> None:
+    """Gate ``m`` with :func:`check_count`, then refuse it past :func:`max_m`
+    with CostCapExceeded."""
     check_count(m, name, least)
-    cap = max_m(cost)
+    cap = max_m()
     if m > cap:
-        raise CostCapExceeded(f"{cost[1]} capped at m = {cap}")
+        raise CostCapExceeded(f"cycle-type computations are capped at m = {cap}")
+
+
+def check_group_order(order: int) -> None:
+    """Refuse a group of more than DEFAULT_CLOSURE_CAP elements with CostCapExceeded."""
+    cap = DEFAULT_CLOSURE_CAP
+    if order > cap:
+        raise CostCapExceeded(f"subgroup closure exceeded the cap of {cap} elements")
 
 
 def coefficient_words(pc) -> int:

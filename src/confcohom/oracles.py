@@ -9,6 +9,10 @@ counts rather than lists, and the ``bf`` and ``cf`` checks run it, so it is
 ``charseries.reconstruct_config_series``.  Calls into the layers go
 through their modules (``charseries.config_trace``), so patching or
 wrapping a layer function reaches the oracles too.
+
+Each oracle that lists guards its own size, which CONFCOHOM_MAX_M does not
+raise: set partitions up to m = 10, the tensor oracle up to m = 6 and total
+dimension 4, and the closure up to ``limits.DEFAULT_CLOSURE_CAP`` elements.
 """
 
 from __future__ import annotations
@@ -69,11 +73,14 @@ def set_partitions(m: int, blocks: int) -> tuple[SetPartition, ...]:
 
     Enumerated through restricted-growth strings, so the list is
     deterministic and each partition arrives in canonical block order.
-    The count is the Stirling number of the second kind.  The cap is
-    checked on every call, so a cached list is never served past it.
+    The count is the Stirling number of the second kind.  The cap on m and
+    this oracle's own bound, m = 10, are checked on every call, so a cached
+    list is never served past either.
     """
     limits.check_count(blocks, "blocks", 1)
-    limits.check_m(m, least=1, cost=limits.SET_PARTITIONS)
+    limits.check_m(m, least=1)
+    if m > 10:
+        raise CostCapExceeded("set-partition enumeration is capped at m = 10")
     return _set_partitions(m, blocks)
 
 
@@ -141,7 +148,6 @@ def group_closure(
     """
     limits.check_m(m)  # the counts are keyed by cycle types
     gens = combinat._checked_generators(generators, m)
-    cap = limits.DEFAULT_CLOSURE_CAP
     identity = tuple(range(m))
     seen = {identity}
     frontier = [identity]
@@ -151,8 +157,7 @@ def group_closure(
             for g in gens:
                 prod = combinat._compose(g, h)
                 if prod not in seen:
-                    if len(seen) >= cap:
-                        raise combinat._over_cap(cap)
+                    limits.check_group_order(len(seen) + 1)
                     seen.add(prod)
                     nxt.append(prod)
         frontier = nxt
@@ -161,8 +166,6 @@ def group_closure(
         mult = combinat._cycle_mult(images)
         counts[mult] = counts.get(mult, 0) + 1
     return len(seen), {CycleType(m, mult): n for mult, n in counts.items()}
-
-
 
 
 def tensor_trace_oracle(dims: tuple[int, ...], ctype: CycleType) -> LaurentPoly:

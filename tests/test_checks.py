@@ -63,7 +63,7 @@ CORRUPTIONS = [
     ("power-trace-reconstruction", "poincare --space cstar --target bf --m 4",
      charseries, "reconstruct_config_series", _shifted_series),
     ("power-trace-reconstruction", "poincare --space cstar --target bf --m 4",
-     charseries, "_block_counts", _one_more_three_point_two_block),
+     charseries, "_stable_block_counts", _one_more_three_point_two_block),
     ("generating-function", "poincare --space cstar --target sym --m 4",
      oracles, "symmetric_product_generating_function", _plus_one),
     ("oracle-triangle", "character --space cstar --m 4 --all",
@@ -171,8 +171,8 @@ def test_a_wrong_block_count_fails_only_the_reconstruction(monkeypatch, target):
     # induce_blocks reads the counts by name, so the lru cache behind the
     # name cannot hide the corruption; the quotient routes never induce
     command = f"poincare --space cstar --target {target} --m 4"
-    corrupted = _one_more_three_point_two_block(charseries._block_counts)
-    monkeypatch.setattr(charseries, "_block_counts", corrupted)
+    corrupted = _one_more_three_point_two_block(charseries._stable_block_counts)
+    monkeypatch.setattr(charseries, "_stable_block_counts", corrupted)
     assert outcome(command, "subgroup-averaging")
     assert not outcome(command, "power-trace-reconstruction")
 

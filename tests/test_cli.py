@@ -1385,8 +1385,6 @@ class TestCapOverride:
         monkeypatch.setenv("CONFCOHOM_MAX_M", value)
         with pytest.raises(InputParseError):
             limits.max_m()
-        with pytest.raises(InputParseError):
-            limits.max_m(limits.SET_PARTITIONS)
 
     @pytest.mark.parametrize("value", ["abc", "-3"])
     @pytest.mark.parametrize("target", ["cf", "fm"])
@@ -1404,15 +1402,17 @@ class TestCapOverride:
 
         monkeypatch.setenv("CONFCOHOM_MAX_M", "")
         assert limits.max_m() == limits.DEFAULT_CYCLE_TYPE_MAX_M
-        assert limits.max_m(limits.SET_PARTITIONS) == limits.DEFAULT_SET_PARTITION_MAX_M
 
     @pytest.mark.parametrize("value, cap, hard", [("5", 5, 12), ("14", 14, 14), ("99", 14, 14)])
     def test_env_var_sets_caps_up_or_down(self, monkeypatch, value, cap, hard):
-        from confcohom import limits
+        # the cap on m moves both ways; the set-partition oracle's own bound,
+        # m = 10, does not move up with it
+        from confcohom import limits, oracles
 
         monkeypatch.setenv("CONFCOHOM_MAX_M", value)
         assert limits.max_m() == cap
-        assert limits.max_m(limits.SET_PARTITIONS) == cap
+        with pytest.raises(CostCapExceeded):
+            oracles.set_partitions(11, 3)
 
     def test_env_var_zero_is_a_valid_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("CONFCOHOM_MAX_M", "0")

@@ -351,6 +351,7 @@ class TestStableBlockCounts:
         # the table of a partition is one step from that of its prefix, so
         # every table up to m misses the cache once per partition of k <= m
         m = 9
+        combinat._stable_block_counts.cache_clear()  # warm pairs would skip the tables
         combinat._block_table.cache_clear()
         for n in range(m, -1, -1):
             for ct in all_cycle_types(n):

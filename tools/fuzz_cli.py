@@ -43,7 +43,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 sys.path.insert(0, SRC)
 
-from confcohom import BUILTIN_SPACES, limits  # noqa: E402
+from confcohom import BUILTIN_SPACES, checks, limits  # noqa: E402
 from confcohom.cli import space_from_document  # noqa: E402
 from confcohom.errors import ConfcohomError, CostCapExceeded  # noqa: E402
 
@@ -58,7 +58,7 @@ LARGE = [12, 13, 14, 15, 1000, 10**9]  # the caps and far past them
 HUGE = [10**1000, 10**4000]
 LONG = [50, 200]  # the dim of a long space file
 SPACES = ["c", "cstar", "r3", "c_minus_1", "klein_pointed", "nosuch", "FILE"]
-TARGETS = ["fm", "delta", "delta_le", "ordinary", "cf", "bf", "sym", "cyc"]
+TARGETS = list(checks.ENGINES)  # each poincare target, as the CLI offers them
 MAX_M = [None, "", "0", "3", "14", "99", "abc", "-1", "1.5"]
 VOCABULARY = ["poincare", "quotient", "--space", "c", "--m", "3", "--target", "fm", "--all", "--l"]
 
@@ -88,6 +88,13 @@ _BOTH = ({DIGITS: "4300"}, NO_DIGIT_LIMIT)
 
 #: (argv, space document for ``--space FILE`` or None, environment, exit code)
 FIXED = [
+    # the hypothesis comes first, then the one limits gate of each command
+    *_rows(f"quotient --space klein_pointed --m {_B} --generators '(1 2)'", 2),
+    *_rows(f"character --space klein_pointed --m {_B} --cycle-type 1^{_B}", 2),
+    *_rows(f"character --space klein_pointed --m {_B} --all", 2),
+    *_rows(f"poincare --space klein_pointed --target bf --m {_B}", 2),
+    *_rows(f"poincare --space klein_pointed --target fm --m {_B}", 2),
+    *_rows(f"stability --space klein_pointed --i 1 --range 1..{_B}", 2),
     # the hypothesis and the cycle-type cap come before anything whose size
     # grows with m: a permutation, a multiplicity vector or a list of m values
     *_rows(f"quotient --space c --m {_B} --generators '(1 2)'", 5),
