@@ -20,11 +20,12 @@ from .polyarith import BiPoly, LaurentPoly
 #: Largest m at which a command rebuilds the configuration character from
 #: power traces: ``power-trace-reconstruction`` on ``bf`` and ``cf``, and
 #: ``oracle-triangle`` on ``character --all``, which also lists the stable
-#: set partitions of every stratum.  The bound is cost, not validity.  The
-#: listing grows like p(m) * Bell(m): 0.07 s at m = 6, 0.23 s at 7, 1.4 s
-#: at 8 on the plane.  Past 6 the rebuild alone would also make a cold
-#: ``poincare --space cstar --target bf --m 12`` take 0.20-0.24 s, not
-#: 0.10 s (2-CPU Xeon, Python 3.11).
+#: set partitions of every stratum.  The bound is cost, not validity, and
+#: the cost that binds is that listing, which grows like p(m) * Bell(m):
+#: 0.07 s at m = 6, 0.23 s at 7, 1.4 s at 8 on the plane.  The rebuild
+#: alone costs less: with the bound at 12, a cold ``poincare --space cstar
+#: --target bf --m 12`` takes 0.11 s, not 0.08 s, and ``cf`` the same
+#: (medians of 15 processes, 2-CPU Xeon, Python 3.11).
 RECONSTRUCTION_MAX_M = 6
 
 

@@ -4,7 +4,8 @@ Each subcommand runs one library route; ``confcohom.checks`` compares the
 answer with an independent route and builds the document's ``checks``
 entries.  The document is deterministic: identical inputs produce
 byte-identical output, and holds its polynomials as values until
-:func:`render`.  Success exits 0; a refusal exits with the code its
+:func:`render`.  Success exits 0; a refusal, argparse's usage errors
+included, writes one JSON line to stderr and exits with the code its
 ``ConfcohomError`` class names (see :mod:`confcohom.errors`).
 
 Each command checks its hypotheses (exit 2), then one gate of
@@ -294,8 +295,8 @@ def cmd_quotient(args) -> dict:
     gens = parse_generators(args.generators, m) if args.generators else []
     from . import charseries
 
+    order, counts = subgroup_class_counts(gens, m)  # refuses a group past the cap first
     series = charseries.config_series(space, m)
-    order, counts = subgroup_class_counts(gens, m)
     counted = sum(counts.values())
     if counted != order:
         raise ConsistencyError(f"class counts sum to {counted}, not to the group order {order}")
@@ -357,8 +358,16 @@ def cmd_selftest(_args) -> dict:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, in the parser and each subparser, exit 3 with the one
+    JSON line, not with argparse's usage text and exit 2 (a hypothesis's)."""
+
+    def error(self, message):
+        raise InputParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="confcohom",
         description="Exact cohomological invariants of generalized configuration spaces.",
     )
@@ -424,17 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; report those as parse errors to
-        # keep exit code 2 reserved for hypothesis violations
-        return EXIT_OK if exc.code in (0, None) else InputParseError.exit_code
-    try:
+        args = build_parser().parse_args(argv)
         limits.max_m()  # a malformed CONFCOHOM_MAX_M fails every command
         document = args.fn(args)
         text = render(document, args.format)
+    except SystemExit:  # --help wrote the usage; a usage error raises InputParseError
+        return EXIT_OK
     except ConfcohomError as exc:
         return _emit_error(exc)
     except ValueError as exc:  # CPython's int-to-str digit limit (CVE-2020-10735)

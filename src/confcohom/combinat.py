@@ -3,8 +3,8 @@
 Stable set partitions are counted here, never listed (see :mod:`.oracles`).
 Stirling numbers of the second kind have two roads that share no code: the
 additive recurrence of :func:`stirling_second` and :func:`stirling_row`,
-read by the strata routes, and the inclusion-exclusion count
-``_stirling_second_explicit``, read by their check
+read by the strata routes, and the forward differences of k^m,
+``_stirling_differences``, read by their check
 :func:`confcohom.confspace.universal_poly`.  A subgroup's order and class
 counts come from Knuth's table (``_group_table``), walked, never listed.
 
@@ -222,13 +222,21 @@ def _stirling_sweep(i: int, j: int, lowest: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _stirling_second_explicit(i: int, j: int) -> int:
-    # (1/j!) sum_k (-1)^(j-k) C(j,k) k^i, with 0^0 = 1.
-    total = sum((-1) ** (j - k) * math.comb(j, k) * k**i for k in range(j + 1))
-    q, r = divmod(total, math.factorial(j))
-    if r:
-        raise ConsistencyError(f"surjection count at ({i},{j}) is not divisible by {j}!")
-    return q
+def _stirling_differences(i: int, j: int) -> tuple[int, ...]:
+    """S(i, 0), ..., S(i, j) from the forward differences of k^i at 0:
+    t! S(i, t) = Delta^t[k^i](0), with 0^0 = 1.  One row of j + 1 powers,
+    differenced in place j times; each division by t! is exact and checked."""
+    row = [k**i for k in range(j + 1)]
+    numbers, factorial = [], 1
+    for t in range(j + 1):
+        factorial *= t or 1
+        q, r = divmod(row[0], factorial)
+        if r:
+            raise ConsistencyError(f"surjection count at ({i},{t}) is not divisible by {t}!")
+        numbers.append(q)
+        for k in range(j - t):
+            row[k] = row[k + 1] - row[k]
+    return tuple(numbers)
 
 
 def stirling_first_signed(i: int, j: int) -> int:

@@ -181,7 +181,8 @@ def universal_poly(distinct: int, m: int, closed: bool) -> BiPoly:
     Substituting P := pc recovers ``poincare_exactly`` (open case) or
     ``poincare_at_most`` (closed case) for every space at once.  The
     result is homogeneous of total degree ``distinct``.  Its Stirling numbers
-    come from the inclusion-exclusion count, not the table those two read.
+    come from one row of forward differences of k^m, not the recurrence
+    those two read.
     """
     _check_strata(distinct, m, least=1)
     # rising[k] = P(P + T)...(P + (k-1)T), each built from the one before
@@ -189,11 +190,12 @@ def universal_poly(distinct: int, m: int, closed: bool) -> BiPoly:
     for i in range(distinct):
         rising.append(rising[i] * (P_VAR + i * T_VAR))
 
+    stirling = combinat._stirling_differences(m, distinct)
     result = BiPoly.zero()
     for a in range(distinct if closed else 1):  # the open stratum is the a = 0 term
         sign = -1 if a % 2 else 1
-        stirling = combinat._stirling_second_explicit(m, distinct - a)
-        result = result + sign * stirling * (rising[distinct - a] * BiPoly.term(1, 0, a))
+        k = distinct - a
+        result = result + sign * stirling[k] * (rising[k] * BiPoly.term(1, 0, a))
     if not result.is_homogeneous(distinct):
         raise ConsistencyError(f"universal polynomial is not homogeneous of degree {distinct}")
     return result

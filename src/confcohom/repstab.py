@@ -299,8 +299,10 @@ class StabilityReport(Record):
 
         A verdict compares the m of its window, from its bound to the top
         of the table, so one with fewer than two m would compare nothing:
-        ``monotone-from-N`` and ``constant-from-N`` are left out then, as
-        ``betti-eventually-polynomial`` is below ``DIFF_WINDOW`` points.
+        ``monotone-from-N`` and ``constant-from-N`` are left out then.
+        Finite data never refutes "eventually polynomial", so
+        ``betti-eventually-polynomial`` is named only where the window shows
+        a degree, which takes degree + 2 points.
         """
         named = []
         for name, bound, passed in (
@@ -309,8 +311,8 @@ class StabilityReport(Record):
         ):
             if sum(1 for m in self.table.m_values if m >= bound) >= 2:
                 named.append((f"{name}-from-{bound}", passed))
-        if self.poly_window_ok:
-            named.append(("betti-eventually-polynomial", self.poly_degree is not None))
+        if self.poly_degree is not None:
+            named.append(("betti-eventually-polynomial", True))
         return named
 
 

@@ -34,6 +34,11 @@ def _powers_of_a_punctured_space(original):
     return lambda space, m: original(puncture(space, 1), m)
 
 
+def _last_entry_plus_one(original):
+    # S(m, l) + 1 in the row of forward differences: the open stratum's entry
+    return lambda *args: (lambda row: (*row[:-1], row[-1] + 1))(original(*args))
+
+
 def _every_class_doubled(original):
     # twice a character is a character, so the table still decomposes
     return lambda *args: {ct: 2 * value for ct, value in original(*args).items()}
@@ -51,7 +56,7 @@ CORRUPTIONS = [
     ("universal-polynomial-evaluation", "poincare --space cstar --target delta --l 2 --m 4",
      confspace, "universal_poly", _doubled),
     ("universal-polynomial-evaluation", "poincare --space cstar --target delta --l 2 --m 4",
-     combinat, "_stirling_second_explicit", _plus_one),
+     combinat, "_stirling_differences", _last_entry_plus_one),
     ("subgroup-averaging", "poincare --space cstar --target bf --m 4",
      charseries, "config_series", _shifted_series),
     ("subgroup-averaging", "poincare --space cstar --target cf --m 4",

@@ -180,14 +180,14 @@ class TestStirling:
         with pytest.raises(ValueError, match="j must be at least 1"):
             combinat.stirling_row(2, 0)
 
-    def test_table_never_evaluates_the_explicit_count(self, monkeypatch):
-        # the inclusion-exclusion count is the strata checks' independent
-        # road, so the recurrence must not read it
+    def test_table_never_reads_the_differences(self, monkeypatch):
+        # the forward differences of k^m are the strata checks' independent
+        # road, so the recurrence must not read them
         def never(i, j):
-            raise AssertionError("the recurrence read the explicit count")
+            raise AssertionError("the recurrence read the differences")
 
         stirling_second.cache_clear()
-        monkeypatch.setattr(combinat, "_stirling_second_explicit", never)
+        monkeypatch.setattr(combinat, "_stirling_differences", never)
         assert stirling_second(7, 3) == 301
         assert stirling_second(60, 2) == 2**59 - 1
 

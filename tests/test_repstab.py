@@ -602,6 +602,18 @@ class TestStabilityReport:
                         window = [m for m in report.table.m_values if m >= bound]
                         assert len(window) >= 2, (degree, defect, lo, hi, name)
 
+    def test_a_degree_past_the_window_is_no_failure(self, plane, monkeypatch):
+        # c(m, m - 2) = (3m - 1) C(m, 3) / 4 has degree 4, and the window from
+        # m = 8 to 12 holds five points: it shows no degree, and refutes none;
+        # the sixth point, m = 13, shows it
+        monkeypatch.setenv("CONFCOHOM_MAX_M", "13")
+        report = stability_report(plane, 2, 0, (1, 12))
+        assert report.betti == {m: (3 * m - 1) * math.comb(m, 3) // 4 for m in range(1, 13)}
+        assert report.poly_degree is None
+        assert "betti-eventually-polynomial" not in dict(report.verdicts())
+        longer = stability_report(plane, 2, 0, (1, 13))
+        assert dict(longer.verdicts())["betti-eventually-polynomial"] is True
+
     def test_empty_and_one_point_windows_give_no_verdict(self, plane):
         # the window from 16 is empty, and the one from 12 holds m = 12 alone
         empty = stability_report(plane, 2, 2, (1, 12))

@@ -1,11 +1,21 @@
-"""Hold the CLI's exit-code contract: a fixed table of calls, then drawn ones.
+"""Hold the CLI's contract: a fixed table of calls, then drawn ones.
 
 Every call runs as ``python -m confcohom.cli`` in its own process, under an
-address-space limit of 1 GiB (``ulimit -v 1048576``) and a 5 s timeout, and
-must write no traceback.  A row of ``FIXED`` must end in its own exit code:
-the answers and refusals at m = 10^9, and on Betti numbers that are huge
-(10^1000, 10^4000) or long (200 of them, or T + T^200).  A draw must end in
-one of the documented exit codes 0/2/3/4/5.
+address-space limit of 1 GiB (``ulimit -v 1048576``) and a 5 s timeout.
+``verdict`` is the contract, written once, and judges every call:
+
+* a documented exit code 0/2/3/4/5, and no traceback;
+* a refusal writes nothing to stdout and one JSON line
+  ``{"error": {category, message[, flag]}}`` to stderr: the category of its
+  exit code, and a flag iff it exits 2;
+* an answer writes nothing to stderr, and every check it carries passed.
+
+A row of ``FIXED`` also names what it must end in: an exit code, a check
+that its answer carries, or the hypothesis that its refusal names.  Its
+rows are the refusals of every gated command and the answers and refusals
+at m = 10^9 and on Betti numbers that are huge (10^1000, 10^4000) or long
+(200 of them, or T + T^200); and the checked answers at the caps (m = 12,
+``CONFCOHOM_MAX_M=14``, the strata at l = 300, groups past the closure cap).
 
 ``draw(seed)`` is the one grammar of the contract: commands, targets and
 formats; built-in spaces and space files, well-formed with huge or long
@@ -14,7 +24,8 @@ and {12, 13, 14, 15, 1000, 10^9}; text from the grammar's alphabets and
 from all of Unicode, but for the surrogates and, in argv, NUL, which no
 process can receive; ``CONFCOHOM_MAX_M``; and the int-to-str limit,
 default or off (``PYTHONINTMAXSTRDIGITS=0``).  ``TestFuzzExitCodes`` in
-``tests/test_cli.py`` runs the table and seeds 200..499 in process.
+``tests/test_cli.py`` runs the table and seeds 200..499 in process, through
+the same ``verdict``.
 ``costly`` is the one skip rule: it skips the draws that
 ``limits.check_closed_form`` admits with more than 10^5 weighted
 big-integer steps, which would answer, but slowly.
@@ -33,6 +44,7 @@ import argparse
 import json
 import os
 import random
+import re
 import resource
 import shlex
 import subprocess
@@ -49,7 +61,10 @@ from confcohom.errors import ConfcohomError, CostCapExceeded  # noqa: E402
 
 ADDRESS_SPACE = 1 << 30  # bytes, as ulimit -v 1048576
 TIMEOUT_S = 5
-EXIT_CODES = (0, 2, 3, 4, 5)
+# the README's table, written out so that the verdict judges confcohom.errors
+CATEGORIES = {2: "hypothesis-violation", 3: "input-parse-error", 4: "consistency-error",
+              5: "cost-cap-exceeded"}
+EXIT_CODES = (0, *CATEGORIES)
 SLOW_STEPS = 10**5
 DIGITS = "PYTHONINTMAXSTRDIGITS"
 NO_DIGIT_LIMIT = {DIGITS: "0"}
@@ -72,6 +87,7 @@ def _long(betti):
 
 
 _EMPTY = _space("empty", [0])
+_HUNDRED = _space("huge", [0, 10**100, 1])
 _HUGE_TOP = _space("huge", [0, 0, 10**1000])
 _HUGE_LOW = _space("huge", [0, 10**1000, 1])
 _HUGE_SERIES = _space("huge", [0, 10**4000, 10**4000], orientable=True, connected=True)
@@ -79,24 +95,46 @@ _ONES = _long([0] + [1] * 200)
 _GAPPED = _long([0, 1] + [0] * 198 + [1])
 
 
-def _rows(command, code, document=None, envs=({},)):
-    return [(shlex.split(command), document, env, code) for env in envs]
+def _rows(command, expect, document=None, envs=({},)):
+    return [(shlex.split(command), document, env, expect) for env in envs]
 
 
 _B = 10**9
 _BOTH = ({DIGITS: "4300"}, NO_DIGIT_LIMIT)
+_AT_14 = [{"CONFCOHOM_MAX_M": "14"}]
+_STRATA, _REFERENCE = "universal-polynomial-evaluation", "evaluates-on-reference-space"
 
-#: (argv, space document for ``--space FILE`` or None, environment, exit code)
+#: (argv, space document for ``--space FILE`` or None, environment, and what
+#: the call must end in: an exit code, or the name of a check that its
+#: answer carries, passed, or of the hypothesis that its refusal names)
 FIXED = [
-    # the hypothesis comes first, then the one limits gate of each command
-    *_rows(f"quotient --space klein_pointed --m {_B} --generators '(1 2)'", 2),
-    *_rows(f"character --space klein_pointed --m {_B} --cycle-type 1^{_B}", 2),
-    *_rows(f"character --space klein_pointed --m {_B} --all", 2),
-    *_rows(f"poincare --space klein_pointed --target bf --m {_B}", 2),
-    *_rows(f"poincare --space klein_pointed --target fm --m {_B}", 2),
-    *_rows(f"stability --space klein_pointed --i 1 --range 1..{_B}", 2),
+    # the hypothesis comes first, then the one limits gate of each command;
+    # sym and cyc need none
+    *_rows(f"quotient --space klein_pointed --m {_B} --generators '(1 2)'", "i_acyclic"),
+    *_rows(f"character --space klein_pointed --m {_B} --cycle-type 1^{_B}", "i_acyclic"),
+    *_rows(f"character --space klein_pointed --m {_B} --all", "i_acyclic"),
+    *_rows(f"poincare --space klein_pointed --target bf --m {_B}", "i_acyclic"),
+    *_rows(f"poincare --space klein_pointed --target fm --m {_B}", "i_acyclic"),
+    *_rows(f"poincare --space klein_pointed --target delta --l 2 --m {_B}", "i_acyclic"),
+    *_rows("poincare --space klein_pointed --target fm --m 1700", "i_acyclic", envs=_BOTH),
+    *_rows("poincare --space klein_pointed --target ordinary --m 1700", "i_acyclic", envs=_BOTH),
+    *_rows(f"stability --space klein_pointed --i 1 --range 1..{_B}", "i_acyclic"),
+    *_rows("poincare --space klein_pointed --target fm --m 3", "i_acyclic"),
+    *_rows("poincare --space klein_pointed --target delta --l 2 --m 2", "i_acyclic"),
+    *_rows("poincare --space klein_pointed --target delta_le --l 2 --m 2", "i_acyclic"),
+    *_rows("poincare --space klein_pointed --target ordinary --m 2", "i_acyclic"),
+    *_rows("poincare --space klein_pointed --target cf --m 2", "i_acyclic"),
+    *_rows("poincare --space klein_pointed --target bf --m 2", "i_acyclic"),
+    *_rows("character --space klein_pointed --m 2 --all", "i_acyclic"),
+    *_rows("quotient --space klein_pointed --m 2", "i_acyclic"),
+    *_rows("stability --space klein_pointed --i 0 --a 0 --range 1..3", "i_acyclic"),
+    *_rows("poincare --space klein_pointed --target sym --m 2", 0),
+    *_rows("poincare --space klein_pointed --target cyc --m 2", 0),
+    *_rows("poincare --space no_such_space --target fm --m 3", 3),
     # the hypothesis and the cycle-type cap come before anything whose size
     # grows with m: a permutation, a multiplicity vector or a list of m values
+    *_rows("poincare --space c --target bf --m 200", 5),
+    *_rows("character --space c --m 13 --all", 5),
     *_rows(f"quotient --space c --m {_B} --generators '(1 2)'", 5),
     *_rows(f"character --space c --m {_B} --cycle-type 1^{_B}", 5),
     *_rows(f"stability --space c --i 1 --range 1..{_B}", 5),
@@ -118,17 +156,22 @@ FIXED = [
     *_rows(f"poincare --space c --target fm --m {_B}", 5, envs=[NO_DIGIT_LIMIT]),
     *_rows(f"poincare --space c --target ordinary --m {_B}", 5, envs=[NO_DIGIT_LIMIT]),
     # S(m, 1) = 1 needs no Stirling table of m entries
-    *_rows(f"poincare --space c --target delta --l 1 --m {_B}", 0),
-    *_rows(f"poincare --space c --target delta_le --l 1 --m {_B}", 0),
-    *_rows(f"universal --l 1 --m {_B}", 0),
-    *_rows(f"universal --l 1 --m {_B} --closed", 0),
+    *_rows(f"poincare --space c --target delta --l 1 --m {_B}", _STRATA),
+    *_rows(f"poincare --space c --target delta_le --l 1 --m {_B}", _STRATA),
+    *_rows(f"universal --l 1 --m {_B}", _REFERENCE),
+    *_rows(f"universal --l 1 --m {_B} --closed", _REFERENCE),
     # the empty space answers 0 at once, and so does its Euler characteristic;
-    # its strata's check reads S(m, l) from powers k^m, so l = 2 is refused
+    # its strata's check reads S(m, l) from powers k^m, so l = 2 is refused,
+    # and so is the universal polynomial of l = 10^9
     *_rows(f"poincare --space FILE --target fm --m {_B}", 0, _EMPTY),
     *_rows(f"poincare --space FILE --target delta --l 2 --m {_B}", 5, _EMPTY),
     *_rows(f"poincare --space FILE --target delta_le --l 2 --m {_B}", 5, _EMPTY),
-    # Betti numbers of a thousand digits: answers of a million digits are
-    # refused from pc's coefficients, with or without an int-to-str limit
+    *_rows(f"poincare --space FILE --target delta_le --l {_B} --m {_B}", 5, _EMPTY),
+    # Betti numbers of a hundred digits answer small strata; of a thousand,
+    # answers of a million digits are refused from pc's coefficients, with or
+    # without an int-to-str limit
+    *_rows("poincare --space FILE --target fm --m 3", "euler-characteristic", _HUNDRED, _BOTH),
+    *_rows("poincare --space FILE --target delta_le --l 2 --m 5", _STRATA, _HUNDRED, _BOTH),
     *_rows("poincare --space FILE --target fm --m 1500", 5, _HUGE_TOP, _BOTH),
     *_rows("poincare --space FILE --target fm --m 1500", 5, _HUGE_LOW, _BOTH),
     *_rows("poincare --space FILE --target delta_le --l 300 --m 600", 5, _HUGE_LOW, _BOTH),
@@ -149,6 +192,31 @@ FIXED = [
     *_rows("poincare --space FILE --target fm --m 200", 5, _ONES, _BOTH),
     *_rows("poincare --space FILE --target delta_le --l 300 --m 600", 5, _ONES, _BOTH),
     *_rows("poincare --space FILE --target fm --m 1500", 5, _GAPPED, _BOTH),
+    # checked answers at the caps: the quotients' averages past m = 6 and at
+    # 12, the tables' Betti numbers at the ceiling 14, the two rebuilds at 6,
+    # and the strata at l = 300 within the timeout
+    *_rows("poincare --space c --target cf --m 10 --format plain", "subgroup-averaging"),
+    *_rows("poincare --space c --target cf --m 12 --format plain", "subgroup-averaging"),
+    *_rows("poincare --space c --target bf --m 7 --format plain", "subgroup-averaging"),
+    *_rows("poincare --space c --target bf --m 12 --format plain", "subgroup-averaging"),
+    *_rows("stability --space c --i 2 --a 1 --range 1..14 --format plain",
+           "betti-against-stratum-polynomial", envs=_AT_14),
+    *_rows("stability --space r3 --i 2 --a 3 --range 1..14 --format plain",
+           "betti-against-stratum-polynomial", envs=_AT_14),
+    # c(m, m - 2) = (3m - 1) C(m, 3) / 4 has degree 4, which m = 8..12 cannot show
+    *_rows("stability --space c --i 2 --range 1..12 --format plain", 0),
+    *_rows("character --space c --m 6 --all --format plain", "oracle-triangle"),
+    *_rows("poincare --space cstar --target cf --m 6 --format plain",
+           "power-trace-reconstruction"),
+    *_rows("poincare --space cstar --target delta_le --l 300 --m 600 --format plain", _STRATA),
+    # S_8 fixing a point is walked from its Knuth table, S_12 known by its
+    # order, and S_11 fixing a point of 12 refused from its order 11!;
+    # chi(Conf_9) = -9! and chi(Conf_12) = 12!, so no average is 0 == 0
+    *_rows("quotient --space c_minus_2 --m 9 --generators '(1 2);(1 2 3 4 5 6 7 8)'"
+           " --format plain", "euler-characteristic-average"),
+    *_rows("quotient --space c_minus_2 --m 12 --generators '(1 2);(1 2 3 4 5 6 7 8 9 10 11 12)'"
+           " --format plain", "euler-characteristic-average"),
+    *_rows("quotient --space c_minus_2 --m 12 --generators '(1 2);(1 2 3 4 5 6 7 8 9 10 11)'", 5),
 ]
 
 
@@ -308,7 +376,58 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
-def _failure(argv, document, extra, codes, workdir):
+_CHECK_LINE = re.compile(r"^  \[(pass|FAIL)\] (.*)$", re.MULTILINE)
+
+
+def verdict(code, stdout, stderr, expect=None):
+    """How one call with exit ``code``, ``stdout`` and ``stderr`` broke the
+    contract, or None.  ``expect`` is None for any documented exit, an exit
+    code, or a name that the call must carry: a check of its answer, passed,
+    or the hypothesis that its refusal names.  A failing selftest, exit 4
+    after its document, fails here as a refusal that wrote to stdout."""
+    tail = stderr.strip()[-300:]
+    if "Traceback" in stderr or code not in EXIT_CODES:
+        return f"exit {code}: {tail}"
+    if isinstance(expect, int) and code != expect:
+        return f"exit {code}, not {expect}: {tail}"
+    if code == 0:
+        checks = _checks(stdout)
+        failed = [name for name, passed in checks if not passed]
+        if stderr or failed:
+            return f"an answer with failed checks {failed} and stderr {tail!r}"
+        names = {name for name, _ in checks}
+    else:
+        error = _error(stderr)
+        keys = {"category", "message", "flag"} if code == 2 else {"category", "message"}
+        if stdout or not isinstance(error, dict) or set(error) != keys or (
+            error["category"] != CATEGORIES[code]
+        ):
+            return f"exit {code} with stdout {stdout[:100]!r}, not one JSON error: {tail}"
+        names = {error.get("flag")}
+    if isinstance(expect, str) and expect not in names:
+        return f"exit {code} without {expect!r}: {sorted(map(str, names))}"
+    return None
+
+
+def _checks(stdout):
+    """The (name, passed) pairs of an answer's checks, in JSON, plain or LaTeX."""
+    if stdout.startswith("{"):  # integers left as text: they may pass the digit limit
+        entries = json.loads(stdout, parse_int=str)["checks"]
+        return [(entry["name"], entry["passed"] is True) for entry in entries]
+    shown = stdout.partition("\nchecks:\n")[2]
+    return [(name, mark == "pass") for mark, name in _CHECK_LINE.findall(shown)]
+
+
+def _error(stderr):
+    """The payload of a refusal's one JSON line on stderr, or None."""
+    try:
+        (line,) = stderr.splitlines()
+        return json.loads(line)["error"]
+    except (ValueError, TypeError, KeyError):
+        return None
+
+
+def _failure(argv, document, extra, expect, workdir):
     """Run one call as its own process; say how it broke the contract, or None."""
     path = os.path.join(workdir, "space.json")
     with open(path, "w", encoding="utf-8") as handle:
@@ -323,19 +442,14 @@ def _failure(argv, document, extra, codes, workdir):
         )
     except subprocess.TimeoutExpired:
         return f"no exit within {TIMEOUT_S} s"
-    if done.returncode not in codes:
-        return f"exit {done.returncode}: {done.stderr.strip()[-300:]}"
-    if "Traceback" in done.stderr:
-        return f"traceback with exit {done.returncode}"
-    return None
+    return verdict(done.returncode, done.stdout, done.stderr, expect)
 
 
 def run(first=0, count=200, verbose=False):
     """Run every row of FIXED, then draws ``first`` .. ``first + count - 1``
     but the costly ones; print one line per failing call (every call when
     ``verbose``) and a summary, and return the number of failures."""
-    calls = [(f"row {i}", argv, document, env, (code,))
-             for i, (argv, document, env, code) in enumerate(FIXED)]
+    calls = [(f"row {i}", *row) for i, row in enumerate(FIXED)]
     skipped = failures = 0
     for seed in range(first, first + count):
         argv, document, env = draw(seed)
@@ -344,10 +458,10 @@ def run(first=0, count=200, verbose=False):
         if costly(argv, document):
             skipped += 1
         else:
-            calls.append((f"seed {seed}", argv, document, env, EXIT_CODES))
+            calls.append((f"seed {seed}", argv, document, env, None))
     with tempfile.TemporaryDirectory() as workdir:
-        for label, argv, document, env, codes in calls:
-            failure = _failure(argv, document, env, codes, workdir)
+        for label, argv, document, env, expect in calls:
+            failure = _failure(argv, document, env, expect, workdir)
             if failure or verbose:
                 print(f"{label}: {env} {argv[:12]}: {failure or 'ok'}", flush=True)
             failures += failure is not None
