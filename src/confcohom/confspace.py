@@ -180,22 +180,22 @@ def universal_poly(distinct: int, m: int, closed: bool) -> BiPoly:
 
     Substituting P := pc recovers ``poincare_exactly`` (open case) or
     ``poincare_at_most`` (closed case) for every space at once.  The
-    result is homogeneous of total degree ``distinct``.  Its Stirling numbers
-    come from one row of forward differences of k^m, not the recurrence
-    those two read.
+    result is homogeneous of total degree ``distinct``.  It is summed by
+    Horner over the factors P + kT, as ``poincare_at_most`` sums over
+    pc + kT, but in its own ring and from its own Stirling numbers: one row
+    of forward differences of k^m, not the recurrence that route reads.
     """
     _check_strata(distinct, m, least=1)
-    # rising[k] = P(P + T)...(P + (k-1)T), each built from the one before
-    rising = [BiPoly.one()]
-    for i in range(distinct):
-        rising.append(rising[i] * (P_VAR + i * T_VAR))
-
     stirling = combinat._stirling_differences(m, distinct)
-    result = BiPoly.zero()
-    for a in range(distinct if closed else 1):  # the open stratum is the a = 0 term
-        sign = -1 if a % 2 else 1
-        k = distinct - a
-        result = result + sign * stirling[k] * (rising[k] * BiPoly.term(1, 0, a))
+    # the open sum is one stratum, S(m, l) times its product, so S(m, l) is
+    # multiplied in once at the end rather than carried through l products
+    result = BiPoly.term(stirling[distinct] if closed else 1, 0, 0)
+    for k in range(distinct - 1, 0, -1):
+        result = result * (P_VAR + k * T_VAR)
+        if closed:  # the stratum of k values, a = distinct - k steps down
+            a = distinct - k
+            result = result + BiPoly.term((-1) ** a * stirling[k], 0, a)
+    result = result * (P_VAR if closed else stirling[distinct] * P_VAR)
     if not result.is_homogeneous(distinct):
         raise ConsistencyError(f"universal polynomial is not homogeneous of degree {distinct}")
     return result

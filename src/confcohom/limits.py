@@ -39,9 +39,10 @@ DEFAULT_CLOSURE_CAP = 3_628_800  # 10!
 
 #: The most big-integer steps a closed form may take (see
 #: :func:`check_closed_form`).  At l = m = 1000, the most it admits, a
-#: closed ``universal`` call took 32 s and 309 MB; at l = m = 1400 it took
-#: 93 s and 787 MB.  ``fm`` at m = 2000, the most it admits, took 2.0 s with
-#: no int-to-str limit (2-CPU Xeon, Python 3.11).
+#: closed ``universal`` call took 1.6 s and 17 MB as one CLI process; at
+#: l = m = 1400, which it refuses, the polynomial alone took 2.1 s and 18 MB
+#: in process.  ``fm`` at m = 2000, the most it admits, took 2.0 s with no
+#: int-to-str limit (2-CPU Xeon, Python 3.11).
 STRATA_WORK_BUDGET = 2_000_000
 
 #: The most word products the trace series of one command may take (see

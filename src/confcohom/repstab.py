@@ -300,9 +300,8 @@ class StabilityReport(Record):
         A verdict compares the m of its window, from its bound to the top
         of the table, so one with fewer than two m would compare nothing:
         ``monotone-from-N`` and ``constant-from-N`` are left out then.
-        Finite data never refutes "eventually polynomial", so
-        ``betti-eventually-polynomial`` is named only where the window shows
-        a degree, which takes degree + 2 points.
+        ``poly_degree`` is an observation, not a verdict: finite data never
+        refutes "eventually polynomial".
         """
         named = []
         for name, bound, passed in (
@@ -311,8 +310,6 @@ class StabilityReport(Record):
         ):
             if sum(1 for m in self.table.m_values if m >= bound) >= 2:
                 named.append((f"{name}-from-{bound}", passed))
-        if self.poly_degree is not None:
-            named.append(("betti-eventually-polynomial", True))
         return named
 
 

@@ -490,8 +490,10 @@ class TestProducts:
         poincare_symmetric_product(klein, 3)
         poincare_cyclic_product(klein, 3)
 
-    def test_symmetric_is_the_class_size_average(self):
-        # the route's former average over the p(m) classes, kept as a reference
+    def test_symmetric_is_the_class_size_average(self, monkeypatch):
+        # the route's former average over the p(m) classes, kept as a
+        # reference, at every m up to the ceiling 14
+        monkeypatch.setenv("CONFCOHOM_MAX_M", "14")
         for space in BUILTIN_SPACES.values():
             for m in range(1, limits.max_m() + 1):
                 average = quotient_poincare(

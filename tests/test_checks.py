@@ -92,9 +92,7 @@ CHECKED_COMMANDS = ("poincare", "character", "universal", "quotient", "stability
 
 def _is_verdict(name: str) -> bool:
     """A stability verdict observes the table; it compares no two routes."""
-    return name.startswith(("monotone-from-", "constant-from-")) or (
-        name == "betti-eventually-polynomial"
-    )
+    return name.startswith(("monotone-from-", "constant-from-"))
 
 
 def outcome(command: str, name: str) -> bool:

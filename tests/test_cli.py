@@ -1361,8 +1361,6 @@ class TestFuzzExitCodes:
         for seed in self.SEEDS:
             argv, document, env = fuzz.draw(seed)
             self._environ(monkeypatch, int_digits, env)
-            if fuzz.costly(argv, document):
-                continue
             failure = self._verdict(tmp_path / "space.json", argv, document, None)
             if failure:
                 failures.append((seed, env, argv[:12], failure))

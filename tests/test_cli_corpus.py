@@ -3,10 +3,12 @@
 Each entry is a command line; it runs in-process through ``cli.main`` in a
 directory that holds the space files ``plane.json`` and ``bad.json``, and
 the sha256 of its exit code, stdout and stderr must match the recorded
-digest.  Commands are run in every format unless they pass ``--format``
-themselves; a leading ``NAME=value`` word sets an environment variable for
-that command only.  Output that no Python version changes is recorded, so
-argparse usage errors and ``--help`` stay out.
+digest.  The CLI contract's ``verdict`` (``tools/fuzz_cli.py``) judges each
+output too, so a re-record cannot take in a failed check or a refusal that
+is not one JSON line on stderr.  Commands are run in every format unless
+they pass ``--format`` themselves; a leading ``NAME=value`` word sets an
+environment variable for that command only.  Output that no Python version
+changes is recorded, so argparse usage errors and ``--help`` stay out.
 
 A change that alters output on purpose re-records the digests and says so:
 
@@ -27,6 +29,7 @@ from io import StringIO
 import pytest
 
 from confcohom.cli import main
+from test_cli import fuzz
 
 FORMATS = ("json", "plain", "latex")
 
@@ -133,28 +136,16 @@ def corpus() -> list[str]:
 def run_line(command: str) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one command line."""
     words = shlex.split(command)
-    env = {}
-    while words and "=" in words[0]:
-        name, value = words.pop(0).split("=", 1)
-        env[name] = value
-    saved = {name: os.environ.get(name) for name in env}
-    os.environ.update(env)
     out, err = StringIO(), StringIO()
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(words)
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+    with pytest.MonkeyPatch.context() as patch, redirect_stdout(out), redirect_stderr(err):
+        while words and "=" in words[0]:
+            patch.setenv(*words.pop(0).split("=", 1))
+        code = main(words)
     return code, out.getvalue(), err.getvalue()
 
 
-def digest(command: str) -> str:
-    """sha256 of exit code, stdout and stderr of one command line."""
-    code, out, err = run_line(command)
+def digest(code: int, out: str, err: str) -> str:
+    """sha256 of the exit code, stdout and stderr of one command line."""
     return hashlib.sha256(f"{code}\n{out}\0{err}".encode()).hexdigest()
 
 
@@ -396,11 +387,11 @@ DIGESTS = {
     "quotient --space plane.json --m 0 --format latex":
         "0bc73e2686d7fa2ba9bdbf93b2b24606e0befb42e9f0338a2fae2a3471c647fd",
     "stability --space c --i 1 --a 0 --range 1..8 --format json":
-        "b5e180badecaafd446ce63cef3a09567f55edf8d6958ffbd0aca3c366be42d1f",
+        "97c4167438afd00b81394628a973f782800cb438d14d139e434dc878d7f45055",
     "stability --space c --i 1 --a 0 --range 1..8 --format plain":
-        "7b048e92d0d54692722bf2637c2be78246de9ccd7f18076f61fae007c05d6879",
+        "889a6acb56992e7ffeeec7c9490b2342a304d2bfc62a96035016baf17480f057",
     "stability --space c --i 1 --a 0 --range 1..8 --format latex":
-        "7b048e92d0d54692722bf2637c2be78246de9ccd7f18076f61fae007c05d6879",
+        "889a6acb56992e7ffeeec7c9490b2342a304d2bfc62a96035016baf17480f057",
     "stability --space r3 --i 2 --a 0 --range 1..6 --format json":
         "9e4e4ccae9b86e3804f762dc93ab7ac5fc17bf19285a78bed494402cb5778558",
     "stability --space r3 --i 2 --a 0 --range 1..6 --format plain":
@@ -599,7 +590,9 @@ def test_output_is_byte_identical(command, tmp_path, monkeypatch):
     monkeypatch.delenv("CONFCOHOM_MAX_M", raising=False)
     write_space_files(str(tmp_path))
     monkeypatch.chdir(tmp_path)
-    assert digest(command) == DIGESTS[command]
+    output = run_line(command)
+    assert fuzz.verdict(*output) is None
+    assert digest(*output) == DIGESTS[command]
 
 
 def test_corpus_and_digests_agree():
@@ -612,6 +605,7 @@ if __name__ == "__main__":
         write_space_files(workdir)
         os.chdir(workdir)
         lines = [
-            f'    {json.dumps(command)}:\n        "{digest(command)}",' for command in corpus()
+            f'    {json.dumps(command)}:\n        "{digest(*run_line(command))}",'
+            for command in corpus()
         ]
     sys.stdout.write("DIGESTS = {\n" + "\n".join(lines) + "\n}\n")

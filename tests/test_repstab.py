@@ -596,8 +596,6 @@ class TestStabilityReport:
                 for lo, hi in [(1, 12), (1, 8), (5, 9), (9, 12), (12, 12)]:
                     report = stability_report(space, degree, defect, (lo, hi))
                     for name, _passed in report.verdicts():
-                        if name == "betti-eventually-polynomial":
-                            continue
                         bound = int(name.rsplit("-", 1)[1])
                         window = [m for m in report.table.m_values if m >= bound]
                         assert len(window) >= 2, (degree, defect, lo, hi, name)
@@ -610,9 +608,7 @@ class TestStabilityReport:
         report = stability_report(plane, 2, 0, (1, 12))
         assert report.betti == {m: (3 * m - 1) * math.comb(m, 3) // 4 for m in range(1, 13)}
         assert report.poly_degree is None
-        assert "betti-eventually-polynomial" not in dict(report.verdicts())
-        longer = stability_report(plane, 2, 0, (1, 13))
-        assert dict(longer.verdicts())["betti-eventually-polynomial"] is True
+        assert stability_report(plane, 2, 0, (1, 13)).poly_degree == 4
 
     def test_empty_and_one_point_windows_give_no_verdict(self, plane):
         # the window from 16 is empty, and the one from 12 holds m = 12 alone

@@ -15,7 +15,8 @@ that its answer carries, or the hypothesis that its refusal names.  Its
 rows are the refusals of every gated command and the answers and refusals
 at m = 10^9 and on Betti numbers that are huge (10^1000, 10^4000) or long
 (200 of them, or T + T^200); and the checked answers at the caps (m = 12,
-``CONFCOHOM_MAX_M=14``, the strata at l = 300, groups past the closure cap).
+``CONFCOHOM_MAX_M=14``, the strata at l = 300 and at l = m = 1000, groups
+past the closure cap).
 
 ``draw(seed)`` is the one grammar of the contract: commands, targets and
 formats; built-in spaces and space files, well-formed with huge or long
@@ -25,10 +26,8 @@ from all of Unicode, but for the surrogates and, in argv, NUL, which no
 process can receive; ``CONFCOHOM_MAX_M``; and the int-to-str limit,
 default or off (``PYTHONINTMAXSTRDIGITS=0``).  ``TestFuzzExitCodes`` in
 ``tests/test_cli.py`` runs the table and seeds 200..499 in process, through
-the same ``verdict``.
-``costly`` is the one skip rule: it skips the draws that
-``limits.check_closed_form`` admits with more than 10^5 weighted
-big-integer steps, which would answer, but slowly.
+the same ``verdict``.  No draw is skipped: every call that the limits
+admit answers within the timeout and the address space.
 
 Draw i comes from ``random.Random(i)``, so a failure is replayed by its
 seed.  Run from anywhere, with no dependency beyond the standard library:
@@ -55,9 +54,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 sys.path.insert(0, SRC)
 
-from confcohom import BUILTIN_SPACES, checks, limits  # noqa: E402
-from confcohom.cli import space_from_document  # noqa: E402
-from confcohom.errors import ConfcohomError, CostCapExceeded  # noqa: E402
+from confcohom import checks  # noqa: E402
 
 ADDRESS_SPACE = 1 << 30  # bytes, as ulimit -v 1048576
 TIMEOUT_S = 5
@@ -65,7 +62,6 @@ TIMEOUT_S = 5
 CATEGORIES = {2: "hypothesis-violation", 3: "input-parse-error", 4: "consistency-error",
               5: "cost-cap-exceeded"}
 EXIT_CODES = (0, *CATEGORIES)
-SLOW_STEPS = 10**5
 DIGITS = "PYTHONINTMAXSTRDIGITS"
 NO_DIGIT_LIMIT = {DIGITS: "0"}
 
@@ -194,7 +190,8 @@ FIXED = [
     *_rows("poincare --space FILE --target fm --m 1500", 5, _GAPPED, _BOTH),
     # checked answers at the caps: the quotients' averages past m = 6 and at
     # 12, the tables' Betti numbers at the ceiling 14, the two rebuilds at 6,
-    # and the strata at l = 300 within the timeout
+    # and the strata at l = 300 and at l = m = 1000 within the timeout: each
+    # answer of one Horner, over pc + kT or over P + kT, checked by the other
     *_rows("poincare --space c --target cf --m 10 --format plain", "subgroup-averaging"),
     *_rows("poincare --space c --target cf --m 12 --format plain", "subgroup-averaging"),
     *_rows("poincare --space c --target bf --m 7 --format plain", "subgroup-averaging"),
@@ -209,6 +206,8 @@ FIXED = [
     *_rows("poincare --space cstar --target cf --m 6 --format plain",
            "power-trace-reconstruction"),
     *_rows("poincare --space cstar --target delta_le --l 300 --m 600 --format plain", _STRATA),
+    *_rows("poincare --space cstar --target delta_le --l 1000 --m 1000", _STRATA),
+    *_rows("universal --l 1000 --m 1000 --closed", _REFERENCE),
     # S_8 fixing a point is walked from its Knuth table, S_12 known by its
     # order, and S_11 fixing a point of 12 refused from its order 11!;
     # chi(Conf_9) = -9! and chi(Conf_12) = 12!, so no average is 0 == 0
@@ -342,36 +341,6 @@ def draw(seed):
     return argv, document, env
 
 
-def costly(argv, document):
-    """Whether ``limits.check_closed_form`` admits ``argv`` on its space, under
-    this interpreter's int-to-str limit, with more than SLOW_STEPS weighted
-    big-integer steps: a draw that would answer, but slowly."""
-    try:
-        m = int(argv[argv.index("--m") + 1])
-        l = int(argv[argv.index("--l") + 1]) if "--l" in argv else None
-        target = argv[argv.index("--target") + 1] if argv[0] == "poincare" else None
-    except (ValueError, IndexError):
-        return False  # refused by argparse, or a raw draw
-    if argv[0] == "universal":
-        target, pc = "delta_le" if "--closed" in argv else "delta", None
-    elif target in ("fm", "ordinary", "delta", "delta_le"):
-        name = argv[argv.index("--space") + 1]
-        try:
-            space = BUILTIN_SPACES[name] if name != "FILE" else space_from_document(document)
-        except (KeyError, ConfcohomError):
-            return False  # an unknown or malformed space is refused first
-        pc = space.pc
-    else:
-        return False
-    if (m < 0) if target in ("fm", "ordinary") else (l is None or not 1 <= l <= m):
-        return False
-    try:
-        limits.check_closed_form(target, m, l, pc)
-    except CostCapExceeded:
-        return False
-    return limits.closed_form_work(target, m, l, pc) > SLOW_STEPS
-
-
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
@@ -446,26 +415,19 @@ def _failure(argv, document, extra, expect, workdir):
 
 
 def run(first=0, count=200, verbose=False):
-    """Run every row of FIXED, then draws ``first`` .. ``first + count - 1``
-    but the costly ones; print one line per failing call (every call when
-    ``verbose``) and a summary, and return the number of failures."""
+    """Run every row of FIXED, then draws ``first`` .. ``first + count - 1``;
+    print one line per failing call (every call when ``verbose``) and a
+    summary, and return the number of failures."""
     calls = [(f"row {i}", *row) for i, row in enumerate(FIXED)]
-    skipped = failures = 0
-    for seed in range(first, first + count):
-        argv, document, env = draw(seed)
-        if hasattr(sys, "set_int_max_str_digits"):  # none before 3.10.7
-            sys.set_int_max_str_digits(0 if env.get(DIGITS) == "0" else 4300)
-        if costly(argv, document):
-            skipped += 1
-        else:
-            calls.append((f"seed {seed}", argv, document, env, None))
+    calls += [(f"seed {seed}", *draw(seed), None) for seed in range(first, first + count)]
+    failures = 0
     with tempfile.TemporaryDirectory() as workdir:
         for label, argv, document, env, expect in calls:
             failure = _failure(argv, document, env, expect, workdir)
             if failure or verbose:
                 print(f"{label}: {env} {argv[:12]}: {failure or 'ok'}", flush=True)
             failures += failure is not None
-    print(f"{len(FIXED)} rows and {count} draws, {skipped} skipped as slow: {failures} failed")
+    print(f"{len(FIXED)} rows and {count} draws: {failures} failed")
     return failures
 
 
