@@ -24,7 +24,8 @@ import importlib
 #: The modules whose names make up ``__all__``.  Each imports only from the
 #: ones before it, so the first of them that binds a name is its home.
 _PUBLIC_MODULES = (
-    "errors", "polyarith", "combinat", "confspace", "charseries", "oracles", "repstab"
+    "errors", "polyarith", "combinat", "groups", "confspace", "strata", "charseries",
+    "oracles", "repstab",
 )
 _SUBMODULES = frozenset(_PUBLIC_MODULES) | {"limits", "record"}
 

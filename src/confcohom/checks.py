@@ -3,16 +3,16 @@
 A check returns ``(name, passed)`` pairs, and :func:`entries` turns pairs
 into the ``{name, passed}`` entries of a result document, for the commands,
 the stability verdicts and the selftest battery alike.  Layer functions are
-called through their modules, and ``charseries`` and ``oracles`` are
-imported only by the checks that run them, so the closed forms compile
-neither.
+called through their modules, and every layer but ``confspace`` is imported
+only by the checks that run it (``strata`` through :func:`_strata`), so
+``fm`` and ``ordinary`` compile no combinatorics, the strata no series.
 """
 
 from __future__ import annotations
 
 from math import factorial
 
-from . import combinat, confspace
+from . import confspace
 from .confspace import SpaceSpec
 from .polyarith import BiPoly, LaurentPoly
 
@@ -36,11 +36,18 @@ def _trace_series():
     return charseries
 
 
+def _strata():
+    """The strata layer, which only the stratum routes and their checks import."""
+    from . import strata
+
+    return strata
+
+
 # poincare target -> route(space, m, l); only the strata read ``l``
 ENGINES = {
     "fm": lambda space, m, l: confspace.poincare_config(space, m),
-    "delta": lambda space, m, l: confspace.poincare_exactly(space, l, m),
-    "delta_le": lambda space, m, l: confspace.poincare_at_most(space, l, m),
+    "delta": lambda space, m, l: _strata().poincare_exactly(space, l, m),
+    "delta_le": lambda space, m, l: _strata().poincare_at_most(space, l, m),
     "ordinary": lambda space, m, l: confspace.poincare_config_ordinary(space, m),
     "cf": lambda space, m, l: _trace_series().poincare_cyclic_config(space, m),
     "bf": lambda space, m, l: _trace_series().poincare_unordered_config(space, m),
@@ -65,7 +72,7 @@ def poincare(
         euler = confspace.euler_char_config(space, m)
         return [("euler-characteristic", poly.eval_at_int(-1) == sign * euler)]
     if target in ("delta", "delta_le"):
-        q = confspace.universal_poly(l, m, target == "delta_le")
+        q = _strata().universal_poly(l, m, target == "delta_le")
         return [("universal-polynomial-evaluation", q.eval_P(space.pc) == poly)]
     if target == "sym":
         from . import oracles
@@ -74,16 +81,20 @@ def poincare(
         return [("generating-function", oracle == poly)]
     charseries = _trace_series()
     if target == "bf":
+        from . import combinat
+
         # the route is Newton's recurrence; the class-size average of the
         # trace series is the independent road to the same polynomial
         counts, order = combinat.symmetric_counts(m), factorial(m)
         oracle = charseries.quotient_poincare(charseries.config_series(space, m), counts, order)
     else:
+        from . import groups
+
         # The cyclic quotients average traces over the rotation group, counted
         # by walking its Knuth table, independently of their divisor sums.
-        rotation = [combinat.Permutation.from_cycles(m, [list(range(1, m + 1))])]
+        rotation = [groups.Permutation.from_cycles(m, [list(range(1, m + 1))])]
         trace = {"cf": charseries.config_trace, "cyc": charseries.power_trace}[target]
-        order, counts = combinat.subgroup_class_counts(rotation, m)
+        order, counts = groups.subgroup_class_counts(rotation, m)
         oracle = charseries._average(lambda ctype: trace(space, ctype), counts, order)
     named = [("subgroup-averaging", oracle == poly)]
     if target != "cyc" and m <= RECONSTRUCTION_MAX_M:
@@ -113,7 +124,7 @@ def oracle_triangle(space: SpaceSpec, m: int, series) -> bool:
     the recurrence over the cycles, must equal the trace summed over the
     enumerated stable set partitions.
     """
-    from . import oracles
+    from . import combinat, groups, oracles
 
     charseries = _trace_series()
     if charseries.reconstruct_config_series(space, m) != series:
@@ -121,7 +132,7 @@ def oracle_triangle(space: SpaceSpec, m: int, series) -> bool:
     for distinct in range(1, m):
         counted = charseries.exactly_series(space, distinct, m)
         for ctype in combinat.all_cycle_types(m):
-            alpha = combinat.representative(ctype)
+            alpha = groups.representative(ctype)
             if oracles.exactly_trace(space, distinct, m, alpha) != counted[ctype]:
                 return False
     return True
@@ -137,6 +148,8 @@ def character_series(space: SpaceSpec, m: int, series) -> list[tuple[str, bool]]
 
 def character_trace(space: SpaceSpec, ctype, poly: LaurentPoly) -> list[tuple[str, bool]]:
     """The trace of the identity, read at -T, against the Poincaré polynomial."""
+    from . import combinat
+
     if ctype != combinat.CycleType.identity(ctype.m):
         return []
     same = poly.negate_var() == confspace.poincare_config(space, ctype.m)
@@ -157,7 +170,7 @@ def stability(space: SpaceSpec, report) -> list[tuple[str, bool]]:
     l * dim, so its Borel-Moore Betti number in degree i is the coefficient
     of T^(l * dim - i) in ``poincare_exactly(space, l, m)``."""
     same = all(
-        betti == confspace.poincare_exactly(space, m - report.defect, m).coeff(
+        betti == _strata().poincare_exactly(space, m - report.defect, m).coeff(
             (m - report.defect) * space.dim - report.degree
         )
         for m, betti in report.betti.items()

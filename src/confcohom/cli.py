@@ -12,9 +12,9 @@ Each command checks its hypotheses (exit 2), then one gate of
 :mod:`confcohom.limits` (exit 5): ``check_series``, ``check_closed_form`` or
 ``check_m``, before it parses any input whose size grows with m (exit 3).
 
-A call is one short process, so each command imports ``charseries``,
-``oracles``, ``repstab`` and ``selftest`` only if it runs them: the closed
-forms compile no trace-series code.
+A call is one short process, so each command imports every layer past
+``confspace`` only if it runs it, and only once its gates have passed: ``fm``
+compiles no combinatorics, and a refusal none of the layers it refuses.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import re
 import sys
 
 from . import checks, confspace, limits
-from .combinat import CycleType, Permutation, subgroup_class_counts
 from .confspace import BUILTIN_SPACES, SpaceSpec
 from .errors import ConfcohomError, ConsistencyError, InputParseError
 from .polyarith import BiPoly, LaurentPoly
@@ -90,6 +89,8 @@ def space_from_document(data) -> SpaceSpec:
 
 def parse_cycle_type(text: str, m: int) -> CycleType:
     """Parse ``1^a,2^b,...``; a bare ``d`` means one d-cycle."""
+    from .combinat import CycleType
+
     mult = [0] * m if m else []
     total = 0
     for token in text.split(","):
@@ -120,6 +121,8 @@ def parse_cycle_type(text: str, m: int) -> CycleType:
 def parse_generators(text: str, m: int) -> list[Permutation]:
     """Parse 1-based cycle notation: ``(1 2 3);(4 5)`` or ``(1,2,3)``; a
     generator without parentheses is one cycle."""
+    from .groups import Permutation
+
     gens = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -249,12 +252,12 @@ def cmd_character(args) -> dict:
     space = load_space(args.space)
     m = args.m
     require_arg(m >= 0, "--m must be nonnegative")
-    from . import charseries
-
     if args.all:
         require_arg(args.cycle_type is None, "character takes --cycle-type or --all, not both")
         confspace.require(space, "i_acyclic")
         limits.check_series(m, space.pc)
+        from . import charseries
+
         series = charseries.config_series(space, m)
         entries = {str(ctype): entry for ctype, entry in series.values.items()}
         result = {"kind": "series", "entries": entries}
@@ -265,6 +268,8 @@ def cmd_character(args) -> dict:
         confspace.require(space, "i_acyclic")
         limits.check_m(m)  # before the cycle type, whose size grows with m, is parsed
         ctype = parse_cycle_type(args.cycle_type, m)
+        from . import charseries
+
         poly = charseries.config_trace(space, ctype)
         result = _poly_result(poly)
         inputs = {"space": space.name, "m": m, "cycle_type": str(ctype)}
@@ -277,7 +282,9 @@ def cmd_universal(args) -> dict:
     l, m = args.l, args.m
     require_arg(1 <= l <= m, "universal needs 1 <= --l <= --m")
     limits.check_closed_form("delta_le" if closed else "delta", m, l)
-    q = confspace.universal_poly(l, m, closed)
+    from . import strata
+
+    q = strata.universal_poly(l, m, closed)
     return _document(
         "universal",
         {"l": l, "m": m, "closed": closed},
@@ -293,9 +300,9 @@ def cmd_quotient(args) -> dict:
     confspace.require(space, "i_acyclic")
     limits.check_series(m, space.pc)  # before the generators are parsed
     gens = parse_generators(args.generators, m) if args.generators else []
-    from . import charseries
+    from . import charseries, groups
 
-    order, counts = subgroup_class_counts(gens, m)  # refuses a group past the cap first
+    order, counts = groups.subgroup_class_counts(gens, m)  # refuses a group past the cap first
     series = charseries.config_series(space, m)
     counted = sum(counts.values())
     if counted != order:
@@ -315,10 +322,10 @@ def cmd_stability(args) -> dict:
         max(m_range[0], args.a + 1, 1) <= m_range[1],
         f"range {args.range!r} has no m with m >= 1 and m > --a",
     )
+    confspace.require_stability_hypotheses(space)
+    limits.check_series(m_range[1], space.pc)
     from . import repstab
 
-    repstab.require_stability_hypotheses(space)
-    limits.check_series(m_range[1], space.pc)
     report = repstab.stability_report(space, args.i, args.a, m_range)
     rows = {}
     for core in report.table.cores():

@@ -1,25 +1,18 @@
-"""Poincaré polynomials and Euler characteristics of configuration spaces.
+"""Spaces, and the invariants of the ordered configuration space F(X, m).
 
-All formulas below compute compactly-supported invariants of the spaces of
-m-tuples in a space X with a prescribed number of distinct entries:
-
-* ``poincare_config``     -- m pairwise-distinct points (the classical
-  ordered configuration space),
-* ``poincare_exactly``    -- exactly ``distinct`` values among m entries,
-* ``poincare_at_most``    -- at most ``distinct`` values among m entries.
-
-They are valid only under the interior-acyclicity hypothesis carried by
-:class:`SpaceSpec` as a caller-asserted flag: the flag cannot be decided
-from the input polynomial alone, and every gated operation refuses to run
-without it rather than silently emitting invalid numbers.
+The routes here give the Euler characteristic of F(X, m) and its compact
+and ordinary Poincaré polynomials; the strata of X^m are in :mod:`.strata`.
+The polynomials are valid only under the interior-acyclicity hypothesis
+carried by :class:`SpaceSpec` as a caller-asserted flag: the flag cannot be
+decided from the input polynomial alone, and every gated operation refuses
+to run without it rather than silently emitting invalid numbers.
 """
 
 from __future__ import annotations
 
-from . import combinat, limits
-from .combinat import stirling_row, stirling_second
-from .errors import ConsistencyError, HypothesisViolation, InputParseError
-from .polyarith import P_VAR, T_VAR, BiPoly, LaurentPoly, T, falling_product
+from . import limits
+from .errors import HypothesisViolation, InputParseError
+from .polyarith import LaurentPoly, T, falling_product
 from .record import FrozenRecord
 
 
@@ -83,6 +76,16 @@ def require(space: SpaceSpec, flag: str) -> None:
         raise HypothesisViolation(flag, f"space {space.name!r}")
 
 
+def require_stability_hypotheses(space: SpaceSpec) -> None:
+    """Refuse a space outside ``repstab.stability_report``'s hypotheses: an
+    i-acyclic, orientable, connected space of dimension at least 2."""
+    require(space, "i_acyclic")
+    require(space, "orientable")
+    require(space, "connected")
+    if space.dim < 2:
+        raise HypothesisViolation("dim>=2", f"space {space.name!r} has dim {space.dim}")
+
+
 # ---------------------------------------------------------------------------
 # Euler characteristics
 # ---------------------------------------------------------------------------
@@ -120,85 +123,6 @@ def poincare_config(space: SpaceSpec, m: int) -> LaurentPoly:
     require(space, "i_acyclic")
     limits.check_count(m, "m")
     return falling_product(space.pc, -T, m)
-
-
-def poincare_exactly(space: SpaceSpec, distinct: int, m: int) -> LaurentPoly:
-    """Tuples in X^m taking exactly ``distinct`` values.
-
-    The space splits into one configuration-space copy per set partition,
-    so this is a Stirling multiple of ``poincare_config``.
-    """
-    require(space, "i_acyclic")
-    _check_strata(distinct, m)
-    if distinct == 0:
-        return LaurentPoly.one() if m == 0 else LaurentPoly.zero()
-    if space.pc.is_zero():  # an empty space: every stratum is empty, read before S(m, l)
-        return LaurentPoly.zero()
-    return stirling_second(m, distinct) * poincare_config(space, distinct)
-
-
-def poincare_at_most(space: SpaceSpec, distinct: int, m: int) -> LaurentPoly:
-    """Tuples in X^m taking at most ``distinct`` values.
-
-    Alternating sum over the exact strata, sum over a < l of
-    (-T)^a S(m, l - a) prod_(i<l-a) (pc + iT) with l = ``distinct``, from
-    one Stirling row and l products, by Horner over the factors pc + kT.
-    The result must have nonnegative coefficients (they are Betti
-    numbers), which is asserted before returning.
-    """
-    require(space, "i_acyclic")
-    _check_strata(distinct, m)
-    if distinct == 0:
-        return LaurentPoly.one() if m == 0 else LaurentPoly.zero()
-    if space.pc.is_zero():  # an empty space: every stratum is empty, read before S(m, l)
-        return LaurentPoly.zero()
-    stirling = stirling_row(m, distinct)
-    total = LaurentPoly.term(stirling[-1], 0)
-    for k in range(distinct - 1, 0, -1):
-        a = distinct - k
-        total = total * (space.pc + LaurentPoly.term(k, 1)) + LaurentPoly.term(
-            (-1) ** a * stirling[k - 1], a
-        )
-    total = total * space.pc
-    if not total.has_nonnegative_coeffs():
-        raise ConsistencyError(
-            f"alternating stratum sum for {space.name!r} produced negative "
-            "coefficients; the input polynomial cannot come from an "
-            "interior-acyclic space"
-        )
-    return total
-
-
-def _check_strata(distinct: int, m: int, least: int = 0) -> None:
-    """Gate ``distinct`` from ``least`` up and m from ``distinct`` up."""
-    limits.check_count(distinct, "distinct", least)
-    limits.check_count(m, "m", distinct)  # no more distinct values than entries
-
-
-def universal_poly(distinct: int, m: int, closed: bool) -> BiPoly:
-    """Universal two-variable polynomial for the multiplicity strata.
-
-    Substituting P := pc recovers ``poincare_exactly`` (open case) or
-    ``poincare_at_most`` (closed case) for every space at once.  The
-    result is homogeneous of total degree ``distinct``.  It is summed by
-    Horner over the factors P + kT, as ``poincare_at_most`` sums over
-    pc + kT, but in its own ring and from its own Stirling numbers: one row
-    of forward differences of k^m, not the recurrence that route reads.
-    """
-    _check_strata(distinct, m, least=1)
-    stirling = combinat._stirling_differences(m, distinct)
-    # the open sum is one stratum, S(m, l) times its product, so S(m, l) is
-    # multiplied in once at the end rather than carried through l products
-    result = BiPoly.term(stirling[distinct] if closed else 1, 0, 0)
-    for k in range(distinct - 1, 0, -1):
-        result = result * (P_VAR + k * T_VAR)
-        if closed:  # the stratum of k values, a = distinct - k steps down
-            a = distinct - k
-            result = result + BiPoly.term((-1) ** a * stirling[k], 0, a)
-    result = result * (P_VAR if closed else stirling[distinct] * P_VAR)
-    if not result.is_homogeneous(distinct):
-        raise ConsistencyError(f"universal polynomial is not homogeneous of degree {distinct}")
-    return result
 
 
 def poincare_config_ordinary(space: SpaceSpec, m: int) -> LaurentPoly:

@@ -137,9 +137,9 @@ def check_series(m: int, pc) -> None:
     ``quotient`` and ``poincare --target bf`` took less.  At weight 1 the
     work is at most p(14) * 14^2 = 26,460.
     """
-    from .combinat import partitions  # combinat imports this module
-
     check_m(m)
+    from .combinat import partitions  # combinat imports limits; a refusal above compiles none
+
     work = len(partitions(m)) * m * m * coefficient_words(pc) * pc_weight(pc)
     if work > SERIES_WORK_BUDGET:
         raise CostCapExceeded(

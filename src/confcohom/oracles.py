@@ -8,7 +8,9 @@ this one.  The rebuild of the configuration character from power traces
 counts rather than lists, and the ``bf`` and ``cf`` checks run it, so it is
 ``charseries.reconstruct_config_series``.  Calls into the layers go
 through their modules (``charseries.config_trace``), so patching or
-wrapping a layer function reaches the oracles too.
+wrapping a layer function reaches the oracles too.  ``groups`` and
+``strata`` are imported by the oracles that read them, so the ``sym``
+check, which reads only the generating function, compiles neither.
 
 Each oracle that lists guards its own size, which CONFCOHOM_MAX_M does not
 raise: set partitions up to m = 10, the tensor oracle up to m = 6 and total
@@ -21,8 +23,8 @@ from functools import lru_cache
 from itertools import product as iter_product
 from math import comb
 
-from . import charseries, combinat, confspace, limits
-from .combinat import CycleType, Permutation
+from . import charseries, confspace, limits
+from .combinat import CycleType
 from .confspace import SpaceSpec
 from .errors import CostCapExceeded
 from .polyarith import LaurentPoly
@@ -122,6 +124,8 @@ def stable_partitions(
     choice; all consumers are class functions, so any consistent order
     yields the same traces.
     """
+    from .groups import Permutation
+
     m = alpha.m
     limits.check_count(blocks, "blocks")
     if blocks == m:
@@ -144,10 +148,12 @@ def group_closure(
 
     Returns (order, counts).  The empty generator set yields the trivial
     group.  Breadth-first multiplication; aborts past the closure cap in
-    :mod:`.limits`.  The element-by-element oracle for ``combinat.subgroup_class_counts``.
+    :mod:`.limits`.  The element-by-element oracle for ``groups.subgroup_class_counts``.
     """
+    from . import groups
+
     limits.check_m(m)  # the counts are keyed by cycle types
-    gens = combinat._checked_generators(generators, m)
+    gens = groups._checked_generators(generators, m)
     identity = tuple(range(m))
     seen = {identity}
     frontier = [identity]
@@ -155,7 +161,7 @@ def group_closure(
         nxt = []
         for h in frontier:
             for g in gens:
-                prod = combinat._compose(g, h)
+                prod = groups._compose(g, h)
                 if prod not in seen:
                     limits.check_group_order(len(seen) + 1)
                     seen.add(prod)
@@ -163,7 +169,7 @@ def group_closure(
         frontier = nxt
     counts: dict[tuple[int, ...], int] = {}
     for images in seen:
-        mult = combinat._cycle_mult(images)
+        mult = groups._cycle_mult(images)
         counts[mult] = counts.get(mult, 0) + 1
     return len(seen), {CycleType(m, mult): n for mult, n in counts.items()}
 
@@ -178,8 +184,10 @@ def tensor_trace_oracle(dims: tuple[int, ...], ctype: CycleType) -> LaurentPoly:
     """
     if sum(dims) > 4 or ctype.m > 6:
         raise CostCapExceeded("tensor trace oracle is limited to dim <= 4, m <= 6")
+    from . import groups
+
     degrees = [k for k, n in enumerate(dims) for _ in range(n)]
-    alpha = combinat.representative(ctype)
+    alpha = groups.representative(ctype)
     cycles = alpha.cycles()
     m = ctype.m
     total = LaurentPoly.zero()
@@ -211,8 +219,10 @@ def exactly_trace(
     The stable partitions are enumerated one by one, so this is the
     point-level oracle for ``charseries.exactly_series``, which counts them.
     """
+    from . import strata
+
     confspace.require(space, "i_acyclic")
-    confspace._check_strata(distinct, m, least=1)
+    strata._check_strata(distinct, m, least=1)
     if alpha.m != m:
         raise ValueError("permutation size must match m")
     total = LaurentPoly.zero()
@@ -231,8 +241,10 @@ def at_most_trace(
     through an a-fold shifted exact sequence, which in the alternating
     trace convention contributes a plain T^a factor.
     """
+    from . import strata
+
     confspace.require(space, "i_acyclic")
-    confspace._check_strata(distinct, m, least=1)
+    strata._check_strata(distinct, m, least=1)
     total = LaurentPoly.zero()
     for a in range(distinct):
         total = total + LaurentPoly.term(1, a) * exactly_trace(

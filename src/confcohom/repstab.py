@@ -34,7 +34,7 @@ from math import factorial
 from . import charseries, limits
 from .charseries import TraceSeries
 from .combinat import CycleType, _all_cycle_types, partitions
-from .confspace import SpaceSpec, require
+from .confspace import SpaceSpec, require, require_stability_hypotheses
 from .errors import ConsistencyError, HypothesisViolation
 from .polyarith import LaurentPoly
 from .record import Record
@@ -335,16 +335,6 @@ def _m_window(m_range: tuple[int, int], least: int) -> list[int]:
 
 
 DIFF_WINDOW = 4
-
-
-def require_stability_hypotheses(space: SpaceSpec) -> None:
-    """Refuse a space outside :func:`stability_report`'s hypotheses: an
-    i-acyclic, orientable, connected space of dimension at least 2."""
-    require(space, "i_acyclic")
-    require(space, "orientable")
-    require(space, "connected")
-    if space.dim < 2:
-        raise HypothesisViolation("dim>=2", f"space {space.name!r} has dim {space.dim}")
 
 
 def stability_report(

@@ -6,7 +6,9 @@ from __future__ import annotations
 from math import comb
 
 from . import charseries, checks, confspace, oracles, repstab
-from .combinat import all_cycle_types, representative, stirling_first_signed, stirling_second
+from .combinat import all_cycle_types
+from .groups import representative
+from .strata import stirling_first_signed, stirling_second
 from .confspace import BUILTIN_SPACES
 from .errors import ConfcohomError, HypothesisViolation
 

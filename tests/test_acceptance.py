@@ -32,7 +32,7 @@ from confcohom import (
     tensor_trace_oracle,
     universal_poly,
 )
-from confcohom.combinat import representative
+from confcohom.groups import representative
 from confcohom.oracles import symmetric_product_generating_function
 from confcohom.cli import main
 

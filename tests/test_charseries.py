@@ -36,7 +36,8 @@ from confcohom import (
 )
 from confcohom import charseries, limits
 from confcohom.charseries import TraceSeries, cyclic_counts, power_series
-from confcohom.combinat import divisors, partitions, representative, symmetric_counts
+from confcohom.combinat import divisors, partitions, symmetric_counts
+from confcohom.groups import representative
 from confcohom.oracles import symmetric_product_generating_function
 from confcohom.polyarith import ONE, T
 from conftest import puncture

@@ -6,7 +6,7 @@ import shlex
 
 import pytest
 
-from confcohom import CycleType, LaurentPoly, charseries, combinat, confspace, oracles
+from confcohom import CycleType, LaurentPoly, charseries, confspace, groups, oracles, strata
 from conftest import puncture
 from test_cli import _doubled, _plus_one, _shifted_series
 from test_cli_corpus import COMMANDS, run_line, write_space_files
@@ -54,13 +54,13 @@ CORRUPTIONS = [
     ("euler-characteristic", "poincare --space c --target ordinary --m 4",
      confspace, "euler_char_config", _plus_one),
     ("universal-polynomial-evaluation", "poincare --space cstar --target delta --l 2 --m 4",
-     confspace, "universal_poly", _doubled),
+     strata, "universal_poly", _doubled),
     ("universal-polynomial-evaluation", "poincare --space cstar --target delta --l 2 --m 4",
-     combinat, "_stirling_differences", _last_entry_plus_one),
+     strata, "_stirling_differences", _last_entry_plus_one),
     ("subgroup-averaging", "poincare --space cstar --target bf --m 4",
      charseries, "config_series", _shifted_series),
     ("subgroup-averaging", "poincare --space cstar --target cf --m 4",
-     combinat, "subgroup_class_counts", _identity_only),
+     groups, "subgroup_class_counts", _identity_only),
     ("power-trace-reconstruction", "poincare --space cstar --target bf --m 4",
      charseries, "_power_table", _powers_of_a_punctured_space),
     ("power-trace-reconstruction", "poincare --space cstar --target cf --m 4",
@@ -76,11 +76,11 @@ CORRUPTIONS = [
     ("identity-entry-is-poincare", "character --space cstar --m 4 --cycle-type 1^4",
      confspace, "poincare_config", _plus_one),
     ("evaluates-on-reference-space", "universal --l 2 --m 4",
-     confspace, "poincare_exactly", _plus_one),
+     strata, "poincare_exactly", _plus_one),
     ("evaluates-on-reference-space", "universal --l 2 --m 4 --closed",
-     confspace, "poincare_at_most", _plus_one),
+     strata, "poincare_at_most", _plus_one),
     ("evaluates-on-reference-space", "universal --l 2 --m 4",
-     confspace, "stirling_second", _plus_one),
+     strata, "stirling_second", _plus_one),
     ("euler-characteristic-average", "quotient --space cstar --m 4 --generators '(1 2 3 4)'",
      confspace, "euler_char_config", _plus_one),
     ("betti-against-stratum-polynomial", "stability --space cstar --i 1 --a 1 --range 2..7",
@@ -192,7 +192,7 @@ def test_a_wrong_stirling_table_entry_fails_the_strata_checks(monkeypatch, comma
     # S(5, 3) + 1 read from the table, as one entry or in a row: the strata
     # routes answer wrongly, and the explicit count that universal_poly reads
     # tells them apart
-    entry, row = confspace.stirling_second, confspace.stirling_row
+    entry, row = strata.stirling_second, strata.stirling_row
 
     def wrong(i, j):
         return entry(i, j) + ((i, j) == (5, 3))
@@ -201,6 +201,6 @@ def test_a_wrong_stirling_table_entry_fails_the_strata_checks(monkeypatch, comma
         return tuple(s + ((i, c) == (5, 3)) for c, s in enumerate(row(i, j), start=1))
 
     assert outcome(command, name)
-    monkeypatch.setattr(confspace, "stirling_second", wrong)
-    monkeypatch.setattr(confspace, "stirling_row", wrong_row)
+    monkeypatch.setattr(strata, "stirling_second", wrong)
+    monkeypatch.setattr(strata, "stirling_row", wrong_row)
     assert not outcome(command, name)

@@ -19,10 +19,11 @@ from confcohom import (
     charseries,
     checks,
     cli,
-    combinat,
     confspace,
+    groups,
     limits,
     oracles,
+    strata,
 )
 from confcohom.cli import (
     BUILTIN_SPACES,
@@ -420,7 +421,7 @@ class TestExitCodes:
         def listed(*_args):
             raise AssertionError("an element was listed")
 
-        monkeypatch.setattr(combinat, "_table_products", listed)
+        monkeypatch.setattr(groups, "_table_products", listed)
         quotient = run_json(
             capsys, "quotient", "--space", "c", "--m", str(m),
             "--generators", _transposition_and_long_cycle(m),
@@ -433,8 +434,8 @@ class TestExitCodes:
         def listed(*_args):
             raise AssertionError("an element was listed")
 
-        monkeypatch.setattr(combinat, "_table_products", listed)
-        monkeypatch.setattr(combinat, "symmetric_counts", listed)
+        monkeypatch.setattr(groups, "_table_products", listed)
+        monkeypatch.setattr(groups, "symmetric_counts", listed)
         # S_11 fixing a point of 12: order 11!, past the 10! cap, and not S_12
         gens = f"(1 2);({' '.join(map(str, range(1, 12)))})"
         code, out, err = run(
@@ -473,7 +474,7 @@ class TestExitCodes:
         def built(*_args):
             raise AssertionError("the group was built")
 
-        monkeypatch.setattr(cli, "subgroup_class_counts", built)
+        monkeypatch.setattr(groups, "subgroup_class_counts", built)
         exit_code, out, err = run(
             capsys, "quotient", "--space", space, "--m", str(m), "--generators", gens
         )
@@ -482,8 +483,8 @@ class TestExitCodes:
         assert message in json.loads(err)["error"]["message"]
 
     def test_quotient_class_count_mismatch_is_4(self, capsys, monkeypatch):
-        miscounted = _one_element_too_many(cli.subgroup_class_counts)
-        monkeypatch.setattr(cli, "subgroup_class_counts", miscounted)
+        miscounted = _one_element_too_many(groups.subgroup_class_counts)
+        monkeypatch.setattr(groups, "subgroup_class_counts", miscounted)
         code, out, err = run(
             capsys, "quotient", "--space", "c", "--m", "4", "--generators", "(1 2 3 4)"
         )
@@ -788,7 +789,7 @@ class TestProductChecks:
         def trivial_group(gens, m):
             return 1, {CycleType.identity(m): 1}
 
-        monkeypatch.setattr(combinat, "subgroup_class_counts", trivial_group)
+        monkeypatch.setattr(groups, "subgroup_class_counts", trivial_group)
         doc = run_json(capsys, *self.ARGS["cyc"])
         assert doc["checks"] == [{"name": "subgroup-averaging", "passed": False}]
 
@@ -850,7 +851,7 @@ class TestWorkCounts:
             return original(self, other)
 
         monkeypatch.setattr(BiPoly, "__mul__", counted)
-        confspace.universal_poly(30, 60, True)
+        strata.universal_poly(30, 60, True)
         assert len(factors) == 30
 
 
@@ -924,7 +925,7 @@ class TestDigitLimit:
         def never(*args):
             raise AssertionError("universal_poly ran")
 
-        monkeypatch.setattr(confspace, "universal_poly", never)
+        monkeypatch.setattr(strata, "universal_poly", never)
         code, out, err = run(capsys, "universal", "--l", "2", "--m", "1000000000")
         assert (code, out) == (5, "")
         assert json.loads(err)["error"] == {
@@ -1009,9 +1010,10 @@ class TestDigitLimit:
         def never(*args):
             raise AssertionError("the answer was built")
 
-        for name in ("stirling_second", "stirling_row", "falling_product", "universal_poly"):
-            monkeypatch.setattr(confspace, name, never)
-        monkeypatch.setattr(combinat, "_stirling_sweep", never)
+        for name in ("stirling_second", "stirling_row", "_stirling_sweep", "_stirling_differences",
+                     "falling_product", "universal_poly"):
+            monkeypatch.setattr(strata, name, never)
+        monkeypatch.setattr(confspace, "falling_product", never)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (5, "")
         assert json.loads(err)["error"] == {
@@ -1070,7 +1072,7 @@ class TestStrataWork:
         # powers k^(10^9), for seconds at l = 2 and minutes at l = 3
         path = tmp_path / "empty.json"
         path.write_text('{"name": "empty", "poincare_c": [0], "dim": 2, "i_acyclic": true}')
-        monkeypatch.setattr(combinat, "_stirling_differences", lambda *args: pytest.fail("read"))
+        monkeypatch.setattr(strata, "_stirling_differences", lambda *args: pytest.fail("read"))
         code, out, err = run(
             capsys, "poincare", "--space", str(path), "--target", target,
             "--l", l, "--m", "1000000000",
@@ -1136,9 +1138,9 @@ class TestCorruptedRoutes:
         "module, engine, corrupt, command",
         [
             (confspace, "poincare_config", _plus_one, "poincare --space cstar --target fm --m 4"),
-            (confspace, "poincare_exactly", _plus_one,
+            (strata, "poincare_exactly", _plus_one,
              "poincare --space cstar --target delta --l 2 --m 4"),
-            (confspace, "poincare_at_most", _plus_one,
+            (strata, "poincare_at_most", _plus_one,
              "poincare --space cstar --target delta_le --l 2 --m 4"),
             (confspace, "poincare_config_ordinary", _plus_one,
              "poincare --space c --target ordinary --m 4"),
@@ -1157,14 +1159,14 @@ class TestCorruptedRoutes:
              "poincare --space cstar --target sym --m 4"),
             (charseries, "poincare_cyclic_product", _plus_one,
              "poincare --space cstar --target cyc --m 4"),
-            (confspace, "universal_poly", _doubled, "universal --l 2 --m 4"),
-            (confspace, "universal_poly", _doubled,
+            (strata, "universal_poly", _doubled, "universal --l 2 --m 4"),
+            (strata, "universal_poly", _doubled,
              "poincare --space cstar --target delta_le --l 2 --m 4"),
             (charseries, "config_trace", _plus_one,
              "character --space cstar --m 4 --cycle-type 1^4"),
             (charseries, "config_trace", _plus_one, "character --space cstar --m 4 --all"),
             (charseries, "config_series", _shifted_series, "character --space cstar --m 4 --all"),
-            (cli, "subgroup_class_counts", _one_element_too_many,
+            (groups, "subgroup_class_counts", _one_element_too_many,
              "quotient --space cstar --m 4 --generators '(1 2 3 4)'"),
         ],
     )
@@ -1201,7 +1203,7 @@ class TestSelftest:
     @pytest.mark.parametrize(
         "module, engine, corrupt, names",
         [
-            (confspace, "universal_poly", _doubled, {"universal-polynomial-evaluation"}),
+            (strata, "universal_poly", _doubled, {"universal-polynomial-evaluation"}),
             (charseries, "poincare_cyclic_config", _plus_one,
              {"quotient-averaging", "prime-order-divisibility"}),
             (charseries, "poincare_cyclic_product", _plus_one,
@@ -1311,7 +1313,7 @@ def _never(*_args):
 _PRODUCTS = [
     (LaurentPoly, "__mul__"), (LaurentPoly, "__rmul__"), (LaurentPoly, "__pow__"),
     (BiPoly, "__mul__"), (BiPoly, "__rmul__"), (polyarith, "_falling_rows"),
-    (combinat, "_stirling_sweep"), (combinat, "_stirling_differences"),
+    (strata, "_stirling_sweep"), (strata, "_stirling_differences"),
 ]
 
 

@@ -20,16 +20,9 @@ from confcohom import (
     stirling_first_signed,
     stirling_second,
 )
-from confcohom import combinat, limits
-from confcohom.combinat import (
-    divisors,
-    euler_phi,
-    mobius,
-    partitions,
-    representative,
-    stable_block_counts,
-    subgroup_class_counts,
-)
+from confcohom import combinat, groups, limits, strata
+from confcohom.combinat import divisors, euler_phi, mobius, partitions, stable_block_counts
+from confcohom.groups import representative, subgroup_class_counts
 
 
 class TestPartitions:
@@ -133,14 +126,14 @@ class TestStirling:
 
     def test_a_row_builds_one_falling_product(self, monkeypatch):
         calls = []
-        original = combinat.falling_product
+        original = strata.falling_product
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(combinat, "falling_product", counted)
-        combinat._falling_factorial.cache_clear()
+        monkeypatch.setattr(strata, "falling_product", counted)
+        strata._falling_factorial.cache_clear()
         row = [stirling_first_signed(40, j) for j in range(41)]
         assert len(calls) == 1
         assert sum(row) == 0 and sum(map(abs, row)) == math.factorial(40)
@@ -161,14 +154,14 @@ class TestStirling:
     def test_row_is_the_entries(self):
         for i in range(1, 30):
             for j in range(1, i + 1):
-                assert combinat.stirling_row(i, j) == tuple(
+                assert strata.stirling_row(i, j) == tuple(
                     stirling_second(i, c) for c in range(1, j + 1)
                 )
 
     def test_row_of_one_fills_no_column(self):
         tracemalloc.start()
         try:
-            assert combinat.stirling_row(10**9, 1) == (1,)
+            assert strata.stirling_row(10**9, 1) == (1,)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -176,9 +169,9 @@ class TestStirling:
 
     def test_row_refuses_more_blocks_than_points(self):
         with pytest.raises(ValueError, match="i must be at least 3"):
-            combinat.stirling_row(2, 3)
+            strata.stirling_row(2, 3)
         with pytest.raises(ValueError, match="j must be at least 1"):
-            combinat.stirling_row(2, 0)
+            strata.stirling_row(2, 0)
 
     def test_table_never_reads_the_differences(self, monkeypatch):
         # the forward differences of k^m are the strata checks' independent
@@ -187,7 +180,7 @@ class TestStirling:
             raise AssertionError("the recurrence read the differences")
 
         stirling_second.cache_clear()
-        monkeypatch.setattr(combinat, "_stirling_differences", never)
+        monkeypatch.setattr(strata, "_stirling_differences", never)
         assert stirling_second(7, 3) == 301
         assert stirling_second(60, 2) == 2**59 - 1
 
@@ -443,7 +436,7 @@ def _alternating(m: int) -> list[Permutation]:
 
 
 def _chain_order(gens: list[Permutation], m: int) -> int:
-    return math.prod(map(len, combinat._group_table(tuple(g.images for g in gens), m)))
+    return math.prod(map(len, groups._group_table(tuple(g.images for g in gens), m)))
 
 
 def _groups_on_14_points() -> list[tuple[list[Permutation], int]]:
@@ -501,7 +494,7 @@ def generator_sets(draw):
 class TestSubgroupClassCounts:
     """The walk of Knuth's table against the element-by-element closure."""
 
-    @pytest.mark.parametrize("m", range(8))
+    @pytest.mark.parametrize("m", range(9))
     @pytest.mark.parametrize("group", ["trivial", "cyclic", "symmetric", "alternating"])
     def test_named_groups_match_closure(self, m, group):
         gens = _named_groups(m)[group]
@@ -564,14 +557,11 @@ class TestSubgroupClassCounts:
     )
     def test_orders_at_the_cap_ceiling(self, monkeypatch, gens, order):
         # with the default recursion limit, which the table's recursion stays
-        # far below (about m^2 / 2 frames)
+        # far below (about m^2 / 2 frames); both are read from their order,
+        # past the closure cap
         monkeypatch.setenv("CONFCOHOM_MAX_M", "14")
         assert _chain_order(gens, 14) == order
-        if order == math.factorial(14):
-            assert subgroup_class_counts(gens, 14)[0] == order
-        else:  # refused from its order, past the closure cap
-            with pytest.raises(CostCapExceeded):
-                subgroup_class_counts(gens, 14)
+        assert subgroup_class_counts(gens, 14)[0] == order
 
     def test_dense_random_sets_at_the_cap_ceiling(self, monkeypatch):
         # 200 random conjugates of groups of known order on 14 points, each
@@ -601,8 +591,8 @@ class TestSubgroupClassCounts:
         monkeypatch.setattr(limits, "DEFAULT_CLOSURE_CAP", 10)
         with pytest.raises(CostCapExceeded) as closure:
             group_closure(s4_on_5, 5)
-        monkeypatch.setattr(combinat, "_table_products", listed)
-        monkeypatch.setattr(combinat, "symmetric_counts", listed)
+        monkeypatch.setattr(groups, "_table_products", listed)
+        monkeypatch.setattr(groups, "symmetric_counts", listed)
         with pytest.raises(CostCapExceeded) as refused:
             subgroup_class_counts(s4_on_5, 5)
         assert str(refused.value) == str(closure.value)
@@ -633,9 +623,30 @@ class TestSubgroupClassCounts:
         def listed(*_args):
             raise AssertionError("an element was listed")
 
-        monkeypatch.setattr(combinat, "_table_products", listed)
+        monkeypatch.setattr(groups, "_table_products", listed)
         order, counts = subgroup_class_counts(_symmetric(m), m)
         assert order == sum(counts.values()) == math.factorial(m)
+
+    @pytest.mark.parametrize("m", [9, 10])
+    def test_alternating_groups_match_the_walk(self, m):
+        # past the oracle's reach: A_10's 1,814,400 elements, walked one by one
+        gens = _alternating(m)
+        table = groups._group_table(tuple(g.images for g in gens), m)
+        levels = [[t for t, _ in level.values()] for level in table if len(level) > 1]
+        walked = Counter(map(groups._cycle_mult, groups._table_products(levels, tuple(range(m)))))
+        order, counts = subgroup_class_counts(gens, m)
+        assert order == math.factorial(m) // 2
+        assert counts == {CycleType(m, mult): n for mult, n in walked.items()}
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_alternating_groups_are_never_listed(self, monkeypatch, m):
+        def listed(*_args):
+            raise AssertionError("an element was listed")
+
+        monkeypatch.setattr(groups, "_table_products", listed)
+        order, counts = subgroup_class_counts(_alternating(m), m)
+        assert order == sum(counts.values()) == math.factorial(m) // 2
+        assert all(ct.sign() == 1 and n == ct.class_size() for ct, n in counts.items())
 
     def test_order_at_the_cap_is_allowed(self, monkeypatch):
         monkeypatch.setattr(limits, "DEFAULT_CLOSURE_CAP", 120)

@@ -15,7 +15,7 @@ from confcohom import (
     poincare_exactly,
     universal_poly,
 )
-from confcohom import combinat, confspace
+from confcohom import strata
 from confcohom.polyarith import ONE, T
 
 FIXTURES = [BUILTIN_SPACES[n] for n in ("r1", "r2", "r3", "c", "cstar", "c_minus_1", "c_minus_2")]
@@ -148,7 +148,7 @@ class TestStrata:
         # one Stirling row and one polynomial product per factor pc + kT,
         # whatever l; the answer is the universal polynomial's
         sweeps, products = [], []
-        sweep, mul = combinat._stirling_sweep, LaurentPoly.__mul__
+        sweep, mul = strata._stirling_sweep, LaurentPoly.__mul__
 
         def counted_sweep(*args):
             sweeps.append(args)
@@ -165,7 +165,7 @@ class TestStrata:
                 sweeps.clear()
                 products.clear()
                 with monkeypatch.context() as patch:
-                    patch.setattr(combinat, "_stirling_sweep", counted_sweep)
+                    patch.setattr(strata, "_stirling_sweep", counted_sweep)
                     patch.setattr(LaurentPoly, "__mul__", counted_mul)
                     assert poincare_at_most(space, l, m) == expected
                 assert sweeps == [(m, l, 1)]
@@ -190,10 +190,9 @@ class TestStrata:
         def refuse(i, j):
             raise AssertionError(f"S({i}, {j}) read for the empty space")
 
-        for name in ("stirling_second", "stirling_row"):
-            monkeypatch.setattr(combinat, name, refuse)
-            monkeypatch.setattr(confspace, name, refuse)
-        monkeypatch.setattr(combinat, "_stirling_sweep", lambda i, j, lowest: refuse(i, j))
+        for name in ("stirling_second", "stirling_row", "_stirling_differences"):
+            monkeypatch.setattr(strata, name, refuse)
+        monkeypatch.setattr(strata, "_stirling_sweep", lambda i, j, lowest: refuse(i, j))
         empty = SpaceSpec("empty", LaurentPoly.zero(), 2, i_acyclic=True)
         for distinct in (1, 2, 7):
             assert poincare_exactly(empty, distinct, 10**9) == 0
@@ -249,8 +248,9 @@ class TestUniversalPolynomials:
         def never(i, j):
             raise AssertionError("universal_poly read the Stirling table")
 
-        monkeypatch.setattr(combinat, "stirling_second", never)
-        monkeypatch.setattr(confspace, "stirling_second", never)
+        for name in ("stirling_second", "stirling_row"):
+            monkeypatch.setattr(strata, name, never)
+        monkeypatch.setattr(strata, "_stirling_sweep", lambda i, j, lowest: never(i, j))
         q = universal_poly(3, 6, closed=True)
         assert dict(q.items()) == {(3, 0): 90, (2, 1): 239, (1, 2): 150}
 

@@ -19,8 +19,8 @@ MOVED = (
     "tensor_trace_oracle",
     "symmetric_product_generating_function",
 )
-PRODUCTION = ("polyarith", "combinat", "confspace", "charseries", "repstab", "limits", "record",
-              "errors")
+PRODUCTION = ("polyarith", "combinat", "groups", "confspace", "strata", "charseries", "repstab",
+              "limits", "record", "errors")
 SRC = Path(confcohom.__file__).parent
 
 

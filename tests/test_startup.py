@@ -1,22 +1,26 @@
 """What a fresh interpreter compiles: the lazy package namespace, and the
-modules that each CLI command loads.
+modules that each CLI command loads, refusals included.
 
 The CLI runs as one short process per call, from a source checkout with no
 bytecode cache, so every module it imports is compiled on every call.  The
-probes run in fresh interpreters under ``-W error``.
+probes run in fresh interpreters under ``-W error``; a scan of the import
+statements pins the layering that makes the probes hold.
 """
 
+import ast
 import importlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import confcohom
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = Path(confcohom.__file__).parent
 
 # home module -> the public names it binds, as the package's explicit
 # imports bound them before its namespace became lazy
@@ -24,9 +28,12 @@ HOMES = {
     "errors": "ConfcohomError ConsistencyError CostCapExceeded HypothesisViolation "
     "InputParseError",
     "polyarith": "BiPoly LaurentPoly falling_product",
-    "combinat": "CycleType Permutation all_cycle_types stirling_first_signed stirling_second",
-    "confspace": "BUILTIN_SPACES SpaceSpec euler_char_config poincare_at_most poincare_config "
-    "poincare_config_ordinary poincare_exactly universal_poly",
+    "combinat": "CycleType all_cycle_types",
+    "groups": "Permutation",
+    "confspace": "BUILTIN_SPACES SpaceSpec euler_char_config poincare_config "
+    "poincare_config_ordinary",
+    "strata": "poincare_at_most poincare_exactly stirling_first_signed stirling_second "
+    "universal_poly",
     "charseries": "TraceSeries config_series config_trace exactly_series induce_blocks "
     "poincare_cyclic_config poincare_cyclic_product poincare_symmetric_product "
     "poincare_unordered_config power_trace quotient_poincare reconstruct_config_series",
@@ -51,11 +58,23 @@ DELETED_METHODS = {
     "SetPartition": ("block_sizes",),
 }
 UNEXPORTED = {
-    "combinat": "divisors euler_phi mobius partitions representative stable_block_counts "
-    "stirling_row subgroup_class_counts",
+    "combinat": "divisors euler_phi mobius partitions stable_block_counts symmetric_counts",
+    "groups": "representative subgroup_class_counts",
+    "confspace": "require require_stability_hypotheses",
+    "strata": "stirling_row",
     "charseries": "power_series",
     "repstab": "borel_moore_series irrep_dimension pad_core",
 }
+
+# old home -> new home, and the names that moved there along the layers' seams
+MOVED = [
+    ("combinat", "groups", "Permutation _checked_generators _compose _cycle_mult _group_table "
+     "_inverse _table_products representative subgroup_class_counts"),
+    ("combinat", "strata", "_falling_factorial _stirling_differences _stirling_sweep "
+     "stirling_first_signed stirling_row stirling_second"),
+    ("confspace", "strata", "_check_strata poincare_at_most poincare_exactly universal_poly"),
+    ("repstab", "confspace", "require_stability_hypotheses"),
+]
 
 # Prints the confcohom submodules loaded by the time the code before it ends.
 LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('confcohom.'))))"
@@ -75,13 +94,13 @@ def fresh(code: str, *argv: str) -> str:
     return done.stdout
 
 
-def loaded_by(*argv: str) -> set[str]:
-    """The confcohom submodules that a successful CLI call loads."""
-    code = (
+def loaded_by(*argv: str, code: int = 0) -> set[str]:
+    """The confcohom submodules that a CLI call exiting with ``code`` loads."""
+    program = (
         "import json, sys\nfrom confcohom.cli import main\n"
-        f"if main(sys.argv[1:]):\n    sys.exit('the command failed')\n{LOADED}"
+        f"if main(sys.argv[1:]) != {code}:\n    sys.exit('unexpected exit code')\n{LOADED}"
     )
-    return set(json.loads(fresh(code, *argv).splitlines()[-1]))
+    return set(json.loads(fresh(program, *argv).splitlines()[-1]))
 
 
 class TestLazyNamespace:
@@ -109,7 +128,17 @@ class TestLazyNamespace:
         for home, names in HOMES.items():
             module = importlib.import_module(f"confcohom.{home}")
             for name in names.split():
-                assert getattr(confcohom, name) is getattr(module, name), name
+                obj = getattr(module, name)
+                assert getattr(confcohom, name) is obj, name
+                assert getattr(obj, "__module__", module.__name__) == module.__name__, name
+
+    @pytest.mark.parametrize(("old", "new", "names"), MOVED, ids=[f"{o}->{n}" for o, n, _ in MOVED])
+    def test_moved_names_have_one_home(self, old, new, names):
+        before, after = (importlib.import_module(f"confcohom.{m}") for m in (old, new))
+        for name in names.split():
+            obj = getattr(after, name)
+            assert obj.__module__ == after.__name__, name
+            assert getattr(before, name, obj) is obj, name  # gone, or imported: never a copy
 
     def test_removed_names_are_gone(self):
         for home, names in DELETED.items():
@@ -155,31 +184,91 @@ class TestLazyNamespace:
 
 HEAVY = {"confcohom.charseries", "confcohom.oracles", "confcohom.repstab"}
 NO_ORACLES = {"confcohom.oracles", "confcohom.repstab"}
+LAYERS = {"confcohom.combinat", "confcohom.groups", "confcohom.strata"}
+STRATA = {"confcohom.strata"}
+GROUPS = {"confcohom.groups"}
 POINTS = ("--space", "c", "--m", "4")
-STRATA = (*POINTS, "--l", "2")  # only delta and delta_le take --l
+PAIRS = (*POINTS, "--l", "2")  # only delta and delta_le take --l
 
 
+# argv, modules it must load, modules it must not load
 COMMANDS = [
-    (("poincare", "--target", "fm", *POINTS), HEAVY),
-    (("poincare", "--target", "delta", *STRATA), HEAVY),
-    (("poincare", "--target", "delta_le", *STRATA), HEAVY),
-    (("poincare", "--target", "ordinary", *POINTS), HEAVY),
-    (("universal", "--l", "2", "--m", "4"), HEAVY),
-    (("character", "--space", "c", "--m", "4", "--cycle-type", "1^2,2"), NO_ORACLES),
-    (("quotient", "--space", "c", "--m", "4", "--generators", "(1 2 3 4)"), NO_ORACLES),
-    (("poincare", "--target", "cf", *POINTS), NO_ORACLES),
-    (("poincare", "--target", "bf", *POINTS), NO_ORACLES),
-    (("poincare", "--target", "cyc", *POINTS), NO_ORACLES),
-    (("stability", "--space", "c", "--i", "1", "--range", "1..5"), {"confcohom.oracles"}),
+    (("poincare", "--target", "fm", *POINTS), set(), HEAVY | LAYERS),
+    (("poincare", "--target", "ordinary", *POINTS), set(), HEAVY | LAYERS),
+    (("poincare", "--target", "delta", *PAIRS), STRATA, HEAVY | LAYERS - STRATA),
+    (("poincare", "--target", "delta_le", *PAIRS), STRATA, HEAVY | LAYERS - STRATA),
+    (("universal", "--l", "2", "--m", "4"), STRATA, HEAVY | LAYERS - STRATA),
+    (("character", "--space", "c", "--m", "4", "--cycle-type", "1^2,2"), set(),
+     NO_ORACLES | GROUPS | STRATA),
+    (("quotient", "--space", "c", "--m", "4", "--generators", "(1 2 3 4)"), GROUPS,
+     NO_ORACLES | STRATA),
+    (("poincare", "--target", "cf", *POINTS), GROUPS, NO_ORACLES | STRATA),
+    (("poincare", "--target", "bf", *POINTS), set(), NO_ORACLES | GROUPS | STRATA),
+    (("poincare", "--target", "sym", *POINTS), {"confcohom.oracles"},
+     {"confcohom.repstab"} | GROUPS | STRATA),
+    (("poincare", "--target", "cyc", *POINTS), GROUPS, NO_ORACLES | STRATA),
+    (("stability", "--space", "c", "--i", "1", "--range", "1..5"), STRATA,
+     {"confcohom.oracles"} | GROUPS),
 ]
 
 
-@pytest.mark.parametrize(("argv", "absent"), COMMANDS, ids=[" ".join(a) for a, _ in COMMANDS])
-def test_command_loads_only_what_it_runs(argv, absent):
+@pytest.mark.parametrize(
+    ("argv", "present", "absent"), COMMANDS, ids=[" ".join(a) for a, _, _ in COMMANDS]
+)
+def test_command_loads_only_what_it_runs(argv, present, absent):
     loaded = loaded_by(*argv)
-    assert "confcohom.cli" in loaded
+    assert {"confcohom.cli"} | present <= loaded
     assert not loaded & (absent | {"confcohom.selftest"})
+
+
+# A hypothesis (exit 2) or a cap (exit 5) refuses before any layer it gates is compiled.
+REFUSALS = [
+    (("character", "--space", "klein_pointed", "--m", "4", "--all"), 2),
+    (("character", "--space", "klein_pointed", "--m", "4", "--cycle-type", "1^4"), 2),
+    (("character", "--space", "c", "--m", "13", "--all"), 5),
+    (("character", "--space", "c", "--m", "13", "--cycle-type", "1^13"), 5),
+    (("stability", "--space", "klein_pointed", "--i", "1", "--range", "1..4"), 2),
+    (("stability", "--space", "r1", "--i", "1", "--range", "1..4"), 2),
+    (("stability", "--space", "c", "--i", "1", "--range", "1..13"), 5),
+]
+
+
+@pytest.mark.parametrize(("argv", "code"), REFUSALS, ids=[" ".join(a) for a, _ in REFUSALS])
+def test_refusal_loads_no_layer_it_refuses(argv, code):
+    loaded = loaded_by(*argv, code=code)
+    assert "confcohom.cli" in loaded
+    assert not loaded & (HEAVY | LAYERS)
 
 
 def test_only_selftest_loads_the_battery():
     assert "confcohom.selftest" in loaded_by("selftest")
+
+
+def _imports(module: str, top_level: bool = False) -> set[str]:
+    """The confcohom modules that ``module`` imports, anywhere in its source
+    or only in its module-level statements."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    nodes = tree.body if top_level else ast.walk(tree)
+    found = set()
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.removeprefix("confcohom.") for alias in node.names}
+    return found
+
+
+@pytest.mark.parametrize(
+    ("module", "top_level", "forbidden"),
+    [
+        ("combinat", False, {"groups", "strata"}),
+        ("confspace", False, {"strata"}),
+        ("confspace", True, {"combinat", "groups", "strata"}),
+        ("cli", True, {"combinat", "groups", "strata"}),
+        ("checks", True, {"combinat", "groups", "strata"}),
+    ],
+)
+def test_layering(module, top_level, forbidden):
+    imported = _imports(module, top_level)
+    assert imported  # the scan reads relative imports
+    assert not imported & forbidden

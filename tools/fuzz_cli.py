@@ -208,14 +208,16 @@ FIXED = [
     *_rows("poincare --space cstar --target delta_le --l 300 --m 600 --format plain", _STRATA),
     *_rows("poincare --space cstar --target delta_le --l 1000 --m 1000", _STRATA),
     *_rows("universal --l 1000 --m 1000 --closed", _REFERENCE),
-    # S_8 fixing a point is walked from its Knuth table, S_12 known by its
-    # order, and S_11 fixing a point of 12 refused from its order 11!;
-    # chi(Conf_9) = -9! and chi(Conf_12) = 12!, so no average is 0 == 0
+    # S_8 fixing a point is walked from its Knuth table, S_12 and A_11 known
+    # by their orders, and S_11 fixing a point of 12 refused from its order
+    # 11!; chi(Conf_m) = (-1)^m m! on c_minus_2, so no average is 0 == 0
     *_rows("quotient --space c_minus_2 --m 9 --generators '(1 2);(1 2 3 4 5 6 7 8)'"
            " --format plain", "euler-characteristic-average"),
     *_rows("quotient --space c_minus_2 --m 12 --generators '(1 2);(1 2 3 4 5 6 7 8 9 10 11 12)'"
            " --format plain", "euler-characteristic-average"),
     *_rows("quotient --space c_minus_2 --m 12 --generators '(1 2);(1 2 3 4 5 6 7 8 9 10 11)'", 5),
+    *_rows("quotient --space c_minus_2 --m 11 --generators '(1 2 3);(1 2 3 4 5 6 7 8 9 10 11)'"
+           " --format plain", "euler-characteristic-average"),
 ]
 
 
