@@ -2,19 +2,23 @@
 
 A check returns ``(name, passed)`` pairs, and :func:`entries` turns pairs
 into the ``{name, passed}`` entries of a result document, for the commands,
-the stability verdicts and the selftest battery alike.  Layer functions are
-called through their modules, and every layer but ``confspace`` is imported
-only by the checks that run it (``strata`` through :func:`_strata`), so
-``fm`` and ``ordinary`` compile no combinatorics, the strata no series.
+the stability verdicts and the selftest battery alike.  :data:`TARGETS`
+holds all that the CLI knows of each ``poincare`` target.  Layer functions
+are called through their modules, and every layer but ``confspace`` is
+imported only by the routes and checks that run it (``strata`` through
+:func:`_strata`), so ``fm`` and ``ordinary`` compile no combinatorics, the
+strata no series.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from math import factorial
 
-from . import confspace
+from . import confspace, limits
 from .confspace import SpaceSpec
 from .polyarith import BiPoly, LaurentPoly
+from .record import FrozenRecord
 
 
 #: Largest m at which a command rebuilds the configuration character from
@@ -43,61 +47,53 @@ def _strata():
     return strata
 
 
-# poincare target -> route(space, m, l); only the strata read ``l``
-ENGINES = {
-    "fm": lambda space, m, l: confspace.poincare_config(space, m),
-    "delta": lambda space, m, l: _strata().poincare_exactly(space, l, m),
-    "delta_le": lambda space, m, l: _strata().poincare_at_most(space, l, m),
-    "ordinary": lambda space, m, l: confspace.poincare_config_ordinary(space, m),
-    "cf": lambda space, m, l: _trace_series().poincare_cyclic_config(space, m),
-    "bf": lambda space, m, l: _trace_series().poincare_unordered_config(space, m),
-    "sym": lambda space, m, l: _trace_series().poincare_symmetric_product(space, m),
-    "cyc": lambda space, m, l: _trace_series().poincare_cyclic_product(space, m),
-}
-
-
 def entries(named) -> list[dict]:
     """The ``{name, passed}`` entries of ``(name, passed)`` pairs."""
     return [{"name": name, "passed": bool(passed)} for name, passed in named]
 
 
-def poincare(
-    space: SpaceSpec, target: str, m: int, l: int | None, poly: LaurentPoly
-) -> list[tuple[str, bool]]:
-    """Compare the ``poincare`` answer ``poly`` with an independent route."""
-    if target in ("fm", "ordinary"):
-        # the Euler characteristic is integer arithmetic, no polynomial
-        # product; duality in dimension m*dim multiplies it by (-1)^(m*dim)
-        sign = (-1) ** (m * space.dim) if target == "ordinary" else 1
-        euler = confspace.euler_char_config(space, m)
-        return [("euler-characteristic", poly.eval_at_int(-1) == sign * euler)]
-    if target in ("delta", "delta_le"):
-        q = _strata().universal_poly(l, m, target == "delta_le")
-        return [("universal-polynomial-evaluation", q.eval_P(space.pc) == poly)]
-    if target == "sym":
-        from . import oracles
+def _euler(space: SpaceSpec, m: int, l, poly: LaurentPoly, dual: bool = False):
+    # the Euler characteristic is integer arithmetic, no polynomial product;
+    # duality in dimension m*dim multiplies the ordinary one by (-1)^(m*dim)
+    sign = (-1) ** (m * space.dim) if dual else 1
+    euler = confspace.euler_char_config(space, m)
+    return [("euler-characteristic", poly.eval_at_int(-1) == sign * euler)]
 
-        oracle = oracles.symmetric_product_generating_function(space.pc, m)
-        return [("generating-function", oracle == poly)]
+
+def _universal(space: SpaceSpec, m: int, l: int, poly: LaurentPoly, closed: bool = False):
+    q = _strata().universal_poly(l, m, closed)
+    return [("universal-polynomial-evaluation", q.eval_P(space.pc) == poly)]
+
+
+def _generating_function(space: SpaceSpec, m: int, l, poly: LaurentPoly):
+    from . import oracles
+
+    oracle = oracles.symmetric_product_generating_function(space.pc, m)
+    return [("generating-function", oracle == poly)]
+
+
+def _averaging(space: SpaceSpec, m: int, l, poly: LaurentPoly, rotations=True, power=False):
+    """Average configuration traces, or power traces when ``power``, over the
+    rotation group, or S_m unless ``rotations``; rebuild the former from the latter."""
     charseries = _trace_series()
-    if target == "bf":
+    if rotations:
+        from . import groups
+
+        # The cyclic quotients average traces over the rotation group, counted
+        # by walking its Knuth table, independently of their divisor sums.
+        rotation = [groups.Permutation.from_cycles(m, [list(range(1, m + 1))])]
+        trace = charseries.power_trace if power else charseries.config_trace
+        order, counts = groups.subgroup_class_counts(rotation, m)
+        oracle = charseries._average(lambda ctype: trace(space, ctype), counts, order)
+    else:
         from . import combinat
 
         # the route is Newton's recurrence; the class-size average of the
         # trace series is the independent road to the same polynomial
         counts, order = combinat.symmetric_counts(m), factorial(m)
         oracle = charseries.quotient_poincare(charseries.config_series(space, m), counts, order)
-    else:
-        from . import groups
-
-        # The cyclic quotients average traces over the rotation group, counted
-        # by walking its Knuth table, independently of their divisor sums.
-        rotation = [groups.Permutation.from_cycles(m, [list(range(1, m + 1))])]
-        trace = {"cf": charseries.config_trace, "cyc": charseries.power_trace}[target]
-        order, counts = groups.subgroup_class_counts(rotation, m)
-        oracle = charseries._average(lambda ctype: trace(space, ctype), counts, order)
     named = [("subgroup-averaging", oracle == poly)]
-    if target != "cyc" and m <= RECONSTRUCTION_MAX_M:
+    if not power and m <= RECONSTRUCTION_MAX_M:
         # both routes and subgroup-averaging read the divisor kernels B_d;
         # the character rebuilt from power traces reads none
         rebuilt = charseries.reconstruct_config_series(space, m)
@@ -106,11 +102,55 @@ def poincare(
     return named
 
 
+def _closed_form(space: SpaceSpec, m: int, l: int | None, closed: bool = False) -> None:
+    limits.check_closed_form(m, l, space.pc, closed)
+
+
+def _series(space: SpaceSpec, m: int, l) -> None:
+    # bf's check averages a series; sym's and cyc's powers of N(T) grow like one
+    limits.check_series(m, space.pc)
+
+
+class Target(FrozenRecord):
+    """A ``poincare`` target: on a space with each flag it ``requires``,
+    ``gate(space, m, l)`` refuses its cost, ``route(space, m, l)`` answers and
+    ``check(space, m, l, poly)`` names the comparisons with the answer.  It
+    needs 1 <= l <= m when it ``takes_l``, and else no l and m >= ``least_m``."""
+
+    __slots__ = ("route", "check", "gate", "requires", "takes_l", "least_m")
+
+    def __init__(self, route, check, gate, requires=("i_acyclic",), takes_l=False, least_m=1):
+        self._init(route, check, gate, requires, takes_l, least_m)
+
+
+#: Each ``poincare`` target, in the order the CLI offers them
+TARGETS = {
+    "fm": Target(lambda space, m, l: confspace.poincare_config(space, m),
+                 _euler, _closed_form, least_m=0),
+    "delta": Target(lambda space, m, l: _strata().poincare_exactly(space, l, m),
+                    _universal, _closed_form, takes_l=True),
+    "delta_le": Target(lambda space, m, l: _strata().poincare_at_most(space, l, m),
+                       partial(_universal, closed=True), partial(_closed_form, closed=True),
+                       takes_l=True),
+    "ordinary": Target(lambda space, m, l: confspace.poincare_config_ordinary(space, m),
+                       partial(_euler, dual=True), _closed_form, ("i_acyclic", "orientable")),
+    "cf": Target(lambda space, m, l: _trace_series().poincare_cyclic_config(space, m),
+                 _averaging, lambda space, m, l: limits.check_m(m, least=1)),
+    "bf": Target(lambda space, m, l: _trace_series().poincare_unordered_config(space, m),
+                 partial(_averaging, rotations=False), _series),
+    "sym": Target(lambda space, m, l: _trace_series().poincare_symmetric_product(space, m),
+                  _generating_function, _series, ()),
+    "cyc": Target(lambda space, m, l: _trace_series().poincare_cyclic_product(space, m),
+                  partial(_averaging, power=True), _series, ()),
+}
+
+
 def cases_pass(cases) -> bool:
     """Run the ``poincare`` checks over (space, target, m, l) cases; a case
     with no check fails."""
     for space, target, m, l in cases:
-        named = poincare(space, target, m, l, ENGINES[target](space, m, l))
+        row = TARGETS[target]
+        named = row.check(space, m, l, row.route(space, m, l))
         if not named or not all(passed for _name, passed in named):
             return False
     return True
@@ -159,7 +199,7 @@ def character_trace(space: SpaceSpec, ctype, poly: LaurentPoly) -> list[tuple[st
 def universal(q: BiPoly, l: int, m: int, closed: bool) -> list[tuple[str, bool]]:
     """Q(P := pc, T) on the plane against its stratum polynomial computed directly."""
     reference = confspace.BUILTIN_SPACES["c"]
-    direct = ENGINES["delta_le" if closed else "delta"](reference, m, l)
+    direct = TARGETS["delta_le" if closed else "delta"].route(reference, m, l)
     return [("evaluates-on-reference-space", q.eval_P(reference.pc) == direct)]
 
 

@@ -9,8 +9,8 @@ included, writes one JSON line to stderr and exits with the code its
 ``ConfcohomError`` class names (see :mod:`confcohom.errors`).
 
 Each command checks its hypotheses (exit 2), then one gate of
-:mod:`confcohom.limits` (exit 5): ``check_series``, ``check_closed_form`` or
-``check_m``, before it parses any input whose size grows with m (exit 3).
+:mod:`confcohom.limits` (exit 5), before it parses any input whose size grows
+with m (exit 3); ``poincare`` reads both from its target's ``checks.TARGETS`` row.
 
 A call is one short process, so each command imports every layer past
 ``confspace`` only if it runs it, and only once its gates have passed: ``fm``
@@ -221,31 +221,22 @@ def _document(command: str, inputs: dict, result, named) -> dict:
 def cmd_poincare(args) -> dict:
     space = load_space(args.space)
     m, l, target = args.m, args.l, args.target
-    if target in ("delta", "delta_le"):
+    row = checks.TARGETS[target]
+    inputs = {"space": space.name, "m": m, "target": target}
+    if row.takes_l:
         require_arg(l is not None, f"target {target!r} requires --l")
         require_arg(1 <= l <= m, f"target {target!r} needs 1 <= --l <= --m")
+        inputs["l"] = l
     else:
         require_arg(l is None, f"target {target!r} takes no --l")
-        if target == "fm":
-            require_arg(m >= 0, "--m must be nonnegative")
-        else:
-            require_arg(m >= 1, f"target {target!r} needs --m >= 1")
-    if target not in ("sym", "cyc"):
-        confspace.require(space, "i_acyclic")
-    if target == "ordinary":
-        confspace.require(space, "orientable")
-    if target in ("bf", "sym", "cyc"):
-        # bf's check averages a series; sym's and cyc's powers of N(T) grow like one
-        limits.check_series(m, space.pc)
-    elif target != "cf":  # cf's route checks its own m
-        limits.check_closed_form(target, m, l, space.pc)
-    poly = checks.ENGINES[target](space, m, l)
-    inputs = {"space": space.name, "m": m, "target": target}
-    if l is not None:
-        inputs["l"] = l
-    return _document(
-        "poincare", inputs, _poly_result(poly), checks.poincare(space, target, m, l, poly)
-    )
+    least = row.least_m
+    message = f"target {target!r} needs --m >= {least}" if least else "--m must be nonnegative"
+    require_arg(m >= least, message)
+    for flag in row.requires:
+        confspace.require(space, flag)
+    row.gate(space, m, l)
+    poly = row.route(space, m, l)
+    return _document("poincare", inputs, _poly_result(poly), row.check(space, m, l, poly))
 
 
 def cmd_character(args) -> dict:
@@ -281,7 +272,7 @@ def cmd_universal(args) -> dict:
     closed = bool(args.closed)
     l, m = args.l, args.m
     require_arg(1 <= l <= m, "universal needs 1 <= --l <= --m")
-    limits.check_closed_form("delta_le" if closed else "delta", m, l)
+    limits.check_closed_form(m, l, closed=closed)
     from . import strata
 
     q = strata.universal_poly(l, m, closed)
@@ -395,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--target",
         required=True,
-        choices=tuple(checks.ENGINES),
+        choices=tuple(checks.TARGETS),
     )
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--l", type=int)

@@ -161,9 +161,9 @@ def _factorial_bits(n: int, exact: bool = False) -> int:
 
 def answer_digits(m: int, l: int, closed: bool = False, pc=None, exact: bool = False) -> int:
     """A lower bound on the decimal digits of the longest coefficient of the
-    ``delta`` answer S(m, l) * prod_{i<l} (pc + i*T) (``fm`` and ``ordinary``
-    at l = m), of the ``delta_le`` answer when ``closed``, or, with pc None,
-    of the ``universal`` polynomials, which carry S(m, l) * (l - 1)! at
+    stratum of l distinct values, S(m, l) * prod_{i<l} (pc + i*T) (F(X, m)
+    at l = m), of the closed stratum when ``closed``, or, with pc None, of
+    the universal polynomials, which carry S(m, l) * (l - 1)! at
     P T^(l-1) and S(m, l) at P^l.  ``exact`` counts (l - 1)! exactly.
 
     pc's coefficients are nonnegative and its lowest exponent e is at least
@@ -186,36 +186,34 @@ def answer_digits(m: int, l: int, closed: bool = False, pc=None, exact: bool = F
     return bits * 301 // 1000 + 1
 
 
-def closed_form_work(target: str, m: int, l: int | None, pc=None) -> int:
-    """The big-integer steps of the closed form ``target`` at m points, each
-    weighed by :func:`pc_weight` (pc None: the ``universal`` polynomial).
-    ``fm`` and ``ordinary`` take the m(m - 1)/2 steps of a falling product,
-    none when pc = 0.  A stratum builds the universal polynomial, l^2 BiPoly
-    terms as answer or check, and for l > 1 S(m, l), about l * m steps; when
-    pc = 0 its answer is 0, but its check still reads S(m, l)."""
-    if target in ("fm", "ordinary"):
+def closed_form_work(m: int, l: int | None, pc=None) -> int:
+    """The big-integer steps of a closed form at m points, each weighed by
+    :func:`pc_weight` (pc None: the ``universal`` polynomial).  At l None the
+    falling product of F(X, m) takes m(m - 1)/2 steps, none when pc = 0.  A
+    stratum builds the universal polynomial, l^2 BiPoly terms as answer or
+    check, and for l > 1 S(m, l), about l * m steps; when pc = 0 its answer is
+    0, but its check still reads S(m, l)."""
+    if l is None:
         work = 0 if pc is not None and pc.is_zero() else m * (m - 1) // 2
     else:
         work = l * l + (l * m if l > 1 else 0)
     return work if pc is None else work * pc_weight(pc)
 
 
-def check_closed_form(target: str, m: int, l: int | None, pc=None) -> None:
-    """Refuse the closed form ``target`` (``fm``, ``ordinary``, ``delta`` or
-    ``delta_le``) at m points, before any product, with CostCapExceeded: an
-    answer of :func:`answer_digits` past the int-to-str limit, or
+def check_closed_form(m: int, l: int | None, pc=None, closed: bool = False) -> None:
+    """Refuse a closed form at m points, before any product, with
+    CostCapExceeded: the stratum of l distinct values, closed when ``closed``,
+    or at l None the falling product of F(X, m).  It refuses an answer of
+    :func:`answer_digits` past the int-to-str limit, or
     :func:`closed_form_work` past STRATA_WORK_BUDGET.  ``pc`` is the space's
     compact-support Poincaré polynomial; None sizes the ``universal``
-    polynomial of ``target``.  The digits are bounded first with (l - 1)!
-    from below; once the work is admitted, l <= 2000, and (l - 1)! is
-    counted exactly.
+    polynomial.  The digits are bounded first with (l - 1)! from below; once
+    the work is admitted, l <= 2000, and (l - 1)! is counted exactly.
     """
-    if target in ("fm", "ordinary"):
-        l = m
-    work = closed_form_work(target, m, l, pc)
+    work = closed_form_work(m, l, pc)
+    l = m if l is None else l
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
     sized = limit and not (pc is not None and pc.is_zero())
-    closed = target == "delta_le"
     if sized and answer_digits(m, l, closed, pc) > limit:
         raise int_str_refusal()
     if work > STRATA_WORK_BUDGET:

@@ -44,9 +44,8 @@ def _every_class_doubled(original):
     return lambda *args: {ct: 2 * value for ct, value in original(*args).items()}
 
 
-# check name, command that emits it, and a function only the check reads;
-# TestProductChecks in test_cli.py corrupts the class counts for ``cyc``.  The
-# stability table's check reads no series, so its row corrupts the one
+# check name, command that emits it, and a function only the check reads.
+# The stability table's check reads no series, so its row corrupts the one
 # coefficient that only the table's route reads.
 CORRUPTIONS = [
     ("euler-characteristic", "poincare --space cstar --target fm --m 4",
@@ -57,9 +56,13 @@ CORRUPTIONS = [
      strata, "universal_poly", _doubled),
     ("universal-polynomial-evaluation", "poincare --space cstar --target delta --l 2 --m 4",
      strata, "_stirling_differences", _last_entry_plus_one),
+    ("universal-polynomial-evaluation", "poincare --space cstar --target delta_le --l 2 --m 4",
+     strata, "universal_poly", _doubled),
     ("subgroup-averaging", "poincare --space cstar --target bf --m 4",
      charseries, "config_series", _shifted_series),
     ("subgroup-averaging", "poincare --space cstar --target cf --m 4",
+     groups, "subgroup_class_counts", _identity_only),
+    ("subgroup-averaging", "poincare --space cstar --target cyc --m 4",
      groups, "subgroup_class_counts", _identity_only),
     ("power-trace-reconstruction", "poincare --space cstar --target bf --m 4",
      charseries, "_power_table", _powers_of_a_punctured_space),
@@ -116,24 +119,33 @@ def test_corrupting_what_only_the_check_reads_fails_it(
     assert not outcome(command, name)
 
 
+def _checked(command: str) -> str:
+    """The command a corpus line runs, and for ``poincare`` its target: what
+    a check name is emitted by."""
+    words = shlex.split(command)
+    # the first word that sets no environment variable names the command
+    words = words[next(i for i, w in enumerate(words) if "=" not in w):]
+    return f"poincare {words[words.index('--target') + 1]}" if words[0] == "poincare" else words[0]
+
+
 def test_every_check_name_the_corpus_emits_is_corrupted(tmp_path, monkeypatch):
+    # per target: a row wired to another family's check emits names no row corrupts
     monkeypatch.delenv("CONFCOHOM_MAX_M", raising=False)
     write_space_files(str(tmp_path))
     monkeypatch.chdir(tmp_path)
     emitted = set()
     for command in COMMANDS:
-        # the first word that sets no environment variable names the command
-        if next(w for w in shlex.split(command) if "=" not in w) not in CHECKED_COMMANDS:
+        if _checked(command).split()[0] not in CHECKED_COMMANDS:
             continue
         if "--format" not in command:
             command += " --format json"
         code, out, _err = run_line(command)
         if code == 0:
             emitted |= {
-                entry["name"] for entry in json.loads(out)["checks"]
+                (_checked(command), entry["name"]) for entry in json.loads(out)["checks"]
                 if not _is_verdict(entry["name"])
             }
-    assert emitted == {row[0] for row in CORRUPTIONS}
+    assert emitted == {(_checked(row[1]), row[0]) for row in CORRUPTIONS}
 
 
 def test_a_wrong_divisor_kernel_fails_only_the_kernel_free_check(monkeypatch):

@@ -146,6 +146,15 @@ class TestCommands:
         doc = run_json(capsys, "poincare", "--space", "c", "--target", "fm", "--m", "0")
         assert doc["result"]["coefficients"] == {"0": 1}
 
+    def test_a_new_row_is_a_new_target(self, capsys, monkeypatch):
+        # the CLI knows a target only by its row: its arguments, gate, route and check
+        monkeypatch.setitem(checks.TARGETS, "fm_copy", checks.TARGETS["fm"])
+        argv = ("poincare", "--space", "c", "--m", "4", "--target")
+        copy, fm = run_json(capsys, *argv, "fm_copy"), run_json(capsys, *argv, "fm")
+        assert copy["inputs"] == {**fm["inputs"], "target": "fm_copy"}
+        assert (copy["result"], copy["checks"]) == (fm["result"], fm["checks"])
+        assert [check["name"] for check in copy["checks"]] == ["euler-characteristic"]
+
     def test_poincare_bf(self, capsys):
         doc = run_json(capsys, "poincare", "--space", "c", "--target", "bf", "--m", "3")
         assert doc["result"]["coefficients"] == {"5": 1, "6": 1}
@@ -1221,7 +1230,11 @@ class TestSelftest:
     def test_a_case_without_checks_fails(self, monkeypatch):
         c = confspace.BUILTIN_SPACES["c"]
         assert checks.cases_pass([(c, "bf", 7, None)])
-        monkeypatch.setattr(checks, "poincare", lambda *args: [])
+        row = checks.TARGETS["bf"]
+        unchecked = checks.Target(
+            row.route, lambda *args: [], row.gate, row.requires, row.takes_l, row.least_m
+        )
+        monkeypatch.setitem(checks.TARGETS, "bf", unchecked)
         assert not checks.cases_pass([(c, "bf", 7, None)])
 
 
@@ -1383,7 +1396,7 @@ class TestFuzzExitCodes:
 
         commands = {"quotient", "poincare", "character", "universal", "stability"}
         assert {argv[0] for argv in argvs if argv} >= commands
-        assert after("--target") >= set(checks.ENGINES)
+        assert after("--target") >= set(checks.TARGETS)
         assert after("--format") >= {"json", "plain", "latex"}
         assert any("--all" in argv for argv in argvs)
         assert any("--cycle-type" in argv for argv in argvs)

@@ -111,18 +111,18 @@ class TestDigitBound:
     def test_no_digit_limit_refuses_nothing(self, no_digit_limit):
         # S(999998, 2) has about 301,000 digits, within the work budget
         for pc in (_PLANE, None):
-            check_closed_form("delta", 999_998, 2, pc)
-            check_closed_form("delta_le", 999_998, 2, pc)
-        check_closed_form("fm", 2000, None, _PLANE)
+            check_closed_form(999_998, 2, pc)
+            check_closed_form(999_998, 2, pc, closed=True)
+        check_closed_form(2000, None, _PLANE)
 
     def test_the_digit_bound_comes_before_the_work(self, digit_limit_4300):
         with pytest.raises(CostCapExceeded, match="int-to-str limit of 4300 digits"):
-            check_closed_form("delta", 10**9, 10**9, _PLANE)
+            check_closed_form(10**9, 10**9, _PLANE)
 
 
-def _refuses_work(target, m, l, pc):
+def _refuses_work(m, l, pc, closed=False):
     with pytest.raises(CostCapExceeded, match=r"^strata work is capped at 2000000 big-integer"):
-        check_closed_form(target, m, l, pc)
+        check_closed_form(m, l, pc, closed)
 
 
 class TestWorkEstimate:
@@ -136,33 +136,32 @@ class TestWorkEstimate:
         [(700, 1500), (300, 600), (1000, 1000), (1, 10**9)],
     )
     def test_the_budget_admits(self, digit_limit_4300, l, m, pc):
-        check_closed_form("delta_le", m, l, pc)
+        check_closed_form(m, l, pc, closed=True)
 
     @pytest.mark.parametrize("pc", [_PLANE, _EMPTY, None], ids=["plane", "empty", "universal"])
-    @pytest.mark.parametrize("target", ["delta", "delta_le"])
-    def test_strata_past_the_budget_are_refused(self, no_digit_limit, target, pc):
-        _refuses_work(target, 1001, 1001, pc)
-        _refuses_work(target, 10**9, 10**9, pc)
+    @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+    def test_strata_past_the_budget_are_refused(self, no_digit_limit, closed, pc):
+        _refuses_work(1001, 1001, pc, closed)
+        _refuses_work(10**9, 10**9, pc, closed)
 
-    @pytest.mark.parametrize("target", ["fm", "ordinary"])
-    def test_config_without_a_digit_limit(self, no_digit_limit, target):
+    def test_config_without_a_digit_limit(self, no_digit_limit):
         # the falling product takes m(m - 1)/2 steps: 1,999,000 at m = 2000
-        check_closed_form(target, 2000, None, _PLANE)
-        _refuses_work(target, 2001, None, _PLANE)
-        _refuses_work(target, 10**9, None, _PLANE)
+        check_closed_form(2000, None, _PLANE)
+        _refuses_work(2001, None, _PLANE)
+        _refuses_work(10**9, None, _PLANE)
 
     def test_each_step_weighs_the_words_of_the_largest_coefficient(self, no_digit_limit):
         # weight 1 below 2^64; fm at m = 1414 takes 999,091 steps, 1,998,182 at weight 2
-        check_closed_form("fm", 2000, None, LaurentPoly({1: 1, 2: 2**64 - 1}))
-        _refuses_work("fm", 2000, None, LaurentPoly({1: 2**64, 2: 1}))
-        check_closed_form("fm", 1414, None, LaurentPoly({2: 2**64}))
-        _refuses_work("fm", 1415, None, LaurentPoly({2: 2**64}))
-        _refuses_work("delta_le", 600, 300, LaurentPoly({1: 10**1000, 2: 1}))
-        check_closed_form("delta_le", 5, 2, LaurentPoly({1: 10**1000, 2: 1}))
+        check_closed_form(2000, None, LaurentPoly({1: 1, 2: 2**64 - 1}))
+        _refuses_work(2000, None, LaurentPoly({1: 2**64, 2: 1}))
+        check_closed_form(1414, None, LaurentPoly({2: 2**64}))
+        _refuses_work(1415, None, LaurentPoly({2: 2**64}))
+        _refuses_work(600, 300, LaurentPoly({1: 10**1000, 2: 1}), closed=True)
+        check_closed_form(5, 2, LaurentPoly({1: 10**1000, 2: 1}), closed=True)
 
     def test_the_message_names_the_estimate(self):
         with pytest.raises(CostCapExceeded) as refused:
-            check_closed_form("delta", 1001, 1001, _EMPTY)
+            check_closed_form(1001, 1001, _EMPTY)
         assert str(refused.value) == (
             "strata work is capped at 2000000 big-integer steps; "
             "l = 1001, m = 1001 needs about 2004002"
@@ -251,17 +250,17 @@ class TestPcWeight:
         assert pc_weight(LaurentPoly(pc) if isinstance(pc, dict) else pc) == weight
 
     def test_closed_form_work_is_weighed(self):
-        assert closed_form_work("fm", 2000, None, _PLANE) == 1_999_000
-        assert closed_form_work("fm", 2000, None, _EMPTY) == 0
-        assert closed_form_work("delta_le", 600, 300, None) == 270_000
-        assert closed_form_work("delta_le", 600, 300, _ONES) == 270_000 * 39794
-        assert closed_form_work("fm", 102, None, _GAPPED) == 5151 * 392
+        assert closed_form_work(2000, None, _PLANE) == 1_999_000
+        assert closed_form_work(2000, None, _EMPTY) == 0
+        assert closed_form_work(600, 300, None) == 270_000
+        assert closed_form_work(600, 300, _ONES) == 270_000 * 39794
+        assert closed_form_work(102, None, _GAPPED) == 5151 * 392
 
     def test_the_gapped_falling_product_at_the_edge(self, no_digit_limit):
         # 101 * 100 / 2 * 392 = 1,979,600 steps; 102 * 101 / 2 * 392 = 2,019,192
-        check_closed_form("fm", 101, None, _GAPPED)
-        _refuses_work("fm", 102, None, _GAPPED)
-        _refuses_work("fm", 1500, None, _GAPPED)
+        check_closed_form(101, None, _GAPPED)
+        _refuses_work(102, None, _GAPPED)
+        _refuses_work(1500, None, _GAPPED)
 
     def test_long_betti_numbers_weigh_the_series(self, monkeypatch):
         # p(6) * 36 * 39794 = 15,758,424; p(8) * 64 * 39794 = 56,029,952

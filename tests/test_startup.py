@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import confcohom
+from confcohom import checks
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = Path(confcohom.__file__).parent
@@ -219,6 +220,12 @@ def test_command_loads_only_what_it_runs(argv, present, absent):
     loaded = loaded_by(*argv)
     assert {"confcohom.cli"} | present <= loaded
     assert not loaded & (absent | {"confcohom.selftest"})
+
+
+def test_every_target_has_its_pin():
+    # a target added to the table ships with the modules it may load
+    pinned = [argv[2] for argv, _, _ in COMMANDS if argv[0] == "poincare"]
+    assert sorted(pinned) == sorted(checks.TARGETS)
 
 
 # A hypothesis (exit 2) or a cap (exit 5) refuses before any layer it gates is compiled.

@@ -69,7 +69,7 @@ LARGE = [12, 13, 14, 15, 1000, 10**9]  # the caps and far past them
 HUGE = [10**1000, 10**4000]
 LONG = [50, 200]  # the dim of a long space file
 SPACES = ["c", "cstar", "r3", "c_minus_1", "klein_pointed", "nosuch", "FILE"]
-TARGETS = list(checks.ENGINES)  # each poincare target, as the CLI offers them
+TARGETS = list(checks.TARGETS)  # each poincare target, as the CLI offers them
 MAX_M = [None, "", "0", "3", "14", "99", "abc", "-1", "1.5"]
 VOCABULARY = ["poincare", "quotient", "--space", "c", "--m", "3", "--target", "fm", "--all", "--l"]
 
