@@ -14,12 +14,15 @@ with m (exit 3); ``poincare`` reads both from its target's ``checks.TARGETS`` ro
 
 A call is one short process, so each command imports every layer past
 ``confspace`` only if it runs it, and only once its gates have passed: ``fm``
-compiles no combinatorics, and a refusal none of the layers it refuses.
+compiles no combinatorics, and a refusal none of the layers it refuses.  The
+process enters at :func:`console_main`, which freezes the heap after the call so
+that the collections at exit skip it; :func:`main`, the in-process API, never does.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os.path
 import re
@@ -336,11 +339,6 @@ def cmd_stability(args) -> dict:
     return _document("stability", inputs, result, named)
 
 
-# ---------------------------------------------------------------------------
-# selftest
-# ---------------------------------------------------------------------------
-
-
 def cmd_selftest(_args) -> dict:
     from .selftest import run_checks
 
@@ -444,7 +442,7 @@ def main(argv: list[str] | None = None) -> int:
         if "integer string conversion" not in str(exc):
             raise
         return _emit_error(limits.int_str_refusal())
-    sys.stdout.write(text)
+    _write(sys.stdout, text)
     if document["command"] == "selftest" and document["result"]["failed"]:
         return ConsistencyError.exit_code
     return EXIT_OK
@@ -455,9 +453,25 @@ def _emit_error(exc: ConfcohomError) -> int:
     payload = {"category": exc.category, "message": str(exc)}
     if getattr(exc, "flag", None):
         payload["flag"] = exc.flag
-    sys.stderr.write(json.dumps({"error": payload}, sort_keys=True) + "\n")
+    _write(sys.stderr, json.dumps({"error": payload}, sort_keys=True) + "\n")
     return exc.exit_code
 
 
+def _write(stream, text: str) -> None:
+    """Write unless ``>&-`` closed the stream: None, or a descriptor not open for writing."""
+    if stream is not None:
+        try:
+            stream.write(text)
+        except OSError:  # as under a shell wrapper that leaves its script on the descriptor
+            pass
+
+
+def console_main() -> int:
+    """The process entry: :func:`main` on ``sys.argv``, then ``gc.freeze()``."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

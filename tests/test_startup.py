@@ -1,5 +1,6 @@
 """What a fresh interpreter compiles: the lazy package namespace, and the
-modules that each CLI command loads, refusals included.
+modules that each CLI command loads, refusals included; and how the process
+entry ends a call.
 
 The CLI runs as one short process per call, from a source checkout with no
 bytecode cache, so every module it imports is compiled on every call.  The
@@ -8,17 +9,21 @@ statements pins the layering that makes the probes hold.
 """
 
 import ast
+import gc
 import importlib
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
 
 import confcohom
 from confcohom import checks
+from confcohom.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = Path(confcohom.__file__).parent
@@ -81,18 +86,19 @@ MOVED = [
 LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('confcohom.'))))"
 
 
-def fresh(code: str, *argv: str) -> str:
-    """Stdout of ``code`` run by a fresh interpreter on the source tree."""
+def call(*argv: str, **kwargs) -> subprocess.CompletedProcess:
+    """``python *argv`` in a fresh interpreter on the source tree, with no
+    bytecode cache, its output captured."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONDONTWRITEBYTECODE="1")
     env.pop("CONFCOHOM_MAX_M", None)
-    done = subprocess.run(
-        [sys.executable, "-W", "error", "-c", code, *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, **kwargs
     )
-    return done.stdout
+
+
+def fresh(code: str, *argv: str) -> str:
+    """Stdout of ``code`` run by a fresh interpreter on the source tree."""
+    return call("-W", "error", "-c", code, *argv, check=True).stdout
 
 
 def loaded_by(*argv: str, code: int = 0) -> set[str]:
@@ -170,17 +176,14 @@ class TestLazyNamespace:
 
     def test_cli_as_main_warns_nothing(self):
         # runpy warns when the package has imported confcohom.cli before
-        # running it as __main__; -W error turns that into a failure
-        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONDONTWRITEBYTECODE="1")
-        argv = ["-W", "error", "-m", "confcohom.cli", "universal", "--l", "1", "--m", "1"]
-        done = subprocess.run(
-            [sys.executable, *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stderr == ""
+        # running it as __main__; -W error turns that into a failure, on
+        # every row of COMMANDS and REFUSALS, as each compiles its own layers
+        failed = []
+        for argv, code in [(argv, 0) for argv, _, _ in COMMANDS] + REFUSALS:
+            done = call("-W", "error", "-m", "confcohom.cli", *argv)
+            if done.returncode != code or (code == 0 and done.stderr):
+                failed.append((" ".join(argv), done.returncode, done.stderr))
+        assert not failed
 
 
 HEAVY = {"confcohom.charseries", "confcohom.oracles", "confcohom.repstab"}
@@ -279,3 +282,71 @@ def test_layering(module, top_level, forbidden):
     imported = _imports(module, top_level)
     assert imported  # the scan reads relative imports
     assert not imported & forbidden
+
+
+# The process entry, run as ``-m`` and as a call of ``console_main``, answers
+# as ``main`` does in-process: one row per command, and a refusal of each class
+# the gates raise.  With the rows of COMMANDS they cover every call of CI's
+# start-up step.
+ENTRY = "import sys\nfrom confcohom.cli import console_main\nsys.exit(console_main())"
+PARITY = [
+    (("poincare", "--target", "delta", *PAIRS, "--format", "latex"), 0),
+    (("character", "--space", "c", "--m", "4", "--all"), 0),
+    (("universal", "--l", "2", "--m", "4", "--closed", "--format", "plain"), 0),
+    (("quotient", "--space", "c", "--m", "4", "--generators", "(1 2);(3 4)"), 0),
+    (("stability", "--space", "cstar", "--i", "1", "--range", "1..5"), 0),
+    (("selftest",), 0),
+    (("stability", "--space", "klein_pointed", "--i", "1", "--range", "1..4"), 2),
+    (("poincare", "--space", "nowhere", "--target", "fm", "--m", "4"), 3),
+    (("character", "--space", "c", "--m", "13", "--all"), 5),
+]
+
+
+@pytest.mark.parametrize(("argv", "code"), PARITY, ids=[" ".join(a) for a, _ in PARITY])
+def test_process_entry_answers_as_main(argv, code, monkeypatch):
+    monkeypatch.delenv("CONFCOHOM_MAX_M", raising=False)
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(list(argv)) == code
+    for launch in (("-m", "confcohom.cli"), ("-c", ENTRY)):
+        done = call("-W", "error", *launch, *argv)
+        assert (done.returncode, done.stdout, done.stderr) == (code, out.getvalue(), err.getvalue())
+
+
+def test_main_never_freezes(capsys):
+    # tests, the byte corpus and the benchmark call main many times in one
+    # process, where a frozen heap would never be collected
+    assert main(["universal", "--l", "1", "--m", "1"]) == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_a_profiled_call_prints_its_stats():
+    # the freeze leaves the interpreter's own ending, atexit handlers included, in place
+    done = call("-m", "cProfile", "-m", "confcohom.cli", "universal", "--l", "1", "--m", "1")
+    assert done.returncode == 0, done.stderr
+    assert '"command": "universal"' in done.stdout
+    assert "function calls" in done.stdout and "Ordered by:" in done.stdout
+
+
+def _close(fd):
+    return lambda: os.close(fd)
+
+
+def _read_only(fd):
+    # as a shell wrapper leaves its script on a descriptor that the caller closed
+    return lambda: os.dup2(os.open(os.devnull, os.O_RDONLY), fd)
+
+
+@pytest.mark.parametrize(
+    ("argv", "preexec", "code"),
+    [
+        (("poincare", "--space", "c", "--target", "fm", "--m", "30"), _close(1), 0),
+        (("poincare", "--space", "klein_pointed", "--target", "fm", "--m", "3"), _close(2), 2),
+        (("poincare", "--space", "klein_pointed", "--target", "fm", "--m", "3"),
+         _read_only(2), 2),
+    ],
+    ids=["stdout closed", "stderr closed", "stderr read-only"],
+)
+def test_a_closed_stream_keeps_the_exit(argv, preexec, code):
+    done = call("-m", "confcohom.cli", *argv, preexec_fn=preexec)
+    assert (done.returncode, done.stdout, done.stderr) == (code, "", "")
