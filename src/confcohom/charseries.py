@@ -25,9 +25,10 @@ Every route here counts stable set partitions, one cycle at a time, by
 the orbit of blocks each cycle opens or joins
 (``combinat.stable_block_counts``), and never lists them.  The one
 inverse of the stratification of X^m, :func:`reconstruct_config_series`,
-also lives here, because the ``bf`` and ``cf`` checks run it and they load
-no oracle; the cross-checks that list partitions, or take other independent
-roads to the same numbers, are in :mod:`confcohom.oracles`.
+also lives here, because the ``bf``, ``cf`` and ``character --all`` checks
+run it and they load no oracle; the cross-checks that list partitions, or
+take other independent roads to the same numbers, are in
+:mod:`confcohom.oracles`.
 """
 
 from __future__ import annotations

@@ -2,10 +2,12 @@
 
 Each oracle reaches a production route's numbers by an independent road:
 listing stable set partitions point by point, closing a subgroup element by
-element, permuting tensor factors or expanding a generating function.  Only
-the CLI's checks and the test suite use them; no production module imports
-this one.  The rebuild of the configuration character from power traces
-counts rather than lists, and the ``bf`` and ``cf`` checks run it, so it is
+element, permuting tensor factors or expanding a generating function.  Of
+the CLI, only the ``sym`` check (the generating function) and the
+``selftest`` battery read them, and the test suite reads them all; no
+production module imports this one.  The rebuild of the configuration
+character from power traces counts rather than lists, and the ``bf``, ``cf``
+and ``character --all`` checks run it, so it is
 ``charseries.reconstruct_config_series``.  Calls into the layers go
 through their modules (``charseries.config_trace``), so patching or
 wrapping a layer function reaches the oracles too.  ``groups`` and

@@ -53,14 +53,15 @@ def run_checks() -> list[tuple[str, bool]]:
     )
     run("universal-polynomial-evaluation", lambda: checks.cases_pass(strata))
 
-    def triangles() -> bool:
+    def characters() -> bool:
         return all(
-            checks.oracle_triangle(space, m, charseries.config_series(space, m))
+            checks.character_series(space, m, charseries.config_series(space, m))
+            == [("power-trace-reconstruction", True)]
             for space in (c, cstar)
             for m in range(1, 5)
         )
 
-    run("oracle-triangle", triangles)
+    run("power-trace-reconstruction", characters)
 
     def assembly() -> bool:
         for space in (c, c1):

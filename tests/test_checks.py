@@ -74,8 +74,12 @@ CORRUPTIONS = [
      charseries, "_stable_block_counts", _one_more_three_point_two_block),
     ("generating-function", "poincare --space cstar --target sym --m 4",
      oracles, "symmetric_product_generating_function", _plus_one),
-    ("oracle-triangle", "character --space cstar --m 4 --all",
+    ("power-trace-reconstruction", "character --space cstar --m 4 --all",
      charseries, "reconstruct_config_series", _shifted_series),
+    ("power-trace-reconstruction", "character --space cstar --m 4 --all",
+     charseries, "_power_table", _powers_of_a_punctured_space),
+    ("power-trace-reconstruction", "character --space cstar --m 4 --all",
+     charseries, "_stable_block_counts", _one_more_three_point_two_block),
     ("identity-entry-is-poincare", "character --space cstar --m 4 --cycle-type 1^4",
      confspace, "poincare_config", _plus_one),
     ("evaluates-on-reference-space", "universal --l 2 --m 4",

@@ -297,23 +297,23 @@ DIGESTS = {
     "character --space cstar --m 5 --cycle-type 2^2,1 --format latex":
         "4987d1149aea829be18117fe77f001b17da6e28affd6233c9320cd63e86fa9d7",
     "character --space cstar --m 4 --all --format json":
-        "9df22881cacae471a7d707c59bb19930c303712f597b60d0fa390dcec19ae908",
+        "c5ffd5702cda2cb0e98b880771fc0b6f150615262bd8402674fdc9f22276772b",
     "character --space cstar --m 4 --all --format plain":
-        "f4b575da2dcaeec281ca7d57190716f2eedf7eb0e6a92b2f15c97f7a58d94d5f",
+        "621dfa306412efc8be98c59ecbcd8a3be821b8e7d4768e92453a542cbabef80b",
     "character --space cstar --m 4 --all --format latex":
-        "0ace2c17213edf8e92621a849439ce26e7a633cf139f4d59a942f011686abdc9",
+        "40a008b0d2ce67a8d7c5b63b5c9e179c332d0a5999e9efbcb5f58a912502ee0c",
     "character --space c_minus_1 --m 5 --all --format json":
-        "9f57ff97239ed689372748ceb26a6abd4248ff36250ff201e7044ca6a306138f",
+        "e613dcd77a12fe4779170ef8e97bc5b1c133391f7b7fb110d62fa842b2ff6803",
     "character --space c_minus_1 --m 5 --all --format plain":
-        "ec3b1904262af3eed9f2468e0c9907e72671e4f7f087efc66486416f9d1f8596",
+        "a31a1c705aa770b5e97fb6446a25e35aa275217e75f8140fc2531202c6906a0f",
     "character --space c_minus_1 --m 5 --all --format latex":
-        "5aa9f491ce48b7dac00e341c56cada45b2042a5ab3d20d4e5cdc009bbc5472d1",
+        "60b95ec38a9346179b99bdad1ca3c2f401c216d0f2929a52e3df13859db6c5bd",
     "character --space c --m 0 --all --format json":
-        "19d5e147ecd7bc9580447da18cbdc4e1bef75b146566c526a37871bbf7cbf9ed",
+        "c630273358b21090de1ca6bc4d9ea08b89b6fb74737e58b499940ef189f4b84d",
     "character --space c --m 0 --all --format plain":
-        "8cc798c0e71b604d6e532e0e31a3e5bbf59b971788e372d3ecab4627766a7120",
+        "16b1260ad9e5608048aa4b280a0552096da7bd8fa5cb5f700b89d3fede202c45",
     "character --space c --m 0 --all --format latex":
-        "8cc798c0e71b604d6e532e0e31a3e5bbf59b971788e372d3ecab4627766a7120",
+        "16b1260ad9e5608048aa4b280a0552096da7bd8fa5cb5f700b89d3fede202c45",
     "character --space c --m 7 --all --format json":
         "183d2cfd1b343112c1e722d1dacadc1cf854058c11889d69a06f0ea5056c1df4",
     "character --space c --m 7 --all --format plain":
@@ -419,11 +419,11 @@ DIGESTS = {
     "CONFCOHOM_MAX_M=14 stability --space c --i 2 --a 1 --range 1..14 --format json":
         "f7315251b076d871e3d69f41ee9321fd291db5e32f5c8371791d28daf5484e12",
     "selftest --format json":
-        "f1dead27686f20c60eca47f6689c90eb546e813bcecf5d0ec1de505f58000c15",
+        "9616e59d307c23dafdab319fa528b2906740be397c4bc596861b274f18023c2a",
     "selftest --format plain":
-        "1f6c15144bc739a0f71bbc48d77a6c8527c36fe74ab5fb622ce3b0b640040b64",
+        "c560b7f2b926fa78cb469d968aab4b0d4e579bd6e5a1e9d99f8e3b9a986221fd",
     "selftest --format latex":
-        "1f6c15144bc739a0f71bbc48d77a6c8527c36fe74ab5fb622ce3b0b640040b64",
+        "c560b7f2b926fa78cb469d968aab4b0d4e579bd6e5a1e9d99f8e3b9a986221fd",
     "poincare --space klein_pointed --target fm --m 3 --format json":
         "54578dbf58ec9eec1e8db94975401e2e5cd176cdaad6c50b9fbba96f43a3f830",
     "poincare --space klein_pointed --target fm --m 3 --format plain":

@@ -49,9 +49,19 @@ class TestCycleType:
         assert ct.parts == (3, 2, 2, 1)
         assert ct.m == 8
 
-    def test_invalid_mult(self):
-        with pytest.raises(ValueError):
-            CycleType(3, (1, 1, 1))
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: CycleType(3, (1, 1, 1)), r"multiplicities \(1, 1, 1\) do not sum to 3"),
+            (lambda: CycleType(3, (3,)), "multiplicity vector must have length m"),
+            (lambda: CycleType.from_parts((2, 1), 4), "parts sum to 3, expected 4"),
+            (lambda: CycleType.from_parts((3, 0)), "parts must be positive"),
+        ],
+        ids=["mult-sum", "mult-length", "parts-sum", "parts-positive"],
+    )
+    def test_invalid_arguments(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_class_sizes_small(self):
         assert CycleType.identity(3).class_size() == 1

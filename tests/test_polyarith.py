@@ -60,6 +60,22 @@ class TestRingOps:
         assert 2 - T == lp({0: 2, 1: -1})
         assert 3 * T == lp({1: 3})
 
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: LaurentPoly.zero().min_exp, ValueError, "zero polynomial has no valuation"),
+            (lambda: LaurentPoly.zero().max_exp, ValueError, "zero polynomial has no degree"),
+            (lambda: T**-1, ValueError, "negative powers are not defined"),
+            (lambda: LaurentPoly.term(1, -1).eval_at_int(2), ValueError,
+             "cannot evaluate negative exponent"),
+            (lambda: T.divexact(0), ZeroDivisionError, "divexact by zero"),
+        ],
+        ids=["min_exp", "max_exp", "negative-power", "eval-negative-exponent", "divexact-zero"],
+    )
+    def test_argument_guards(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
     @given(laurents, laurents, laurents)
     @settings(max_examples=60)
     def test_ring_axioms(self, f, g, h):

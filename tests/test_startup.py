@@ -204,6 +204,8 @@ COMMANDS = [
     (("universal", "--l", "2", "--m", "4"), STRATA, HEAVY | LAYERS - STRATA),
     (("character", "--space", "c", "--m", "4", "--cycle-type", "1^2,2"), set(),
      NO_ORACLES | GROUPS | STRATA),
+    (("character", "--space", "c", "--m", "4", "--all"),
+     {"confcohom.combinat", "confcohom.charseries"}, NO_ORACLES | GROUPS | STRATA),
     (("quotient", "--space", "c", "--m", "4", "--generators", "(1 2 3 4)"), GROUPS,
      NO_ORACLES | STRATA),
     (("poincare", "--target", "cf", *POINTS), GROUPS, NO_ORACLES | STRATA),

@@ -202,7 +202,7 @@ FIXED = [
            "betti-against-stratum-polynomial", envs=_AT_14),
     # c(m, m - 2) = (3m - 1) C(m, 3) / 4 has degree 4, which m = 8..12 cannot show
     *_rows("stability --space c --i 2 --range 1..12 --format plain", 0),
-    *_rows("character --space c --m 6 --all --format plain", "oracle-triangle"),
+    *_rows("character --space c --m 6 --all --format plain", "power-trace-reconstruction"),
     *_rows("poincare --space cstar --target cf --m 6 --format plain",
            "power-trace-reconstruction"),
     *_rows("poincare --space cstar --target delta_le --l 300 --m 600 --format plain", _STRATA),
